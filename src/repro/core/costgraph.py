@@ -67,6 +67,15 @@ class CostGraph:
     """All candidate operators of a program, grouped by chain site."""
 
     nodes: dict[tuple[int, int, int], OperatorNode] = field(default_factory=dict)
+    #: (site_id, output span) -> the nodes producing it, in insertion order.
+    _producers: dict[tuple[int, tuple[int, int]], list[OperatorNode]] = field(
+        default_factory=dict, repr=False)
+
+    def add(self, node: OperatorNode) -> None:
+        key = (node.site_id, _pack(*node.left_span), _pack(*node.right_span))
+        self.nodes[key] = node
+        self._producers.setdefault((node.site_id, node.output_span),
+                                   []).append(node)
 
     def operator(self, site_id: int, i: int, k: int, j: int) -> OperatorNode:
         return self.nodes[(site_id, _pack(i, k), _pack(k + 1, j))]
@@ -74,8 +83,7 @@ class CostGraph:
     def operators_producing(self, site_id: int,
                             span: tuple[int, int]) -> list[OperatorNode]:
         """The operators "underneath" an operator input (Definition 2)."""
-        return [node for node in self.nodes.values()
-                if node.site_id == site_id and node.output_span == span]
+        return list(self._producers.get((site_id, span), ()))
 
     @property
     def num_operators(self) -> int:
@@ -111,21 +119,18 @@ def build_cost_graph(chains: ProgramChains, tables: dict[int, SpanTable],
             for i in range(0, n - width + 1):
                 j = i + width - 1
                 for k in range(i, j):
-                    node = OperatorNode(
+                    graph.add(OperatorNode(
                         site_id=site.site_id,
                         left_span=(i, k), right_span=(k + 1, j),
                         coords_left=tuple(site.coords[i:k + 1]),
                         coords_right=tuple(site.coords[k + 1:j + 1]),
-                        costs=[OperatorCost(BASE, table.op_cost[(i, k, j)])])
-                    graph.nodes[(site.site_id, _pack(i, k), _pack(k + 1, j))] = node
+                        costs=[OperatorCost(BASE, table.op_cost[(i, k, j)])]))
     # Attach candidate costs to every operator producing an occurrence span.
     for costing in costings:
         option = costing.option
         kind = LSE_COST if option.is_lse else CSE_COST
         for occ in option.occurrences:
-            site = chains.site(occ.site_id)
             for node in graph.operators_producing(occ.site_id, occ.span):
                 node.costs.append(OperatorCost(kind, costing.apportioned,
                                                option.option_id))
-            del site
     return graph

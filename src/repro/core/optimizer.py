@@ -233,6 +233,7 @@ class ReMacOptimizer:
         rejected = []
         found_total = 0
         search_notes: dict = {}
+        rounds: list[dict] = []
         strategy_name = self.config.strategy
         chains = build_chains(rewritten, inputs, iterations)
         for round_index in range(max_rounds):
@@ -245,6 +246,8 @@ class ReMacOptimizer:
             strategy = choose_options(self.config.strategy, chains, model,
                                       options, sketches, self.config)
             strategy_name = strategy.strategy
+            rounds.append({"options": len(options),
+                           "chosen": len(strategy.chosen), **strategy.notes})
             if round_index == 0:
                 chosen_ids = {o.option_id for o in strategy.chosen}
                 rejected = [o for o in options if o.option_id not in chosen_ids]
@@ -287,6 +290,7 @@ class ReMacOptimizer:
                 "options_found": found_total,
                 "stats_collection_seconds": model.stats_collection_seconds,
                 "strategy_notes": strategy.notes,
+                "rounds": rounds,
                 "cost_memo": model.memo_stats if self.config.cost_memo else None,
                 "pricing_workers": self.config.pricing_workers,
                 "fusion": fusion_notes,

@@ -9,9 +9,15 @@ replaces its span's computation by the option's apportioned cost.
 Because a CSE's apportioning is only valid when *every* occurrence of the
 group activates, entries carrying a partially-activated group are discarded
 at the group's joint upstream — the smallest scope containing all its
-occurrences (site root for within-block groups, the program root for
-cross-block groups). That withdrawal is the paper's "pick the whole group
+occurrences, which in the program-order merge of block roots is the
+group's last block. That withdrawal is the paper's "pick the whole group
 of relevant CSE costs or none of them".
+
+A candidate key is one ``int`` with a bit per (option, occurrence); an
+option's *group mask* is the OR of its bits, kept as the bits at its last
+block and the bits before it, so joining spans is ``|`` and "all, some or
+none of the group" is one ``&`` per side of the merge. Python ints are
+unbounded: no count of occurrences is too many.
 
 The complexity is polynomial in chain length with a bounded candidate-set
 width, versus the exponential subset enumeration of
@@ -37,11 +43,6 @@ from .sparsity.base import Sketch
 
 INFINITY = float("inf")
 
-#: One activated occurrence: (option_id, occurrence_index).
-Pair = tuple[int, int]
-#: Candidate key: the set of activated occurrences pending resolution.
-Key = frozenset
-
 
 @dataclass
 class ProbeResult:
@@ -53,7 +54,10 @@ class ProbeResult:
     #: Plain chain cost with no options, for the savings report.
     plain_cost: float = 0.0
     entries_explored: int = 0
-    wall_seconds: float = 0.0
+    #: Wall seconds building the cost graph (span tables, option costings).
+    cost_graph_seconds: float = 0.0
+    #: Wall seconds in the DP itself.
+    dp_seconds: float = 0.0
     costings: dict[int, OptionCosting] = field(default_factory=dict)
 
     @property
@@ -81,9 +85,11 @@ def probe(chains: ProgramChains, model: CostModel,
         options, workers)
     costings = {opt.option_id: costing
                 for opt, costing in zip(options, all_costings)}
+    priced = time.perf_counter()
     result = _probe_with_tables(chains, tables, costings, options,
                                 entry_cap, global_cap)
-    result.wall_seconds = time.perf_counter() - started
+    result.cost_graph_seconds = priced - started
+    result.dp_seconds = time.perf_counter() - priced
     return result
 
 
@@ -92,34 +98,42 @@ def _probe_with_tables(chains: ProgramChains, tables: dict[int, SpanTable],
                        options: list[EliminationOption],
                        entry_cap: int, global_cap: int) -> ProbeResult:
     result = ProbeResult(costings=costings)
-    by_id = {opt.option_id: opt for opt in options}
-    group_size = {opt.option_id: len(opt.occurrences) for opt in options}
-    #: site_id -> span -> list of pairs activatable there.
-    activations: dict[int, dict[tuple[int, int], list[Pair]]] = {}
-    #: option_id -> set of site_ids its occurrences live in.
-    option_sites: dict[int, set[int]] = {}
-    for opt in options:
-        for occ_idx, occ in enumerate(opt.occurrences):
+    site_order = {site.site_id: at for at, site in enumerate(chains.sites)}
+    #: site_id -> span -> (occurrence bit, option, occurrence) activatable there.
+    activations: dict[int, dict[tuple[int, int], list]] = {}
+    #: site_id -> (bits at earlier sites, bits at this site, option bit) of
+    #: the groups whose last site it is.
+    ready_at: dict[int, list[tuple[int, int, int]]] = {}
+    next_bit = 1
+    for at, opt in enumerate(options):
+        last_site = max(opt.occurrences,
+                        key=lambda occ: site_order[occ.site_id]).site_id
+        earlier = here = 0
+        for occ in opt.occurrences:
             activations.setdefault(occ.site_id, {}).setdefault(
-                occ.span, []).append((opt.option_id, occ_idx))
-            option_sites.setdefault(opt.option_id, set()).add(occ.site_id)
+                occ.span, []).append((next_bit, opt, occ))
+            if occ.site_id == last_site:
+                here |= next_bit
+            else:
+                earlier |= next_bit
+            next_bit <<= 1
+        ready_at.setdefault(last_site, []).append((earlier, here, 1 << at))
 
     # ------------------------------------------------------------------
     # Per-site interval DP with candidate keys
     # ------------------------------------------------------------------
-    site_roots: list[tuple[int, dict[Key, float]]] = []
+    site_roots: list[tuple[int, dict[int, float]]] = []
     for site in chains.sites:
         table = tables[site.site_id]
         n = len(site)
-        state: dict[tuple[int, int], dict[Key, float]] = {}
-        empty: Key = frozenset()
+        state: dict[tuple[int, int], dict[int, float]] = {}
         for i in range(n):
-            state[(i, i)] = {empty: 0.0}
+            state[(i, i)] = {0: 0.0}
         site_acts = activations.get(site.site_id, {})
         for width in range(2, n + 1):
             for i in range(0, n - width + 1):
                 j = i + width - 1
-                entries: dict[Key, float] = {}
+                entries: dict[int, float] = {}
                 for k in range(i, j):
                     op_cost = table.op_cost[(i, k, j)]
                     left_entries = state[(i, k)]
@@ -136,113 +150,100 @@ def _probe_with_tables(chains: ProgramChains, tables: dict[int, SpanTable],
                         total = cost + fused
                         if total < entries.get(key, INFINITY):
                             entries[key] = total
-                for pair in site_acts.get((i, j), ()):
-                    gid, occ_idx = pair
-                    costing = costings[gid]
-                    occurrence = by_id[gid].occurrences[occ_idx]
-                    cost = costing.activation_cost(occurrence, n, table.weight)
-                    key = frozenset((pair,))
+                for key, opt, occurrence in site_acts.get((i, j), ()):
+                    cost = costings[opt.option_id].activation_cost(
+                        occurrence, n, table.weight)
                     if cost < entries.get(key, INFINITY):
                         entries[key] = cost
                 result.entries_explored += len(entries)
                 state[(i, j)] = _prune(entries, entry_cap)
-        root = state[(0, n - 1)] if n >= 1 else {empty: 0.0}
+        root = state[(0, n - 1)] if n >= 1 else {0: 0.0}
         site_roots.append((site.site_id, root))
         result.plain_cost += table.plain_cost[(0, n - 1)] if n >= 2 else 0.0
 
     # ------------------------------------------------------------------
     # Program-level combination with joint-upstream resolution
     # ------------------------------------------------------------------
-    combined: dict[Key, tuple[float, frozenset]] = {frozenset(): (0.0, frozenset())}
-    processed_sites: set[int] = set()
+    # Pending key -> cost, and -> option bits of the groups folded so far:
+    # two dicts of ints and floats, which the cyclic collector never sees,
+    # where one dict of (cost, bits) tuples drove it into full collections.
+    costs: dict[int, float] = {0: 0.0}
+    folded: dict[int, int] = {0: 0}
     for site_id, root in site_roots:
-        processed_sites.add(site_id)
-        merged: dict[Key, tuple[float, frozenset]] = {}
-        for key_g, (cost_g, applied) in combined.items():
-            for key_s, cost_s in root.items():
-                key = key_g | key_s
-                cost = cost_g + cost_s
-                current = merged.get(key)
-                if current is None or cost < current[0]:
-                    merged[key] = (cost, applied)
-        combined = _resolve(merged, by_id, group_size, option_sites,
-                            processed_sites)
-        combined = _prune_global(combined, global_cap)
-        result.entries_explored += len(combined)
+        # A group's joint upstream is its last site: this is the one merge
+        # after which all of its occurrences are in the keys, so it folds
+        # (every bit set; cleared into the applied set) or the entry is
+        # withdrawn (some but not all) here — the paper's whole group or
+        # none. So an entry holding part of a group on its own side pairs
+        # with nothing, and the others only where both sides agree, group
+        # by group, on all or none.
+        ready = ready_at.get(site_id, ())
+        ready_mask = 0
+        for earlier, here, _option_bit in ready:
+            ready_mask |= earlier | here
+        #: groups to agree on -> the root entries' (key minus ready bits,
+        #: cost, groups folded), in root order.
+        partners: dict[int, list[tuple[int, float, int]]] = {}
+        for key_s, cost_s in root.items():
+            agreed = bits = 0
+            for earlier, here, option_bit in ready:
+                part = key_s & here
+                if part == here:
+                    bits |= option_bit
+                    if earlier:
+                        agreed |= option_bit
+                elif part:
+                    break
+            else:
+                partners.setdefault(agreed, []).append(
+                    (key_s & ~ready_mask, cost_s, bits))
+        # Pending keys hold bits of earlier sites and root keys bits of this
+        # one, so every pair is a distinct merged key: the surviving pairs,
+        # pending-major in root order, arrive in the order that merging all
+        # pairs first and resolving afterwards would meet them.
+        merged: dict[int, float] = {}
+        merged_folded: dict[int, int] = {}
+        for key_g, cost_g in costs.items():
+            agreed = 0
+            for earlier, _here, option_bit in ready:
+                part = key_g & earlier
+                if part and part == earlier:
+                    agreed |= option_bit
+                elif part:
+                    break
+            else:
+                rest_g = key_g & ~ready_mask
+                applied_g = folded[key_g]
+                for rest_s, cost_s, bits in partners.get(agreed, ()):
+                    key = rest_g | rest_s
+                    cost = cost_g + cost_s
+                    current = merged.get(key)
+                    if current is None or cost < current:
+                        merged[key] = cost
+                        merged_folded[key] = applied_g | bits
+        costs, folded = _prune(merged, global_cap), merged_folded
+        result.entries_explored += len(costs)
 
-    # Everything should be resolved now; pick the cheapest.
-    best_cost = INFINITY
-    best_applied: frozenset = frozenset()
-    for key, (cost, applied) in combined.items():
-        if key:
-            continue  # unresolved/partial leftovers are invalid
-        if cost < best_cost:
-            best_cost = cost
-            best_applied = applied
+    # Everything should be resolved now: only the empty key is a valid plan
+    # (unresolved/partial leftovers are not).
+    best_cost = costs.get(0, INFINITY)
+    best_applied = folded[0] if best_cost < INFINITY else 0
     result.chain_cost = best_cost if best_cost < INFINITY else result.plain_cost
-    result.chosen = [by_id[gid] for gid in sorted(best_applied)]
+    result.chosen = sorted(
+        (opt for at, opt in enumerate(options) if best_applied >> at & 1),
+        key=lambda opt: opt.option_id)
     return result
 
 
-def _resolve(entries: dict[Key, tuple[float, frozenset]],
-             by_id: dict[int, EliminationOption],
-             group_size: dict[int, int],
-             option_sites: dict[int, set[int]],
-             processed: set[int]) -> dict[Key, tuple[float, frozenset]]:
-    """Fold or discard groups whose joint upstream has been reached.
+def _prune(entries: dict[int, float], cap: int) -> dict[int, float]:
+    """Keep the empty key and the ``cap`` cheapest candidate entries.
 
-    A group is resolvable once every site it occurs in has been merged. For
-    each entry: a fully-activated group folds into the applied set (its
-    apportioned costs already sum to the shared cost); a partially-activated
-    group invalidates the entry (the paper's withdrawal of useless/incomplete
-    candidates).
+    The sort is stable, so equal costs keep their insertion order.
     """
-    resolvable = {gid for gid, sites in option_sites.items() if sites <= processed}
-    if not resolvable:
-        return entries
-    resolved: dict[Key, tuple[float, frozenset]] = {}
-    for key, (cost, applied) in entries.items():
-        pending: set[Pair] = set()
-        new_applied = set(applied)
-        valid = True
-        counts: dict[int, int] = {}
-        for gid, occ_idx in key:
-            if gid in resolvable:
-                counts[gid] = counts.get(gid, 0) + 1
-            else:
-                pending.add((gid, occ_idx))
-        for gid, count in counts.items():
-            if count == group_size[gid]:
-                new_applied.add(gid)
-            else:
-                valid = False
-                break
-        if not valid:
-            continue
-        new_key = frozenset(pending)
-        current = resolved.get(new_key)
-        if current is None or cost < current[0]:
-            resolved[new_key] = (cost, frozenset(new_applied))
-    return resolved
-
-
-def _prune(entries: dict[Key, float], cap: int) -> dict[Key, float]:
-    """Keep the empty key and the ``cap`` cheapest candidate entries."""
     if len(entries) <= cap:
         return entries
-    empty: Key = frozenset()
-    kept = dict(sorted(entries.items(), key=lambda kv: kv[1])[:cap])
-    if empty in entries:
-        kept[empty] = entries[empty]
-    return kept
-
-
-def _prune_global(entries: dict[Key, tuple[float, frozenset]],
-                  cap: int) -> dict[Key, tuple[float, frozenset]]:
-    if len(entries) <= cap:
-        return entries
-    empty: Key = frozenset()
-    kept = dict(sorted(entries.items(), key=lambda kv: kv[1][0])[:cap])
-    if empty in entries and empty not in kept:
-        kept[empty] = entries[empty]
+    kept = {key: entries[key]
+            for key in sorted(entries, key=entries.__getitem__)[:cap]}
+    if 0 in entries:
+        kept.setdefault(0, entries[0])
     return kept

@@ -25,7 +25,7 @@ from .cost.model import CostModel
 from .enumerate import enumerate_combinations
 from .options import EliminationOption, options_contradict
 from .parallel import parallel_map, resolve_workers
-from .probe import probe
+from .probe import ProbeResult, probe
 from .sparsity.base import Sketch
 
 STRATEGIES = ("none", "conservative", "aggressive", "adaptive", "automatic")
@@ -66,7 +66,7 @@ def choose_options(strategy: str, chains: ProgramChains, model: CostModel,
                         workers=workers)
         result = StrategyResult(chosen=outcome.chosen, strategy=strategy,
                                 notes={"eligible": len(eligible),
-                                       "chain_cost": outcome.chain_cost})
+                                       **_probe_notes(outcome)})
     elif strategy == "aggressive":
         result = _greedy(chains, model, options, input_sketches,
                          predicate=lambda o: True,
@@ -84,6 +84,15 @@ def choose_options(strategy: str, chains: ProgramChains, model: CostModel,
     return result
 
 
+def _probe_notes(outcome: ProbeResult) -> dict:
+    """What one probing run reports, for either strategy that runs it."""
+    return {"chain_cost": outcome.chain_cost,
+            "plain_cost": outcome.plain_cost,
+            "entries": outcome.entries_explored,
+            "cost_graph_seconds": outcome.cost_graph_seconds,
+            "dp_seconds": outcome.dp_seconds}
+
+
 def _adaptive(chains: ProgramChains, model: CostModel,
               options: list[EliminationOption],
               input_sketches: dict[str, Sketch],
@@ -92,9 +101,7 @@ def _adaptive(chains: ProgramChains, model: CostModel,
         outcome = probe(chains, model, options, input_sketches,
                         workers=workers)
         return StrategyResult(chosen=outcome.chosen, strategy="adaptive",
-                              notes={"chain_cost": outcome.chain_cost,
-                                     "plain_cost": outcome.plain_cost,
-                                     "entries": outcome.entries_explored})
+                              notes=_probe_notes(outcome))
     if config.combiner in ("enum-dfs", "enum-bfs"):
         order = config.combiner.split("-")[1]
         outcome = enumerate_combinations(

@@ -1,7 +1,12 @@
 """Cost model, cost graph, probing DP, and enumeration baseline tests."""
 
+import functools
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.algorithms import get_algorithm
 from repro.config import ClusterConfig
 from repro.core.build import build_all_tables, cost_option, statement_sketch_envs
 from repro.core.chains import build_chains
@@ -11,6 +16,7 @@ from repro.core.enumerate import enumerate_combinations
 from repro.core.probe import probe
 from repro.core.search import blockwise_search
 from repro.core.sparsity import make_estimator
+from repro.data import load_dataset
 from repro.lang import parse
 from repro.matrix.meta import MatrixMeta
 
@@ -244,3 +250,57 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_combinations(chains, model, options, sketches,
                                    order="random")
+
+
+# ----------------------------------------------------------------------
+# Golden identity pin of the probing DP (tests/data/probe_golden.json)
+# ----------------------------------------------------------------------
+GOLDEN_PATH = Path(__file__).parent / "data" / "probe_golden.json"
+GOLDEN_SCALE = 0.2
+GOLDEN_ITERATIONS = 10
+#: Default caps, and caps tight enough that pruning (order-sensitive) bites.
+GOLDEN_CAPS = {"default": {}, "tight": {"entry_cap": 2, "global_cap": 4}}
+GOLDEN_CASES = [
+    (algorithm, dataset, estimator, caps)
+    for algorithm in ("gd", "dfp", "bfgs", "gnmf")
+    for dataset in ("cri1", "cri2", "cri3", "red1", "red2", "red3")
+    for estimator in ("mnc", "metadata")
+    for caps in GOLDEN_CAPS]
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_workload(algorithm, dataset):
+    algo = get_algorithm(algorithm)
+    matrix = load_dataset(dataset, seed=0, scale=GOLDEN_SCALE).matrix
+    meta, data = algo.make_inputs(matrix, seed=0)
+    return algo.program(GOLDEN_ITERATIONS), meta, data
+
+
+@functools.lru_cache(maxsize=None)
+def _golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def golden_probe(algorithm, dataset, estimator, caps):
+    """What the pin records for one case, exactly as the JSON stores it."""
+    program, meta, data = _golden_workload(algorithm, dataset)
+    chains = build_chains(program, meta, iterations=GOLDEN_ITERATIONS)
+    options = blockwise_search(chains).options
+    model = CostModel(ClusterConfig(), make_estimator(estimator))
+    sketches = sketch_inputs(model, meta, data)
+    result = probe(chains, model, options, sketches, **GOLDEN_CAPS[caps])
+    return {"chosen": sorted(o.option_id for o in result.chosen),
+            "chain_cost": repr(result.chain_cost),
+            "plain_cost": repr(result.plain_cost),
+            "entries_explored": result.entries_explored}
+
+
+class TestProbeGolden:
+    """Chosen options, both costs and the entry count, by exact equality,
+    as recorded before the candidate keys became integers."""
+
+    @pytest.mark.parametrize("algorithm,dataset,estimator,caps", GOLDEN_CASES)
+    def test_matches_recorded(self, algorithm, dataset, estimator, caps):
+        key = f"{algorithm}/{dataset}/{estimator}/{caps}"
+        assert golden_probe(algorithm, dataset, estimator, caps) \
+            == _golden()[key]

@@ -132,6 +132,16 @@ class TestStrategies:
         for option in result.chosen:
             assert option.preserves_order
 
+    def test_both_probing_strategies_report_the_same_notes(self, world):
+        _p, chains, options, model, sketches, _d, _c = world
+        notes = {name: choose_options(name, chains, model, options,
+                                      sketches).notes
+                 for name in ("conservative", "adaptive")}
+        assert set(notes["conservative"]) - {"eligible"} \
+            == set(notes["adaptive"]) \
+            == {"chain_cost", "plain_cost", "entries", "cost_graph_seconds",
+                "dp_seconds", "pricing_workers"}
+
     def test_aggressive_prefers_order_changing(self, world):
         _p, chains, options, model, sketches, _d, _c = world
         result = choose_options("aggressive", chains, model, options, sketches)

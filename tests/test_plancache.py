@@ -66,6 +66,29 @@ class TestCacheHits:
         warm = optimizer.compile(program, inputs, data, iterations=6)
         assert warm.notes["stats_collection_seconds"] == 0.0
 
+    def test_warm_hit_reports_its_cold_rounds(self, cluster, gd_setup):
+        """``notes["rounds"]`` says where the *cold* compile went (options,
+        chosen, and the strategy's own notes: costs, DP entries, the two
+        wall-clock splits — per adaptive round); a hit hands the same record
+        back, timings included."""
+        program, inputs, data = gd_setup
+        optimizer = ReMacOptimizer(cluster)
+        cold = optimizer.compile(program, inputs, data, iterations=6)
+        warm = optimizer.compile(program, inputs, data, iterations=6)
+        rounds = cold.notes["rounds"]
+        assert warm.notes["plan_cache"] == "hit"
+        assert warm.notes["rounds"] == rounds
+        assert 1 <= len(rounds) <= 3
+        assert all(set(entry) == {"options", "chosen", "chain_cost",
+                                  "plain_cost", "entries",
+                                  "cost_graph_seconds", "dp_seconds",
+                                  "pricing_workers"}
+                   for entry in rounds)
+        assert sum(entry["chosen"] for entry in rounds) \
+            == len(cold.applied_options)
+        # strategy_notes keeps reporting the last round only.
+        assert cold.notes["strategy_notes"].items() <= rounds[-1].items()
+
     def test_disabled_cache(self, cluster, gd_setup):
         program, inputs, data = gd_setup
         optimizer = ReMacOptimizer(cluster, OptimizerConfig(plan_cache=False))
