@@ -74,13 +74,15 @@ def _reference_sha256() -> str:
     return array_digest(result.value("x"))
 
 
-def _percentile(values: list[float], pct: float) -> float:
+def _percentile_ms(values: list[float], pct: float) -> float | None:
+    """Nearest-rank percentile of ``values`` (seconds) in milliseconds;
+    ``None`` — JSON ``null`` — when the scenario timed nothing."""
     if not values:
-        return float("nan")
+        return None
     ordered = sorted(values)
     rank = max(0, min(len(ordered) - 1,
                       round(pct / 100.0 * (len(ordered) - 1))))
-    return ordered[rank]
+    return round(ordered[rank] * 1e3, 2)
 
 
 def _run_payload(iterations: int = ITERATIONS, tenant: str = "t") -> dict:
@@ -116,8 +118,8 @@ def _row(scenario: str, outcomes: list[dict],
         "typed_errors": counts["typed_error"],
         "client_errors": counts["client_error"],
         "retried": retried,
-        "inquota_p50_ms": round(_percentile(clean, 50) * 1e3, 2),
-        "inquota_p99_ms": round(_percentile(clean, 99) * 1e3, 2),
+        "inquota_p50_ms": _percentile_ms(clean, 50),
+        "inquota_p99_ms": _percentile_ms(clean, 99),
     }
 
 
@@ -230,8 +232,8 @@ def scenario_deadline(count: int, reference: str) -> dict:
         "rejected": 0, "typed_errors": exceeded, "client_errors": 0,
         "retried": 0, "deadline_exceeded": stats["counters"][
             "deadline_exceeded"],
-        "inquota_p50_ms": round(_percentile(latencies, 50) * 1e3, 2),
-        "inquota_p99_ms": round(_percentile(latencies, 99) * 1e3, 2),
+        "inquota_p50_ms": _percentile_ms(latencies, 50),
+        "inquota_p99_ms": _percentile_ms(latencies, 99),
     }
 
 
@@ -260,8 +262,8 @@ def scenario_rate_limit(count: int, reference: str) -> dict:
         "scenario": "rate limit", "requests": count, "completed": count,
         "rejected": stats["counters"]["rejected_rate"],
         "typed_errors": 0, "client_errors": 0, "retried": retried,
-        "inquota_p50_ms": round(_percentile(latencies, 50) * 1e3, 2),
-        "inquota_p99_ms": round(_percentile(latencies, 99) * 1e3, 2),
+        "inquota_p50_ms": _percentile_ms(latencies, 50),
+        "inquota_p99_ms": _percentile_ms(latencies, 99),
     }
 
 
@@ -300,7 +302,7 @@ def scenario_drain(slow_requests: int = 3) -> dict:
         "typed_errors": 0, "client_errors": slow_requests - completed,
         "retried": 0, "shed": report.get("shed"),
         "completed_during_drain": report.get("completed_during_drain"),
-        "inquota_p50_ms": float("nan"), "inquota_p99_ms": float("nan"),
+        "inquota_p50_ms": None, "inquota_p99_ms": None,
     }
 
 
@@ -330,7 +332,7 @@ def scenario_kill_restart(reference: str) -> dict:
         "rejected": 0, "typed_errors": 0, "client_errors": 0,
         "retried": first.get("retried", 0) + second.get("retried", 0),
         "restarts": restarts, "warm_after_restart": warm_after_restart,
-        "inquota_p50_ms": float("nan"), "inquota_p99_ms": float("nan"),
+        "inquota_p50_ms": None, "inquota_p99_ms": None,
     }
 
 
@@ -412,7 +414,7 @@ def _write_report(report: dict) -> None:
                       f"{SCALE}, host cores={report['host_cpus']})")
     out = Path(__file__).resolve().parents[1] \
         / "BENCH_serving_resilience.json"
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    out.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def test_serving_resilience(benchmark, ctx):

@@ -9,10 +9,12 @@ materialized (they are simply absent from the grid).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from scipy import sparse
 
-from .formats import DENSE_THRESHOLD, StorageFormat, choose_format
+from .formats import DENSE_THRESHOLD
 from .meta import DOUBLE_BYTES, MatrixMeta
 
 Payload = np.ndarray | sparse.spmatrix
@@ -23,23 +25,51 @@ class Block:
 
     The payload adapts between dense and CSR based on its own sparsity, the
     way SystemDS converts block layouts. All arithmetic returns new blocks;
-    payloads are treated as immutable — which makes ``nnz`` (a full payload
-    scan for dense blocks) safe to cache on first use. Everything else the
-    runtime repeatedly asks for (``sparsity``, ``serialized_bytes``,
-    ``meta``) derives from the cached count in O(1).
+    payloads are treated as immutable, so the two facts the runtime keeps
+    asking for travel with the block instead of being rediscovered:
+
+    * ``is_sparse`` is decided once, where the block is made. Every kernel
+      below knows the layout of what it produces from its operands' flags
+      (``csr @ csr`` is CSR, any dense operand gives an ndarray, ...).
+    * ``nnz`` (a full payload scan for dense blocks) is seeded by a maker
+      that already knows it, carried by the operations that cannot change
+      it (``transpose``, ``negate``, CSR ``scale``, dense -> CSR
+      re-layout), and otherwise counted on first use and kept. For CSR
+      payloads it is the *stored* entry count, explicit zeros included,
+      which is why a CSR -> dense re-layout recounts.
+
+    Everything else (``sparsity``, ``serialized_bytes``, ``meta``) derives
+    from the two in O(1).
     """
 
-    __slots__ = ("data", "_nnz")
+    __slots__ = ("data", "is_sparse", "_nnz")
 
     def __init__(self, data: Payload):
-        if sparse.issparse(data):
-            data = data.tocsr()
+        """Wrap a payload of unknown provenance: validate and coerce it."""
+        is_sparse = sparse.issparse(data)
+        if is_sparse:
+            data = data.tocsr().astype(np.float64, copy=False)
         else:
             data = np.asarray(data, dtype=np.float64)
             if data.ndim != 2:
                 raise ValueError(f"block payload must be 2-D, got {data.ndim}-D")
         self.data = data
+        self.is_sparse = is_sparse
         self._nnz: int | None = None
+
+    @classmethod
+    def of(cls, data: Payload, is_sparse: bool, nnz: int | None = None) -> "Block":
+        """Wrap a payload the caller just produced, without re-deriving it.
+
+        The caller vouches for what ``__init__`` would establish — ``data``
+        is a 2-D float64 ndarray (``is_sparse`` False) or a CSR matrix
+        (True) — and for ``nnz`` when it passes one.
+        """
+        block = cls.__new__(cls)
+        block.data = data
+        block.is_sparse = is_sparse
+        block._nnz = nnz
+        return block
 
     # ------------------------------------------------------------------
     # Introspection
@@ -52,7 +82,7 @@ class Block:
     def nnz(self) -> int:
         cached = self._nnz
         if cached is None:
-            if sparse.issparse(self.data):
+            if self.is_sparse:
                 cached = int(self.data.nnz)
             else:
                 cached = int(np.count_nonzero(self.data))
@@ -61,13 +91,9 @@ class Block:
 
     @property
     def sparsity(self) -> float:
-        rows, cols = self.shape
+        rows, cols = self.data.shape
         cells = rows * cols
         return self.nnz / cells if cells else 0.0
-
-    @property
-    def is_sparse(self) -> bool:
-        return sparse.issparse(self.data)
 
     def meta(self) -> MatrixMeta:
         rows, cols = self.shape
@@ -75,7 +101,7 @@ class Block:
 
     def serialized_bytes(self) -> float:
         """Approximate wire size in the block's current layout."""
-        rows, cols = self.shape
+        rows, cols = self.data.shape
         if self.is_sparse:
             return self.nnz * (DOUBLE_BYTES + 4) + rows * 8
         return rows * cols * DOUBLE_BYTES
@@ -84,42 +110,49 @@ class Block:
     # Kernels
     # ------------------------------------------------------------------
     def matmul(self, other: "Block") -> "Block":
-        return Block(self.data @ other.data)
+        return Block.of(self.data @ other.data,
+                        self.is_sparse and other.is_sparse)
 
     def add(self, other: "Block") -> "Block":
-        return Block(self._binary(other, np.add))
+        return self._additive(other, operator.add)
 
     def subtract(self, other: "Block") -> "Block":
-        return Block(self._binary(other, np.subtract))
+        return self._additive(other, operator.sub)
+
+    def _additive(self, other: "Block", op) -> "Block":
+        """CSR while both sides are; dense as soon as either is."""
+        if self.is_sparse and other.is_sparse:
+            return Block.of(op(self.data, other.data), True)
+        return Block.of(op(self.to_dense_array(), other.to_dense_array()),
+                        False)
 
     def multiply(self, other: "Block") -> "Block":
-        if sparse.issparse(self.data):
-            return Block(self.data.multiply(other.data))
-        if sparse.issparse(other.data):
-            return Block(other.data.multiply(self.data))
-        return Block(np.multiply(self.data, other.data))
+        # A sparse-by-dense product comes back COO, hence the tocsr().
+        if self.is_sparse:
+            return Block.of(self.data.multiply(other.data).tocsr(), True)
+        if other.is_sparse:
+            return Block.of(other.data.multiply(self.data).tocsr(), True)
+        return Block.of(self.data * other.data, False)
 
     def divide(self, other: "Block") -> "Block":
-        return Block(self.to_dense_array() / other.to_dense_array())
-
-    def _binary(self, other: "Block", op) -> Payload:
-        if sparse.issparse(self.data) and sparse.issparse(other.data):
-            if op is np.add:
-                return self.data + other.data
-            return self.data - other.data
-        return op(self.to_dense_array(), other.to_dense_array())
+        return Block.of(self.to_dense_array() / other.to_dense_array(), False)
 
     def transpose(self) -> "Block":
-        return Block(self.data.T)
+        data = self.data.T  # a view when dense, CSC when sparse
+        return Block.of(data.tocsr() if self.is_sparse else data,
+                        self.is_sparse, self._nnz)
 
     def scale(self, scalar: float) -> "Block":
-        return Block(self.data * scalar)
+        # CSR keeps its stored entries; a dense cell can underflow to zero
+        # or turn nan (0 * inf), so the dense count is not carried.
+        return Block.of(self.data * scalar, self.is_sparse,
+                        self._nnz if self.is_sparse else None)
 
     def add_scalar(self, scalar: float) -> "Block":
-        return Block(self.to_dense_array() + scalar)
+        return Block.of(self.to_dense_array() + scalar, False)
 
     def negate(self) -> "Block":
-        return Block(-self.data)
+        return Block.of(-self.data, self.is_sparse, self._nnz)
 
     def sum(self) -> float:
         return float(self.data.sum())
@@ -128,27 +161,27 @@ class Block:
     # Layout
     # ------------------------------------------------------------------
     def to_dense_array(self) -> np.ndarray:
-        if sparse.issparse(self.data):
-            return np.asarray(self.data.todense())
+        if self.is_sparse:
+            return self.data.toarray()
         return self.data
 
     def normalized(self) -> "Block":
         """Re-pick the layout based on observed sparsity (SystemDS-style)."""
-        fmt = choose_format(self.sparsity)
-        if fmt is StorageFormat.DENSE and self.is_sparse:
-            return Block(self.to_dense_array())
-        if fmt is not StorageFormat.DENSE and not self.is_sparse:
-            if self.sparsity <= DENSE_THRESHOLD:
-                return Block(sparse.csr_matrix(self.data))
+        sparsity = self.sparsity
+        if sparsity > DENSE_THRESHOLD:
+            if self.is_sparse:
+                return Block.of(self.data.toarray(), False)
+        elif not self.is_sparse:
+            # csr_matrix(dense) stores exactly the non-zero cells.
+            return Block.of(sparse.csr_matrix(self.data), True, self._nnz)
         return self
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if self.nnz == 0:
             return True
         if tol > 0.0:
-            if sparse.issparse(self.data):
-                return bool(np.all(np.abs(self.data.data) <= tol))
-            return bool(np.all(np.abs(self.data) <= tol))
+            cells = self.data.data if self.is_sparse else self.data
+            return bool(np.all(np.abs(cells) <= tol))
         return False
 
     def __repr__(self) -> str:
@@ -157,5 +190,5 @@ class Block:
 
 
 def zeros(rows: int, cols: int) -> Block:
-    """A dense zero block (rarely stored; useful for padding in tests)."""
-    return Block(np.zeros((rows, cols)))
+    """A dense zero block (never stored; stands in for an absent tile)."""
+    return Block.of(np.zeros((rows, cols)), False, 0)

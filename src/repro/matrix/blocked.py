@@ -17,23 +17,33 @@ Two execution fast paths live at this layer (see ``docs/architecture.md``
 bit-identical to the serial seed behaviour:
 
 * **Parallel block kernels.** The tile loops of ``matmul``, the cell-wise
-  ops, ``transpose``, ``map_cells``, ``add_scalar``, and construction fan
-  out over the shared worker pools in :mod:`repro.matrix.blockpool` when a
-  ``workers`` count > 1 (or a :class:`~repro.matrix.blockpool.
-  KernelDispatch`) is passed — the runtime threads
-  ``ClusterConfig.kernel_dispatch()`` through. The heavy kernels (matmul
-  tile products, the ``_zip`` family, ``add_scalar``) are module-level
-  task functions over self-contained task tuples, so the process backend
-  can ship them to worker processes; construction and ``map_cells`` carry
-  closures and run on the thread backend. Each helper preserves the
+  ops, ``map_cells``, ``add_scalar``, construction and the CSR tiles of
+  ``transpose`` fan out over the shared worker pools in
+  :mod:`repro.matrix.blockpool` when a ``workers`` count > 1 (or a
+  :class:`~repro.matrix.blockpool.KernelDispatch`) is passed — the runtime
+  threads ``ClusterConfig.kernel_dispatch()`` through. The heavy kernels
+  (matmul tile products, the ``_zip`` family, ``add_scalar``, CSR
+  transposes) are module-level task functions over self-contained tasks,
+  so the process backend can ship them to worker processes; construction
+  and ``map_cells`` carry closures and run on the thread backend. Dense
+  tiles are transposed on the spot, as views: a copy made elsewhere would
+  multiply differently against its own source. Each helper preserves the
   serial iteration order for every float fold and grid insertion, so
   parallelism only changes host wall-clock, never a value. Every
   ``work_hint`` follows the :func:`~repro.matrix.blockpool.map_blocks`
-  contract: estimated *cell touches per tile task*.
-* **Cached block statistics.** Grids are treated as immutable once an
-  operation returns, so ``nnz``, ``serialized_bytes()``, and ``meta()``
-  are computed once and cached; callers that legitimately edit ``blocks``
-  afterwards must call :meth:`BlockedMatrix.invalidate_stats`.
+  contract — estimated *cell touches per tile task* — and the ones that
+  read tile counts are passed as callables, which a serial dispatch never
+  evaluates.
+* **Statistics that travel with the tile.** A tile's layout flag and
+  non-zero count are set once, by whoever makes the tile, and carried by
+  every operation that cannot change them (see :class:`~repro.matrix.
+  block.Block`): constructors and reductions count a tile in the one scan
+  that decides whether to store it; kernels pass on the layout their
+  operands imply; ``transpose`` and ``negate`` pass on the count, at tile
+  and at grid level. Grids are treated as immutable once an operation
+  returns, so grid ``nnz``, ``serialized_bytes()`` and ``meta()`` are
+  summed once from the tiles and kept; callers that legitimately edit
+  ``blocks`` afterwards must call :meth:`BlockedMatrix.invalidate_stats`.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ import numpy as np
 from scipy import sparse
 
 from ..errors import ExecutionError, ShapeError
-from .block import Block
+from .block import Block, zeros
 from .blockpool import map_blocks
 from .meta import MatrixMeta
 
@@ -90,8 +100,10 @@ class BlockedMatrix:
             for bj in range(col_blocks):
                 tile = array[bi * block_size:(bi + 1) * block_size,
                              bj * block_size:(bj + 1) * block_size]
-                if np.any(tile):
-                    row.append(((bi, bj), Block(tile.copy()).normalized()))
+                count = int(np.count_nonzero(tile))
+                if count:
+                    row.append(((bi, bj),
+                                Block.of(tile.copy(), False, count).normalized()))
             return row
 
         row_work = float(cols) * block_size  # cells scanned per row slab
@@ -104,7 +116,7 @@ class BlockedMatrix:
     def from_scipy(cls, matrix: sparse.spmatrix, block_size: int = DEFAULT_BLOCK_SIZE,
                    symmetric: bool = False,
                    workers: int | None = None) -> "BlockedMatrix":
-        matrix = matrix.tocsr()
+        matrix = matrix.tocsr().astype(np.float64, copy=False)
         rows, cols = matrix.shape
         result = cls(rows, cols, block_size, symmetric=symmetric)
         col_blocks = result.col_blocks
@@ -117,8 +129,10 @@ class BlockedMatrix:
             slab_csc = row_slab.tocsc()
             for bj in range(col_blocks):
                 tile = slab_csc[:, bj * block_size:(bj + 1) * block_size]
-                if tile.nnz:
-                    row.append(((bi, bj), Block(tile.tocsr()).normalized()))
+                count = tile.nnz
+                if count:
+                    row.append(((bi, bj),
+                                Block.of(tile.tocsr(), True, count).normalized()))
             return row
 
         row_work = matrix.nnz / max(1, result.row_blocks)
@@ -140,7 +154,12 @@ class BlockedMatrix:
 
     @classmethod
     def scalar(cls, value: float, block_size: int = DEFAULT_BLOCK_SIZE) -> "BlockedMatrix":
-        return cls.from_numpy(np.array([[float(value)]]), block_size)
+        """The 1x1 matrix holding ``value`` (an empty grid for zero)."""
+        result = cls(1, 1, block_size)
+        value = float(value)
+        if value != 0.0:
+            result.blocks[(0, 0)] = Block.of(np.array([[value]]), False, 1)
+        return result
 
     # ------------------------------------------------------------------
     # Introspection
@@ -208,6 +227,14 @@ class BlockedMatrix:
                                        for block in self.blocks.values())
         return cached
 
+    def _carrying_stats(self, result: "BlockedMatrix") -> "BlockedMatrix":
+        """``result`` with this grid's cached statistics: for operations
+        that keep every tile's shape, layout, count and the symmetry flag."""
+        result._nnz = self._nnz
+        result._bytes = self._bytes
+        result._meta = self._meta
+        return result
+
     def invalidate_stats(self) -> None:
         """Drop cached ``nnz``/``serialized_bytes``/``meta`` statistics.
 
@@ -258,16 +285,21 @@ class BlockedMatrix:
     def transpose(self, workers: int | None = None) -> "BlockedMatrix":
         result = BlockedMatrix(self.cols, self.rows, self.block_size,
                                symmetric=self.symmetric)
-        entries = list(self.blocks.items())
-        # Per-task cell touches: dense payloads transpose as views (zero
-        # touches), while CSR payloads pay an O(nnz) re-conversion — so
-        # the hint is the average nnz of the *sparse* tiles only. Dense
-        # grids hint 0.0 and stay serial, where the pool never pays.
-        sparse_touches = sum(block.nnz for _, block in entries
-                             if block.is_sparse)
-        result.blocks.update(
-            map_blocks(_transposed_entry, entries, workers,
-                       work_hint=sparse_touches / max(1, len(entries))))
+        # Dense tiles transpose as views of the source payload, here and
+        # now: a worker process would hand back a copy, and a multiply of
+        # a payload by its own transposed view is not summed in the order
+        # a multiply by a copy is. Only CSR tiles, which pay an O(nnz)
+        # re-conversion, are tasks; the hint is their average nnz.
+        sparse_tiles = [block for block in self.blocks.values()
+                        if block.is_sparse]
+        converted = iter(map_blocks(
+            Block.transpose, sparse_tiles, workers,
+            work_hint=lambda: sum(block.nnz for block in sparse_tiles)
+            / len(sparse_tiles)))
+        for (bi, bj), block in self.blocks.items():
+            result.blocks[(bj, bi)] = next(converted) if block.is_sparse \
+                else block.transpose()
+        result._nnz = self._nnz  # a transpose moves cells, it makes none
         return result
 
     def matmul(self, other: "BlockedMatrix",
@@ -298,13 +330,14 @@ class BlockedMatrix:
                     contributions[(bi, bj)] = pairs = []
                 pairs.append((left_block, right_block))
         # Estimated per-output-tile work: each contributing pair touches on
-        # the order of (left nnz) x (block width) cells. Cheap to compute —
-        # block nnz is cached — and it keeps micro-grids off the pool.
-        pair_work = 0.0
-        for pairs in contributions.values():
-            for left_block, _right_block in pairs:
-                pair_work += left_block.nnz
-        tile_work = self.block_size * pair_work / max(1, len(contributions))
+        # the order of (left nnz) x (block width) cells. It keeps
+        # micro-grids off the pool; a serial dispatch never evaluates it.
+        def tile_work() -> float:
+            pair_work = sum(left_block.nnz
+                            for pairs in contributions.values()
+                            for left_block, _right_block in pairs)
+            return self.block_size * pair_work / max(1, len(contributions))
+
         tiles = map_blocks(_tile_product, list(contributions.values()), workers,
                            work_hint=tile_work)
         for key, block in zip(contributions, tiles):
@@ -336,9 +369,10 @@ class BlockedMatrix:
         # so the module-level task function is process-backend shippable.
         tasks = [(key, self.blocks.get(key), other.blocks.get(key),
                   self.block_dims(*key), op_name) for key in keys]
-        tile_work = (self.nnz + other.nnz) / max(1, len(keys))
-        for key, block in zip(keys, map_blocks(_zip_entry, tasks, workers,
-                                               work_hint=tile_work)):
+        tiles = map_blocks(
+            _zip_entry, tasks, workers,
+            work_hint=lambda: (self.nnz + other.nnz) / max(1, len(keys)))
+        for key, block in zip(keys, tiles):
             if block is not None:
                 result.blocks[key] = block
         return result
@@ -374,9 +408,9 @@ class BlockedMatrix:
             # Value-identical to self, but with a fresh grid dict: callers
             # may edit the result's grid without aliasing this matrix
             # (blocks themselves are immutable and safely shared).
-            return BlockedMatrix(self.rows, self.cols, self.block_size,
-                                 blocks=dict(self.blocks),
-                                 symmetric=self.symmetric)
+            return self._carrying_stats(BlockedMatrix(
+                self.rows, self.cols, self.block_size,
+                blocks=dict(self.blocks), symmetric=self.symmetric))
         result = BlockedMatrix(self.rows, self.cols, self.block_size,
                                symmetric=self.symmetric)
         coords = [(bi, bj) for bi in range(self.row_blocks)
@@ -394,7 +428,7 @@ class BlockedMatrix:
                                symmetric=self.symmetric)
         for key, block in self.blocks.items():
             result.blocks[key] = block.negate()
-        return result
+        return self._carrying_stats(result)
 
     def sum(self) -> float:
         return sum(block.sum() for block in self.blocks.values())
@@ -413,22 +447,23 @@ class BlockedMatrix:
             def mapped(entry: tuple[tuple[int, int], Block]):
                 key, block = entry
                 if block.is_sparse:
+                    # Same stored entries, new values.
                     payload = block.data.copy()
                     payload.data = func(payload.data)
-                    return key, Block(payload).normalized()
+                    return key, Block.of(payload, True, block.nnz).normalized()
                 return key, Block(func(block.data)).normalized()
 
             entries = list(self.blocks.items())
-            tile_work = self.nnz / max(1, len(entries))
-            result.blocks.update(map_blocks(mapped, entries, workers,
-                                            work_hint=tile_work))
+            result.blocks.update(map_blocks(
+                mapped, entries, workers,
+                work_hint=lambda: self.nnz / max(1, len(entries))))
             return result
 
         def densified(key: tuple[int, int]):
             block = self.blocks.get(key)
             payload = block.to_dense_array() if block is not None \
                 else np.zeros(self.block_dims(*key))
-            return key, Block(func(payload))
+            return key, Block(func(payload))  # whatever func returned
 
         coords = [(bi, bj) for bi in range(self.row_blocks)
                   for bj in range(self.col_blocks)]
@@ -463,9 +498,7 @@ class BlockedMatrix:
             buffer += sums
         result = BlockedMatrix(1, self.cols, self.block_size)
         for bj in sorted(partials):
-            tile = partials[bj]
-            if np.any(tile):
-                result.blocks[(0, bj)] = Block(tile).normalized()
+            _store_counted(result, (0, bj), partials[bj])
         return result
 
     def diagonal(self) -> "BlockedMatrix":
@@ -490,9 +523,7 @@ class BlockedMatrix:
         """A (rows x 1) matrix from per-row-block tiles, skipping zeros."""
         result = BlockedMatrix(rows, 1, self.block_size)
         for bi in sorted(partials):
-            tile = partials[bi]
-            if np.any(tile):
-                result.blocks[(bi, 0)] = Block(tile).normalized()
+            _store_counted(result, (bi, 0), partials[bi])
         return result
 
     def __repr__(self) -> str:
@@ -500,9 +531,13 @@ class BlockedMatrix:
                 f"grid={self.row_blocks}x{self.col_blocks}, nnz={self.nnz})")
 
 
-def _transposed_entry(entry: tuple[tuple[int, int], Block]):
-    (bi, bj), block = entry
-    return (bj, bi), block.transpose()
+def _store_counted(result: BlockedMatrix, key: tuple[int, int],
+                   tile: np.ndarray) -> None:
+    """Store a freshly built float64 tile unless it is all-zero: one scan
+    decides that and seeds the block's count."""
+    count = int(np.count_nonzero(tile))
+    if count:
+        result.blocks[key] = Block.of(tile, False, count).normalized()
 
 
 def _zip_entry(task) -> Block | None:
@@ -517,7 +552,7 @@ def _zip_entry(task) -> Block | None:
     if left is None and right is None:
         return None
     if left is None:
-        left = Block(np.zeros(dims))
+        left = zeros(*dims)
     if right is None:
         if op_name == "multiply":
             return None  # x * 0 == 0
@@ -525,7 +560,7 @@ def _zip_entry(task) -> Block | None:
             raise ExecutionError(
                 f"division by an implicit zero block at grid {key}; "
                 "materializing it would produce inf/nan cells")
-        right = Block(np.zeros(dims))
+        right = zeros(*dims)
     block = getattr(left, op_name)(right)
     if block.is_zero():
         return None
@@ -536,7 +571,7 @@ def _shift_entry(task) -> Block:
     """One ``add_scalar`` tile task: ``(block_or_none, dims, scalar)``."""
     block, dims, scalar = task
     if block is None:
-        block = Block(np.zeros(dims))
+        block = zeros(*dims)
     return block.add_scalar(scalar)
 
 
@@ -550,20 +585,22 @@ def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
     float results are bit-identical to pairwise ``Block.add``.
     """
     accumulator = None
+    all_sparse = True  # layout of the accumulator: CSR until a dense product
     for left, right in pairs:
         product = left.data @ right.data
+        product_sparse = left.is_sparse and right.is_sparse
         if accumulator is None:
-            accumulator = product
-        elif sparse.issparse(accumulator) and sparse.issparse(product):
+            accumulator, all_sparse = product, product_sparse
+        elif all_sparse and product_sparse:
             accumulator = accumulator + product
         else:
-            if sparse.issparse(accumulator):
-                accumulator = accumulator.toarray()
-            dense = product.toarray() if sparse.issparse(product) else product
+            if all_sparse:
+                accumulator, all_sparse = accumulator.toarray(), False
+            dense = product.toarray() if product_sparse else product
             # The accumulator is always a private array here (a fresh
             # product or a toarray() copy), so in-place add is safe.
             np.add(accumulator, dense, out=accumulator)
-    tile = Block(accumulator)
+    tile = Block.of(accumulator, all_sparse)
     if tile.is_zero():
         return None
     return tile.normalized()

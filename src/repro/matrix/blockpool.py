@@ -407,13 +407,36 @@ class _ShmArray:
     name: str
     shape: tuple[int, ...]
     dtype: str
+    #: Memory order of the source ("F" for a transposed view): BLAS sums
+    #: in a layout-dependent order, so a worker must see the same layout.
+    order: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # may hold an (unhashable) small array
+class _TransposeOf:
+    """A dense array that is the transposed view of ``source``, shipped as
+    its (encoded) source so that it is a view again on the other side:
+    NumPy multiplies a payload by its own transposed view (``t(X) %*% X``)
+    through another BLAS routine than it uses for a copy, and the two do
+    not sum in the same order."""
+
+    source: object
+
+
+@dataclass(frozen=True, eq=False)  # one handle object per block and slice
 class _ShmBlock:
-    """Handle to a dense :class:`Block` whose payload is in shared memory."""
+    """Handle to a dense :class:`Block` whose payload ships by handle."""
 
-    array: _ShmArray
+    array: "_ShmArray | _TransposeOf"
+    nnz: int | None  # the block's count, if it had one: it travels too
+
+
+def _is_transposed_view(array: np.ndarray) -> bool:
+    base = array.base
+    return isinstance(base, np.ndarray) and array.ndim == 2 \
+        and base.ndim == 2 and array.shape == base.shape[::-1] \
+        and array.strides == base.strides[::-1] \
+        and array.ctypes.data == base.ctypes.data
 
 
 def _encode(obj, segments: list, memo: dict):
@@ -423,25 +446,30 @@ def _encode(obj, segments: list, memo: dict):
     block referenced by many tile tasks (every matmul operand is) ships
     through a single segment, not once per referencing task.
     """
+    if isinstance(obj, np.ndarray) and _is_transposed_view(obj):
+        return _TransposeOf(_encode(obj.base, segments, memo))
     if isinstance(obj, np.ndarray) and obj.nbytes >= SHM_MIN_BYTES:
         handle = memo.get(id(obj))
         if handle is None:
             from multiprocessing import shared_memory
             segment = shared_memory.SharedMemory(create=True, size=obj.nbytes)
-            view = np.ndarray(obj.shape, dtype=obj.dtype, buffer=segment.buf)
-            view[...] = obj  # handles non-contiguous sources (transposed views)
+            order = "F" if obj.flags.f_contiguous \
+                and not obj.flags.c_contiguous else "C"
+            view = np.ndarray(obj.shape, dtype=obj.dtype, buffer=segment.buf,
+                              order=order)
+            view[...] = obj  # handles non-contiguous sources (strided views)
             segments.append(segment)
             memo[id(obj)] = handle = _ShmArray(segment.name, obj.shape,
-                                               obj.dtype.str)
+                                               obj.dtype.str, order)
         return handle
     if isinstance(obj, Block):
         if not obj.is_sparse:
             handle = memo.get(id(obj))
             if handle is None:
                 inner = _encode(obj.data, segments, memo)
-                if not isinstance(inner, _ShmArray):
+                if inner is obj.data:
                     return obj  # small payload: ride the pickle pipe
-                memo[id(obj)] = handle = _ShmBlock(inner)
+                memo[id(obj)] = handle = _ShmBlock(inner, obj._nnz)
             return handle
         return obj  # sparse payloads ride the pickle pipe
     if isinstance(obj, tuple):
@@ -473,15 +501,18 @@ def _decode(obj, memo: dict):
             except Exception:
                 pass
             view = np.ndarray(obj.shape, dtype=np.dtype(obj.dtype),
-                              buffer=segment.buf)
-            memo[obj] = array = view.copy()
+                              buffer=segment.buf, order=obj.order)
+            memo[obj] = array = view.copy(order=obj.order)
             return array
         finally:
             segment.close()
+    if isinstance(obj, _TransposeOf):
+        return _decode(obj.source, memo).T
     if isinstance(obj, _ShmBlock):
         cached = memo.get(obj)
         if cached is None:
-            memo[obj] = cached = Block(_decode(obj.array, memo))
+            memo[obj] = cached = Block.of(_decode(obj.array, memo), False,
+                                          obj.nnz)
         return cached
     if isinstance(obj, tuple):
         return tuple(_decode(item, memo) for item in obj)
@@ -568,7 +599,8 @@ def _parallel_map(fn: Callable[[Item], Result], batch: Sequence[Item],
 
 def map_blocks(fn: Callable[[Item], Result], items: Iterable[Item],
                workers: int | KernelDispatch | None = None,
-               work_hint: float | None = None) -> list[Result]:
+               work_hint: float | Callable[[], float] | None = None
+               ) -> list[Result]:
     """Map ``fn`` over independent tile tasks, preserving input order.
 
     ``work_hint`` contract: callers estimate the *cell touches per task*
@@ -578,7 +610,9 @@ def map_blocks(fn: Callable[[Item], Result], items: Iterable[Item],
     calibrated threshold for the dispatch backend (see
     :func:`parallel_work_threshold`). Passing ``None`` skips the gate.
     The batch also stays serial when the effective worker count is 1 or
-    the batch is trivial.
+    the batch is trivial — and a hint passed as a zero-argument callable
+    is then never evaluated, so an estimate that has to scan tiles for
+    their counts costs a serial dispatch nothing.
 
     Parallel batches are chunked into at most ``width`` contiguous slices
     submitted one per worker (dispatch overhead is paid per worker, not
@@ -593,6 +627,8 @@ def map_blocks(fn: Callable[[Item], Result], items: Iterable[Item],
     if width <= 1 or len(batch) <= 1:
         return [fn(item) for item in batch]
     if work_hint is not None:
+        if callable(work_hint):
+            work_hint = work_hint()
         if threshold is None:
             threshold = parallel_work_threshold(backend)
         if work_hint < threshold:

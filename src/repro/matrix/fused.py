@@ -24,10 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ExecutionError
-from .block import Block
+from .block import Block, zeros
 from .blocked import BlockedMatrix
 from .blockpool import KernelDispatch, map_blocks
 
@@ -57,7 +55,7 @@ def _zero_block(rows: int, cols: int, block_size: int,
                 key: tuple[int, int]) -> Block:
     h = min(block_size, rows - key[0] * block_size)
     w = min(block_size, cols - key[1] * block_size)
-    return Block(np.zeros((h, w)))
+    return zeros(h, w)
 
 
 def _tile_chain(steps: list[Step], leaves: list[BlockedMatrix],
@@ -206,9 +204,10 @@ def evaluate_fused_ewise(steps: list[Step], leaves: list[BlockedMatrix],
     def chain(key: tuple[int, int]) -> list[Block | None]:
         return _tile_chain(steps, leaves, rows, cols, block_size, key)
 
-    leaf_cells = sum(leaf.nnz for leaf in leaves)
-    work_hint = len(steps) * leaf_cells / max(1, len(candidates))
-    columns = map_blocks(chain, candidates, workers, work_hint=work_hint)
+    columns = map_blocks(
+        chain, candidates, workers,
+        work_hint=lambda: len(steps) * sum(leaf.nnz for leaf in leaves)
+        / max(1, len(candidates)))
 
     present: list[dict[tuple[int, int], bool]] = [{} for _ in steps]
     nnz: list[int] = [0] * len(steps)

@@ -54,7 +54,7 @@ class ServerClient:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7763,
-                 timeout: float = 120.0, *, max_retries: int = 0,
+                 timeout: float = 30.0, *, max_retries: int = 0,
                  max_retry_seconds: float | None = None,
                  backoff_base_seconds: float = 0.05,
                  retry_jitter_seed: int = 0):

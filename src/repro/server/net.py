@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 
 from ..config import ClusterConfig, ServerConfig
@@ -35,26 +36,43 @@ class _ServerCore:
         self.config = config or ServerConfig()
         self.service = OptimizerService(self.config, cluster)
         self.stop_event: asyncio.Event | None = None
-        self.server: asyncio.Server | None = None
         self.host: str | None = None
         self.port: int | None = None
-        self._handlers: set[asyncio.Task] = set()
+        #: Every open connection: its handler task -> its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._drain_task: asyncio.Task | None = None
 
-    async def _track(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        """Register the per-connection task so shutdown can reap it."""
-        task = asyncio.current_task()
-        self._handlers.add(task)
-        try:
-            await self._handle(reader, writer)
-        except asyncio.CancelledError:
-            # Shutdown reaped this connection while it was parked on
-            # readline; completing normally keeps asyncio's stream
-            # callback from logging a CancelledError traceback.
-            pass
-        finally:
-            self._handlers.discard(task)
+    async def _accept_loop(self, listener: socket.socket) -> None:
+        """Accept connections until cancelled.
+
+        Accepting here rather than through ``asyncio.start_server`` keeps
+        shutdown exact: once this task is cancelled no connection is
+        half-way between the kernel and :attr:`_connections`, whereas a
+        closed ``asyncio.Server`` can still be finishing an accept whose
+        socket then belongs to nobody and is never closed.
+        """
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                conn, _address = await loop.sock_accept(listener)
+            except OSError:  # out of descriptors: back off, as asyncio does
+                await asyncio.sleep(1.0)
+                continue
+            reader = asyncio.StreamReader(limit=self.config.max_frame_bytes)
+            protocol = asyncio.StreamReaderProtocol(reader, self._connected)
+            await loop.connect_accepted_socket(lambda: protocol, conn)
+
+    def _connected(self, reader: asyncio.StreamReader,
+                   writer: asyncio.StreamWriter) -> None:
+        """Start and register one connection's handler.
+
+        A plain callback, so the writer is on record the moment the
+        connection exists: a handler task that shutdown cancels before
+        its first step never reaches its own ``finally``.
+        """
+        task = asyncio.ensure_future(self._handle(reader, writer))
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
@@ -127,26 +145,32 @@ class _ServerCore:
     async def serve(self, ready: threading.Event | None = None) -> dict:
         """Serve until the stop event fires; returns the final stats."""
         self.stop_event = asyncio.Event()
-        self.server = await asyncio.start_server(
-            self._track, self.config.host, self.config.port,
-            limit=self.config.max_frame_bytes)
-        sockname = self.server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        listener = socket.create_server((self.config.host, self.config.port),
+                                        backlog=100)
+        listener.setblocking(False)
+        self.host, self.port = listener.getsockname()[:2]
+        accepting = asyncio.ensure_future(self._accept_loop(listener))
         if ready is not None:
             ready.set()
         try:
-            async with self.server:
-                await self.stop_event.wait()
+            await self.stop_event.wait()
         finally:
-            # Reap connections still parked on readline so the loop can
-            # close without leaking pending handler tasks.
-            self.server.close()
-            await self.server.wait_closed()
-            for task in list(self._handlers):
+            # Stop, drain-finish and kill all end here. Stop accepting
+            # (the kernel resets what still queues on the listener), then
+            # close every connection, idle or mid-request, and wait until
+            # it is closed: clients see EOF at once, and no handler task
+            # or transport outlives the loop.
+            accepting.cancel()
+            await asyncio.gather(accepting, return_exceptions=True)
+            listener.close()
+            connections = list(self._connections.items())
+            for task, writer in connections:
                 task.cancel()
-            if self._handlers:
-                await asyncio.gather(*self._handlers,
-                                     return_exceptions=True)
+                writer.close()
+            await asyncio.gather(
+                *(task for task, _ in connections),
+                *(writer.wait_closed() for _, writer in connections),
+                return_exceptions=True)
             stats = self.service.stats()
             self.service.close()
         return stats

@@ -1,6 +1,8 @@
 """Bench harness, report rendering, and figure-driver smoke tests."""
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +89,16 @@ class TestReport:
         by = {r["dataset"]: r for r in out}
         assert by["d1"]["speedup_fast"] == pytest.approx(5.0)
         assert by["d2"]["speedup_fast"] == pytest.approx(0.5)
+
+    def test_committed_reports_are_strict_json(self):
+        """No bare NaN/Infinity: a missing figure is ``null``."""
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        reports = sorted(Path(__file__).parent.parent.glob("BENCH_*.json"))
+        assert reports
+        for report in reports:
+            json.loads(report.read_text(), parse_constant=reject)
 
 
 class TestFigureDrivers:

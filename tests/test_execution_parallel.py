@@ -363,6 +363,22 @@ class TestProcessBackend:
         assert list(serial.blocks) == list(pooled.blocks)
         assert np.array_equal(serial.to_numpy(), pooled.to_numpy())
 
+    @needs_process_backend
+    @pytest.mark.parametrize("shape,block_size", [((700, 300), 128),
+                                                   ((300, 120), 32)])
+    def test_gram_product_process_vs_serial_bitwise(self, rng, shape,
+                                                    block_size):
+        # t(X) %*% X multiplies each tile by its own transposed view, which
+        # NumPy sums differently from a multiply by a copy: the view must
+        # still be a view in the worker (tiles above and below the
+        # shared-memory size).
+        x = BlockedMatrix.from_numpy(rng.random(shape), block_size)
+        for left, right in ((x.transpose(self.SPEC), x),
+                            (x, x.transpose(self.SPEC))):
+            assert np.array_equal(
+                left.matmul(right, workers=1).to_numpy(),
+                left.matmul(right, workers=self.SPEC).to_numpy())
+
     def test_closure_kernels_fall_back_to_threads(self, rng):
         # map_cells closes over fn: ineligible for processes, must still
         # produce bit-identical results via the thread fallback.

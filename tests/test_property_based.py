@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse as sp
 
 from repro.config import ClusterConfig
 from repro.core.normalize import normalize, push_down_transposes
@@ -15,7 +16,10 @@ from repro.core.treewise import catalan, plan_tree_count
 from repro.lang import format_expr, parse_expression
 from repro.lang.ast import Expr, MatMul, MatrixRef, Transpose
 from repro.lang.program import Program, Assign
+from repro.errors import ExecutionError
+from repro.matrix.block import Block
 from repro.matrix.blocked import BlockedMatrix
+from repro.matrix.fused import Step, evaluate_fused_ewise
 from repro.matrix.meta import MatrixMeta
 from repro.matrix import sparsity_rules as rules
 from repro.matrix.partitioner import worker_of_block
@@ -115,6 +119,189 @@ class TestBlockedMatrixProperties:
            st.integers(1, 32))
     def test_partitioner_in_range(self, bi, bj, workers):
         assert 0 <= worker_of_block(bi, bj, workers) < workers
+
+
+# ----------------------------------------------------------------------
+# Carried tile statistics are checked, not trusted
+# ----------------------------------------------------------------------
+def _grid(rng, rows, cols, block_size, kind):
+    """A random grid: dense, CSR, block-sparse (absent tiles) or empty.
+    A third of the stored cells are exactly 1.0 or 2.0, so ``floor`` and
+    products leave explicit zeros and whole-number cells behind."""
+    values = rng.random((rows, cols))
+    values[rng.random((rows, cols)) < 0.3] = rng.choice([1.0, 2.0])
+    if kind == "empty":
+        values[:] = 0.0
+    elif kind == "csr":  # tiles on both sides of the 0.4 layout threshold
+        values[rng.random((rows, cols)) < rng.choice([0.85, 0.5])] = 0.0
+    elif kind == "ragged":  # whole tiles absent, the rest of mixed density
+        for bi in range(0, rows, block_size):
+            for bj in range(0, cols, block_size):
+                tile = values[bi:bi + block_size, bj:bj + block_size]
+                tile[rng.random(tile.shape) < rng.choice([0.0, 0.7, 1.0])] = 0.0
+    if kind == "csr":
+        matrix = sp.csr_matrix(values)
+        matrix.data[rng.random(matrix.nnz) < 0.2] = 0.0  # stored zeros
+        return BlockedMatrix.from_scipy(matrix, block_size)
+    return BlockedMatrix.from_numpy(values, block_size)
+
+
+def _fresh(matrix):
+    """The same grid with every tile re-derived by the public constructor:
+    no carried flag, no carried count, no cached grid statistic."""
+    return BlockedMatrix(matrix.rows, matrix.cols, matrix.block_size,
+                         blocks={key: Block(block.data)
+                                 for key, block in matrix.blocks.items()},
+                         symmetric=matrix.symmetric)
+
+
+def _check_statistics(matrix):
+    total, nbytes = 0, 0.0
+    for key, block in matrix.blocks.items():
+        data = block.data
+        assert block.is_sparse == sp.issparse(data), key
+        if block.is_sparse:
+            assert data.format == "csr" and data.dtype == np.float64
+            count = int(data.nnz)
+        else:
+            assert type(data) is np.ndarray and data.ndim == 2 \
+                and data.dtype == np.float64
+            count = int(np.count_nonzero(data))
+        assert block._nnz is None or block._nnz == count, key
+        assert block.nnz == count, key
+        assert block.shape == matrix.block_dims(*key)
+        rederived = Block(data)
+        assert rederived.serialized_bytes() == block.serialized_bytes()
+        settled = block.normalized()
+        assert settled.normalized() is settled
+        assert settled.is_sparse == sp.issparse(settled.data)
+        assert settled.nnz == Block(settled.data).nnz
+        total += count
+        nbytes += rederived.serialized_bytes()
+    assert matrix.nnz == total
+    assert matrix.serialized_bytes() == nbytes
+    cells = matrix.rows * matrix.cols
+    assert matrix.meta() == MatrixMeta(matrix.rows, matrix.cols, total / cells,
+                                       symmetric=matrix.symmetric)
+
+
+def _same_grid(carried, fresh):
+    """Bit for bit: key order, layouts and payload bytes."""
+    assert list(carried.blocks) == list(fresh.blocks)
+    for key, block in carried.blocks.items():
+        other = fresh.blocks[key]
+        assert block.is_sparse == other.is_sparse, key
+        assert block.to_dense_array().tobytes() \
+            == other.to_dense_array().tobytes(), key
+        if block.is_sparse:  # explicit zeros are part of a CSR payload
+            assert block.data.nnz == other.data.nnz, key
+
+
+ZIP_OPS = ("add", "subtract", "multiply", "divide")
+UNARY_OPS = {
+    "transpose": lambda m: m.transpose(),
+    "negate": lambda m: m.negate(),
+    "scale_half": lambda m: m.scale(0.5),
+    "scale_zero": lambda m: m.scale(0.0),
+    "scale_underflow": lambda m: m.scale(1e-320).scale(1e-10),
+    "scale_nan": lambda m: m.scale(float("inf")).scale(0.0),
+    "shift_zero": lambda m: m.add_scalar(0.0),
+    "shift": lambda m: m.add_scalar(1.5),
+    "shift_cancel": lambda m: m.add_scalar(-1.0),
+    "floor": lambda m: m.map_cells(np.floor, True),
+    "abs": lambda m: m.map_cells(np.abs, True),
+    "exp": lambda m: m.map_cells(np.exp, False),
+    "row_sums": lambda m: m.row_sums(),
+    "col_sums": lambda m: m.col_sums(),
+    "diagonal": lambda m: m.diagonal() if m.rows == m.cols else m,
+}
+
+
+@st.composite
+def fused_programs(draw, leaves):
+    steps = [Step("leaf", index) for index in range(leaves)]
+    for _ in range(draw(st.integers(1, 5))):
+        op = draw(st.sampled_from(ZIP_OPS[:3] + ("scale", "neg", "add_scalar")))
+        a = draw(st.integers(0, len(steps) - 1))
+        if op in ZIP_OPS:
+            steps.append(Step(op, a, draw(st.integers(0, len(steps) - 1))))
+        else:
+            steps.append(Step(op, a, scalar=draw(st.sampled_from(
+                [0.0, -1.0, 0.5, 2.0]))))
+    return steps
+
+
+class TestCarriedStatistics:
+    """A tile's stored layout flag and count, and the grid statistics
+    built on them, equal a from-scratch derivation after every operation;
+    and operating on carried statistics gives the grid that operating on
+    re-derived ones gives."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_every_result_tile_matches_a_fresh_derivation(self, data):
+        rows = data.draw(st.integers(1, 23), label="rows")
+        cols = data.draw(st.integers(1, 23), label="cols")
+        block_size = data.draw(st.sampled_from([3, 5, 8, 32]), label="block")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        kinds = st.sampled_from(["dense", "csr", "ragged", "empty"])
+        pool = [_grid(rng, rows, cols, block_size, data.draw(kinds))
+                for _ in range(3)]
+        pool += [matrix.transpose() for matrix in pool[:2]]
+        for matrix in pool:
+            _check_statistics(matrix)
+        current = pool[0]
+        for _ in range(data.draw(st.integers(1, 6), label="length")):
+            fresh = _fresh(current)
+            partners = [m for m in pool if m.shape == current.shape]
+            inner = [m for m in pool if m.rows == current.cols]
+            choices = list(UNARY_OPS)
+            if partners:
+                choices += ZIP_OPS + ("fused",)
+            if inner:
+                choices.append("matmul")
+            op = data.draw(st.sampled_from(choices), label="op")
+            with np.errstate(all="ignore"):
+                if op in UNARY_OPS:
+                    result, expected = UNARY_OPS[op](current), \
+                        UNARY_OPS[op](fresh)
+                elif op == "matmul":
+                    other = data.draw(st.sampled_from(inner))
+                    result = current.matmul(other)
+                    expected = fresh.matmul(_fresh(other))
+                elif op == "fused":
+                    leaves = [current] + [data.draw(st.sampled_from(partners))
+                                          for _ in range(2)]
+                    steps = data.draw(fused_programs(len(leaves)))
+                    result, step_nnz = evaluate_fused_ewise(steps, leaves)
+                    expected, fresh_nnz = evaluate_fused_ewise(
+                        steps, [_fresh(leaf) for leaf in leaves])
+                    assert step_nnz == fresh_nnz
+                    assert step_nnz[-1] == result.nnz
+                else:
+                    other = data.draw(st.sampled_from(partners))
+                    try:
+                        result = getattr(current, op)(other)
+                    except ExecutionError:  # divide by an absent tile
+                        with pytest.raises(ExecutionError):
+                            getattr(fresh, op)(_fresh(other))
+                        continue
+                    expected = getattr(fresh, op)(_fresh(other))
+            _check_statistics(result)
+            _same_grid(result, expected)
+            current = result
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_scalar_is_from_numpy_tile_for_tile(self, value):
+        direct = BlockedMatrix.scalar(value, 8)
+        _check_statistics(direct)
+        _same_grid(direct, BlockedMatrix.from_numpy(np.array([[value]]), 8))
+        assert direct.blocks.keys() == (set() if value == 0.0 else {(0, 0)})
+
+    def test_zero_scalar_has_an_empty_grid(self):
+        assert BlockedMatrix.scalar(0.0).blocks == {}
+        assert BlockedMatrix.scalar(-0.0).blocks == {}
+        assert BlockedMatrix.scalar(0.0).scalar_value() == 0.0
 
 
 # ----------------------------------------------------------------------

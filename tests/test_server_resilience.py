@@ -312,8 +312,12 @@ class TestClientResilience:
         handle = ServerHandle(ServerConfig(port=0))
         client = ServerClient(handle.host, handle.port)
         handle.stop()
+        # The stopped server closed this idle connection: the client reads
+        # EOF at once, not its own read timeout.
+        started = time.monotonic()
         with pytest.raises(ClientError):
             client.ping()
+        assert time.monotonic() - started < 2.0
         client.close()
 
     def test_client_reconnects_across_server_restart(self):
