@@ -45,6 +45,7 @@ import time
 from pathlib import Path
 
 from repro.algorithms import get_algorithm
+from repro.bench import percentile
 from repro.config import ClusterConfig, ServerConfig
 from repro.data import load_dataset
 from repro.engines import make_engine
@@ -74,15 +75,8 @@ def _reference_sha256() -> str:
     return array_digest(result.value("x"))
 
 
-def _percentile_ms(values: list[float], pct: float) -> float | None:
-    """Nearest-rank percentile of ``values`` (seconds) in milliseconds;
-    ``None`` — JSON ``null`` — when the scenario timed nothing."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1,
-                      round(pct / 100.0 * (len(ordered) - 1))))
-    return round(ordered[rank] * 1e3, 2)
+def _elapsed_ms(started: float) -> float:
+    return round((time.perf_counter() - started) * 1e3, 2)
 
 
 def _run_payload(iterations: int = ITERATIONS, tenant: str = "t") -> dict:
@@ -118,8 +112,8 @@ def _row(scenario: str, outcomes: list[dict],
         "typed_errors": counts["typed_error"],
         "client_errors": counts["client_error"],
         "retried": retried,
-        "inquota_p50_ms": _percentile_ms(clean, 50),
-        "inquota_p99_ms": _percentile_ms(clean, 99),
+        "inquota_p50_ms": percentile(clean, 50),
+        "inquota_p99_ms": percentile(clean, 99),
     }
 
 
@@ -146,7 +140,7 @@ def _drive(supervisor: ServerSupervisor, plan: WireFaultPlan,
             payload = _run_payload(tenant=f"chaos-{worker_id}")
             started = time.perf_counter()
             outcome = driver.run_request(payload, index)
-            elapsed = time.perf_counter() - started
+            elapsed = _elapsed_ms(started)
             if outcome["outcome"] == "ok":
                 digest = outcome["response"]["results"]["x"]["sha256"]
                 assert digest == reference, \
@@ -224,7 +218,7 @@ def scenario_deadline(count: int, reference: str) -> dict:
                     response = client.request(_run_payload(tenant="ontime"))
                     assert response["status"] == "ok"
                     assert response["results"]["x"]["sha256"] == reference
-                    latencies.append(time.perf_counter() - started)
+                    latencies.append(_elapsed_ms(started))
                     completed += 1
         stats = handle.stop()
     return {
@@ -232,8 +226,8 @@ def scenario_deadline(count: int, reference: str) -> dict:
         "rejected": 0, "typed_errors": exceeded, "client_errors": 0,
         "retried": 0, "deadline_exceeded": stats["counters"][
             "deadline_exceeded"],
-        "inquota_p50_ms": _percentile_ms(latencies, 50),
-        "inquota_p99_ms": _percentile_ms(latencies, 99),
+        "inquota_p50_ms": percentile(latencies, 50),
+        "inquota_p99_ms": percentile(latencies, 99),
     }
 
 
@@ -255,15 +249,15 @@ def scenario_rate_limit(count: int, reference: str) -> dict:
                 response = client.request(_run_payload(tenant="limited"))
                 assert response["status"] == "ok", response
                 assert response["results"]["x"]["sha256"] == reference
-                latencies.append(time.perf_counter() - started)
+                latencies.append(_elapsed_ms(started))
         retried = client.retries_used
         stats = handle.stop()
     return {
         "scenario": "rate limit", "requests": count, "completed": count,
         "rejected": stats["counters"]["rejected_rate"],
         "typed_errors": 0, "client_errors": 0, "retried": retried,
-        "inquota_p50_ms": _percentile_ms(latencies, 50),
-        "inquota_p99_ms": _percentile_ms(latencies, 99),
+        "inquota_p50_ms": percentile(latencies, 50),
+        "inquota_p99_ms": percentile(latencies, 99),
     }
 
 

@@ -47,6 +47,7 @@ import threading
 import time
 from pathlib import Path
 
+from repro.bench import percentile
 from repro.config import ServerConfig
 from repro.server import ServerClient, ServerHandle
 
@@ -62,15 +63,6 @@ QUOTA_P99_CEILING = 5.0     # in-quota p99 vs uncontended warm p99
 BURST_SIZE = 8              # duplicate requests released at one barrier
 
 
-def _percentile(values: list[float], pct: float) -> float:
-    if not values:
-        return float("nan")
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1,
-                      round(pct / 100.0 * (len(ordered) - 1))))
-    return ordered[rank]
-
-
 def _run_payload(iterations: int, tenant: str) -> dict:
     return {"op": "run", "tenant": tenant, "algorithm": ALGORITHM,
             "dataset": DATASET, "scale": SCALE, "iterations": iterations}
@@ -81,7 +73,7 @@ class LoadResult:
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.latencies: list[float] = []       # seconds, ok responses only
+        self.latencies: list[float] = []       # ms, ok responses only
         self.responses: list[dict] = []
         self.rejected = 0
         self.errors = 0
@@ -91,7 +83,7 @@ class LoadResult:
             self.responses.append(response)
             status = response.get("status")
             if status == "ok":
-                self.latencies.append(latency)
+                self.latencies.append(round(latency * 1e3, 2))
             elif status == "rejected":
                 self.rejected += 1
             else:
@@ -173,9 +165,9 @@ def _row(scenario: str, result: LoadResult, wall: float,
         "rejected": result.rejected,
         "errors": result.errors,
         "wall_s": round(wall, 3),
-        "rps": round(completed / wall, 2) if wall > 0 else float("nan"),
-        "p50_ms": round(_percentile(result.latencies, 50) * 1e3, 2),
-        "p99_ms": round(_percentile(result.latencies, 99) * 1e3, 2),
+        "rps": round(completed / wall, 2) if wall > 0 else None,
+        "p50_ms": percentile(result.latencies, 50),
+        "p99_ms": percentile(result.latencies, 99),
         "cache_hits": hits,
         "cache_misses": delta["misses"],
         "coalesced": coalesced,
@@ -362,6 +354,8 @@ def _assert_acceptance(report: dict) -> None:
         return
     # Latency acceptance — full run only (smoke loads are too small for
     # stable percentiles on a shared host).
+    assert all(row["completed"] > 0 for row in (cold, warm, victim)), \
+        "a scenario completed nothing: no latency to compare"
     speedup = cold["p50_ms"] / warm["p50_ms"]
     assert speedup >= WARM_SPEEDUP_FLOOR, \
         (f"warm p50 {warm['p50_ms']}ms is only {speedup:.1f}x below cold "
@@ -382,7 +376,7 @@ def _write_report(report: dict) -> None:
                       f"host cores={report['host_cpus']})")
     out = Path(__file__).resolve().parents[1] \
         / "BENCH_serving_throughput.json"
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    out.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def test_serving_throughput(benchmark, ctx):

@@ -14,11 +14,11 @@ from .figures import (
     summarize_speedups,
     table2_datasets,
 )
-from .harness import BenchContext, speedup
+from .harness import BenchContext, percentile, speedup
 from .report import render_table, save_report
 
 __all__ = [
-    "BenchContext", "speedup",
+    "BenchContext", "percentile", "speedup",
     "render_table", "save_report",
     "table2_datasets", "fig3_motivation",
     "fig8a_search_compilation", "fig8b_automatic_execution",

@@ -74,3 +74,14 @@ def speedup(baseline: float, other: float) -> float:
     if other <= 0:
         return float("inf")
     return baseline / other
+
+
+def percentile(values: list[float], pct: float) -> float | None:
+    """Nearest-rank percentile of ``values``; ``None`` — JSON ``null``,
+    never NaN — for an empty sample."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    rank = max(0, min(len(ordered) - 1,
+                      round(pct / 100.0 * (len(ordered) - 1))))
+    return ordered[rank]

@@ -44,6 +44,14 @@ bit-identical to the serial seed behaviour:
   returns, so grid ``nnz``, ``serialized_bytes()`` and ``meta()`` are
   summed once from the tiles and kept; callers that legitimately edit
   ``blocks`` afterwards must call :meth:`BlockedMatrix.invalidate_stats`.
+* **Transposed twins.** For the same reason ``t(A)`` is a loop constant of
+  the grid ``A`` itself: :meth:`BlockedMatrix.transpose` transposes the
+  tiles once and keeps them with their source, so a fused ``t(A) %*% v``
+  inside a loop re-tiles ``A`` on its first iteration only. Every call
+  still returns a grid of its own around those tiles — which grids exist,
+  and for how long, is something lineage recovery can see, the tiles
+  inside them are not. The kept tiles live as long as the source grid and
+  are dropped by :meth:`BlockedMatrix.invalidate_stats`.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ import numpy as np
 from scipy import sparse
 
 from ..errors import ExecutionError, ShapeError
-from .block import Block, zeros
+from .block import Block, count_nonzero, zeros
 from .blockpool import map_blocks
 from .meta import MatrixMeta
 
@@ -82,6 +90,9 @@ class BlockedMatrix:
         self._nnz: int | None = None
         self._bytes: float | None = None
         self._meta: MatrixMeta | None = None
+        # This grid's tiles, transposed: kept by ``transpose``, never
+        # handed out as a grid.
+        self._transposed: dict[tuple[int, int], Block] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -100,7 +111,7 @@ class BlockedMatrix:
             for bj in range(col_blocks):
                 tile = array[bi * block_size:(bi + 1) * block_size,
                              bj * block_size:(bj + 1) * block_size]
-                count = int(np.count_nonzero(tile))
+                count = count_nonzero(tile)
                 if count:
                     row.append(((bi, bj),
                                 Block.of(tile.copy(), False, count).normalized()))
@@ -146,6 +157,20 @@ class BlockedMatrix:
                  symmetric: bool = False,
                  workers: int | None = None) -> "BlockedMatrix":
         if isinstance(data, BlockedMatrix):
+            # Already tiled: checked against the arguments, then passed
+            # through with whatever it has cached (transposed tiles too).
+            if data.block_size != block_size:
+                raise ShapeError(
+                    f"pre-tiled {data.rows}x{data.cols} grid has block size "
+                    f"{data.block_size}, expected {block_size}")
+            if symmetric and not data.symmetric:
+                # The caller's grid keeps its own flag; tiles are shared,
+                # caches are not (a new grid per call: callers who reuse a
+                # symmetric grid set the flag on it themselves).
+                flagged = cls(data.rows, data.cols, block_size,
+                              blocks=dict(data.blocks), symmetric=True)
+                flagged._nnz, flagged._bytes = data._nnz, data._bytes
+                return flagged
             return data
         if sparse.issparse(data):
             return cls.from_scipy(data, block_size, symmetric, workers=workers)
@@ -240,11 +265,13 @@ class BlockedMatrix:
 
         Required only after editing :attr:`blocks` in place — every
         operation here returns a freshly built grid, so normal use never
-        needs it.
+        needs it. The kept transposed tiles describe the tiles as they
+        were, so they are let go too.
         """
         self._nnz = None
         self._bytes = None
         self._meta = None
+        self._transposed = None
 
     def block_dims(self, bi: int, bj: int) -> tuple[int, int]:
         """Dimensions of grid tile (bi, bj), accounting for ragged edges."""
@@ -283,23 +310,37 @@ class BlockedMatrix:
     # Logical arithmetic (used by the executor's kernels)
     # ------------------------------------------------------------------
     def transpose(self, workers: int | None = None) -> "BlockedMatrix":
-        result = BlockedMatrix(self.cols, self.rows, self.block_size,
-                               symmetric=self.symmetric)
-        # Dense tiles transpose as views of the source payload, here and
-        # now: a worker process would hand back a copy, and a multiply of
-        # a payload by its own transposed view is not summed in the order
-        # a multiply by a copy is. Only CSR tiles, which pay an O(nnz)
-        # re-conversion, are tasks; the hint is their average nnz.
-        sparse_tiles = [block for block in self.blocks.values()
-                        if block.is_sparse]
-        converted = iter(map_blocks(
-            Block.transpose, sparse_tiles, workers,
-            work_hint=lambda: sum(block.nnz for block in sparse_tiles)
-            / len(sparse_tiles)))
-        for (bi, bj), block in self.blocks.items():
-            result.blocks[(bj, bi)] = next(converted) if block.is_sparse \
+        """The transposed grid: its tiles are transposed on the first call
+        and shared by every later one.
+
+        Grids are immutable once returned, so the transposed tiles are a
+        loop constant of the grid itself and are kept with it until
+        :meth:`invalidate_stats`. What is kept is the tiles, not a grid:
+        each call returns a new ``BlockedMatrix`` around them, so a caller
+        that registers, edits or drops the grid it got (lineage recovery
+        does all three) touches no other caller's.
+        """
+        tiles = self._transposed
+        if tiles is None:
+            # Dense tiles transpose as views of the source payload, here
+            # and now: a worker process would hand back a copy, and a
+            # multiply of a payload by its own transposed view is not
+            # summed in the order a multiply by a copy is. Only CSR tiles,
+            # which pay an O(nnz) re-conversion, are tasks; the hint is
+            # their average nnz.
+            sparse_tiles = [block for block in self.blocks.values()
+                            if block.is_sparse]
+            converted = iter(map_blocks(
+                Block.transpose, sparse_tiles, workers,
+                work_hint=lambda: sum(block.nnz for block in sparse_tiles)
+                / len(sparse_tiles)))
+            tiles = self._transposed = {
+                (bj, bi): next(converted) if block.is_sparse
                 else block.transpose()
-        result._nnz = self._nnz  # a transpose moves cells, it makes none
+                for (bi, bj), block in self.blocks.items()}
+        result = BlockedMatrix(self.cols, self.rows, self.block_size,
+                               blocks=dict(tiles), symmetric=self.symmetric)
+        result._nnz = self.nnz  # a transpose moves cells, it makes none
         return result
 
     def matmul(self, other: "BlockedMatrix",
@@ -535,7 +576,7 @@ def _store_counted(result: BlockedMatrix, key: tuple[int, int],
                    tile: np.ndarray) -> None:
     """Store a freshly built float64 tile unless it is all-zero: one scan
     decides that and seeds the block's count."""
-    count = int(np.count_nonzero(tile))
+    count = count_nonzero(tile)
     if count:
         result.blocks[key] = Block.of(tile, False, count).normalized()
 

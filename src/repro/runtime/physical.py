@@ -23,7 +23,7 @@ import numpy as np
 from ..config import ClusterConfig
 from ..cluster.metrics import MetricsCollector
 from ..cluster.network import Network
-from ..errors import ExecutionError
+from ..errors import ExecutionError, ShapeError
 from ..matrix.blocked import BlockedMatrix
 from ..matrix.formats import DENSE_THRESHOLD
 from ..matrix.meta import MatrixMeta
@@ -164,9 +164,12 @@ class Kernels:
         because they "do not support automatically splitting and
         partitioning a dataset in parallel" (§6.5).
         """
-        matrix = BlockedMatrix.from_any(data, block_size=self.config.block_size,
-                                        symmetric=symmetric,
-                                        workers=self.kernel_workers)
+        try:
+            matrix = BlockedMatrix.from_any(
+                data, block_size=self.config.block_size, symmetric=symmetric,
+                workers=self.kernel_workers)
+        except ShapeError as exc:
+            raise ShapeError(f"input {name!r}: {exc}") from None
         meta = matrix.meta()
         from .hybrid import value_distributed
         distributed = value_distributed(meta, self.config, self.policy)

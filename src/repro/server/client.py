@@ -123,14 +123,14 @@ class ServerClient:
                     raise RetryBudgetExceeded(
                         f"gave up after {attempt} retries "
                         f"({type(error).__name__}: {error})") from error
-                self._sleep(self._backoff(attempt))
+                self._sleep(self._backoff(attempt), started)
                 attempt += 1
                 self.retries_used += 1
                 continue
             if response.get("status") == "rejected" \
                     and self._budget_left(attempt, started):
                 self._sleep(float(response.get("retry_after", 0.0))
-                            + self._jitter())
+                            + self._jitter(), started)
                 attempt += 1
                 self.retries_used += 1
                 continue
@@ -178,12 +178,12 @@ class ServerClient:
     def _jitter(self) -> float:
         return self._rng.uniform(0.0, self.backoff_base_seconds)
 
-    def _sleep(self, seconds: float) -> None:
-        remaining = None
+    def _sleep(self, seconds: float, started: float) -> None:
+        """Back off, but never past what is left of the retry budget."""
         if self.max_retry_seconds is not None:
-            remaining = self.max_retry_seconds  # never oversleep the budget
-        time.sleep(min(seconds, remaining) if remaining is not None
-                   else seconds)
+            left = self.max_retry_seconds - (time.monotonic() - started)
+            seconds = min(seconds, max(0.0, left))
+        time.sleep(seconds)
 
     # Convenience wrappers ------------------------------------------------
     def run(self, algorithm: str = "dfp", dataset: str = "cri1", *,

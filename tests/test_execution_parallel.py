@@ -378,6 +378,17 @@ class TestProcessBackend:
             assert np.array_equal(
                 left.matmul(right, workers=1).to_numpy(),
                 left.matmul(right, workers=self.SPEC).to_numpy())
+        # The second t(X) on the same X is a memo hit: the kept tiles must
+        # multiply bit for bit as they did when freshly built, under thread
+        # and process dispatch alike.
+        first = x.transpose(self.SPEC)
+        gram = first.matmul(x, workers=1).to_numpy()
+        for spec in (KernelDispatch(2, "thread", 0.0), self.SPEC):
+            again = x.transpose(spec)
+            assert all(again.blocks[key] is block
+                       for key, block in first.blocks.items())
+            assert np.array_equal(gram,
+                                  again.matmul(x, workers=spec).to_numpy())
 
     def test_closure_kernels_fall_back_to_threads(self, rng):
         # map_cells closes over fn: ineligible for processes, must still

@@ -16,10 +16,14 @@ import random
 import numpy as np
 import pytest
 
+from repro.algorithms import get_algorithm
 from repro.cluster.faults import CrashEvent, FaultInjector, FaultPlan, StragglerEvent
 from repro.config import ClusterConfig
+from repro.data import load_dataset
+from repro.engines import make_engine
 from repro.errors import ConfigError, ExecutionError
 from repro.lang import parse
+from repro.matrix import BlockedMatrix
 from repro.runtime import ExecutionTracer, Executor, RecoveryConfig
 
 GD_SCRIPT = """
@@ -239,6 +243,119 @@ class TestFaultedRunsBitIdentical:
                 recovery_config=RecoveryConfig(max_retries=50,
                                                checkpoint_every=2))
             assert_identical_results(base_env, env)
+
+
+class TestTransposedTwinsUnderRecovery:
+    """A grid keeps its tiles transposed (``BlockedMatrix.transpose``), a
+    wall-clock memo the simulated cluster must never see: what a crash
+    heals, and what that costs, is what it was before grids did."""
+
+    #: gd/cri3 (scale 0.3, 5 iterations, remac) under the two-crash plan
+    #: below, recorded at 2b56175, the last commit without twins.
+    OUTPUTS = "8c825fab99dc2736442473d31e1ce8228725a77ee844ffb5f49f8cd12fd12d85"
+    EXECUTION_SECONDS = 0.042438624331023224
+    SUMMARY = "04e27b16bfa4650a27e56a746a1c99910583d4a880401f41a841b5e0419a130d"
+
+    def test_healed_source_with_a_live_twin(self):
+        algo = get_algorithm("gd")
+        meta, data = algo.make_inputs(load_dataset("cri3", scale=0.3).matrix)
+        engine = make_engine("remac")
+        compiled = engine.compile(algo.program(5), meta, data, iterations=5)
+        horizon = engine.execute(compiled, data).metrics.execution_seconds
+        plan = FaultPlan(crashes=(CrashEvent(0.3 * horizon, 2),
+                                  CrashEvent(0.7 * horizon, 0)))
+        # Tiled by the caller, transposed once already: the grid recovery
+        # heals in place is one that holds transposed tiles.
+        source = BlockedMatrix.from_any(data["A"],
+                                        block_size=engine.cluster.block_size)
+        before = source.transpose()
+        run = engine.execute(compiled, {**data, "A": source}, fault_plan=plan)
+        digest = hashlib.sha256()
+        for name, array in sorted(result_arrays(run.env).items()):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == self.OUTPUTS
+        assert run.metrics.execution_seconds == self.EXECUTION_SECONDS
+        summary = json.dumps(run.metrics.summary(), sort_keys=True)
+        assert hashlib.sha256(summary.encode()).hexdigest() == self.SUMMARY
+        assert run.metrics.fault_summary["recovery_recomputed_blocks"] == 7.0
+        # The surgery let them go: tiles transposed before it are not
+        # trusted to be the healed grid's.
+        after = source.transpose()
+        assert list(after.blocks) == list(before.blocks)
+        assert not any(after.blocks[key] is block
+                       for key, block in before.blocks.items())
+
+    def test_released_transpose_is_not_healed(self):
+        # Each iteration materializes t(A) and drops it. On six workers a
+        # 1x2 grid lives on workers 0 and 3 and its 2x1 transpose on 0 and
+        # 1, so a crash of worker 1 while no t(A) is held costs nothing —
+        # unless A kept the last one alive, or two t(A) values were one
+        # grid.
+        program = parse("""
+            input A, x
+            i = 0
+            while (i < 4) {
+              s = sum(t(A))
+              y = A %*% x
+              x = x * s
+              i = i + 1
+            }
+            """, scalar_names={"i", "s"}, max_iterations=10)
+        rng = np.random.default_rng(7)
+        inputs = {"A": rng.random((700, 1400)), "x": rng.random((1400, 1))}
+        cluster = ClusterConfig(block_size=700)
+        base, base_env = run_program(cluster, program, inputs)
+        horizon = base.metrics.execution_seconds
+        # A crash that lands while t(A) is held heals its one lost tile;
+        # one that lands after it was dropped heals nothing (the figures
+        # of 2b56175 at these three crash times).
+        for twentieth, healed in ((9, 1.0), (10, 0.0), (15, 0.0)):
+            plan = FaultPlan(crashes=(
+                CrashEvent(twentieth / 20 * horizon, 1),))
+            faulty, env = run_program(cluster, program, inputs,
+                                      fault_plan=plan)
+            assert_identical_results(base_env, env)
+            assert faulty.metrics.fault_summary[
+                "recovery_recomputed_blocks"] == healed, twentieth
+
+    def test_fused_then_materialized_transpose(self):
+        # The fused t(A) %*% y leaves a lineage thunk holding the grid it
+        # multiplied by; the materialized t(A) after it is a value lineage
+        # registers, and the program drops it every iteration. Were the two
+        # one grid, the thunk would keep a registered value alive and later
+        # crashes would heal, and charge, a grid the program no longer has.
+        program = parse("""
+            input A, x
+            i = 0
+            while (i < 4) {
+              y = A %*% x
+              g = t(A) %*% y
+              s = sum(t(A))
+              x = g * s
+              i = i + 1
+            }
+            """, scalar_names={"i", "s"}, max_iterations=10)
+        rng = np.random.default_rng(7)
+        inputs = {"A": rng.random((350, 700)) / 700,
+                  "x": rng.random((700, 700)) / 700}
+        cluster = ClusterConfig(block_size=350, num_workers=6)
+        base, base_env = run_program(cluster, program, inputs)
+        horizon = base.metrics.execution_seconds
+        assert horizon == 1.3562675068333334
+        # Healed blocks and execution seconds of 2b56175 for a crash of
+        # worker 0 at three points of the run.
+        for twentieth, healed, seconds in ((7, 6.0, 1.5092762622564104),
+                                           (10, 8.0, 1.543709286089744),
+                                           (14, 10.0, 1.582430192339744)):
+            plan = FaultPlan(crashes=(
+                CrashEvent(twentieth / 20 * horizon, 0),))
+            faulty, env = run_program(cluster, program, inputs,
+                                      fault_plan=plan)
+            assert_identical_results(base_env, env)
+            assert faulty.metrics.fault_summary[
+                "recovery_recomputed_blocks"] == healed, twentieth
+            assert faulty.metrics.execution_seconds == seconds, twentieth
 
 
 class TestFailureModes:

@@ -27,6 +27,34 @@ class TestConstruction:
         assert blocked.block_dims(1, 0) == (36, 64)
         assert blocked.block_dims(0, 1) == (64, 6)
 
+    def test_from_any_passes_a_matching_grid_through(self, dense_matrix):
+        blocked = BlockedMatrix.from_numpy(dense_matrix, block_size=32)
+        tiles = blocked.transpose().blocks
+        assert BlockedMatrix.from_any(blocked, block_size=32) is blocked
+        # ... with everything it has cached, its transposed tiles included.
+        assert all(block is tiles[key]
+                   for key, block in blocked.transpose().blocks.items())
+
+    def test_from_any_rejects_a_grid_tiled_at_another_size(self, dense_matrix):
+        blocked = BlockedMatrix.from_numpy(dense_matrix, block_size=32)
+        with pytest.raises(ShapeError, match="block size 32, expected 64"):
+            BlockedMatrix.from_any(blocked, block_size=64)
+
+    def test_from_any_honours_symmetric_on_a_copy(self, rng):
+        values = rng.random((40, 40))
+        blocked = BlockedMatrix.from_numpy(values + values.T, block_size=16)
+        nnz = blocked.nnz
+        flagged = BlockedMatrix.from_any(blocked, block_size=16,
+                                         symmetric=True)
+        assert flagged.symmetric and flagged.meta().symmetric
+        assert not blocked.symmetric and not blocked.meta().symmetric
+        assert flagged.blocks == blocked.blocks \
+            and flagged.blocks is not blocked.blocks
+        assert flagged._nnz == nnz
+        already = BlockedMatrix.from_any(flagged, block_size=16,
+                                         symmetric=True)
+        assert already is flagged
+
     def test_zero_blocks_not_stored(self):
         array = np.zeros((128, 128))
         array[:64, :64] = 1.0

@@ -1,10 +1,12 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse as sp
 
@@ -197,6 +199,34 @@ def _same_grid(carried, fresh):
             assert block.data.nnz == other.data.nnz, key
 
 
+def _check_twin(matrix):
+    """``matrix.transpose()`` transposes the tiles once and wraps them in
+    a grid of its own on every call, equal tile for tile to a from-scratch
+    ``Block.transpose`` of the source tiles."""
+    first, again = matrix.transpose(), matrix.transpose()
+    assert first is not again and first.blocks is not again.blocks
+    for twin in (first, again):
+        assert twin.shape == (matrix.cols, matrix.rows)
+        assert twin.symmetric == matrix.symmetric
+        assert list(twin.blocks) == [(bj, bi) for bi, bj in matrix.blocks]
+    for (bi, bj), block in matrix.blocks.items():
+        kept, scratch = first.blocks[bj, bi], Block(block.data).transpose()
+        assert again.blocks[bj, bi] is kept, (bi, bj)  # the memo hit
+        assert kept.is_sparse == scratch.is_sparse, (bi, bj)
+        assert kept.nnz == scratch.nnz, (bi, bj)
+        if kept.is_sparse:
+            for part in ("data", "indices", "indptr"):
+                assert getattr(kept.data, part).tobytes() \
+                    == getattr(scratch.data, part).tobytes(), (bi, bj, part)
+        else:
+            assert kept.data.tobytes() == scratch.data.tobytes(), (bi, bj)
+    _check_statistics(again)
+    # What a caller does to the grid it got is its own business.
+    first.blocks.clear()
+    first.invalidate_stats()
+    assert list(again.blocks) == list(matrix.transpose().blocks)
+
+
 ZIP_OPS = ("add", "subtract", "multiply", "divide")
 UNARY_OPS = {
     "transpose": lambda m: m.transpose(),
@@ -289,7 +319,66 @@ class TestCarriedStatistics:
                     expected = getattr(fresh, op)(_fresh(other))
             _check_statistics(result)
             _same_grid(result, expected)
+            if data.draw(st.booleans(), label="twin"):
+                # From here on a "transpose" of this grid is a memo hit,
+                # and still has to equal the fresh derivation above.
+                _check_twin(result)
             current = result
+
+    @given(st.sampled_from(["dense", "csr", "ragged"]), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_kept_tiles_go_with_invalidate_stats(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        source = _grid(rng, 13, 13, 5, kind)
+        assume(source.blocks)
+        old = source.transpose()
+        expected_old = _fresh(source).transpose()
+        # Surgery the way ``RecoveryManager._heal`` does it: edit, then tell.
+        lost = list(source.blocks)[int(rng.integers(len(source.blocks)))]
+        del source.blocks[lost]
+        source.invalidate_stats()
+        fresh = source.transpose()
+        assert (lost[1], lost[0]) not in fresh.blocks
+        _same_grid(fresh, _fresh(source).transpose())
+        _check_statistics(fresh)
+        _check_twin(source)
+        _same_grid(old, expected_old)  # grids already handed out stay as they were
+
+    @given(st.sampled_from(["dense", "csr", "ragged", "empty"]),
+           st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_kept_tiles_carry_no_flag(self, kind, seed):
+        source = _grid(np.random.default_rng(seed), 13, 13, 5, kind)
+        old = source.transpose()
+        source.symmetric = True
+        flagged = source.transpose()
+        assert flagged.symmetric and flagged.meta().symmetric
+        assert not old.symmetric and not old.meta().symmetric
+        assert all(flagged.blocks[key] is block
+                   for key, block in old.blocks.items())
+        _check_twin(source)
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_kept_tiles_die_with_their_grid(self, kind):
+        # Grids own megabytes of tiles: source, transposed grids and kept
+        # tiles must all die by refcount, none wait for a collection.
+        source = _grid(np.random.default_rng(3), 13, 9, 5, kind)
+        expected = source.to_numpy()
+        handed = source.transpose()
+        dead = [weakref.ref(source), weakref.ref(handed),
+                weakref.ref(next(iter(handed.blocks.values())).data)]
+        gc.collect()
+        gc.disable()
+        try:
+            del source
+            # A transposed grid that outlives its source is a grid like any.
+            assert dead[0]() is None
+            assert np.array_equal(handed.to_numpy(), expected.T)
+            assert np.array_equal(handed.transpose().to_numpy(), expected)
+            del handed
+            assert [ref() for ref in dead] == [None, None, None]
+        finally:
+            gc.enable()
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
     def test_scalar_is_from_numpy_tile_for_tile(self, value):

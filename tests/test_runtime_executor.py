@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ShapeError
 from repro.lang import parse, parse_expression
+from repro.matrix import BlockedMatrix
 from repro.runtime import ExecutionPolicy, Executor
 
 
@@ -119,6 +120,33 @@ class TestOperators:
     def test_undefined_variable(self, executor):
         with pytest.raises(ExecutionError, match="undefined"):
             evaluate(executor, "Z %*% Z", {})
+
+
+class TestPreTiledInputs:
+    def test_wrong_block_size_is_refused_by_name(self, executor, rng):
+        grid = BlockedMatrix.from_numpy(rng.random((50, 30)), block_size=16)
+        with pytest.raises(ShapeError,
+                           match="input 'A'.*block size 16, expected 64"):
+            executor.kernels.load("A", grid)
+
+    def test_symmetric_is_honoured_without_touching_the_grid(self, executor,
+                                                             rng):
+        values = rng.random((50, 50))
+        grid = BlockedMatrix.from_numpy(values + values.T, block_size=64)
+        loaded = executor.kernels.load("H", grid, symmetric=True)
+        assert loaded.meta.symmetric and not grid.symmetric
+
+    def test_grid_keeps_its_transposed_tiles_across_executors(self, cluster,
+                                                              rng):
+        a, v = rng.random((500, 30)), rng.random((500, 1))
+        grid = BlockedMatrix.from_numpy(a, cluster.block_size)
+        tiles = grid.transpose().blocks
+        for _ in range(2):
+            out = evaluate(Executor(cluster), "t(A) %*% v",
+                           {"A": grid, "v": v})
+            assert np.allclose(out.matrix.to_numpy(), a.T @ v)
+            assert all(block is tiles[key]
+                       for key, block in grid.transpose().blocks.items())
 
 
 class TestPrograms:

@@ -341,6 +341,43 @@ class TestClientResilience:
             finally:
                 second.stop()
 
+    def test_backoff_never_oversleeps_what_is_left_of_the_budget(self):
+        # A stub that answers late once, then rejects everything with a
+        # long retry_after: the client has spent 0.3 s of its 0.5 s when it
+        # backs off, so it may sleep 0.2 s more, not the whole budget.
+        budget, late = 0.5, 0.3
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def reject_everything():
+            connection, _ = listener.accept()
+            with connection, connection.makefile("rwb") as stream:
+                for index, line in enumerate(stream):
+                    if index == 0:
+                        time.sleep(late)
+                    frame = {"id": json.loads(line)["id"],
+                             "status": "rejected", "reason": "rate_limited",
+                             "retry_after": 10.0}
+                    stream.write(json.dumps(frame).encode() + b"\n")
+                    stream.flush()
+
+        stub = threading.Thread(target=reject_everything, daemon=True)
+        stub.start()
+        try:
+            client = ServerClient(*listener.getsockname(), max_retries=5,
+                                  max_retry_seconds=budget,
+                                  retry_jitter_seed=1)
+            started = time.monotonic()
+            with client:
+                response = client.request({"op": "ping"})
+            elapsed = time.monotonic() - started
+        finally:
+            listener.close()
+        stub.join(timeout=2.0)
+        assert not stub.is_alive()
+        assert response["status"] == "rejected"  # the final rejection
+        assert client.retries_used == 1
+        assert budget <= elapsed < budget + 0.2
+
     def test_client_validates_budget_args(self):
         # Both validations fire before any connection attempt.
         with pytest.raises(ValueError, match="max_retries"):
