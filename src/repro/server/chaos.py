@@ -268,7 +268,7 @@ class ChaosDriver:
                 response = self._malformed_frame(payload, outcome)
             else:  # kill_server
                 response = self._kill_server(payload, outcome)
-        except (ClientError, OSError, json.JSONDecodeError) as error:
+        except (ClientError, OSError) as error:
             # Typed, terminal, and frame-safe: the connection that failed
             # was burned, no partial frame is ever surfaced as a result.
             outcome["outcome"] = "client_error"
@@ -348,11 +348,8 @@ class ChaosDriver:
             client._writer.write(frame.encode() + b"\n")
             client._writer.flush()
             time.sleep(self.plan.stall_seconds)
-            line = client._reader.readline()
-            if not line:
-                raise ConnectionError("server closed during stalled read")
-            return json.loads(line)
-        except (OSError, json.JSONDecodeError):
+            return client._read_response()
+        except OSError:
             outcome["retried"] += 1
             return self._clean(payload, outcome)
         finally:
@@ -365,12 +362,8 @@ class ChaosDriver:
         with self._client() as client:
             client._writer.write(b'{"op": "run", "algorithm": \xff garbage\n')
             client._writer.flush()
-            error_line = client._reader.readline()
-            if not error_line:
-                raise ConnectionError("server closed on malformed frame")
-            error_response = json.loads(error_line)
             outcome["malformed_answered"] = \
-                error_response.get("status") == "error"
+                client._read_response().get("status") == "error"
             response = client.request(dict(payload))
             outcome["retried"] += client.retries_used
             return response

@@ -1,9 +1,12 @@
-"""Blocking JSON-lines client for the compile/run server (stdlib only).
+"""Blocking JSON-lines client for the compile/run server.
 
 One socket, one request/response at a time. Thread-unsafe by design:
 the load generator and tests open one :class:`ServerClient` per worker
 thread, which is also how the server's admission control sees concurrent
-tenants.
+tenants. Every response is read by :meth:`ServerClient._read_response`:
+the JSON line and, after a ``run`` with ``return_values``, the raw result
+sections that follow it (the frame in :mod:`repro.server.protocol`), each
+received into a fresh ``bytearray`` stored under ``entry["data"]``.
 
 Resilience (docs/architecture.md §15): the client connects lazily and
 **reconnects transparently** when the server drops or half-closes the
@@ -24,9 +27,12 @@ raises :class:`RetryBudgetExceeded`.
 from __future__ import annotations
 
 import json
+import math
 import random
 import socket
 import time
+
+import numpy as np
 
 
 class ClientError(ConnectionError):
@@ -43,6 +49,34 @@ class ClientTimeout(ClientError):
 class RetryBudgetExceeded(ClientError):
     """Reconnect/resend attempts exhausted ``max_retries`` or
     ``max_retry_seconds`` without landing a response."""
+
+
+def _announced_sections(response: object) -> list[tuple[dict, int]]:
+    """(entry, byte length) of each raw section a response line announces.
+
+    Checked before anything is allocated for it: ``dtype`` parses to a
+    fixed-size non-object dtype, ``shape`` is a list of non-negative ints,
+    ``nbytes`` is their product. ``ValueError`` otherwise.
+    """
+    results = response.get("results") if isinstance(response, dict) else None
+    sections = []
+    for entry in results.values() if isinstance(results, dict) else ():
+        if not isinstance(entry, dict) or "nbytes" not in entry:
+            continue
+        dtype, shape = entry.get("dtype"), entry.get("shape")
+        try:
+            dtype = np.dtype(dtype) if isinstance(dtype, str) else None
+        except (TypeError, ValueError):
+            dtype = None
+        if dtype is None or dtype.hasobject or not dtype.itemsize \
+                or not isinstance(shape, list) \
+                or not all(type(extent) is int and extent >= 0
+                           for extent in shape) \
+                or entry["nbytes"] != (
+                    nbytes := math.prod(shape) * dtype.itemsize):
+            raise ValueError(f"bad result section header {entry!r}")
+        sections.append((entry, nbytes))
+    return sections
 
 
 class ServerClient:
@@ -142,7 +176,7 @@ class ServerClient:
         try:
             self._writer.write(json.dumps(payload).encode() + b"\n")
             self._writer.flush()
-            line = self._reader.readline()
+            return self._read_response()
         except socket.timeout:
             # The frame (if it ever lands) belongs to *this* request; a
             # later read would desynchronize. Burn the connection.
@@ -150,16 +184,36 @@ class ServerClient:
             raise ClientTimeout(
                 f"no response within {self._timeout}s; "
                 f"connection closed") from None
+
+    def _read_response(self) -> dict:
+        """Read one whole response: its JSON line, then the raw section of
+        every result entry that announces one, in ``results`` order.
+
+        The only reader of the wire. A torn line, a section header that
+        does not add up, or EOF inside a section raises ``ConnectionError``
+        (never garbage: :meth:`request` burns the connection and resends);
+        a ``socket.timeout`` anywhere in the frame is the caller's to type.
+        """
+        line = self._reader.readline()
         if not line:
             raise ConnectionError("server closed the connection")
         try:
-            return json.loads(line)
-        except json.JSONDecodeError as error:
-            # A dropped connection mid-frame leaves a partial line; never
-            # surface garbage — burn the connection and let retry resend.
-            self._mark_broken()
+            response = json.loads(line)
+            sections = _announced_sections(response)
+        except ValueError as error:  # json.JSONDecodeError is one
             raise ConnectionError(
                 f"corrupted response frame: {error}") from None
+        for entry, nbytes in sections:
+            entry["data"] = data = bytearray(nbytes)
+            view, received = memoryview(data), 0
+            while received < nbytes:
+                count = self._reader.readinto(view[received:])
+                if not count:
+                    raise ConnectionError(
+                        f"server closed the connection {received} bytes "
+                        f"into a {nbytes}-byte result section")
+                received += count
+        return response
 
     # ------------------------------------------------------------------
     # Retry budget

@@ -11,21 +11,28 @@ chaos harness. The ``drain`` op triggers the same graceful sequence from
 the wire.
 
 The handler itself is one readline loop per connection: decode a line,
-``await service.submit``, write the response line. Concurrency comes from
-asyncio multiplexing connections while the service's worker pools run the
-compile/execute stages; malformed JSON yields an error response on that
-line and the connection stays usable.
+``await service.submit``, write the response line and, when the response
+carries result values, their raw sections straight after it (the frame in
+:mod:`repro.server.protocol`; the loop never serialises the values).
+Concurrency comes from asyncio multiplexing connections while the
+service's worker pools run the compile/execute stages; malformed JSON, or
+anything ``submit`` raises, yields an error response on that line and the
+connection stays usable.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
 import threading
 
 from ..config import ClusterConfig, ServerConfig
+from .protocol import error_response
 from .service import OptimizerService
+
+logger = logging.getLogger(__name__)
 
 
 class _ServerCore:
@@ -92,13 +99,18 @@ class _ServerCore:
                     continue
                 try:
                     payload = json.loads(text)
-                except json.JSONDecodeError as error:
+                except (json.JSONDecodeError, UnicodeDecodeError) as error:
                     payload = None
-                    response = {"id": None, "status": "error",
-                                "error": f"invalid JSON: {error}"}
+                    response = error_response(None, f"invalid JSON: {error}")
                 else:
-                    response = await self.service.submit(payload)
+                    response = await self._submit(payload)
+                # The values leave as they are, after the header line.
+                sections = [entry.pop("data")
+                            for entry in response.get("results", {}).values()
+                            if "data" in entry]
                 writer.write(_encode(response))
+                for section in sections:
+                    writer.write(section)
                 await writer.drain()
                 op = payload.get("op") if isinstance(payload, dict) else None
                 if op == "shutdown" and response.get("status") == "ok" \
@@ -118,6 +130,19 @@ class _ServerCore:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    async def _submit(self, payload: object) -> dict:
+        """``service.submit``, whatever it raises answered as an error: no
+        request may end its connection untyped, or a retrying client
+        resends it until its budget is gone."""
+        try:
+            return await self.service.submit(payload)
+        except Exception as error:
+            logger.exception("request handler failed")
+            request_id = payload.get("id") if isinstance(payload, dict) \
+                else None
+            return error_response(request_id,
+                                  f"{type(error).__name__}: {error}")
 
     def begin_drain(self) -> None:
         """Stop admitting, let in-flight work finish, then stop the server.

@@ -11,18 +11,23 @@ names one of :data:`REJECTION_REASONS` and ``retry_after`` is computed
 from actual bucket/queue state), or ``error`` (bad request, failed
 execution, or the typed ``deadline_exceeded``).
 
-Result matrices travel as canonical little-endian C-order bytes: every
+Result matrices travel as canonical little-endian C-order bytes. Every
 output always reports a SHA-256 digest over ``dtype | shape | bytes``
-(the bit-identity invariant is *checkable from the response alone*), and
-``return_values: true`` additionally inlines the base64 payload so a
-client can reconstruct the exact array. :func:`array_digest` /
-:func:`digest_result` are shared with the tests that pin server results
-against a direct ``Engine.run``.
+(the bit-identity invariant is *checkable from the response alone*).
+``return_values: true`` turns the response into a *frame*: the JSON line,
+whose ``results[name]`` entries also carry ``shape``, ``dtype`` and
+``nbytes``, followed at once by each output's ``nbytes`` raw bytes, in
+``results`` order, with no separator and nothing after the last section.
+The bytes hashed are the bytes sent. The client checks each announced
+section (``nbytes == prod(shape) * itemsize`` of a fixed-size ``dtype``)
+before it allocates, and leaves what it read under ``entry["data"]`` for
+:func:`decode_array`. Every other request and response is one line.
+:func:`array_digest` / :func:`digest_result` are shared with the tests
+that pin server results against a direct ``Engine.run``.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 from dataclasses import dataclass, field
 
@@ -84,21 +89,14 @@ def parse_request(payload: object) -> Request:
     if op in ("stats", "ping", "shutdown", "drain", "health", "ready"):
         return request
 
-    engine = payload.get("engine")
-    if engine is not None and engine not in ENGINES:
-        raise ProtocolError(f"unknown engine {engine!r}; "
-                            f"known: {', '.join(sorted(ENGINES))}")
-    request.engine = engine
-    algorithm = payload.get("algorithm", "dfp")
-    if algorithm not in ALGORITHMS:
-        raise ProtocolError(f"unknown algorithm {algorithm!r}; "
-                            f"known: {', '.join(sorted(ALGORITHMS))}")
-    request.algorithm = algorithm
-    dataset = payload.get("dataset", "cri1")
-    if dataset not in ALL_DATASET_NAMES:
-        raise ProtocolError(f"unknown dataset {dataset!r}; "
-                            f"known: {', '.join(ALL_DATASET_NAMES)}")
-    request.dataset = dataset
+    for name, known in (("engine", ENGINES), ("algorithm", ALGORITHMS),
+                        ("dataset", ALL_DATASET_NAMES)):
+        default = getattr(request, name)  # engine None: the server's own
+        value = payload.get(name, default)
+        if value != default and not (type(value) is str and value in known):
+            raise ProtocolError(f"unknown {name} {value!r}; "
+                                f"known: {', '.join(sorted(known))}")
+        setattr(request, name, value)
     try:
         request.scale = float(payload.get("scale", 0.5))
         request.iterations = int(payload.get("iterations", 10))
@@ -110,11 +108,13 @@ def parse_request(payload: object) -> Request:
         raise ProtocolError(
             f"iterations must be in [1, 10000], got {request.iterations}")
     outputs = payload.get("outputs", ())
-    if outputs and (not isinstance(outputs, (list, tuple))
-                    or not all(isinstance(o, str) for o in outputs)):
+    if not isinstance(outputs, (list, tuple)) \
+            or not all(isinstance(o, str) for o in outputs):
         raise ProtocolError(f"outputs must be a list of names, got {outputs!r}")
     request.outputs = tuple(outputs)
-    request.return_values = bool(payload.get("return_values", False))
+    request.return_values = values = payload.get("return_values", False)
+    if not isinstance(values, bool):
+        raise ProtocolError(f"return_values must be a boolean, got {values!r}")
     deadline = payload.get("deadline_seconds")
     if deadline is not None:
         if isinstance(deadline, bool):
@@ -137,19 +137,20 @@ def parse_request(payload: object) -> Request:
 # ----------------------------------------------------------------------
 # Result payloads
 # ----------------------------------------------------------------------
-def _canonical(array: np.ndarray) -> np.ndarray:
-    """C-order little-endian float64 view: one byte layout per value."""
+def canonical(array: np.ndarray) -> np.ndarray:
+    """C-order little-endian array (ndim >= 1): one byte layout per value.
+    An array already in that layout comes back as is, not as a copy."""
     array = np.asarray(array)
-    return np.ascontiguousarray(array, dtype=np.dtype(array.dtype).newbyteorder("<"))
+    return np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
 
 
 def array_digest(array: np.ndarray) -> str:
     """SHA-256 over ``dtype | shape | bytes`` of the canonical layout."""
-    canonical = _canonical(array)
+    array = canonical(array)
     digest = hashlib.sha256()
-    digest.update(canonical.dtype.str.encode())
-    digest.update(repr(canonical.shape).encode())
-    digest.update(canonical.tobytes())
+    digest.update(array.dtype.str.encode())
+    digest.update(repr(array.shape).encode())
+    digest.update(array.reshape(-1).view(np.uint8).data)
     return digest.hexdigest()
 
 
@@ -159,20 +160,19 @@ def digest_result(result, outputs) -> dict[str, str]:
 
 
 def encode_array(array: np.ndarray) -> dict:
-    """JSON-safe payload carrying the exact bytes of ``array``."""
-    canonical = _canonical(array)
-    return {
-        "shape": list(canonical.shape),
-        "dtype": canonical.dtype.str,
-        "data": base64.b64encode(canonical.tobytes()).decode("ascii"),
-    }
+    """The header's fields for ``array`` and, under ``data``, its raw section:
+    the canonical bytes, not copied (``memoryview.cast`` refuses size 0)."""
+    array = canonical(array)
+    return {"shape": list(array.shape), "dtype": array.dtype.str,
+            "nbytes": array.nbytes,
+            "data": array.reshape(-1).view(np.uint8).data}
 
 
 def decode_array(payload: dict) -> np.ndarray:
-    """Inverse of :func:`encode_array`."""
-    raw = base64.b64decode(payload["data"])
-    array = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-    return array.reshape(tuple(payload["shape"])).copy()
+    """Inverse of :func:`encode_array`: a view of ``payload["data"]``, not
+    a copy, writable when that buffer is (a client's ``bytearray``)."""
+    return np.frombuffer(payload["data"], dtype=np.dtype(payload["dtype"])) \
+        .reshape(payload["shape"])
 
 
 def rejection(request: Request, reason: str, retry_after: float) -> dict:

@@ -380,13 +380,18 @@ class OptimizerService:
 
     def _execute_and_package(self, session, algo, compiled, data, outputs,
                              return_values: bool) -> dict:
-        """Execute stage: private executor, then digest/encode outputs."""
+        """Execute stage: private executor, then digest/encode outputs.
+
+        Each output is canonicalised once; the digest is taken over, and
+        ``entry["data"]`` is a view of, that one buffer (the front end
+        sends it after the header line, see :mod:`repro.server.protocol`).
+        """
         result = session.execute(compiled, data,
                                  symmetric=algo.symmetric_inputs,
                                  compile_wall_seconds=compiled.compile_seconds)
         results = {}
         for name in outputs:
-            value = result.value(name)
+            value = protocol.canonical(result.value(name))
             entry = {"sha256": protocol.array_digest(value)}
             if return_values:
                 entry.update(protocol.encode_array(value))

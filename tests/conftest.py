@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from scipy import sparse as sp
@@ -20,6 +22,29 @@ def _kernel_pool_teardown():
     interpreter-exit-ordered."""
     yield
     shutdown_pools()
+
+
+@pytest.fixture(autouse=True)
+def _no_asyncio_crash():
+    """Fail the test during which an event loop reported a crash.
+
+    A connection handler that dies of an uncaught exception takes its
+    connection with it, and all asyncio says is an error record ("Task
+    exception was never retrieved", "Unhandled exception ...") that no
+    assertion reads. Every test is watched, not only the server modules:
+    nothing else here should start a loop, and one that does is held to
+    the same rule.
+    """
+    crashes: list[str] = []
+    handler = logging.Handler(level=logging.ERROR)
+    handler.emit = lambda record: crashes.append(record.getMessage())
+    asyncio_logger = logging.getLogger("asyncio")
+    asyncio_logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        asyncio_logger.removeHandler(handler)
+    assert not crashes, f"asyncio logged: {crashes}"
 
 
 @pytest.fixture

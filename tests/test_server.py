@@ -9,6 +9,7 @@ side of the equation (engine numerics or server plumbing) fails loudly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import threading
@@ -34,14 +35,14 @@ PINNED_X_SHA256 = \
     "5a3b64b69358ac05bbdc9a22dc61f484ae63c542d0f16881f457ab01e153cc2c"
 
 
-def _direct_run():
-    algo = get_algorithm(ALGORITHM)
+def _direct_run(algorithm: str = ALGORITHM, iterations: int = ITERATIONS):
+    algo = get_algorithm(algorithm)
     dataset = load_dataset(DATASET, scale=SCALE)
     meta, data = algo.make_inputs(dataset.matrix)
     engine = make_engine("remac", ClusterConfig())
-    return algo, engine.run(algo.program(ITERATIONS), meta, data,
+    return algo, engine.run(algo.program(iterations), meta, data,
                             symmetric=algo.symmetric_inputs,
-                            iterations=ITERATIONS)
+                            iterations=iterations)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,50 @@ class TestBitIdentity:
             == second["results"]["x"]["sha256"]
 
 
+class TestValuesFrame:
+    """``return_values: true``: one header line, then the raw sections."""
+
+    OUTPUTS = ("H", "x")  # not the algorithm's own order
+
+    def _values(self, client, tenant):
+        return client.run("dfp", DATASET, scale=SCALE, iterations=2,
+                          tenant=tenant, outputs=self.OUTPUTS,
+                          return_values=True)
+
+    def test_sections_arrive_in_results_order_and_decode_exactly(self,
+                                                                 client):
+        _, direct = _direct_run("dfp", iterations=2)
+        response = self._values(client, "frame")
+        assert response["status"] == "ok"
+        assert tuple(response["results"]) == self.OUTPUTS
+        for name, entry in response["results"].items():
+            expected = np.asarray(direct.value(name))
+            assert entry["nbytes"] == expected.nbytes == len(entry["data"])
+            served = decode_array(entry)
+            assert np.array_equal(served, expected)
+            assert entry["sha256"] == array_digest(served) \
+                == array_digest(expected)
+
+    def test_decoded_arrays_are_writable_and_private(self, client):
+        first = decode_array(self._values(client, "own-a")["results"]["H"])
+        second = decode_array(self._values(client, "own-b")["results"]["H"])
+        assert first.flags.writeable and not np.shares_memory(first, second)
+        kept = second.copy()
+        first += 1.0
+        np.testing.assert_array_equal(second, kept)
+
+    def test_no_bytes_left_over_for_the_next_response(self, client):
+        assert self._values(client, "tail")["status"] == "ok"
+        assert client.request({"op": "ping", "id": "next"}) \
+            == {"id": "next", "status": "ok", "op": "ping"}
+        # Without values the response is the line alone, as it always was.
+        plain = client.run("dfp", DATASET, scale=SCALE, iterations=2,
+                           outputs=self.OUTPUTS)
+        assert all(set(entry) == {"sha256"}
+                   for entry in plain["results"].values())
+        assert client.ping() and client.retries_used == 0
+
+
 class TestServing:
     def test_ping_and_stats(self, client):
         assert client.ping()
@@ -118,11 +163,41 @@ class TestServing:
     def test_invalid_json_keeps_connection_usable(self, server):
         with socket.create_connection((server.host, server.port)) as sock:
             reader = sock.makefile("rb")
-            sock.sendall(b"this is not json\n")
-            response = json.loads(reader.readline())
-            assert response["status"] == "error"
+            for garbage in (b"this is not json\n", b'{"op": \xff}\n'):
+                sock.sendall(garbage)  # not JSON; not even UTF-8
+                response = json.loads(reader.readline())
+                assert response["status"] == "error"
+                assert "invalid JSON" in response["error"]
             sock.sendall(b'{"op": "ping", "id": 1}\n')
             assert json.loads(reader.readline())["status"] == "ok"
+
+    @pytest.mark.parametrize("poison", [
+        {"outputs": 0}, {"outputs": False}, {"outputs": None},
+        {"outputs": "x"}, {"outputs": [1]}, {"algorithm": []},
+        {"dataset": {}}, {"engine": 7}, {"return_values": "false"},
+        {"return_values": 1}], ids=str)
+    def test_poison_request_gets_a_typed_reply_and_keeps_its_connection(
+            self, client, poison):
+        """Each of these once escaped ``parse_request`` as a bare
+        TypeError (or, for ``return_values``, meant *true*): the handler
+        task died, the connection closed, a retrying client resent it."""
+        response = client.request({"op": "run", "id": "poison", **poison})
+        assert response["status"] == "error" and response["id"] == "poison"
+        assert next(iter(poison)) in response["error"]
+        assert client.connected and client.ping()
+        assert client.retries_used == 0
+
+    def test_handler_answers_whatever_submit_raises(self, server, client,
+                                                    monkeypatch, caplog):
+        async def broken(payload):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(server.service, "submit", broken)
+        response = client.request({"op": "ping", "id": 9})
+        assert response == {"id": 9, "status": "error",
+                            "error": "RuntimeError: boom"}
+        assert "request handler failed" in caplog.text  # with its traceback
+        monkeypatch.undo()
+        assert client.connected and client.ping()
 
     def test_concurrent_tenants_one_compile(self, server):
         """A burst of identical fresh-fingerprint requests compiles once."""
@@ -261,6 +336,54 @@ class TestProtocol:
     def test_parse_rejects_empty_tenant(self):
         with pytest.raises(ProtocolError, match="tenant"):
             parse_request({"op": "run", "tenant": ""})
+
+    def test_parse_wants_a_list_of_names_and_a_real_boolean(self):
+        for bad in (0, False, None, "x", [1], {"x": 1}):
+            with pytest.raises(ProtocolError, match="outputs"):
+                parse_request({"op": "run", "outputs": bad})
+        for bad in ("false", "no", 0, 1, None):
+            with pytest.raises(ProtocolError, match="return_values"):
+                parse_request({"op": "run", "return_values": bad})
+        request = parse_request({"op": "run", "outputs": ["x", "H"],
+                                 "return_values": True, "engine": None})
+        assert request.outputs == ("x", "H") and request.return_values is True
+        assert request.engine is None
+        assert parse_request({"op": "run"}).return_values is False
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: np.asfortranarray(rng.random((6, 4))),
+        lambda rng: rng.random((5, 3)).astype(">f8"),
+        lambda rng: rng.integers(-9, 9, size=(4, 7), dtype=np.int32),
+        lambda rng: rng.random((8, 6))[1::2, ::3],
+        lambda rng: rng.random(11),
+        lambda rng: np.array(2.5),
+        lambda rng: np.empty((0, 4)),
+        lambda rng: np.empty(0, dtype=np.int64),
+    ], ids=["f_order", "big_endian", "int32", "strided_slice", "1d", "0d",
+            "0xn", "empty_1d"])
+    def test_codec_roundtrip_and_digest_definition(self, rng, make):
+        array = make(rng)
+        # The digest as first defined, over a tobytes() copy: the
+        # reference the buffer-hashing array_digest must keep matching.
+        reference = np.ascontiguousarray(
+            array, dtype=array.dtype.newbyteorder("<"))
+        expected = hashlib.sha256(
+            reference.dtype.str.encode() + repr(reference.shape).encode()
+            + reference.tobytes()).hexdigest()
+        assert array_digest(array) == expected
+        encoded = encode_array(array)
+        assert encoded["dtype"][0] in "<|"  # little-endian or no order
+        assert encoded["nbytes"] == array.nbytes == len(encoded["data"])
+        assert bytes(encoded["data"]) == reference.tobytes()
+        assert json.dumps({key: value for key, value in encoded.items()
+                           if key != "data"})  # the header stays JSON
+        # Over the wire the section lands in a bytearray of its own.
+        received = {**encoded, "data": bytearray(encoded["data"])}
+        for decoded in (decode_array(encoded), decode_array(received)):
+            assert decoded.shape == reference.shape  # 0-d travels as (1,)
+            np.testing.assert_array_equal(decoded, reference)
+            assert array_digest(decoded) == expected
+        assert decode_array(received).flags.writeable
 
     def test_array_roundtrip_is_exact(self, rng):
         array = rng.random((5, 3))

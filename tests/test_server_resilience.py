@@ -15,7 +15,9 @@ import json
 import socket
 import threading
 import time
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.algorithms import get_algorithm
@@ -24,8 +26,9 @@ from repro.data import load_dataset
 from repro.engines import make_engine
 from repro.errors import ConfigError
 from repro.server import (ChaosDriver, ClientError, ClientTimeout,
-                          ProtocolError, ServerClient, ServerHandle,
-                          ServerSupervisor, WireFaultPlan, array_digest,
+                          ProtocolError, RetryBudgetExceeded, ServerClient,
+                          ServerHandle, ServerSupervisor, WireFaultPlan,
+                          array_digest, decode_array, encode_array,
                           parse_request)
 
 ALGORITHM, DATASET, SCALE, ITERATIONS = "gd", "cri1", 0.25, 4
@@ -378,6 +381,95 @@ class TestClientResilience:
         assert client.retries_used == 1
         assert budget <= elapsed < budget + 0.2
 
+    @staticmethod
+    @contextmanager
+    def _scripted_peer(replies):
+        """The address of a listener that answers connection ``k`` with
+        ``replies[k]`` (raw bytes, or a callable taking the socket) and
+        closes it; on exit, every scripted connection must have come."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            for reply in replies:
+                connection, _ = listener.accept()
+                with connection, connection.makefile("rb") as stream:
+                    stream.readline()
+                    if callable(reply):
+                        reply(connection)
+                    else:
+                        connection.sendall(reply)
+
+        peer = threading.Thread(target=serve, daemon=True)
+        peer.start()
+        try:
+            yield listener.getsockname()
+        finally:
+            listener.close()
+        peer.join(timeout=5.0)
+        assert not peer.is_alive()
+
+    @staticmethod
+    def _frame(array, **lies) -> tuple[bytes, bytes]:
+        """(header line, raw section) of a values response for ``array``;
+        ``lies`` overwrite header fields of the one result entry."""
+        entry = {"sha256": array_digest(array), **encode_array(array)}
+        section = bytes(entry.pop("data"))
+        header = {"id": 1, "status": "ok", "results": {"x": {**entry, **lies}}}
+        return json.dumps(header).encode() + b"\n", section
+
+    def test_torn_section_is_a_dropped_connection_and_is_retried(self):
+        array = np.arange(4096, dtype=np.float64).reshape(64, 64)
+        header, section = self._frame(array)
+        torn = header + section[:len(section) // 2]
+        with self._scripted_peer([torn, header + section,
+                                  torn, torn]) as address:
+            with ServerClient(*address, max_retries=1,
+                              retry_jitter_seed=5) as client:
+                response = client.request({"op": "run"})
+                assert client.retries_used == 1 and client.connected
+                entry = response["results"]["x"]
+                assert np.array_equal(decode_array(entry), array)
+                assert array_digest(decode_array(entry)) == entry["sha256"]
+            # Torn every time: the budget runs out, typed, socket burned.
+            with ServerClient(*address, max_retries=1,
+                              retry_jitter_seed=5) as client:
+                with pytest.raises(RetryBudgetExceeded,
+                                   match="bytes into a 32768-byte"):
+                    client.request({"op": "run"})
+                assert client.retries_used == 1 and not client.connected
+
+    @pytest.mark.parametrize("lies", [
+        {"nbytes": 8}, {"nbytes": 2 ** 40}, {"nbytes": -8},
+        {"shape": [3, -1]}, {"shape": [1.5, 2]}, {"shape": 6},
+        {"shape": [True, 6]}, {"dtype": "|O"}, {"dtype": "<U"},
+        {"dtype": "nonsense"}, {"dtype": 8}, {"dtype": None}], ids=str)
+    def test_section_header_that_does_not_add_up_is_typed(self, lies):
+        header, section = self._frame(np.ones((2, 3)), **lies)
+        with self._scripted_peer([header + section]) as address:
+            with ServerClient(*address) as client:
+                with pytest.raises(ClientError, match="corrupted response"):
+                    client.request({"op": "run"})
+                assert not client.connected
+
+    def test_silence_inside_a_section_is_a_typed_timeout(self):
+        header, section = self._frame(np.ones((2, 3)))
+        released = threading.Event()
+
+        def header_then_silence(connection):
+            connection.sendall(header + section[:8])
+            released.wait(timeout=10.0)
+
+        with self._scripted_peer([header_then_silence]) as address:
+            try:
+                # A retry budget, to show a timeout does not spend it.
+                with ServerClient(*address, timeout=0.2,
+                                  max_retries=3) as client:
+                    with pytest.raises(ClientTimeout):
+                        client.request({"op": "run"})
+                    assert client.retries_used == 0 and not client.connected
+            finally:
+                released.set()
+
     def test_client_validates_budget_args(self):
         # Both validations fire before any connection attempt.
         with pytest.raises(ValueError, match="max_retries"):
@@ -513,12 +605,13 @@ class TestChaos:
             if outcome["outcome"] == "ok":
                 digest = outcome["response"]["results"]["x"]["sha256"]
                 assert digest == reference_sha256, outcome
-            if "malformed_answered" in outcome:
-                assert outcome["malformed_answered"], outcome
+            if outcome["fault"] == "malformed_frame":
+                # Answered on the line, not by closing the connection.
+                assert outcome.get("malformed_answered"), outcome
         if require_ok:
             assert any(o["outcome"] == "ok" for o in outcomes)
 
-    def test_every_outcome_typed_or_bit_identical(self, reference_sha256):
+    def _mixed_faults(self, reference_sha256, **extra):
         supervisor = _supervisor()
         try:
             plan = WireFaultPlan(
@@ -529,11 +622,29 @@ class TestChaos:
                                  max_retries=6, max_retry_seconds=30.0)
             faults = {plan.fault_for(i) for i in range(12)}
             assert len(faults) >= 3  # the seed exercises a real mix
-            outcomes = [driver.run_request(_run_payload(tenant="chaos"), i)
-                        for i in range(12)]
+            outcomes = [driver.run_request(
+                _run_payload(tenant="chaos", **extra), i) for i in range(12)]
             self._assert_outcomes(outcomes, reference_sha256)
+            return outcomes
         finally:
             supervisor.stop()
+
+    def test_every_outcome_typed_or_bit_identical(self, reference_sha256):
+        self._mixed_faults(reference_sha256)
+
+    def test_every_outcome_typed_or_bit_identical_with_values(
+            self, reference_sha256):
+        """The same plan over responses that carry raw sections: every
+        fault path reads them through the client's one reader, and what it
+        read — not only the digest the header quotes — is the direct run."""
+        outcomes = self._mixed_faults(reference_sha256, return_values=True)
+        served = [outcome["response"]["results"]["x"]
+                  for outcome in outcomes if outcome["outcome"] == "ok"]
+        assert {outcome["fault"] for outcome in outcomes
+                if outcome["outcome"] == "ok"} >= {"stall_read",
+                                                   "malformed_frame", None}
+        for entry in served:
+            assert array_digest(decode_array(entry)) == reference_sha256
 
     def test_mid_request_kill_then_warm_restart(self, reference_sha256):
         supervisor = _supervisor()
