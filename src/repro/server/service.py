@@ -6,12 +6,13 @@ entry point the TCP front end (:mod:`repro.server.net`) drives:
 
 * **Shared state** — one process-wide :class:`~repro.core.plancache.
   PlanCache` adopted by every engine (fingerprints embed engine
-  config/policy, so engines cannot collide), resident datasets and input
-  bindings cached per ``(algorithm, dataset, scale)`` so data-identity
-  tokens stay stable across requests (the thing that makes warm hits
-  possible at all), and the blockpool kernel pools, which are created
-  lazily on first dispatch and torn down exactly once in :meth:`close` —
-  never per request.
+  config/policy, so engines cannot collide), resident workloads per
+  ``(algorithm, dataset, scale)`` whose inputs the service owns in two
+  forms — the raw arrays, so data-identity tokens stay stable across
+  requests (the thing that makes warm hits possible at all), and the
+  grids every ``run`` executes on, partitioned once by the first — and
+  the blockpool kernel pools, which are created lazily on first dispatch
+  and torn down exactly once in :meth:`close` — never per request.
 * **Admission control** — checked synchronously on the event loop before
   any work queues, in containment order: the drain gate, a per-tenant
   token-bucket request rate (``tenant_rate``/``tenant_burst``), a global
@@ -26,11 +27,14 @@ entry point the TCP front end (:mod:`repro.server.net`) drives:
   remaining budget and cancels/abandons overdue pool futures, answering
   with the typed ``deadline_exceeded`` response, so one pathological
   workload can never wedge a pool slot forever.
-* **Decoupled stages** — a cheap plan-cache probe runs on the event loop;
-  warm requests skip straight to the execute pool while cold compiles go
-  through a separate compile pool (where the optimizer's single-flight
-  layer coalesces concurrent duplicates into one compile). Cache hits are
-  therefore never queued behind slow cold compiles.
+* **Decoupled stages** — the event loop does what is a lookup: finding a
+  resident workload whose program is already parsed, and the plan-cache
+  probe. The compile pool does what generates, parses or compiles (a
+  new workload, a new ``iterations``, a cold plan — where the optimizer's
+  single-flight layer coalesces concurrent duplicates into one compile);
+  the execute pool partitions a workload's inputs on its first ``run``
+  and executes. A warm request therefore never enters the compile pool
+  and is never queued behind slow cold compiles.
 
 Responses are bit-identical to a direct ``Engine.run`` of the same
 workload — the serving layer adds scheduling and accounting, never
@@ -40,6 +44,7 @@ arithmetic — pinned by SHA-256 digests in ``tests/test_server.py``.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -48,6 +53,7 @@ from ..algorithms import get_algorithm
 from ..core.plancache import PlanCache
 from ..data import load_dataset
 from ..engines import make_engine
+from ..matrix.blocked import BlockedMatrix
 from ..matrix.blockpool import shutdown_pools
 from . import protocol
 from .protocol import ProtocolError, Request
@@ -88,6 +94,37 @@ class _TokenBucket:
         return (1.0 - self.tokens) / self.rate
 
 
+class _ResidentWorkload:
+    """One resident ``(algorithm, dataset, scale)`` and its inputs, owned
+    by the service in two forms for as long as it is resident: ``data`` as
+    ``make_inputs`` returned it (what compile sketches and the plan cache's
+    identity tokens name) and :meth:`grids`, the same inputs partitioned,
+    which every ``run`` executes on and none edits.
+    """
+
+    __slots__ = ("algo", "meta", "data", "_grids", "_lock")
+
+    def __init__(self, algo, meta: dict, data: dict):
+        self.algo = algo
+        self.meta = meta
+        self.data = data
+        self._grids: dict | None = None
+        self._lock = threading.Lock()
+
+    def grids(self, block_size: int) -> dict:
+        """The partitioned inputs, built by the first caller under a lock
+        held for all of it — so execute-pool threads only, never the loop."""
+        with self._lock:
+            if self._grids is None:
+                symmetric = self.algo.symmetric_inputs
+                self._grids = {
+                    name: value if isinstance(value, (int, float))
+                    else BlockedMatrix.from_any(value, block_size=block_size,
+                                                symmetric=name in symmetric)
+                    for name, value in self.data.items()}
+            return self._grids
+
+
 class OptimizerService:
     """Shared warm optimizer state + admission control, one per process."""
 
@@ -100,8 +137,7 @@ class OptimizerService:
         self.plan_cache = PlanCache(self.config.plan_cache_size)
         self._engines: dict[str, object] = {}
         self._sessions: dict[tuple[str, str], object] = {}
-        self._workloads: dict[tuple[str, str, float], tuple] = {}
-        import threading
+        self._workloads: dict[tuple[str, str, float], _ResidentWorkload] = {}
         self._workloads_lock = threading.Lock()
         self._compile_pool = ThreadPoolExecutor(
             max_workers=self.config.compile_workers,
@@ -118,6 +154,7 @@ class OptimizerService:
         self._service_seconds_ewma: float | None = None
         self.draining = False
         self.drain_report: dict | None = None
+        self._drain_completed_base = 0
         self.counters = {"received": 0, "accepted": 0, "completed": 0,
                          "failed": 0, "rejected_busy": 0,
                          "rejected_quota": 0, "rejected_rate": 0,
@@ -153,27 +190,38 @@ class OptimizerService:
             self._sessions[key] = session
         return session
 
-    def _workload(self, request: Request) -> tuple:
-        """(algorithm, metas, data, program) with resident-dataset caching.
+    def _resident(self, request: Request) -> _ResidentWorkload | None:
+        """The request's workload, if it is resident *and* its program for
+        ``request.iterations`` is parsed: two dict reads, no lock, nothing
+        generated — this runs on the event loop."""
+        workload = self._workloads.get(
+            (request.algorithm, request.dataset, request.scale))
+        if workload is not None \
+                and request.iterations in workload.algo._program_cache:
+            return workload
+        return None
 
-        Caching by ``(algorithm, dataset, scale)`` keeps the *same* input
-        objects bound across requests, so the plan cache's identity tokens
-        match and repeated submissions become warm hits — the resident-
-        dataset serving model. Runs on a worker thread (dataset generation
-        can be slow), hence the lock.
+    def _workload(self, request: Request) -> _ResidentWorkload:
+        """Make the request's workload resident and parse its program, on
+        a compile-pool thread (either can be slow), hence the lock.
+
+        One workload per ``(algorithm, dataset, scale)`` keeps the *same*
+        input objects bound across requests, so the plan cache's identity
+        tokens match and repeated submissions become warm hits — the
+        resident-dataset serving model.
         """
         key = (request.algorithm, request.dataset, request.scale)
         with self._workloads_lock:
-            entry = self._workloads.get(key)
-        if entry is None:
+            workload = self._workloads.get(key)
+        if workload is None:
             algo = get_algorithm(request.algorithm)
             dataset = load_dataset(request.dataset, scale=request.scale)
             meta, data = algo.make_inputs(dataset.matrix)
             with self._workloads_lock:
-                entry = self._workloads.setdefault(key, (algo, meta, data))
-        algo, meta, data = entry
-        program = algo.program(request.iterations)
-        return algo, meta, data, program
+                workload = self._workloads.setdefault(
+                    key, _ResidentWorkload(algo, meta, data))
+        workload.algo.program(request.iterations)
+        return workload
 
     # ------------------------------------------------------------------
     # Admission control
@@ -331,10 +379,17 @@ class OptimizerService:
                     budget, time.perf_counter() - received) from None
 
         session = self.session(request.tenant, request.engine)
-        # Workload resolution (dataset generation can be slow the first
-        # time) happens off-loop, on the compile pool.
-        algo, meta, data, program = await watchdog(loop.run_in_executor(
-            self._compile_pool, self._workload, request))
+        # A resident workload is found right here, one that has to be
+        # generated or parsed goes to the compile pool; either way a
+        # deadline already spent is answered before anything else.
+        workload = self._resident(request)
+        if workload is None:
+            workload = await watchdog(loop.run_in_executor(
+                self._compile_pool, self._workload, request))
+        elif budget is not None and time.perf_counter() - received >= budget:
+            raise _DeadlineExceeded(budget, time.perf_counter() - received)
+        algo, meta, data = workload.algo, workload.meta, workload.data
+        program = algo.program(request.iterations)
         queued = time.perf_counter()
 
         # Decoupled stages: the warm probe runs right here on the loop —
@@ -364,7 +419,7 @@ class OptimizerService:
         outputs = request.outputs or algo.outputs
         packaged = await watchdog(loop.run_in_executor(
             self._execute_pool, lambda: self._execute_and_package(
-                session, algo, compiled, data, outputs,
+                session, workload, compiled, outputs,
                 request.return_values)))
         finished = time.perf_counter()
         packaged.update({
@@ -378,17 +433,21 @@ class OptimizerService:
         })
         return packaged
 
-    def _execute_and_package(self, session, algo, compiled, data, outputs,
+    def _execute_and_package(self, session, workload, compiled, outputs,
                              return_values: bool) -> dict:
-        """Execute stage: private executor, then digest/encode outputs.
+        """Execute stage: private executor over the resident grids (which
+        a workload's first ``run`` partitions here), then digest/encode.
 
         Each output is canonicalised once; the digest is taken over, and
         ``entry["data"]`` is a view of, that one buffer (the front end
         sends it after the header line, see :mod:`repro.server.protocol`).
         """
-        result = session.execute(compiled, data,
-                                 symmetric=algo.symmetric_inputs,
+        result = session.execute(compiled,
+                                 workload.grids(self.cluster.block_size),
+                                 symmetric=workload.algo.symmetric_inputs,
                                  compile_wall_seconds=compiled.compile_seconds)
+        assert result.metrics.fault_summary is None, \
+            "resident grids are shared: no recovery on the serve path"
         results = {}
         for name in outputs:
             value = protocol.canonical(result.value(name))
@@ -416,8 +475,7 @@ class OptimizerService:
     def finish_drain(self, shed: int) -> dict:
         """Record the drain outcome: what finished, what was abandoned."""
         completed = self.counters["completed"] \
-            - getattr(self, "_drain_completed_base",
-                      self.counters["completed"])
+            - self._drain_completed_base
         self.counters["shed"] += shed
         self.drain_report = {"completed_during_drain": completed,
                              "shed": shed,

@@ -48,6 +48,23 @@ def _no_asyncio_crash():
 
 
 @pytest.fixture
+def compile_pool_submits(monkeypatch):
+    """``watch(service)`` -> the live list of function names that service
+    hands its compile pool from then on (what left the event loop to
+    generate, parse or compile)."""
+    def watch(service) -> list[str]:
+        submitted, submit = [], service._compile_pool.submit
+
+        def recording(fn, *args):
+            submitted.append(fn.__name__)
+            return submit(fn, *args)
+
+        monkeypatch.setattr(service._compile_pool, "submit", recording)
+        return submitted
+    return watch
+
+
+@pytest.fixture
 def cluster() -> ClusterConfig:
     """A small distributed cluster: tight budgets so tiny matrices distribute."""
     return ClusterConfig(driver_memory_bytes=60_000, broadcast_limit_bytes=15_000,

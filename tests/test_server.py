@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import socket
+import sys
 import threading
 
 import numpy as np
@@ -21,10 +22,14 @@ from repro.algorithms import get_algorithm
 from repro.config import ClusterConfig, ServerConfig
 from repro.data import load_dataset
 from repro.engines import make_engine
+from repro.engines.base import Engine
+from repro.engines.session import Session
 from repro.errors import ConfigError
+from repro.matrix.blocked import BlockedMatrix
+from repro.runtime.physical import Kernels
 from repro.server import (ProtocolError, ServerClient, ServerHandle,
-                          array_digest, decode_array, encode_array,
-                          parse_request)
+                          array_digest, decode_array, digest_result,
+                          encode_array, parse_request)
 
 ALGORITHM, DATASET, SCALE, ITERATIONS = "gd", "cri1", 0.25, 4
 
@@ -35,9 +40,10 @@ PINNED_X_SHA256 = \
     "5a3b64b69358ac05bbdc9a22dc61f484ae63c542d0f16881f457ab01e153cc2c"
 
 
-def _direct_run(algorithm: str = ALGORITHM, iterations: int = ITERATIONS):
+def _direct_run(algorithm: str = ALGORITHM, iterations: int = ITERATIONS,
+                dataset: str = DATASET):
     algo = get_algorithm(algorithm)
-    dataset = load_dataset(DATASET, scale=SCALE)
+    dataset = load_dataset(dataset, scale=SCALE)
     meta, data = algo.make_inputs(dataset.matrix)
     engine = make_engine("remac", ClusterConfig())
     return algo, engine.run(algo.program(iterations), meta, data,
@@ -230,6 +236,207 @@ class TestServing:
         outcomes = sorted(r["plan_cache"] for r in responses)
         assert outcomes.count("miss") == 1
         assert all(o in ("miss", "hit", "coalesced") for o in outcomes)
+
+
+class TestResidentInputs:
+    """A resident workload's inputs are partitioned once, by its first
+    ``run``, and every run executes on those grids (docs §14)."""
+
+    @pytest.fixture
+    def wide(self):
+        with ServerHandle(ServerConfig(port=0, max_queue=32, tenant_quota=8,
+                                       execute_workers=4)) as handle:
+            yield handle
+
+    @staticmethod
+    def _workload(handle, algorithm, dataset):
+        return handle.service._workloads[(algorithm, dataset, SCALE)]
+
+    @staticmethod
+    def _assert_served_as_direct(response, algo, direct):
+        assert response["status"] == "ok"
+        assert {name: entry["sha256"] for name, entry
+                in response["results"].items()} \
+            == digest_result(direct, algo.outputs)
+        assert response["simulated_execution_s"] == direct.execution_seconds
+
+    @pytest.mark.parametrize("algorithm, dataset", [
+        ("dfp", "cri3"),    # CSR A, symmetric H, fused t(A) in the loop
+        ("gd", "cri1"),     # dense throughout
+        ("gnmf", "red2"),   # shuffled (CPMM) products
+    ])
+    def test_first_and_later_runs_match_a_direct_run(self, wide, monkeypatch,
+                                                     algorithm, dataset):
+        algo, direct = _direct_run(algorithm, iterations=2, dataset=dataset)
+        loaded = []
+        real_load = Kernels.load
+
+        def load(self, name, data, **kwargs):
+            value = real_load(self, name, data, **kwargs)
+            loaded.append((name, data, value.matrix, self.recovery))
+            return value
+
+        monkeypatch.setattr(Kernels, "load", load)
+        with ServerClient(wide.host, wide.port) as client:
+            for attempt in range(3):  # tiles / keeps t(A)'s tiles / reuses
+                self._assert_served_as_direct(
+                    client.run(algorithm, dataset, scale=SCALE, iterations=2,
+                               tenant=f"t{attempt}"), algo, direct)
+        workload = self._workload(wide, algorithm, dataset)
+        grids = workload._grids
+        assert {name for name, *_ in loaded} \
+            == {name for name, grid in grids.items()
+                if isinstance(grid, BlockedMatrix)}
+        # Every request's executor was handed the resident grid and took
+        # it as it is; a grid tiled without its symmetric flag would be
+        # re-wrapped by ``from_any`` on every request and lose t(H)'s tiles.
+        assert all(matrix is data is grids[name]
+                   for name, data, matrix, _ in loaded)
+        # Nothing edits a shared grid: the serve path runs no recovery.
+        assert all(recovery is None for *_, recovery in loaded)
+        if algorithm == "dfp":
+            assert grids["H"].symmetric and not grids["A"].symmetric
+            assert all(tile.is_sparse for tile in grids["A"].blocks.values())
+            assert grids["A"]._transposed is not None  # kept across requests
+
+    def test_concurrent_runs_tile_once_and_leave_the_tiles_alone(
+            self, wide, monkeypatch):
+        algorithm, dataset, burst = "dfp", "cri3", 16
+        algo, direct = _direct_run(algorithm, iterations=2, dataset=dataset)
+        executed = []
+        real_execute = Engine.execute
+
+        def execute(self, to_execute, input_data, **kwargs):
+            executed.append(input_data)
+            return real_execute(self, to_execute, input_data, **kwargs)
+
+        monkeypatch.setattr(Engine, "execute", execute)
+        barrier = threading.Barrier(burst)
+        responses = []
+
+        def worker(index: int) -> None:
+            with ServerClient(wide.host, wide.port) as connection:
+                barrier.wait(timeout=30)
+                responses.append(connection.run(
+                    algorithm, dataset, scale=SCALE, iterations=2,
+                    tenant=f"tenant-{index % 3}"))
+
+        threads = [threading.Thread(target=worker, args=(index,))
+                   for index in range(burst)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(responses) == burst
+        for response in responses:  # the very first one included
+            self._assert_served_as_direct(response, algo, direct)
+        workload = self._workload(wide, algorithm, dataset)
+        assert len(executed) == burst
+        assert all(inputs is workload._grids for inputs in executed)
+        # ... and sixteen executors later every tile is what a fresh
+        # partitioning of the raw input gives, bit for bit.
+        block_size = wide.service.cluster.block_size
+        for name, grid in workload._grids.items():
+            raw = workload.data[name]
+            if not isinstance(grid, BlockedMatrix):
+                assert grid is raw  # a scalar, as it is
+                continue
+            fresh = BlockedMatrix.from_any(
+                raw, block_size=block_size,
+                symmetric=name in algo.symmetric_inputs)
+            assert list(grid.blocks) == list(fresh.blocks)
+            assert grid.symmetric == fresh.symmetric
+            for key, tile in grid.blocks.items():
+                other = fresh.blocks[key]
+                assert (tile.is_sparse, tile.nnz) \
+                    == (other.is_sparse, other.nnz), (name, key)
+                payloads = [(tile.data, other.data)] if not tile.is_sparse \
+                    else [(getattr(tile.data, part), getattr(other.data, part))
+                          for part in ("data", "indices", "indptr")]
+                assert all(mine.tobytes() == theirs.tobytes()
+                           for mine, theirs in payloads), (name, key)
+
+    def test_optimize_only_traffic_never_partitions(self, wide):
+        with ServerClient(wide.host, wide.port) as client:
+            for tenant in ("a", "b"):
+                response = client.optimize("gd", "cri2", scale=SCALE,
+                                           iterations=2, tenant=tenant)
+                assert response["status"] == "ok"
+        assert response["plan_cache"] == "hit"
+        assert self._workload(wide, "gd", "cri2")._grids is None
+
+
+class TestDecoupledStages:
+    def test_warm_requests_never_wait_for_a_compile_slot(
+            self, monkeypatch, compile_pool_submits):
+        """Both compile workers held by cold compiles: a warm ``optimize``
+        and a warm ``run`` still answer, from the loop and the execute
+        pool. Only what generates, parses or compiles is submitted to the
+        compile pool."""
+        algo = get_algorithm(ALGORITHM)
+        # The parsed-program table is process-wide; start from an empty
+        # one so "new iterations" means new whatever ran before this test.
+        monkeypatch.setattr(algo, "_program_cache", {})
+        config = ServerConfig(port=0, max_queue=16, tenant_quota=8)
+        assert config.compile_workers == 2
+        entered, release = threading.Semaphore(0), threading.Event()
+        real_compile = Session.compile
+
+        def held_compile(self, *args, **kwargs):
+            entered.release()
+            assert release.wait(timeout=30)
+            return real_compile(self, *args, **kwargs)
+
+        cold = []
+
+        def cold_run(iterations: int) -> None:
+            with ServerClient(handle.host, handle.port) as connection:
+                cold.append(connection.run(ALGORITHM, DATASET, scale=SCALE,
+                                           iterations=iterations,
+                                           tenant="cold"))
+
+        with ServerHandle(config) as handle:
+            submitted = compile_pool_submits(handle.service)
+            fields = dict(scale=SCALE, iterations=ITERATIONS, tenant="warm")
+            with ServerClient(handle.host, handle.port,
+                              timeout=10.0) as client:
+                first = client.run(ALGORITHM, DATASET, **fields)
+                assert first["plan_cache"] == "miss"
+                # Not yet resident: resolved and compiled off the loop.
+                assert submitted == ["_workload", "<lambda>"]
+
+                monkeypatch.setattr(Session, "compile", held_compile)
+                threads = [threading.Thread(target=cold_run, args=(n,))
+                           for n in (5, 6)]
+                try:
+                    for thread in threads:
+                        thread.start()
+                    assert entered.acquire(timeout=30) \
+                        and entered.acquire(timeout=30)
+                    # Resident, but a new ``iterations`` has to be parsed:
+                    # those two went through the compile pool as well.
+                    assert sorted(submitted) == ["<lambda>"] * 3 \
+                        + ["_workload"] * 3
+
+                    optimized = client.optimize(ALGORITHM, DATASET, **fields)
+                    ran = client.run(ALGORITHM, DATASET, **fields)
+                    assert not release.is_set() and not cold
+                    assert optimized["status"] == ran["status"] == "ok"
+                    assert optimized["plan_cache"] == ran["plan_cache"] \
+                        == "hit"
+                    assert ran["results"] == first["results"]
+                    assert len(submitted) == 6  # neither entered the pool
+                finally:
+                    release.set()
+                    for thread in threads:
+                        thread.join(timeout=30)
+            assert [response["status"] for response in cold] == ["ok", "ok"]
 
 
 class TestAdmissionControl:

@@ -142,6 +142,29 @@ class TestDeadlines:
             assert response["status"] == "error"
             assert response["error"] == "deadline_exceeded"
 
+    def test_spent_deadline_is_typed_on_the_loop_path(
+            self, compile_pool_submits):
+        """A warm request is resolved on the event loop; the deadline
+        check the compile-pool hop used to make is made there."""
+        fields = dict(scale=SCALE, iterations=ITERATIONS)
+        with ServerHandle(ServerConfig(port=0)) as handle:
+            service = handle.service
+            with ServerClient(handle.host, handle.port) as client:
+                assert client.optimize(ALGORITHM, DATASET,
+                                       **fields)["status"] == "ok"
+                submitted = compile_pool_submits(service)
+                response = client.optimize(ALGORITHM, DATASET, **fields,
+                                           deadline_seconds=1e-9)
+                assert response["status"] == "error"
+                assert response["error"] == "deadline_exceeded"
+                assert response["deadline_seconds"] == 1e-9
+                assert service.counters["deadline_exceeded"] == 1
+                assert not submitted  # answered without leaving the loop
+                # The slot was released and the next request is served.
+                assert service.in_flight == 0
+                assert client.optimize(ALGORITHM, DATASET,
+                                       **fields)["plan_cache"] == "hit"
+
     def test_deadline_field_validation(self):
         for bad in (0, -1.0, "soon", float("nan"), True, 1e9):
             with pytest.raises(ProtocolError, match="deadline_seconds"):
