@@ -13,6 +13,7 @@ from .plancache import (
     PlanCache,
     PlanCacheStats,
     plan_fingerprint,
+    settings_text,
 )
 from .options import (
     CSE,
@@ -44,7 +45,7 @@ __all__ = [
     "normalize", "push_down_transposes", "expand_distributive",
     "ReMacOptimizer",
     "DataTokens", "InputSketchMemo", "PlanCache", "PlanCacheStats",
-    "plan_fingerprint",
+    "plan_fingerprint", "settings_text",
     "parallel_map", "resolve_workers",
     "CSE", "LSE", "EliminationOption", "Occurrence",
     "options_contradict", "conflict_free", "count_contradictions",

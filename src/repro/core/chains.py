@@ -32,6 +32,7 @@ from ..lang.ast import (
     ScalarRef,
     Sub,
     Transpose,
+    format_literal,
 )
 from ..lang.program import Assign, Program, WhileLoop
 from ..lang.typecheck import Environment, infer_expr_meta
@@ -330,7 +331,7 @@ class _ChainBuilder:
         if isinstance(base, (MatrixRef, ScalarRef)):
             return base.name
         if isinstance(base, Literal):
-            return f"#{base.value:g}"
+            return f"#{format_literal(base.value)}"
         return f"({base!r})"
 
     def _is_symmetric(self, base: Expr) -> bool:

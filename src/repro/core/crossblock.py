@@ -299,7 +299,7 @@ def apply_cross_block(chains: ProgramChains, option: CrossBlockOption,
                                                 body=tuple(body),
                                                 max_iterations=stmt.max_iterations))
     return Program(statements=rebuilt_statements,
-                   inputs=list(chains.program.inputs))
+                   inputs=chains.program.inputs)
 
 
 def _ordered_rest_tokens(chains: ProgramChains,

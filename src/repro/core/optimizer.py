@@ -33,7 +33,7 @@ from .chains import build_chains
 from .cost.evaluate import ProgramCostEvaluator, sketch_inputs
 from .cost.model import CostModel
 from .plancache import (DataTokens, InputSketchMemo, PlanCache,
-                        plan_fingerprint)
+                        plan_fingerprint, settings_text)
 from .rewrite import rewrite_program
 from .search import blockwise_search, explicit_cse_options
 from .sparsity import make_estimator
@@ -86,6 +86,11 @@ class ReMacOptimizer:
         self.cluster = cluster or ClusterConfig()
         self.config = config or OptimizerConfig()
         self.policy = policy or ExecutionPolicy.systemds()
+        # The three above are frozen and fixed for this optimizer's life (a
+        # new policy or calibration means a new optimizer), so their part
+        # of every fingerprint is rendered here, once.
+        self._settings_text = settings_text(self.config, self.cluster,
+                                            self.policy)
         #: Compiled-plan LRU (None when disabled via config.plan_cache).
         self.plan_cache: PlanCache | None = plan_cache if plan_cache is not None \
             else (PlanCache(self.config.plan_cache_size)
@@ -118,9 +123,8 @@ class ReMacOptimizer:
     def _fingerprint(self, program: Program, inputs: Environment,
                      input_data: dict | None, iterations: int | None) -> str:
         return plan_fingerprint(
-            program, inputs, self.config, self.cluster, self.policy,
-            iterations=iterations, input_data=input_data,
-            tokens=self._data_tokens)
+            program, inputs, self._settings_text, iterations=iterations,
+            input_data=input_data, tokens=self._data_tokens)
 
     def _warm_copy(self, hit: CompiledProgram, outcome: str,
                    started: float) -> CompiledProgram:

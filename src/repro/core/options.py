@@ -11,7 +11,7 @@ no single parenthesization realizes both, §2.2), which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from ..lang.ast import Expr, MatMul, Transpose
 from .chains import ChainSite, Operand, ProgramChains
@@ -119,7 +119,8 @@ class EliminationOption:
             return Transpose(temp)
         return temp
 
-    def __repr__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         occs = " ".join(repr(o) for o in self.occurrences)
         flags = []
         if self.loop_constant:
@@ -128,6 +129,10 @@ class EliminationOption:
             flags.append("orig-order")
         suffix = f" ({', '.join(flags)})" if flags else ""
         return f"{self.kind.upper()}<{self.key}>@{occs}{suffix}"
+
+    def __repr__(self) -> str:
+        # Kept: every warm ``optimize`` response lists its plan's options.
+        return self._text
 
 
 def options_contradict(left: EliminationOption, right: EliminationOption) -> bool:

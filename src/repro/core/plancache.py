@@ -7,8 +7,9 @@ valid for exactly the inputs the optimizer saw, so the cache key is a
 deterministic fingerprint of everything the optimizer's decisions depend
 on:
 
-* the printed program text (plus each loop's ``max_iterations`` budget,
-  which the printer omits);
+* the printed program text plus every loop's ``max_iterations`` budget,
+  nested loops included, which the printer omits (both kept by the
+  immutable :class:`~repro.lang.program.Program`, rendered once);
 * every input's :class:`~repro.matrix.meta.MatrixMeta` — shape, sparsity,
   and the symmetric flag the search exploits;
 * identity tokens for any bound input *data* (data-dependent estimators
@@ -23,7 +24,8 @@ on:
   :class:`~repro.runtime.hybrid.ExecutionPolicy` (pricing inputs) — the
   worker count is part of the cluster text, so a replan priced for a
   post-crash shrunken cluster keys separately from the original plan while
-  repeated replans against the same shrunken topology hit;
+  repeated replans against the same shrunken topology hit (config,
+  cluster and policy are frozen: :func:`settings_text`, once per optimizer);
 * the compile-time iteration budget.
 
 Anything that could change the chosen plan or its predicted cost changes
@@ -48,7 +50,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 
 from ..config import ClusterConfig, OptimizerConfig
-from ..lang.printer import format_program
 from ..lang.program import Program
 from ..runtime.hybrid import ExecutionPolicy
 from ..runtime.plan import CompiledProgram
@@ -67,6 +68,10 @@ PERF_ONLY_CONFIG_FIELDS = frozenset({
 PERF_ONLY_CLUSTER_FIELDS = frozenset({
     "kernel_workers", "kernel_backend", "kernel_parallel_threshold",
 })
+
+
+#: Separates the parts of a fingerprint.
+_SEPARATOR = "\x1e"
 
 
 class DataTokens:
@@ -142,25 +147,33 @@ class DataTokens:
         return purge
 
 
-def _config_text(config: OptimizerConfig) -> str:
-    parts = [f"{f.name}={getattr(config, f.name)!r}"
-             for f in fields(config) if f.name not in PERF_ONLY_CONFIG_FIELDS]
-    return ";".join(parts)
+def _fields_text(config, perf_only: frozenset) -> str:
+    return ";".join(f"{f.name}={getattr(config, f.name)!r}"
+                    for f in fields(config) if f.name not in perf_only)
 
 
-def _cluster_text(cluster: ClusterConfig) -> str:
-    parts = [f"{f.name}={getattr(cluster, f.name)!r}"
-             for f in fields(cluster) if f.name not in PERF_ONLY_CLUSTER_FIELDS]
-    return ";".join(parts)
+def settings_text(config: OptimizerConfig, cluster: ClusterConfig,
+                  policy: ExecutionPolicy) -> str:
+    """The config + cluster + policy section of a fingerprint.
+
+    All three are frozen, so whoever holds them (an optimizer, for its
+    lifetime) renders this once rather than once per compile.
+    """
+    return _SEPARATOR.join((
+        "config", _fields_text(config, PERF_ONLY_CONFIG_FIELDS),
+        "cluster", _fields_text(cluster, PERF_ONLY_CLUSTER_FIELDS),
+        "policy", repr(policy)))
 
 
-def plan_fingerprint(program: Program, inputs: dict,
-                     config: OptimizerConfig, cluster: ClusterConfig,
-                     policy: ExecutionPolicy,
+def plan_fingerprint(program: Program, inputs: dict, settings: str,
                      iterations: int | None = None,
                      input_data: dict | None = None,
                      tokens: DataTokens | None = None) -> str:
-    """Deterministic cache key for one ``compile()`` call."""
+    """Deterministic cache key for one ``compile()`` call.
+
+    ``settings`` is :func:`settings_text` of the optimizer compiling; the
+    program keeps its own text, so only the input lines are rendered here.
+    """
     data = input_data or {}
     if tokens is None:  # ``or`` would discard a shared-but-empty registry
         tokens = DataTokens()
@@ -171,17 +184,14 @@ def plan_fingerprint(program: Program, inputs: dict,
         meta_lines.append(f"{name}:{meta.rows}x{meta.cols}"
                           f":{meta.sparsity!r}:{symmetric}"
                           f":{tokens.token(data.get(name))}")
-    parts = [
-        "program", format_program(program),
-        "loops", ",".join(str(loop.max_iterations) for loop in program.loops()),
+    parts = (
+        "program", program.text,
+        "loops", program.loop_budgets,
         "inputs", "\n".join(meta_lines),
-        "config", _config_text(config),
-        "cluster", _cluster_text(cluster),
-        "policy", repr(policy),
+        settings,
         "iterations", repr(iterations),
-    ]
-    digest = hashlib.sha256("\x1e".join(parts).encode()).hexdigest()
-    return digest
+    )
+    return hashlib.sha256(_SEPARATOR.join(parts).encode()).hexdigest()
 
 
 @dataclass

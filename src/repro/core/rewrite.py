@@ -293,7 +293,7 @@ def _reassemble(chains: ProgramChains, site_exprs: dict[int, Expr],
         else:  # pragma: no cover - defensive
             raise OptimizerError(f"unknown statement type {type(stmt).__name__}")
     rebuilt = _drop_dead_temps(rebuilt, {info.name for info, _ in temp_stmts.values()})
-    return Program(statements=rebuilt, inputs=list(chains.program.inputs))
+    return Program(statements=rebuilt, inputs=chains.program.inputs)
 
 
 def _drop_dead_temps(statements: list[Statement],

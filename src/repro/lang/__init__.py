@@ -14,6 +14,7 @@ from .ast import (
     ScalarRef,
     Sub,
     Transpose,
+    format_literal,
 )
 from .parser import parse, parse_expression, tokenize
 from .printer import format_expr, format_program, format_statement
@@ -24,7 +25,7 @@ __all__ = [
     "Add", "Call", "Compare", "ElemDiv", "ElemMul", "Expr", "Literal",
     "MatMul", "MatrixRef", "Neg", "ScalarRef", "Sub", "Transpose",
     "parse", "parse_expression", "tokenize",
-    "format_expr", "format_program", "format_statement",
+    "format_expr", "format_literal", "format_program", "format_statement",
     "Assign", "Program", "Statement", "WhileLoop",
     "loop_program", "single_expression_program",
     "Environment", "TypedProgram", "check_program", "infer_expr_meta",

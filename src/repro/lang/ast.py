@@ -110,6 +110,17 @@ class ScalarRef(Expr):
         return self.name
 
 
+def format_literal(value: float) -> str:
+    """The text of a literal: ``%g`` when that reads back as ``value``,
+    ``repr`` otherwise.
+
+    CSE keys, symmetry tokens and plan fingerprints are built from printed
+    text, so two different values must never print alike.
+    """
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 @dataclass(frozen=True)
 class Literal(Expr):
     """A numeric literal."""
@@ -120,7 +131,7 @@ class Literal(Expr):
         return ()
 
     def __repr__(self) -> str:
-        return f"{self.value:g}"
+        return format_literal(self.value)
 
 
 @dataclass(frozen=True)

@@ -133,22 +133,24 @@ class _Parser:
     # Statements
     # ------------------------------------------------------------------
     def parse_program(self) -> Program:
-        program = Program()
+        statements: list[Statement] = []
+        inputs: list[str] = []
         while self._peek().kind != "EOF":
             if self._match("OP", ";"):
                 continue
-            statement = self._parse_statement(program)
+            statement = self._parse_statement(inputs)
             if statement is not None:
-                program.statements.append(statement)
-        return program
+                statements.append(statement)
+        return Program(statements=statements, inputs=inputs)
 
-    def _parse_statement(self, program: Program) -> Statement | None:
+    def _parse_statement(self, inputs: list[str]) -> Statement | None:
+        """One statement; an ``input`` declaration extends ``inputs``."""
         token = self._peek()
         if token.kind == "KEYWORD" and token.text == "input":
             self._advance()
-            program.inputs.append(self._expect("ID").text)
+            inputs.append(self._expect("ID").text)
             while self._match("OP", ","):
-                program.inputs.append(self._expect("ID").text)
+                inputs.append(self._expect("ID").text)
             return None
         if token.kind == "KEYWORD" and token.text == "while":
             return self._parse_while()
@@ -167,14 +169,14 @@ class _Parser:
         self._expect("OP", ")")
         self._expect("OP", "{")
         body: list[Statement] = []
-        dummy = Program()
+        ignored: list[str] = []  # an ``input`` inside a loop declares nothing
         while not self._match("OP", "}"):
             if self._peek().kind == "EOF":
                 token = self._peek()
                 raise ParseError("unterminated while loop", token.line, token.column)
             if self._match("OP", ";"):
                 continue
-            statement = self._parse_statement(dummy)
+            statement = self._parse_statement(ignored)
             if statement is not None:
                 body.append(statement)
         return WhileLoop(condition=condition, body=tuple(body),

@@ -22,6 +22,7 @@ from .ast import (
     ScalarRef,
     Sub,
     Transpose,
+    format_literal,
 )
 from .program import Assign, Program, Statement, WhileLoop
 
@@ -48,7 +49,7 @@ def format_expr(expr: Expr, parent_precedence: int = 0, right_child: bool = Fals
     if isinstance(expr, (MatrixRef, ScalarRef)):
         return expr.name
     if isinstance(expr, Literal):
-        return f"{expr.value:g}"
+        return format_literal(expr.value)
     if isinstance(expr, Transpose):
         return f"t({format_expr(expr.child)})"
     if isinstance(expr, Call):
@@ -90,9 +91,5 @@ def format_statement(stmt: Statement, indent: int = 0) -> str:
 
 
 def format_program(program: Program) -> str:
-    """Render a whole program as script text."""
-    lines = []
-    if program.inputs:
-        lines.append("input " + ", ".join(program.inputs))
-    lines.extend(format_statement(stmt) for stmt in program.statements)
-    return "\n".join(lines)
+    """Render a whole program as script text (kept by the program)."""
+    return program.text

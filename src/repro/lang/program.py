@@ -9,7 +9,8 @@ which expressions are loop-constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .ast import Expr, MatrixRef, ScalarRef
@@ -65,17 +66,39 @@ class WhileLoop:
 Statement = Assign | WhileLoop
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     """A parsed script: declared inputs plus an ordered statement list.
 
     ``inputs`` names the free variables (datasets and initial values) that
     must be bound before execution. Anything assigned before first use is a
     temporary; anything read but never assigned must appear in ``inputs``.
+
+    A program is immutable — built in one go, shared freely between tenants
+    and engines — so the texts that identify it are rendered at most once.
     """
 
-    statements: list[Statement] = field(default_factory=list)
-    inputs: list[str] = field(default_factory=list)
+    statements: tuple[Statement, ...] = ()
+    inputs: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        # Callers may pass lists; what is kept can no longer change.
+        object.__setattr__(self, "statements", tuple(self.statements))
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+
+    @cached_property
+    def text(self) -> str:
+        """The script text :func:`~repro.lang.printer.format_program` returns."""
+        from .printer import format_statement  # the printer imports this module
+        lines = ["input " + ", ".join(self.inputs)] if self.inputs else []
+        lines.extend(format_statement(stmt) for stmt in self.statements)
+        return "\n".join(lines)
+
+    @cached_property
+    def loop_budgets(self) -> str:
+        """Every loop's ``max_iterations`` (which the script text omits), in
+        statement order, nested loops included."""
+        return ",".join(str(loop.max_iterations) for loop in self._all_loops())
 
     def loops(self) -> list[WhileLoop]:
         """Return top-level loops in program order."""
@@ -122,12 +145,13 @@ class Program:
                 self._collect_free(list(stmt.body), defined, free)
 
     def _all_loops(self) -> Iterator[WhileLoop]:
-        stack: list[Statement] = list(self.statements)
-        while stack:
-            stmt = stack.pop()
-            if isinstance(stmt, WhileLoop):
-                yield stmt
-                stack.extend(stmt.body)
+        """Every loop in statement order, each before the loops it contains."""
+        def walk(statements) -> Iterator[WhileLoop]:
+            for stmt in statements:
+                if isinstance(stmt, WhileLoop):
+                    yield stmt
+                    yield from walk(stmt.body)
+        return walk(self.statements)
 
     def loop_constant_variables(self, loop: WhileLoop) -> set[str]:
         """Variables read in ``loop`` whose values the loop never updates.

@@ -342,9 +342,6 @@ class Replanner:
         """Compile the remaining program under observed truth; gate it."""
         from ..core.optimizer import ReMacOptimizer  # import-cycle guard
         calibration = CalibrationState.from_spans(tracer.spans)
-        stale = Program(
-            statements=[WhileLoop(condition=loop.condition, body=loop.body,
-                                  max_iterations=remaining), *trailing])
         inputs = {}
         input_data = {}
         for name, value in env.items():
@@ -353,7 +350,10 @@ class Replanner:
             inputs[name] = value.meta
             input_data[name] = (value.scalar_value() if value.is_scalar
                                 else value.matrix)
-        stale.inputs = sorted(inputs)
+        stale = Program(
+            statements=[WhileLoop(condition=loop.condition, body=loop.body,
+                                  max_iterations=remaining), *trailing],
+            inputs=sorted(inputs))
         config = replace(self.optimizer.config, calibration=calibration,
                          temp_prefix=f"tREPLAN{self.generation + 1}R")
         # Price against the *current* kernels config: a crash-shrunk

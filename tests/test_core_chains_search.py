@@ -5,13 +5,16 @@ options are the ones §2-§3 discuss by name: the LSE of AᵀA, the CSE of Ad
 (= (dᵀAᵀ)ᵀ), ddᵀ, AH (= HAᵀ with H symmetric), and their combinations.
 """
 
+import numpy as np
 import pytest
 
+from repro.core import ReMacOptimizer
 from repro.core.chains import ChainPlaceholder, build_chains
 from repro.core.options import options_contradict
 from repro.core.search import blockwise_search, explicit_cse_options
 from repro.lang import parse
 from repro.matrix.meta import MatrixMeta
+from repro.runtime import Executor
 
 DFP_BODY = """
 input A, b, x
@@ -178,6 +181,28 @@ class TestSameValueGrouping:
             "B": MatrixMeta(50, 50, 0.5), "v": MatrixMeta(50, 1)})
         options = blockwise_search(chains).options
         assert find(options, "cse", "B v")
+
+    def test_literals_that_print_alike_are_two_values(self, cluster, rng):
+        """``%g`` keeps six digits, and option keys are text: 1234567 and
+        1234568 once shared one ``CSE<((A * 1.23457e+06)) B x>`` and ``z``
+        was ``y``."""
+        program = parse("""
+            y = (A * 1234567) %*% B %*% x
+            z = (A * 1234568) %*% B %*% x
+        """)
+        n = 40
+        data = {"A": rng.random((n, n)), "B": rng.random((n, n)),
+                "x": rng.random((n, 1))}
+        inputs = {"A": MatrixMeta(n, n), "B": MatrixMeta(n, n),
+                  "x": MatrixMeta(n, 1)}
+        options = blockwise_search(build_chains(program, inputs)).options
+        assert {o.key for o in options} == {"B x"}
+        compiled = ReMacOptimizer(cluster).compile(program, inputs, data)
+        env = Executor(cluster).run(compiled, data)
+        for name, scale in (("y", 1234567), ("z", 1234568)):
+            np.testing.assert_allclose(
+                env[name].matrix.to_numpy(),
+                (data["A"] * scale) @ data["B"] @ data["x"], rtol=1e-12)
 
 
 class TestExplicitCse:

@@ -54,11 +54,11 @@ class TestParserLocations:
 
     def test_empty_program(self):
         program = parse("")
-        assert program.statements == []
+        assert program.statements == ()
 
     def test_comment_only_program(self):
         program = parse("# nothing here\n# at all")
-        assert program.statements == []
+        assert program.statements == ()
 
 
 class TestPrinterEdges:

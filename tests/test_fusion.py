@@ -19,7 +19,7 @@ import pytest
 
 from repro.algorithms import get_algorithm
 from repro.config import ClusterConfig, OptimizerConfig
-from repro.core.plancache import plan_fingerprint
+from repro.core.plancache import plan_fingerprint, settings_text
 from repro.data import load_dataset
 from repro.engines import make_engine
 from repro.lang import parse_expression
@@ -220,10 +220,12 @@ class TestPlanCacheFingerprint:
         program = algo.program(3)
         config = OptimizerConfig()
         cluster = ClusterConfig()
-        on = plan_fingerprint(program, dfp_like_inputs, config, cluster,
-                              FUSED, iterations=3)
-        off = plan_fingerprint(program, dfp_like_inputs, config, cluster,
-                               UNFUSED, iterations=3)
+        on = plan_fingerprint(program, dfp_like_inputs,
+                              settings_text(config, cluster, FUSED),
+                              iterations=3)
+        off = plan_fingerprint(program, dfp_like_inputs,
+                               settings_text(config, cluster, UNFUSED),
+                               iterations=3)
         assert on != off
 
     def test_engine_toggle_rebuilds_optimizer(self):

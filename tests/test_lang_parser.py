@@ -142,7 +142,7 @@ class TestProgramParsing:
 
     def test_input_declaration(self):
         program = parse("input A, b, x\ny = A %*% x")
-        assert program.inputs == ["A", "b", "x"]
+        assert program.inputs == ("A", "b", "x")
 
     def test_while_loop(self):
         program = parse("while (i < 10) { x = A %*% x \n i = i + 1 }",

@@ -1,8 +1,13 @@
 """Printer tests: round-trip stability and minimal parenthesization."""
 
-import pytest
+import dataclasses
 
-from repro.lang import format_expr, format_program, parse, parse_expression
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.lang import (Literal, format_expr, format_literal, format_program,
+                        parse, parse_expression)
 
 
 ROUND_TRIP_CASES = [
@@ -69,7 +74,7 @@ while (i < 10) {
     printed = format_program(program)
     reparsed = parse(printed, scalar_names={"i"})
     assert format_program(reparsed) == printed
-    assert reparsed.inputs == ["A", "b", "x"]
+    assert reparsed.inputs == ("A", "b", "x")
 
 
 def test_while_condition_printed():
@@ -80,3 +85,32 @@ def test_while_condition_printed():
 def test_comparison_printing():
     expr = parse_expression("i + 1 <= n * 2", scalar_names={"i", "n"})
     assert format_expr(expr) == "i + 1 <= n * 2"
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.0, "0"), (2.0, "2"), (0.01, "0.01"), (1e6, "1e+06"), (1e-7, "1e-07"),
+    (123456.0, "123456"), (1234567.0, "1234567.0"), (1.0000001, "1.0000001"),
+])
+def test_literal_text(value, text):
+    """``%g`` wherever it reads back as the value (every committed script,
+    option key and report), ``repr`` where it would drop digits."""
+    assert format_literal(value) == text
+    assert format_expr(Literal(value)) == repr(Literal(value)) == text
+
+
+@given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+def test_literal_round_trip(value):
+    assert parse_expression(format_expr(Literal(value))) == Literal(value)
+
+
+def test_program_is_immutable():
+    """``Algorithm.program(n)`` hands one object to every tenant and engine
+    in the process, and the program keeps the text that identifies it."""
+    program = parse("input A, x\ny = A %*% x\n")
+    text = format_program(program)
+    for name in ("statements", "inputs"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(program, name, ())
+        with pytest.raises(AttributeError):
+            getattr(program, name).append(None)
+    assert format_program(program) is text

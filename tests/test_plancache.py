@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.algorithms import ALGORITHMS
 from repro.config import ClusterConfig, OptimizerConfig
-from repro.core import DataTokens, PlanCache, ReMacOptimizer, plan_fingerprint
-from repro.lang import format_program, parse
+from repro.core import (DataTokens, PlanCache, ReMacOptimizer,
+                        plan_fingerprint, settings_text)
+from repro.core.plancache import (PERF_ONLY_CLUSTER_FIELDS,
+                                  PERF_ONLY_CONFIG_FIELDS)
+from repro.engines import ENGINES, make_engine
+from repro.lang import (Add, Assign, MatrixRef, Program, ScalarRef, WhileLoop,
+                        format_program, parse)
 from repro.matrix.meta import MatrixMeta
 from repro.runtime import Executor
+from repro.runtime.hybrid import ExecutionPolicy
 
 GD_SOURCE = """
 input A, b, x, alpha
@@ -89,6 +99,21 @@ class TestCacheHits:
         # strategy_notes keeps reporting the last round only.
         assert cold.notes["strategy_notes"].items() <= rounds[-1].items()
 
+    def test_literals_that_print_alike_do_not_share_a_plan(self, cluster,
+                                                            rng):
+        """``%g`` printed 1.0000001 and 1.0000002 both as ``1``: the second
+        script hit the first one's plan and returned its values."""
+        inputs = {"A": MatrixMeta(30, 30), "x": MatrixMeta(30, 1)}
+        data = {"A": rng.random((30, 30)), "x": rng.random((30, 1))}
+        optimizer = ReMacOptimizer(cluster)
+        for literal in ("1.0000001", "1.0000002"):
+            program = parse(f"input A, x\ny = (A %*% x) * {literal}\n")
+            compiled = optimizer.compile(program, inputs, data)
+            assert compiled.notes["plan_cache"] == "miss"
+            y = Executor(cluster).run(compiled, data)["y"].matrix.to_numpy()
+            np.testing.assert_array_equal(
+                y, (data["A"] @ data["x"]) * float(literal))
+
     def test_disabled_cache(self, cluster, gd_setup):
         program, inputs, data = gd_setup
         optimizer = ReMacOptimizer(cluster, OptimizerConfig(plan_cache=False))
@@ -100,16 +125,31 @@ class TestCacheHits:
         assert "plan_cache" not in again.notes
 
 
+def _other(name: str, value):
+    """A legal value for config field ``name`` that is not ``value``."""
+    if name == "kernel_backend":
+        return "process"
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    assert value is None
+    return 1.0
+
+
 class TestFingerprint:
     def fingerprint(self, gd_setup, cluster, *, inputs=None, config=None,
                     cluster_override=None, iterations=6, data=None,
-                    tokens=None):
-        program, default_inputs, default_data = gd_setup
-        optimizer = ReMacOptimizer(cluster_override or cluster,
-                                   config or OptimizerConfig())
+                    tokens=None, policy=None, program=None):
+        default_program, default_inputs, default_data = gd_setup
         return plan_fingerprint(
-            program, inputs or default_inputs, optimizer.config,
-            optimizer.cluster, optimizer.policy, iterations=iterations,
+            program or default_program, inputs or default_inputs,
+            settings_text(config or OptimizerConfig(),
+                          cluster_override or cluster,
+                          policy or ExecutionPolicy.systemds()),
+            iterations=iterations,
             input_data=data if data is not None else default_data,
             tokens=tokens or DataTokens())
 
@@ -165,6 +205,91 @@ class TestFingerprint:
                                    plan_cache_size=2))
         assert base == tweaked
 
+    @pytest.mark.parametrize("kwarg, perf_only", [
+        ("config", PERF_ONLY_CONFIG_FIELDS),
+        ("cluster_override", PERF_ONLY_CLUSTER_FIELDS),
+        ("policy", frozenset()),
+    ])
+    def test_every_settings_field(self, cluster, gd_setup, kwarg, perf_only):
+        """Each semantic config / cluster / policy field moves the digest,
+        each ``PERF_ONLY_*`` field leaves it alone."""
+        tokens = DataTokens()
+        base = self.fingerprint(gd_setup, cluster, tokens=tokens)
+        default = {"config": OptimizerConfig(), "cluster_override": cluster,
+                   "policy": ExecutionPolicy.systemds()}[kwarg]
+        names = [field.name for field in dataclasses.fields(default)]
+        assert perf_only <= set(names)
+        for name in names:
+            changed = dataclasses.replace(default, **{
+                name: _other(name, getattr(default, name))})
+            digest = self.fingerprint(gd_setup, cluster, tokens=tokens,
+                                      **{kwarg: changed})
+            assert (digest == base) == (name in perf_only), name
+
+    def test_shape_invalidates(self, cluster, gd_setup):
+        _, inputs, _ = gd_setup
+        changed = dict(inputs, b=MatrixMeta(inputs["b"].rows + 1, 1))
+        assert self.fingerprint(gd_setup, cluster) \
+            != self.fingerprint(gd_setup, cluster, inputs=changed)
+
+    def test_program_text_invalidates(self, cluster, gd_setup):
+        """One more statement, one literal digit, and a digit ``%g`` used
+        to drop (6.0000001 and 6.0000002 both printed as ``6``)."""
+        tokens = DataTokens()
+        sources = [GD_SOURCE,
+                   GD_SOURCE.replace("  i = i + 1\n",
+                                     "  i = i + 1\n  g = g + g\n"),
+                   GD_SOURCE.replace("i < 6", "i < 7"),
+                   GD_SOURCE.replace("i < 6", "i < 6.0000001"),
+                   GD_SOURCE.replace("i < 6", "i < 6.0000002")]
+        digests = {self.fingerprint(
+            gd_setup, cluster, tokens=tokens,
+            program=parse(source, scalar_names={"i", "alpha"}))
+            for source in sources}
+        assert len(set(sources)) == len(digests) == 5
+
+    def test_loop_budget_invalidates(self, cluster, gd_setup):
+        tokens = DataTokens()
+        a, b = (self.fingerprint(
+            gd_setup, cluster, tokens=tokens,
+            program=parse(GD_SOURCE, scalar_names={"i", "alpha"},
+                          max_iterations=budget)) for budget in (6, 7))
+        assert a != b
+
+    def test_nested_loop_budget_invalidates(self, cluster, gd_setup):
+        """The executor bounds an inner loop by its own ``max_iterations``,
+        which the printed text omits: two programs that differ only there
+        must not share a plan."""
+        def nested(inner_budget: int) -> Program:
+            step = Assign("x", Add(MatrixRef("x"), MatrixRef("x")))
+            inner = WhileLoop(ScalarRef("__always__"), (step,),
+                              max_iterations=inner_budget)
+            outer = WhileLoop(ScalarRef("__always__"), (inner,),
+                              max_iterations=3)
+            return Program(statements=[outer], inputs=["x"])
+
+        tokens = DataTokens()
+        assert format_program(nested(2)) == format_program(nested(50))
+        assert nested(2).loop_budgets == "3,2"
+        assert self.fingerprint(gd_setup, cluster, tokens=tokens,
+                                program=nested(2)) \
+            != self.fingerprint(gd_setup, cluster, tokens=tokens,
+                                program=nested(50))
+
+    def test_kept_text_is_the_rendered_text(self, cluster, gd_setup):
+        """A program's digest is the same on its first call, on its second
+        (served from the text it kept) and for a freshly parsed equal
+        program that has rendered nothing yet."""
+        program, _, _ = gd_setup
+        tokens = DataTokens()
+        first = self.fingerprint(gd_setup, cluster, tokens=tokens)
+        assert "text" in vars(program)
+        second = self.fingerprint(gd_setup, cluster, tokens=tokens)
+        fresh = parse(GD_SOURCE, scalar_names={"i", "alpha"})
+        assert fresh == program and "text" not in vars(fresh)
+        assert first == second == self.fingerprint(
+            gd_setup, cluster, tokens=tokens, program=fresh)
+
     def test_fresh_data_objects_miss(self, cluster, gd_setup, rng):
         """Different matrices under the same metadata must never hit."""
         _, _, data = gd_setup
@@ -173,6 +298,36 @@ class TestFingerprint:
         other["A"] = rng.random(data["A"].shape)
         assert self.fingerprint(gd_setup, cluster, tokens=tokens) \
             != self.fingerprint(gd_setup, cluster, data=other, tokens=tokens)
+
+
+#: Recorded from the parent of the PR that made ``Program`` keep its text
+#: (``ReMacOptimizer._fingerprint(algo.program(7), metas, None, 7)``): per
+#: algorithm, SHA-256 over the digests of every engine preset in name order.
+#: Loop-flat programs whose literals survive ``%g`` keep their digests.
+PARENT_DIGESTS = {
+    "bfgs": "94eb0de8c29c0b1e122a37a6f98dbd7783f2e4a33c20f1d88b084fcc78a9986d",
+    "dfp": "3be2bd99eafd9d1e60f6b29607cd91b30c8db7e62aa9c92a9ba2369b9df7aafd",
+    "gd": "8df7686e8ddcc1a494053d91e974913fa723fc600586d3557f617041c7f9f862",
+    "gnmf": "05db40774a9a6a619c55c0311ff43cc838e3606152e61efff018b043e9293b8b",
+    "logistic": "eafd5417a2c45206c67385b58c56f1c73674941f0d37ab3a27c62edca078873a",
+    "partial_dfp": "9e03e8740fcd14bd9784bd863b23ecaa8656dd82cdaa7b24d3530ef17b11398f",
+    "power_iteration": "34ba0cd9b89afcdac4fdc61a1cdb7edb2cd35683efac07361cec7936ca1c858e",
+    "ridge": "66002096a4e28da8348720652f5bdc59ea2ee4017b6252e12a08669cc724951f",
+}
+
+
+def test_digests_equal_the_parents():
+    assert sorted(PARENT_DIGESTS) == sorted(ALGORITHMS)
+    for name, pinned in PARENT_DIGESTS.items():
+        algo = ALGORITHMS[name]
+        metas, _ = algo.make_inputs(np.arange(1.0, 41.0).reshape(8, 5),
+                                    seed=0, rank=3)
+        fold = hashlib.sha256()
+        for engine_name in sorted(ENGINES):
+            optimizer = make_engine(engine_name, ClusterConfig()).optimizer
+            fold.update(optimizer._fingerprint(algo.program(7), metas,
+                                               None, 7).encode())
+        assert fold.hexdigest() == pinned, name
 
 
 class TestDataTokens:

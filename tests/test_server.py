@@ -9,6 +9,7 @@ side of the equation (engine numerics or server plumbing) fails loudly.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import socket
@@ -160,6 +161,33 @@ class TestServing:
                      for s in server.service.stats()["sessions"]}
         assert summaries["bookkeeper"]["runs"] >= 1
         assert summaries["bookkeeper"]["compiles"] >= 1
+
+    def test_tenants_share_one_program_and_cannot_edit_it(self, client,
+                                                          server):
+        """``Algorithm.program(n)`` is one object for every tenant and
+        engine in the process, and so is the cached plan's rewritten
+        program: both keep the text that identifies them, so neither may
+        change under a tenant's hands."""
+        tenants = ("ann", "bob")
+        for tenant in tenants:
+            assert client.optimize(ALGORITHM, DATASET, scale=SCALE,
+                                   iterations=ITERATIONS,
+                                   tenant=tenant)["status"] == "ok"
+        service = server.service
+        workload = service._workloads[(ALGORITHM, DATASET, SCALE)]
+        program = workload.algo.program(ITERATIONS)
+        warm = [service.session(tenant, None).cached_plan(
+            program, workload.meta, workload.data, iterations=ITERATIONS)
+            for tenant in tenants]
+        assert warm[0] is not warm[1]
+        assert warm[0].program is warm[1].program
+        for shared in (program, warm[0].program):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                shared.statements = ()
+            with pytest.raises(AttributeError):
+                shared.statements.append(shared.statements[0])
+            with pytest.raises(AttributeError):
+                shared.inputs.append("A")
 
     def test_unknown_algorithm_is_an_error_response(self, client):
         response = client.request({"op": "run", "algorithm": "nope"})
