@@ -211,6 +211,10 @@ class Engine:
         env = executor.run(to_execute, input_data, symmetric=symmetric,
                            charge_partition=charge_partition)
         notes = dict(compiled.notes) if compiled else {}
+        operators = sum(executor.metrics.operator_counts.values())
+        notes["pricing"] = {
+            "operators": operators,
+            "priced": operators - executor.kernels.prices_replayed}
         if replanner is not None:
             notes["replan"] = replanner.metrics_summary()
         return RunResult(engine=self.name, env=env, metrics=executor.metrics,

@@ -56,9 +56,12 @@ class Block:
 
     Everything else (``sparsity``, ``serialized_bytes``, ``meta``) derives
     from the two in O(1).
+
+    A block also keeps, once asked, the view ``data.T``
+    (:meth:`transposed_view`); it is not pickled.
     """
 
-    __slots__ = ("data", "is_sparse", "_nnz")
+    __slots__ = ("data", "is_sparse", "_nnz", "_transposed_view")
 
     def __init__(self, data: Payload):
         """Wrap a payload of unknown provenance: validate and coerce it."""
@@ -72,6 +75,7 @@ class Block:
         self.data = data
         self.is_sparse = is_sparse
         self._nnz: int | None = None
+        self._transposed_view = None
 
     @classmethod
     def of(cls, data: Payload, is_sparse: bool, nnz: int | None = None) -> "Block":
@@ -85,7 +89,13 @@ class Block:
         block.data = data
         block.is_sparse = is_sparse
         block._nnz = nnz
+        block._transposed_view = None
         return block
+
+    def __reduce__(self):
+        # The view stays behind: sparse blocks ride the process backend's
+        # pickle pipe, and the receiver can rebuild it from ``data``.
+        return Block.of, (self.data, self.is_sparse, self._nnz)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -152,6 +162,17 @@ class Block:
 
     def divide(self, other: "Block") -> "Block":
         return Block.of(self.to_dense_array() / other.to_dense_array(), False)
+
+    def transposed_view(self) -> Payload:
+        """``self.data.T``, made once: for a CSR payload the CSC matrix
+        over the same ``data`` / ``indices`` / ``indptr``. SciPy computes
+        ``dense @ csr`` as ``(csr.T @ dense.T).T`` and builds and validates
+        that wrapper on every call; a tile that outlives the call (an
+        input, a kept transposed tile) builds it once."""
+        view = self._transposed_view
+        if view is None:
+            view = self._transposed_view = self.data.T
+        return view
 
     def transpose(self) -> "Block":
         data = self.data.T  # a view when dense, CSC when sparse

@@ -353,37 +353,14 @@ class BlockedMatrix:
         # A x A of a symmetric A is provably symmetric: (AA)^T = A^T A^T = AA.
         result = BlockedMatrix(self.rows, other.cols, self.block_size,
                                symmetric=self is other and self.symmetric)
-        # Group right-operand blocks by their row-block index so we only touch
-        # compatible pairs (a sparse-grid join on the inner dimension).
-        right_by_row: dict[int, list[tuple[int, Block]]] = {}
-        for (bk, bj), block in other.blocks.items():
-            right_by_row.setdefault(bk, []).append((bj, block))
-        # Per-output-tile contribution lists. Tiles are discovered in
-        # first-touch order and each tile's pairs in left-block scan order —
-        # exactly the serial accumulation order, so the per-tile partial-sum
-        # folds (and the result grid's insertion order) are bit-identical no
-        # matter how the tile tasks are scheduled.
-        contributions: dict[tuple[int, int], list[tuple[Block, Block]]] = {}
-        for (bi, bk), left_block in self.blocks.items():
-            for bj, right_block in right_by_row.get(bk, ()):
-                pairs = contributions.get((bi, bj))
-                if pairs is None:
-                    contributions[(bi, bj)] = pairs = []
-                pairs.append((left_block, right_block))
-        # Estimated per-output-tile work: each contributing pair touches on
-        # the order of (left nnz) x (block width) cells. It keeps
-        # micro-grids off the pool; a serial dispatch never evaluates it.
-        def tile_work() -> float:
-            pair_work = sum(left_block.nnz
-                            for pairs in contributions.values()
-                            for left_block, _right_block in pairs)
-            return self.block_size * pair_work / max(1, len(contributions))
-
-        tiles = map_blocks(_tile_product, list(contributions.values()), workers,
-                           work_hint=tile_work)
-        for key, block in zip(contributions, tiles):
-            if block is not None:
-                result.blocks[key] = block
+        size = self.block_size
+        if self.rows <= size and self.cols <= size and other.cols <= size:
+            # Three one-cell grids: at most one pair, nothing to join.
+            left, right = self.blocks.get((0, 0)), other.blocks.get((0, 0))
+            if left is not None and right is not None:
+                _store(result, (0, 0), _tile_product([(left, right)]))
+        else:
+            _join_products(self, other, result, workers)
         return result
 
     def _zip(self, other: "BlockedMatrix", op_name: str,
@@ -405,17 +382,14 @@ class BlockedMatrix:
                 f"cell-wise shape mismatch: {self.rows}x{self.cols} vs "
                 f"{other.rows}x{other.cols}")
         result = BlockedMatrix(self.rows, self.cols, self.block_size)
-        keys = list(set(self.blocks) | set(other.blocks))
-        # Self-contained task tuples (grid lookups happen here, serially)
-        # so the module-level task function is process-backend shippable.
-        tasks = [(key, self.blocks.get(key), other.blocks.get(key),
-                  self.block_dims(*key), op_name) for key in keys]
-        tiles = map_blocks(
-            _zip_entry, tasks, workers,
-            work_hint=lambda: (self.nnz + other.nnz) / max(1, len(keys)))
-        for key, block in zip(keys, tiles):
-            if block is not None:
-                result.blocks[key] = block
+        if self.rows <= self.block_size and self.cols <= self.block_size:
+            # One-cell grids: the only tile there can be, same rules.
+            key = (0, 0)
+            _store(result, key, _zip_entry(
+                (key, self.blocks.get(key), other.blocks.get(key),
+                 (self.rows, self.cols), op_name)))
+        else:
+            _join_cells(self, other, op_name, result, workers)
         return result
 
     def add(self, other: "BlockedMatrix",
@@ -581,6 +555,68 @@ def _store_counted(result: BlockedMatrix, key: tuple[int, int],
         result.blocks[key] = Block.of(tile, False, count).normalized()
 
 
+def _store(result: BlockedMatrix, key: tuple[int, int],
+           block: Block | None) -> None:
+    """Keep a tile function's answer; ``None`` is an all-zero tile."""
+    if block is not None:
+        result.blocks[key] = block
+
+
+def _join_products(left: BlockedMatrix, right: BlockedMatrix,
+                   result: BlockedMatrix, workers) -> None:
+    """``left @ right`` into ``result``: a sparse-grid join on the inner
+    dimension, one :func:`_tile_product` task per output tile. Grids of
+    one cell each are the case :meth:`BlockedMatrix.matmul` answers without
+    it, through the same tile function."""
+    # Group right-operand blocks by their row-block index so we only touch
+    # compatible pairs.
+    right_by_row: dict[int, list[tuple[int, Block]]] = {}
+    for (bk, bj), block in right.blocks.items():
+        right_by_row.setdefault(bk, []).append((bj, block))
+    # Per-output-tile contribution lists. Tiles are discovered in
+    # first-touch order and each tile's pairs in left-block scan order —
+    # exactly the serial accumulation order, so the per-tile partial-sum
+    # folds (and the result grid's insertion order) are bit-identical no
+    # matter how the tile tasks are scheduled.
+    contributions: dict[tuple[int, int], list[tuple[Block, Block]]] = {}
+    for (bi, bk), left_block in left.blocks.items():
+        for bj, right_block in right_by_row.get(bk, ()):
+            pairs = contributions.get((bi, bj))
+            if pairs is None:
+                contributions[(bi, bj)] = pairs = []
+            pairs.append((left_block, right_block))
+    # Estimated per-output-tile work: each contributing pair touches on
+    # the order of (left nnz) x (block width) cells. It keeps
+    # micro-grids off the pool; a serial dispatch never evaluates it.
+    def tile_work() -> float:
+        pair_work = sum(left_block.nnz
+                        for pairs in contributions.values()
+                        for left_block, _right_block in pairs)
+        return left.block_size * pair_work / max(1, len(contributions))
+
+    tiles = map_blocks(_tile_product, list(contributions.values()), workers,
+                       work_hint=tile_work)
+    for key, block in zip(contributions, tiles):
+        _store(result, key, block)
+
+
+def _join_cells(left: BlockedMatrix, right: BlockedMatrix, op_name: str,
+                result: BlockedMatrix, workers) -> None:
+    """Cell-wise ``op_name`` into ``result`` over the union of both grids'
+    stored tiles, one :func:`_zip_entry` task each (one-cell grids: see
+    :meth:`BlockedMatrix._zip`)."""
+    keys = list(set(left.blocks) | set(right.blocks))
+    # Self-contained task tuples (grid lookups happen here, serially)
+    # so the module-level task function is process-backend shippable.
+    tasks = [(key, left.blocks.get(key), right.blocks.get(key),
+              left.block_dims(*key), op_name) for key in keys]
+    tiles = map_blocks(
+        _zip_entry, tasks, workers,
+        work_hint=lambda: (left.nnz + right.nnz) / max(1, len(keys)))
+    for key, block in zip(keys, tiles):
+        _store(result, key, block)
+
+
 def _zip_entry(task) -> Block | None:
     """One cell-wise combine task; replicates the serial ``_zip`` rules.
 
@@ -628,8 +664,13 @@ def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
     accumulator = None
     all_sparse = True  # layout of the accumulator: CSR until a dense product
     for left, right in pairs:
-        product = left.data @ right.data
         product_sparse = left.is_sparse and right.is_sparse
+        if right.is_sparse and not left.is_sparse:
+            # What SciPy's ``dense @ csr`` computes, call for call, around
+            # the tile's kept CSC view instead of a freshly built one.
+            product = (right.transposed_view() @ left.data.T).T
+        else:
+            product = left.data @ right.data
         if accumulator is None:
             accumulator, all_sparse = product, product_sparse
         elif all_sparse and product_sparse:
@@ -641,7 +682,7 @@ def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
             # The accumulator is always a private array here (a fresh
             # product or a toarray() copy), so in-place add is safe.
             np.add(accumulator, dense, out=accumulator)
-    tile = Block.of(accumulator, all_sparse)
-    if tile.is_zero():
+    count = int(accumulator.nnz) if all_sparse else count_nonzero(accumulator)
+    if not count:
         return None
-    return tile.normalized()
+    return Block.of(accumulator, all_sparse, count).normalized()

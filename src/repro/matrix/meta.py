@@ -65,7 +65,7 @@ class MatrixMeta:
         """Meta of the transpose (symmetric matrices are self-transpose)."""
         if self.symmetric:
             return self
-        return replace(self, rows=self.cols, cols=self.rows)
+        return MatrixMeta(self.cols, self.rows, self.sparsity)
 
     def with_sparsity(self, sparsity: float) -> "MatrixMeta":
         """Copy with a different sparsity estimate (clamped to [0, 1])."""

@@ -44,6 +44,10 @@ def ewise_div_flops(left: MatrixMeta, right: MatrixMeta) -> float:
     return left.nnz if not left.is_scalar_like else 1.0
 
 
+_EWISE_FLOPS = {"add": ewise_add_flops, "subtract": ewise_add_flops,
+                "multiply": ewise_mul_flops, "divide": ewise_div_flops}
+
+
 def ewise_flops(kind: str, left: MatrixMeta, right: MatrixMeta) -> float:
     """Dispatch the cell-wise FLOP formula by operator kind.
 
@@ -51,9 +55,7 @@ def ewise_flops(kind: str, left: MatrixMeta, right: MatrixMeta) -> float:
     operators touch, so its FLOP count is the plain sum of these — fusion
     saves materialization and transmission, never arithmetic.
     """
-    fn = {"add": ewise_add_flops, "subtract": ewise_add_flops,
-          "multiply": ewise_mul_flops, "divide": ewise_div_flops}[kind]
-    return fn(left, right)
+    return _EWISE_FLOPS[kind](left, right)
 
 
 def transpose_flops(meta: MatrixMeta) -> float:

@@ -54,6 +54,9 @@ _COMPARISONS = {
     "!=": lambda a, b: a != b,
 }
 
+_EWISE_KERNELS = {Add: "add", Sub: "subtract", ElemMul: "multiply",
+                  ElemDiv: "divide"}
+
 _SCALAR_MATH = {
     "sqrt": math.sqrt,
     "abs": abs,
@@ -224,44 +227,43 @@ class Executor:
     # ------------------------------------------------------------------
     def evaluate(self, expr: Expr, env: dict[str, Value]) -> Value:
         """Evaluate one expression to a :class:`Value`."""
-        if isinstance(expr, (MatrixRef, ScalarRef)):
-            try:
-                return env[expr.name]
-            except KeyError:
-                raise ExecutionError(f"undefined variable {expr.name!r}") from None
-        if isinstance(expr, Literal):
-            return self.kernels.from_scalar(expr.value)
-        if isinstance(expr, MatMul):
-            return self._eval_matmul(expr, env)
-        if isinstance(expr, Transpose):
-            inner = self.evaluate(expr.child, env)
-            if inner.is_scalar:
-                return inner
-            return self.kernels.transpose(inner)
-        if isinstance(expr, (Add, Sub, ElemMul, ElemDiv)) \
-                and self.kernels.policy.fuse:
+        try:
+            handler = self._EVALUATE[type(expr)]
+        except KeyError:
+            raise ExecutionError("cannot execute expression node "
+                                 f"{type(expr).__name__}") from None
+        return handler(self, expr, env)
+
+    def _eval_ref(self, expr: MatrixRef | ScalarRef,
+                  env: dict[str, Value]) -> Value:
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise ExecutionError(f"undefined variable {expr.name!r}") from None
+
+    def _eval_literal(self, expr: Literal, env: dict[str, Value]) -> Value:
+        return self.kernels.from_scalar(expr.value)
+
+    def _eval_transpose(self, expr: Transpose, env: dict[str, Value]) -> Value:
+        inner = self.evaluate(expr.child, env)
+        if inner.is_scalar:
+            return inner
+        return self.kernels.transpose(inner)
+
+    def _eval_ewise(self, expr: Add | Sub | ElemMul | ElemDiv,
+                    env: dict[str, Value]) -> Value:
+        kernels = self.kernels
+        if kernels.policy.fuse:
             fused = self._try_fused_ewise(expr, env)
             if fused is not None:
                 return fused
-        if isinstance(expr, Add):
-            return self.kernels.add(self.evaluate(expr.left, env),
-                                    self.evaluate(expr.right, env))
-        if isinstance(expr, Sub):
-            return self.kernels.subtract(self.evaluate(expr.left, env),
-                                         self.evaluate(expr.right, env))
-        if isinstance(expr, ElemMul):
-            return self.kernels.multiply(self.evaluate(expr.left, env),
-                                         self.evaluate(expr.right, env))
-        if isinstance(expr, ElemDiv):
-            return self.kernels.divide(self.evaluate(expr.left, env),
-                                       self.evaluate(expr.right, env))
-        if isinstance(expr, Neg):
-            return self.kernels.negate(self.evaluate(expr.child, env))
-        if isinstance(expr, Compare):
-            return self._eval_compare(expr, env)
-        if isinstance(expr, Call):
-            return self._eval_call(expr, env)
-        raise ExecutionError(f"cannot execute expression node {type(expr).__name__}")
+        # Looked up on the kernels by name at each call, as a plain
+        # ``kernels.add(...)`` would be.
+        return getattr(kernels, _EWISE_KERNELS[type(expr)])(
+            self.evaluate(expr.left, env), self.evaluate(expr.right, env))
+
+    def _eval_neg(self, expr: Neg, env: dict[str, Value]) -> Value:
+        return self.kernels.negate(self.evaluate(expr.child, env))
 
     def _eval_matmul(self, expr: MatMul, env: dict[str, Value]) -> Value:
         fused = self._try_mmchain(expr, env)
@@ -361,6 +363,16 @@ class Executor:
         if expr.func in self.kernels._CELLWISE:
             return self.kernels.map_cells(arg, expr.func)
         raise ExecutionError(f"unknown builtin {expr.func!r}")
+
+    #: ``evaluate``'s branch for each node type (the AST classes are
+    #: leaves: none is subclassed).
+    _EVALUATE = {
+        MatrixRef: _eval_ref, ScalarRef: _eval_ref, Literal: _eval_literal,
+        MatMul: _eval_matmul, Transpose: _eval_transpose,
+        Add: _eval_ewise, Sub: _eval_ewise, ElemMul: _eval_ewise,
+        ElemDiv: _eval_ewise, Neg: _eval_neg, Compare: _eval_compare,
+        Call: _eval_call,
+    }
 
 
 def _unwrap_transpose(expr: Expr) -> tuple[Expr, bool]:

@@ -36,6 +36,7 @@ from .pricing import (
     price_ewise,
     price_map,
     price_matmul,
+    price_mmchain,
     price_persist,
     price_structural,
     price_transpose,
@@ -108,10 +109,42 @@ class Kernels:
         #: hook below is guarded by an ``is None`` check so tracing is
         #: zero-cost when off (no spans allocated, no placement scans).
         self.tracer = tracer
+        #: Prices computed under the config in force, by what they were
+        #: computed from: ``(pricing function, arguments before config and
+        #: policy, arguments after)`` — the operand metas as charged and
+        #: the output meta, then fused-transpose flags and imbalance. The
+        #: pricing functions are pure in those, so a loop body is priced on
+        #: its first iteration and replayed afterwards: the same
+        #: :class:`OpPrice` values charged in the same order. Dropped by
+        #: :meth:`reconfigure`.
+        self._prices: dict[tuple, OpPrice] = {}
+        #: Operators charged a kept price (of ``metrics.operator_counts``).
+        self.prices_replayed = 0
+
+    def reconfigure(self, config: ClusterConfig) -> None:
+        """Put another cluster config in force (a crash shrank the
+        cluster): later placement, pricing and transmissions see it, and
+        no price computed under the old one is replayed."""
+        self.config = config
+        self.network.config = config
+        self._prices.clear()
 
     # ------------------------------------------------------------------
     # Charging helpers
     # ------------------------------------------------------------------
+    def _priced(self, price_fn, head: tuple, tail: tuple = ()) -> OpPrice:
+        """Charge ``price_fn(*head, config, policy, *tail)``, computed the
+        first time this key is seen and replayed after that."""
+        key = (price_fn, head, tail)
+        price = self._prices.get(key)
+        if price is None:
+            price = self._prices[key] = price_fn(
+                *head, self.config, self.policy, *tail)
+        else:
+            self.prices_replayed += 1
+        self._charge(price)
+        return price
+
     def _charge(self, price: OpPrice) -> None:
         """Charge an operator's pricing to the metrics collector."""
         if price.compute_seconds:
@@ -215,12 +248,10 @@ class Kernels:
         # (the flag changes no pricing — metas price by shape and sparsity).
         if left.matrix is right.matrix and left_transposed != right_transposed:
             result.symmetric = True
-        out_meta = result.meta()
-        price = price_matmul(left_meta, right_meta, out_meta, self.config, self.policy,
-                             left_fused_transpose=left_transposed,
-                             right_fused_transpose=right_transposed,
-                             imbalance=max(left.imbalance, right.imbalance))
-        self._charge(price)
+        price = self._priced(
+            price_matmul, (left_meta, right_meta, result.meta()),
+            (left_transposed, right_transposed,
+             max(left.imbalance, right.imbalance)))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             self.tracer.record_operator("matmul", price, (left_meta, right_meta), out)
@@ -240,14 +271,12 @@ class Kernels:
         the charge prices the never-materialized intermediate with its
         observed meta instead of the legacy dense assumption.
         """
-        from .pricing import price_mmchain
         workers = self.kernel_workers
         inner = x.matrix.matmul(v.matrix, workers=workers)
         result = x.matrix.transpose(workers).matmul(inner, workers=workers)
-        price = price_mmchain(x.meta, v.meta, result.meta(), self.config,
-                              self.policy, imbalance=x.imbalance,
-                              inner=inner.meta() if exact_inner else None)
-        self._charge(price)
+        price = self._priced(
+            price_mmchain, (x.meta, v.meta, result.meta()),
+            (x.imbalance, inner.meta() if exact_inner else None))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             self.tracer.record_operator("mmchain", price, (x.meta, v.meta), out)
@@ -316,10 +345,9 @@ class Kernels:
         if right.is_scalar and not left.is_scalar:
             return self._scalar_ewise(right.scalar_value(), left, kind, left_side=False)
         result = getattr(left.matrix, op_name)(right.matrix, self.kernel_workers)
-        out_meta = result.meta()
-        price = price_ewise(kind, left.meta, right.meta, out_meta, self.config,
-                            self.policy, imbalance=max(left.imbalance, right.imbalance))
-        self._charge(price)
+        price = self._priced(
+            price_ewise, (kind, left.meta, right.meta, result.meta()),
+            (max(left.imbalance, right.imbalance),))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             self.tracer.record_operator(kind, price, (left.meta, right.meta), out)
@@ -352,9 +380,9 @@ class Kernels:
             raise ExecutionError(f"unknown cell-wise op {kind!r}")  # pragma: no cover
 
         result = compute()
-        price = price_ewise(kind, value.meta, MatrixMeta(1, 1), result.meta(),
-                            self.config, self.policy, imbalance=value.imbalance)
-        self._charge(price)
+        price = self._priced(
+            price_ewise, (kind, value.meta, MatrixMeta(1, 1), result.meta()),
+            (value.imbalance,))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             operands = (MatrixMeta(1, 1), value.meta) if left_side \
@@ -380,9 +408,10 @@ class Kernels:
 
     def negate(self, value: Value) -> Value:
         result = value.matrix.negate()
-        price = price_ewise("multiply", value.meta, MatrixMeta(1, 1), result.meta(),
-                            self.config, self.policy, imbalance=value.imbalance)
-        self._charge(price)
+        price = self._priced(
+            price_ewise,
+            ("multiply", value.meta, MatrixMeta(1, 1), result.meta()),
+            (value.imbalance,))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             # The cost model treats negation as free, so this span never
@@ -400,8 +429,7 @@ class Kernels:
     def transpose(self, value: Value) -> Value:
         """Materialized transpose: distributed inputs pay a re-key shuffle."""
         result = value.matrix.transpose(self.kernel_workers)
-        price = price_transpose(value.meta, self.config, self.policy, value.imbalance)
-        self._charge(price)
+        price = self._priced(price_transpose, (value.meta,), (value.imbalance,))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             self.tracer.record_operator("transpose", price, (value.meta,), out)
@@ -412,8 +440,7 @@ class Kernels:
         return out
 
     def aggregate_sum(self, value: Value) -> Value:
-        price = price_aggregate(value.meta, self.config, self.policy, value.imbalance)
-        self._charge(price)
+        price = self._priced(price_aggregate, (value.meta,), (value.imbalance,))
         out = self.from_scalar(value.matrix.sum())
         if self.tracer is not None:
             self.tracer.record_operator("aggregate", price, (value.meta,), out)
@@ -422,9 +449,8 @@ class Kernels:
         return out
 
     def aggregate_norm(self, value: Value) -> Value:
-        price = price_aggregate(value.meta, self.config, self.policy, value.imbalance,
-                                flop_multiplier=2.0)
-        self._charge(price)
+        price = self._priced(price_aggregate, (value.meta,),
+                             (value.imbalance, 2.0))
         squared = sum(float((b.data.multiply(b.data)).sum()) if b.is_sparse
                       else float(np.square(b.data).sum())
                       for _, b in value.matrix.iter_blocks())
@@ -438,8 +464,7 @@ class Kernels:
     def aggregate_trace(self, value: Value) -> Value:
         if value.meta.rows != value.meta.cols:
             raise ExecutionError("trace of a non-square matrix")
-        price = price_aggregate(value.meta, self.config, self.policy, value.imbalance)
-        self._charge(price)
+        price = self._priced(price_aggregate, (value.meta,), (value.imbalance,))
         out = self.from_scalar(float(np.trace(value.matrix.to_numpy())))
         if self.tracer is not None:
             self.tracer.record_operator("aggregate", price, (value.meta,), out)
@@ -466,9 +491,8 @@ class Kernels:
             raise ExecutionError(f"unknown cell-wise builtin {func_name!r}") from None
         result = value.matrix.map_cells(func, preserves_zero,
                                         self.kernel_workers)
-        price = price_map(value.meta, result.meta(), self.config, self.policy,
-                          value.imbalance)
-        self._charge(price)
+        price = self._priced(price_map, (value.meta, result.meta()),
+                             (value.imbalance,))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             self.tracer.record_operator("map", price, (value.meta,), out)
@@ -491,9 +515,9 @@ class Kernels:
         except KeyError:  # pragma: no cover - defensive
             raise ExecutionError(f"unknown structural builtin {kind!r}") from None
         result = getattr(value.matrix, method)()
-        price = price_structural(kind, value.meta, result.meta(), self.config,
-                                 self.policy, value.imbalance)
-        self._charge(price)
+        price = self._priced(price_structural,
+                             (kind, value.meta, result.meta()),
+                             (value.imbalance,))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             self.tracer.record_operator("structural", price, (value.meta,), out)
@@ -511,8 +535,7 @@ class Kernels:
         Distributed results are checkpointed to DFS once (SystemDS caches
         RDDs; we charge the initial write, reuse is then free).
         """
-        price = price_persist(value.meta, self.config, self.policy)
-        self._charge(price)
+        price = self._priced(price_persist, (value.meta,))
         if self.tracer is not None:
             self.tracer.record_operator("persist", price, (value.meta,), value)
         if self.recovery is not None:

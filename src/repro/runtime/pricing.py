@@ -1,7 +1,7 @@
 """Shared operator pricing: one set of formulas for model and runtime.
 
 :func:`price_matmul` / :func:`price_ewise` / :func:`price_transpose` return
-an :class:`OpPrice` — compute seconds plus a list of transmissions — from
+an :class:`OpPrice` — compute seconds plus a tuple of transmissions — from
 operand/output metadata. The runtime evaluates them with *observed* metas
 and charges the simulated clock; the optimizer's cost model evaluates them
 with *estimated* metas and sums them into plan costs. Keeping both on this
@@ -11,7 +11,7 @@ sparsity estimator), never from diverging formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import ClusterConfig
 from ..cluster.network import BROADCAST, COLLECT, DFS, SHUFFLE, broadcast_volume, transmission_seconds
@@ -31,14 +31,20 @@ from .hybrid import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpPrice:
-    """Priced execution of one physical operator."""
+    """Priced execution of one physical operator.
+
+    Immutable: the runtime computes a price once per distinct operand
+    metadata and charges that one instance on every later iteration
+    (``Kernels._priced``), handing it to the tracer and to recovery by
+    reference.
+    """
 
     impl: str
     compute_seconds: float
     #: (primitive, cluster-wide bytes) pairs.
-    transmissions: list[tuple[str, float]] = field(default_factory=list)
+    transmissions: tuple[tuple[str, float], ...] = ()
     output_distributed: bool = False
     _config: ClusterConfig | None = None
 
@@ -81,10 +87,10 @@ def price_matmul(left: MatrixMeta, right: MatrixMeta, out: MatrixMeta,
         flop_count += flops.transpose_flops(left)
     if right_fused_transpose:
         flop_count += flops.transpose_flops(right)
-    transmissions: list[tuple[str, float]] = []
     if decision.impl == LOCAL:
         compute = _compute_seconds(flop_count, False, config)
-        return OpPrice(LOCAL, compute, transmissions, False, config)
+        return OpPrice(LOCAL, compute, (), False, config)
+    transmissions: list[tuple[str, float]] = []
     compute = _compute_seconds(flop_count, True, config, imbalance)
     if decision.impl in (BMM, BMM_FLIPPED):
         broadcast_meta = right if decision.impl == BMM else left
@@ -110,7 +116,7 @@ def price_matmul(left: MatrixMeta, right: MatrixMeta, out: MatrixMeta,
         transmissions.append((SHUFFLE, shuffled))
         if not decision.output_distributed:
             transmissions.append((COLLECT, _size(out, policy)))
-    return OpPrice(decision.impl, compute, transmissions,
+    return OpPrice(decision.impl, compute, tuple(transmissions),
                    decision.output_distributed, config)
 
 
@@ -132,11 +138,11 @@ def price_mmchain(x: MatrixMeta, v: MatrixMeta, out: MatrixMeta,
     flop_count = flops.matmul_flops(x, v) + flops.matmul_flops(x.transposed(), inner)
     if not value_distributed(x, config, policy):
         return OpPrice("mmchain_local", _compute_seconds(flop_count, False, config),
-                       [], False, config)
-    transmissions = [
+                       (), False, config)
+    transmissions = (
         (BROADCAST, broadcast_volume(config, _size(v, policy))),
         (COLLECT, config.num_workers * _size(out, policy)),
-    ]
+    )
     compute = _compute_seconds(flop_count, True, config, imbalance)
     return OpPrice("mmchain", compute, transmissions, False, config)
 
@@ -145,16 +151,9 @@ def price_ewise(kind: str, left: MatrixMeta, right: MatrixMeta, out: MatrixMeta,
                 config: ClusterConfig, policy: ExecutionPolicy,
                 imbalance: float = 1.0) -> OpPrice:
     """Price a cell-wise operator (``kind`` in add/subtract/multiply/divide)."""
-    flop_fn = {
-        "add": flops.ewise_add_flops,
-        "subtract": flops.ewise_add_flops,
-        "multiply": flops.ewise_mul_flops,
-        "divide": flops.ewise_div_flops,
-    }[kind]
-    where = decide_ewise(left, right, out, config, policy)
-    flop_count = flop_fn(left, right)
-    if where == LOCAL:
-        return OpPrice(LOCAL, _compute_seconds(flop_count, False, config), [], False,
+    flop_count = flops.ewise_flops(kind, left, right)
+    if decide_ewise(left, right, out, config, policy) == LOCAL:
+        return OpPrice(LOCAL, _compute_seconds(flop_count, False, config), (), False,
                        config)
     transmissions: list[tuple[str, float]] = []
     for side in (left, right):
@@ -165,7 +164,7 @@ def price_ewise(kind: str, left: MatrixMeta, right: MatrixMeta, out: MatrixMeta,
     if not out_distributed:
         transmissions.append((COLLECT, _size(out, policy)))
     return OpPrice("distributed", _compute_seconds(flop_count, True, config, imbalance),
-                   transmissions, out_distributed, config)
+                   tuple(transmissions), out_distributed, config)
 
 
 def price_fused_ewise(flop_count: float, broadcast_metas: list[MatrixMeta],
@@ -184,7 +183,7 @@ def price_fused_ewise(flop_count: float, broadcast_metas: list[MatrixMeta],
     """
     if not distributed:
         return OpPrice("fused_ewise", _compute_seconds(flop_count, False, config),
-                       [], False, config)
+                       (), False, config)
     transmissions: list[tuple[str, float]] = [
         (BROADCAST, broadcast_volume(config, _size(meta, policy)))
         for meta in broadcast_metas]
@@ -193,7 +192,7 @@ def price_fused_ewise(flop_count: float, broadcast_metas: list[MatrixMeta],
         transmissions.append((COLLECT, _size(out, policy)))
     return OpPrice("fused_ewise",
                    _compute_seconds(flop_count, True, config, imbalance),
-                   transmissions, out_distributed, config)
+                   tuple(transmissions), out_distributed, config)
 
 
 def price_transpose(meta: MatrixMeta, config: ClusterConfig,
@@ -202,11 +201,11 @@ def price_transpose(meta: MatrixMeta, config: ClusterConfig,
     where = decide_transpose(meta, config, policy)
     flop_count = flops.transpose_flops(meta)
     if where == LOCAL:
-        return OpPrice(LOCAL, _compute_seconds(flop_count, False, config), [], False,
+        return OpPrice(LOCAL, _compute_seconds(flop_count, False, config), (), False,
                        config)
     shuffled = volumes.transpose_shuffle_bytes(meta, policy.force_dense)
     return OpPrice("distributed", _compute_seconds(flop_count, True, config, imbalance),
-                   [(SHUFFLE, shuffled)], True, config)
+                   ((SHUFFLE, shuffled),), True, config)
 
 
 def price_aggregate(meta: MatrixMeta, config: ClusterConfig, policy: ExecutionPolicy,
@@ -215,10 +214,10 @@ def price_aggregate(meta: MatrixMeta, config: ClusterConfig, policy: ExecutionPo
     distributed = value_distributed(meta, config, policy)
     flop_count = flop_multiplier * flops.aggregate_flops(meta)
     if not distributed:
-        return OpPrice(LOCAL, _compute_seconds(flop_count, False, config), [], False,
+        return OpPrice(LOCAL, _compute_seconds(flop_count, False, config), (), False,
                        config)
     return OpPrice("distributed", _compute_seconds(flop_count, True, config, imbalance),
-                   [(COLLECT, config.num_workers * 16.0)], False, config)
+                   ((COLLECT, config.num_workers * 16.0),), False, config)
 
 
 def price_map(meta: MatrixMeta, out: MatrixMeta, config: ClusterConfig,
@@ -232,7 +231,7 @@ def price_map(meta: MatrixMeta, out: MatrixMeta, config: ClusterConfig,
     flop_count = max(meta.nnz, out.nnz)
     return OpPrice("map" if not distributed else "map_distributed",
                    _compute_seconds(flop_count, distributed, config, imbalance),
-                   [], distributed and value_distributed(out, config, policy),
+                   (), distributed and value_distributed(out, config, policy),
                    config)
 
 
@@ -244,16 +243,15 @@ def price_structural(kind: str, meta: MatrixMeta, out: MatrixMeta,
     distributed = value_distributed(meta, config, policy)
     flop_count = meta.nnz
     if not distributed:
-        return OpPrice(LOCAL, _compute_seconds(flop_count, False, config), [],
+        return OpPrice(LOCAL, _compute_seconds(flop_count, False, config), (),
                        False, config)
-    transmissions = [(COLLECT, _size(out, policy))]
     return OpPrice("structural", _compute_seconds(flop_count, True, config, imbalance),
-                   transmissions, False, config)
+                   ((COLLECT, _size(out, policy)),), False, config)
 
 
 def price_persist(meta: MatrixMeta, config: ClusterConfig,
                   policy: ExecutionPolicy) -> OpPrice:
     """Price checkpointing a hoisted loop-constant result to DFS."""
     if not value_distributed(meta, config, policy):
-        return OpPrice(LOCAL, 0.0, [], False, config)
-    return OpPrice("distributed", 0.0, [(DFS, _size(meta, policy))], True, config)
+        return OpPrice(LOCAL, 0.0, (), False, config)
+    return OpPrice("distributed", 0.0, ((DFS, _size(meta, policy)),), True, config)

@@ -325,8 +325,7 @@ class RecoveryManager:
         self.cluster_config = replace(self.cluster_config,
                                       num_workers=remaining)
         if self._kernels is not None:
-            self._kernels.config = self.cluster_config
-            self._kernels.network.config = self.cluster_config
+            self._kernels.reconfigure(self.cluster_config)
         if self.tracer is not None:
             self.tracer.set_num_workers(remaining)
         if self.on_shrink is not None:

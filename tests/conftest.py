@@ -64,6 +64,20 @@ def compile_pool_submits(monkeypatch):
     return watch
 
 
+class _Forgetful(dict):
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+@pytest.fixture
+def forgetful_prices() -> dict:
+    """A stand-in for ``Kernels._prices`` that keeps nothing: every
+    operator is priced afresh, which is what the runtime did before it
+    kept prices, so a run with it is the reference a replaying run is
+    compared against."""
+    return _Forgetful()
+
+
 @pytest.fixture
 def cluster() -> ClusterConfig:
     """A small distributed cluster: tight budgets so tiny matrices distribute."""

@@ -358,6 +358,35 @@ class TestTransposedTwinsUnderRecovery:
             assert faulty.metrics.execution_seconds == seconds, twentieth
 
 
+class TestReplayedPricesAcrossAShrink:
+    """``Kernels`` replays a price it has computed once; a crash shrinks
+    the cluster those prices were computed for, mid-loop."""
+
+    def test_a_crash_mid_loop_charges_post_shrink_prices(
+            self, cluster, program, inputs, forgetful_prices):
+        base, _env = run_program(cluster, program, inputs)
+        horizon = base.metrics.execution_seconds
+        assert base.metrics.operator_counts["bmm"] >= 5  # priced per worker
+        for twentieth, worker in ((3, 3), (8, 0), (13, 1), (16, 5)):
+            plan = FaultPlan(crashes=(
+                CrashEvent(twentieth / 20 * horizon, worker),))
+            replayed, env = run_program(cluster, program, inputs,
+                                        fault_plan=plan)
+            reference = Executor(cluster, fault_plan=plan)
+            reference.kernels._prices = forgetful_prices
+            assert_identical_results(reference.run(program, inputs), env)
+            assert replayed.metrics.summary() == reference.metrics.summary()
+            assert replayed.metrics.execution_seconds \
+                != base.metrics.execution_seconds
+            kernels = replayed.kernels
+            assert kernels.config.num_workers == cluster.num_workers - 1
+            assert kernels.prices_replayed > 0
+            # Nothing priced for the larger cluster is left to replay.
+            assert kernels._prices and all(
+                price._config is kernels.config
+                for price in kernels._prices.values())
+
+
 class TestFailureModes:
     def test_retries_exhausted_raises(self, cluster, program, inputs):
         plan = FaultPlan(transmission_failure_rates={"shuffle": 0.99,

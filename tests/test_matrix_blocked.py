@@ -1,11 +1,13 @@
 """Blocked matrix tests: construction, arithmetic, grid layout."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy import sparse as sp
 
 from repro.errors import ExecutionError, ShapeError
-from repro.matrix import Block, BlockedMatrix, HashPartitioner, worker_of_block
+from repro.matrix import Block, BlockedMatrix, HashPartitioner, blocked, worker_of_block
 
 
 class TestConstruction:
@@ -276,6 +278,224 @@ class TestBlock:
     def test_block_rejects_1d(self):
         with pytest.raises(ValueError):
             Block(np.ones(5))
+
+
+def _payload(block):
+    """Everything a tile is: layout, count, shape, memory order, bytes."""
+    if block.is_sparse:
+        cells = (block.data.data.tobytes(), block.data.indices.tobytes(),
+                 block.data.indptr.tobytes())
+    else:
+        cells = (block.data.flags.c_contiguous, block.data.flags.f_contiguous,
+                 block.data.tobytes())
+    return block.is_sparse, block.nnz, block.shape, cells
+
+
+def _assert_same_grid(got, expected):
+    assert got.shape == expected.shape
+    assert got.symmetric == expected.symmetric
+    assert list(got.blocks) == list(expected.blocks)
+    for key, tile in got.blocks.items():
+        assert _payload(tile) == _payload(expected.blocks[key]), key
+    assert got.nnz == expected.nnz
+    assert got.serialized_bytes() == expected.serialized_bytes()
+    assert got.meta() == expected.meta()
+
+
+class TestOneCellGrids:
+    """Operands of one tile each are answered without the sparse-grid join
+    (``_join_products`` / ``_join_cells``), by the tile functions the join
+    calls: absent tiles, ``x * 0``, division by an implicit zero block and
+    re-layout follow one set of rules on both routes."""
+
+    SIZE = 8
+    OPS = ("add", "subtract", "multiply", "divide")
+
+    @classmethod
+    def _operands(cls, rows, cols):
+        """Named one-cell grids of one shape: dense, CSR, absent, and two
+        with disjoint supports (their product is an all-zero tile)."""
+        rng = np.random.default_rng(rows * 31 + cols)
+        dense = rng.random((rows, cols)) + 0.5
+        thin = np.zeros((rows, cols))
+        thin[0, 0] = 2.0
+        other_corner = np.zeros((rows, cols))
+        other_corner[-1, -1] = 3.0
+        grids = {"dense": dense, "dense2": dense[::-1, ::-1] * 1.5,
+                 "csr": thin, "absent": np.zeros((rows, cols))}
+        if rows * cols > 2:
+            grids["csr2"] = other_corner
+        return {name: BlockedMatrix.from_numpy(array, cls.SIZE)
+                for name, array in grids.items()}
+
+    @staticmethod
+    def _joined(left, right, op_name):
+        result = BlockedMatrix(left.rows, left.cols, left.block_size)
+        blocked._join_cells(left, right, op_name, result, None)
+        return result
+
+    @pytest.mark.parametrize("shape", [(5, 5), (8, 8), (1, 7), (7, 1), (1, 1)])
+    def test_cell_wise_ops_match_the_join(self, shape):
+        operands = self._operands(*shape)
+        assert operands["csr"].blocks[(0, 0)].is_sparse == (shape != (1, 1))
+        assert not operands["absent"].blocks
+        for op_name in self.OPS:
+            for left_name, left in operands.items():
+                for right_name, right in operands.items():
+                    case = (op_name, left_name, right_name)
+                    if op_name == "divide" and "csr" in right_name:
+                        continue  # a stored tile with zero cells: inf, nan
+                    try:
+                        expected = self._joined(left, right, op_name)
+                    except ExecutionError as error:
+                        # Only a divide by an absent tile, on either route.
+                        assert op_name == "divide" \
+                            and right_name == "absent", case
+                        with pytest.raises(ExecutionError) as caught:
+                            getattr(left, op_name)(right)
+                        assert str(caught.value) == str(error), case
+                        continue
+                    _assert_same_grid(getattr(left, op_name)(right), expected)
+
+    def test_zero_results_are_absent_on_both_routes(self):
+        operands = self._operands(5, 5)
+        for left, right, op_name in (("dense", "dense", "subtract"),
+                                     ("csr", "csr2", "multiply"),
+                                     ("csr", "absent", "multiply"),
+                                     ("absent", "absent", "divide")):
+            result = getattr(operands[left], op_name)(operands[right])
+            assert not result.blocks, (left, right, op_name)
+            assert not self._joined(operands[left], operands[right],
+                                    op_name).blocks
+
+    @pytest.mark.parametrize("rows, inner, cols",
+                             [(5, 5, 5), (8, 8, 8), (1, 7, 1), (7, 1, 7),
+                              (1, 6, 4), (4, 6, 1), (1, 1, 1)])
+    def test_matmul_matches_the_join(self, rows, inner, cols):
+        for left_name, left in self._operands(rows, inner).items():
+            for right_name, right in self._operands(inner, cols).items():
+                expected = BlockedMatrix(rows, cols, self.SIZE)
+                blocked._join_products(left, right, expected, None)
+                result = left.matmul(right)
+                _assert_same_grid(result, expected)
+                assert np.array_equal(result.to_numpy(),
+                                      left.to_numpy() @ right.to_numpy())
+                if "absent" in (left_name, right_name):
+                    assert not result.blocks
+        corner, other = self._operands(5, 5)["csr"], self._operands(5, 5)["csr2"]
+        assert not corner.matmul(other).blocks  # a product of all zeros
+
+    def test_symmetry_of_a_squared_symmetric_tile(self, rng):
+        data = rng.random((6, 6))
+        grid = BlockedMatrix.from_numpy(data + data.T, self.SIZE, symmetric=True)
+        assert grid.matmul(grid).symmetric
+        assert not grid.matmul(BlockedMatrix.from_numpy(data, self.SIZE)).symmetric
+
+    def test_grid_size_selects_the_route(self, rng, monkeypatch):
+        joins = []
+        for name in ("_join_products", "_join_cells"):
+            original = getattr(blocked, name)
+            monkeypatch.setattr(
+                blocked, name,
+                lambda *args, _name=name, _original=original:
+                    (joins.append(_name), _original(*args))[1])
+        size = self.SIZE
+        cell = BlockedMatrix.from_numpy(rng.random((size, size)), size)
+        wide = BlockedMatrix.from_numpy(rng.random((size, size + 1)), size)
+        tall = BlockedMatrix.from_numpy(rng.random((size + 1, size)), size)
+        cell.matmul(cell), cell.add(cell), cell.divide(cell)
+        assert joins == []
+        # One operand of two cells, on either side or in the result only.
+        for left, right in ((cell, wide), (tall, cell), (wide, tall),
+                            (tall, wide)):
+            joins.clear()
+            product = left.matmul(right)
+            assert joins == ["_join_products"]
+            assert np.allclose(product.to_numpy(),
+                               left.to_numpy() @ right.to_numpy())
+        joins.clear()
+        wide.multiply(wide)
+        assert joins == ["_join_cells"]
+
+
+class TestDenseTimesCsr:
+    """SciPy computes ``dense @ csr`` as ``(csr.T @ dense.T).T`` around a
+    CSC wrapper it rebuilds per call; ``_tile_product`` makes the same
+    calls around the wrapper the tile keeps."""
+
+    @staticmethod
+    def _csr(rng, rows, cols, density=0.15, empty_rows=()):
+        cells = rng.random((rows, cols))
+        cells[rng.random((rows, cols)) > density] = 0.0
+        cells[list(empty_rows), :] = 0.0
+        return Block(sp.csr_matrix(cells))
+
+    @pytest.mark.parametrize("left_rows", [1, 7, 40])
+    def test_product_is_scipys_byte_for_byte(self, rng, left_rows):
+        right = self._csr(rng, 40, 30, empty_rows=(0, 17, 39))
+        assert right.is_sparse and right._transposed_view is None
+        for left_data in (rng.random((left_rows, 40)),
+                          np.asfortranarray(rng.random((left_rows, 40))),
+                          rng.random((40, left_rows)).T):
+            left = Block(left_data)
+            reference = left.data @ right.data
+            assert isinstance(reference, np.ndarray)
+            tile = blocked._tile_product([(left, right)])
+            assert not tile.is_sparse
+            assert tile.data.shape == reference.shape
+            assert tile.data.strides == reference.strides
+            assert tile.data.tobytes() == reference.tobytes()
+            assert tile.nnz == np.count_nonzero(reference)
+        # Built once, over the payload's own arrays.
+        view = right._transposed_view
+        assert view.format == "csc" and view.shape == (30, 40)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(view, name),
+                                    getattr(right.data, name))
+        blocked._tile_product([(Block(rng.random((3, 40))), right)])
+        assert right._transposed_view is view
+
+    def test_accumulating_pairs_match_scipys_sum(self, rng):
+        pairs = [(Block(rng.random((7, 40))), self._csr(rng, 40, 30)),
+                 (Block(rng.random((7, 20))), Block(rng.random((20, 30)))),
+                 (Block(rng.random((7, 40))), self._csr(rng, 40, 30))]
+        reference = pairs[0][0].data @ pairs[0][1].data
+        for left, right in pairs[1:]:
+            reference = reference + left.data @ right.data
+        tile = blocked._tile_product(pairs)
+        assert tile.data.tobytes() == np.ascontiguousarray(reference).tobytes()
+
+    def test_kept_transposed_tiles_keep_their_views(self, rng):
+        cells = rng.random((96, 64))
+        cells[rng.random((96, 64)) > 0.05] = 0.0
+        source = BlockedMatrix.from_scipy(sp.csr_matrix(cells), 32)
+        left = BlockedMatrix.from_numpy(rng.random((5, 64)), 32)
+        twin_tiles = source.transpose().blocks
+        assert all(tile.is_sparse for tile in twin_tiles.values())
+        first = left.matmul(source.transpose())
+        views = {key: tile._transposed_view
+                 for key, tile in twin_tiles.items()}
+        assert all(view is not None for view in views.values())
+        second = left.matmul(source.transpose())
+        assert all(source.transpose().blocks[key]._transposed_view is view
+                   for key, view in views.items())
+        assert first.to_numpy().tobytes() == second.to_numpy().tobytes()
+        assert np.allclose(first.to_numpy(),
+                           left.to_numpy() @ source.to_numpy().T)
+
+    def test_a_pickled_block_travels_without_the_view(self, rng):
+        block = self._csr(rng, 40, 30)
+        bare = pickle.dumps(block)
+        block.transposed_view()
+        assert block._transposed_view is not None
+        shipped = pickle.dumps(block)
+        assert len(shipped) == len(bare)
+        copy = pickle.loads(shipped)
+        assert copy._transposed_view is None
+        assert copy.is_sparse and copy._nnz == block._nnz
+        assert _payload(copy) == _payload(block)
+        dense = pickle.loads(pickle.dumps(Block.of(rng.random((4, 3)), False, 12)))
+        assert not dense.is_sparse and dense._nnz == 12
 
 
 class TestPartitioner:

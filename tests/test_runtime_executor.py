@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
+from repro.core.chains import ChainPlaceholder
 from repro.errors import ExecutionError, ShapeError
-from repro.lang import parse, parse_expression
+from repro.lang import ast, parse, parse_expression
 from repro.matrix import BlockedMatrix
 from repro.runtime import ExecutionPolicy, Executor
 
@@ -120,6 +121,73 @@ class TestOperators:
     def test_undefined_variable(self, executor):
         with pytest.raises(ExecutionError, match="undefined"):
             evaluate(executor, "Z %*% Z", {})
+
+
+class TestEvaluateDispatch:
+    """``evaluate`` picks its branch from ``type(expr)``: every node type
+    still reaches the kernel it reached when the branches were a chain of
+    ``isinstance`` tests, and the fusion probe keeps its place."""
+
+    A, S = ast.MatrixRef("A"), ast.ScalarRef("s")
+    #: node -> the first kernel it calls (None: an environment read).
+    CASES = {
+        ast.MatrixRef: (A, None),
+        ast.ScalarRef: (S, None),
+        ast.Literal: (ast.Literal(2.0), "from_scalar"),
+        ast.Transpose: (ast.Transpose(A), "transpose"),
+        ast.MatMul: (ast.MatMul(A, A), "matmul"),
+        ast.Add: (ast.Add(A, A), "add"),
+        ast.Sub: (ast.Sub(A, A), "subtract"),
+        ast.ElemMul: (ast.ElemMul(A, A), "multiply"),
+        ast.ElemDiv: (ast.ElemDiv(A, A), "divide"),
+        ast.Neg: (ast.Neg(A), "negate"),
+        ast.Compare: (ast.Compare("<", S, S), "from_scalar"),
+        ast.Call: (ast.Call("sum", (A,)), "aggregate_sum"),
+    }
+    CELLWISE = (ast.Add, ast.Sub, ast.ElemMul, ast.ElemDiv)
+
+    def test_every_node_type_has_a_case(self):
+        assert set(self.CASES) == {node for node in ast.Expr.__subclasses__()
+                                   if node.__module__ == ast.__name__}
+        assert not any(node.__subclasses__() for node in self.CASES)
+
+    @pytest.mark.parametrize("fuse", [False, True])
+    @pytest.mark.parametrize("node", CASES, ids=lambda node: node.__name__)
+    def test_node_reaches_the_kernel_it_reached(self, cluster, rng, node, fuse):
+        executor = Executor(cluster, ExecutionPolicy(fuse=fuse))
+        kernels = executor.kernels
+        env = {"A": kernels.load("A", rng.random((20, 20)) + 0.5),
+               "s": kernels.from_scalar(3.0)}
+        calls = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def recording(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            setattr(owner, name, recording)
+
+        for name in ("from_scalar", "transpose", "matmul", "add", "subtract",
+                     "multiply", "divide", "negate", "aggregate_sum"):
+            spy(kernels, name)
+        spy(executor, "_try_fused_ewise")
+        expr, kernel = self.CASES[node]
+        value = executor.evaluate(expr, env)
+        probes = [name for name in calls if name == "_try_fused_ewise"]
+        assert probes == ["_try_fused_ewise"] * (fuse and node in self.CELLWISE)
+        reached = [name for name in calls if name != "_try_fused_ewise"]
+        if kernel is None:
+            assert reached == [] and value is env[expr.name]
+        else:
+            assert reached[0] == kernel
+
+    def test_a_node_of_no_program_is_refused(self, executor):
+        # The optimizer's own stand-in node never reaches a rewritten
+        # program; the executor has no branch for it.
+        with pytest.raises(ExecutionError,
+                           match="expression node ChainPlaceholder"):
+            executor.evaluate(ChainPlaceholder(0), {})
 
 
 class TestPreTiledInputs:

@@ -1,11 +1,25 @@
 """Hybrid dispatch and operator pricing tests."""
 
+import dataclasses
+
 import pytest
 
+from repro.algorithms import get_algorithm
 from repro.config import ClusterConfig
+from repro.data import load_dataset
+from repro.engines import make_engine
 from repro.matrix import MatrixMeta
-from repro.runtime import BMM, BMM_FLIPPED, CPMM, LOCAL, ExecutionPolicy, decide_matmul
+from repro.runtime import (
+    BMM,
+    BMM_FLIPPED,
+    CPMM,
+    LOCAL,
+    ExecutionPolicy,
+    Executor,
+    decide_matmul,
+)
 from repro.runtime.hybrid import decide_ewise, decide_transpose, value_distributed
+from repro.runtime.physical import Kernels
 from repro.runtime.pricing import (
     price_aggregate,
     price_ewise,
@@ -77,7 +91,7 @@ class TestPricing:
         price = price_matmul(_mm(20, 20), _mm(20, 20), _mm(20, 20),
                              cluster, POLICY)
         assert price.impl == LOCAL
-        assert price.transmissions == []
+        assert price.transmissions == ()
         assert price.compute_seconds > 0
 
     def test_bmm_price_contains_broadcast(self, cluster):
@@ -115,7 +129,7 @@ class TestPricing:
 
     def test_local_transpose_free_of_transmission(self, cluster):
         price = price_transpose(_mm(10, 10), cluster, POLICY)
-        assert price.transmissions == []
+        assert price.transmissions == ()
 
     def test_cost_is_compute_plus_transmit(self, cluster):
         price = price_matmul(_mm(10_000, 100), _mm(100, 1), _mm(10_000, 1),
@@ -133,7 +147,7 @@ class TestPricing:
     def test_persist_only_for_distributed(self, cluster):
         small = price_persist(_mm(10, 10), cluster, POLICY)
         big = price_persist(_mm(10_000, 100), cluster, POLICY)
-        assert small.transmissions == []
+        assert small.transmissions == ()
         assert any(p == "dfs" for p, _ in big.transmissions)
 
     def test_aggregate_collects_partials(self, cluster):
@@ -153,3 +167,92 @@ class TestPricing:
         dense = price_matmul(sparse_meta, _mm(1000, 1), _mm(10_000, 1),
                              cluster, ExecutionPolicy.pbdr())
         assert dense.seconds > normal.seconds
+
+    def test_a_price_cannot_be_edited(self, cluster):
+        # One instance is charged on every iteration and handed to the
+        # tracer and to recovery by reference.
+        price = price_matmul(_mm(10_000, 100), _mm(100, 1), _mm(10_000, 1),
+                             cluster, POLICY)
+        assert isinstance(price.transmissions, tuple)
+        for field in dataclasses.fields(price):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(price, field.name, getattr(price, field.name))
+
+
+class TestPriceReplay:
+    """``Kernels`` prices an operator the first time it sees its key and
+    charges that price again afterwards; nothing on the simulated clock
+    can tell."""
+
+    @staticmethod
+    def _compiled(algorithm, dataset):
+        algo = get_algorithm(algorithm)
+        meta, data = algo.make_inputs(load_dataset(dataset, scale=0.3).matrix)
+        engine = make_engine("remac")
+        compiled = engine.compile(algo.program(5), meta, data, iterations=5)
+        return engine, algo, data, compiled
+
+    @pytest.mark.parametrize("algorithm, dataset",
+                             [("dfp", "cri1"), ("gnmf", "red2")])
+    def test_remembered_prices_are_what_their_functions_return(
+            self, algorithm, dataset, forgetful_prices):
+        engine, algo, data, compiled = self._compiled(algorithm, dataset)
+
+        def run(prices=None):
+            executor = Executor(engine.cluster, engine.policy)
+            if prices is not None:
+                executor.kernels._prices = prices
+            executor.run(compiled, data, symmetric=algo.symmetric_inputs)
+            return executor.kernels
+
+        kernels = run()
+        assert kernels._prices
+        for (price_fn, head, tail), price in kernels._prices.items():
+            assert price == price_fn(*head, kernels.config, kernels.policy,
+                                     *tail), (price_fn.__name__, head, tail)
+        # The loop body was replayed, not re-priced ...
+        charged = sum(kernels.metrics.operator_counts.values())
+        assert kernels.prices_replayed > 0.6 * charged
+        # ... and a run that re-prices every operator charges the same.
+        fresh = run(forgetful_prices)
+        assert fresh.prices_replayed == 0
+        assert fresh.metrics.summary() == kernels.metrics.summary()
+        assert fresh.metrics.operator_counts == kernels.metrics.operator_counts
+
+    def test_reconfigure_drops_the_prices_of_the_old_cluster(self, cluster, rng):
+        kernels = Kernels(cluster, POLICY)
+        matrix = kernels.load("A", rng.random((640, 64)))
+        vector = kernels.load("v", rng.random((64, 1)))
+        assert matrix.distributed and not vector.distributed
+        broadcast = kernels.metrics.bytes_by_primitive
+
+        kernels.matmul(matrix, vector)
+        (price,) = kernels._prices.values()
+        assert price.impl == BMM
+        one_copy = broadcast["broadcast"] / cluster.num_workers
+        kernels.matmul(matrix, vector)
+        assert kernels.prices_replayed == 1
+        assert broadcast["broadcast"] == 2 * cluster.num_workers * one_copy
+
+        shrunk = dataclasses.replace(cluster,
+                                     num_workers=cluster.num_workers - 1)
+        kernels.reconfigure(shrunk)
+        assert kernels.config is shrunk and kernels.network.config is shrunk
+        assert not kernels._prices
+        before = broadcast["broadcast"]
+        kernels.matmul(matrix, vector)
+        # One copy per *remaining* worker: a price kept from the larger
+        # cluster would have broadcast one more.
+        assert broadcast["broadcast"] - before == shrunk.num_workers * one_copy
+        assert kernels.prices_replayed == 1
+
+    def test_run_notes_count_operators_and_prices(self):
+        engine, algo, data, compiled = self._compiled("dfp", "cri1")
+        run = engine.execute(compiled, data, symmetric=algo.symmetric_inputs)
+        pricing = run.notes["pricing"]
+        assert set(pricing) == {"operators", "priced"}
+        assert pricing["operators"] == sum(run.metrics.operator_counts.values())
+        assert 0 < pricing["priced"] <= 0.35 * pricing["operators"]
+        # Visible in the notes only: the summary is pinned by SHA-256.
+        assert not any("pric" in key for key in run.metrics.summary())
+        assert "pricing" not in compiled.notes

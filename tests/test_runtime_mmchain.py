@@ -86,7 +86,7 @@ class TestPricing:
         x = MatrixMeta(40, 10)
         fused = price_mmchain(x, MatrixMeta(10, 1), MatrixMeta(10, 1),
                               cluster, FUSED)
-        assert fused.transmissions == []
+        assert fused.transmissions == ()
 
     def test_cost_model_matches_runtime_shape(self, cluster, tall, rng):
         """With the exact estimator the evaluator's mmchain price equals
