@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import OptimizerError
-from ..lang.ast import Expr, MatMul, Transpose
+from ..lang.ast import Expr, MatMul
 from ..lang.program import Assign, WhileLoop
+from ..runtime.pricing import price_matmul, price_mmchain, price_transpose
 from .chains import ChainSite, Operand, ProgramChains
 from .cost.evaluate import ProgramCostEvaluator
 from .cost.model import CostModel
@@ -34,8 +34,20 @@ def statement_sketch_envs(chains: ProgramChains, model: CostModel,
     """Sketch environment in effect before each normalized statement.
 
     Mirrors the two-pass loop handling of the type checker so loop-carried
-    variables are sketched at their sparsity steady state.
+    variables are sketched at their sparsity steady state. The result stays
+    with ``chains``: the probe and the rewrite of one round read (never
+    write) the same environments, so only the first of them walks.
     """
+    kept = chains.sketch_envs
+    if kept is not None and kept[0] is model and kept[1] is input_sketches:
+        return kept[2]
+    envs = _walk_sketch_envs(chains, model, input_sketches)
+    chains.sketch_envs = (model, input_sketches, envs)
+    return envs
+
+
+def _walk_sketch_envs(chains: ProgramChains, model: CostModel,
+                      input_sketches: dict[str, Sketch]) -> list[dict[str, Sketch]]:
     evaluator = ProgramCostEvaluator(model)
     env: dict[str, Sketch] = dict(input_sketches)
     envs: list[dict[str, Sketch]] = [dict() for _ in chains.statements]
@@ -70,9 +82,11 @@ def statement_sketch_envs(chains: ProgramChains, model: CostModel,
 # ----------------------------------------------------------------------
 @dataclass
 class SpanTable:
-    """Sketches and plain DP costs for all spans of one chain site."""
+    """Sketches and plain DP costs for all spans of one chain. Shared by
+    every chain priced the same (:func:`build_span_table`), so it names no
+    site: ``operands`` are those of the chain it was first built for."""
 
-    site: ChainSite
+    operands: list[Operand]
     #: Region weight: loop iterations for in-loop sites, 1 for prologue.
     weight: float
     sketches: dict[tuple[int, int], Sketch] = field(default_factory=dict)
@@ -88,17 +102,43 @@ class SpanTable:
 
     @property
     def n(self) -> int:
-        return len(self.site)
+        return len(self.operands)
 
     def sketch(self, start: int, end: int) -> Sketch:
         return self.sketches[(start, end)]
 
 
-def build_span_table(site: ChainSite, model: CostModel,
+def build_span_table(operands: list[Operand], model: CostModel,
                      operand_sketches: list[Sketch], weight: float) -> SpanTable:
-    """Fill a site's span table: sketches, operator prices, plain DP."""
-    table = SpanTable(site=site, weight=weight)
-    n = len(site)
+    """A chain's span table: sketches, operator prices, plain DP.
+
+    Every figure in it is a function of the operand sketches (propagated
+    and read through ``model``), the weight, and what
+    :func:`_fused_mmchain_cost` reads of the operands — orientation,
+    symmetry, whether neighbours share a base. The model keeps one table
+    per such key, so a site, an option's pseudo-chain, a re-parenthesized
+    chain and the next round's copy of an untouched statement share the
+    one the first of them built. It is stored only once filled (another
+    pricing thread may be reading the memo); its ``sketches`` hold the
+    operand sketches, so the identities in its key stay taken.
+    """
+    model.tables_asked += 1
+    key = (tuple(map(id, operand_sketches)), weight,
+           tuple((op.transposed, op.symmetric) for op in operands),
+           tuple(a.base == b.base for a, b in zip(operands, operands[1:])))
+    table = model.span_tables.get(key)
+    if table is None:
+        model.tables_built += 1
+        table = _fill_span_table(operands, model, operand_sketches, weight)
+        if model.memoizes:
+            model.span_tables[key] = table
+    return table
+
+
+def _fill_span_table(operands: list[Operand], model: CostModel,
+                     operand_sketches: list[Sketch], weight: float) -> SpanTable:
+    table = SpanTable(operands=operands, weight=weight)
+    n = len(operands)
     for i in range(n):
         table.sketches[(i, i)] = operand_sketches[i]
         table.plain_cost[(i, i)] = 0.0
@@ -151,8 +191,7 @@ def _fused_mmchain_cost(table: SpanTable, model: CostModel,
     """
     if j < i + 2:
         return None
-    ops = table.site.operands
-    first, second = ops[i], ops[i + 1]
+    first, second = table.operands[i], table.operands[i + 1]
     if not first.transposed or first.symmetric:
         return None
     if second.transposed and not second.symmetric:
@@ -163,26 +202,19 @@ def _fused_mmchain_cost(table: SpanTable, model: CostModel,
     if not model.policy.fuse \
             and not model.policy.mmchain_applicable_cols(x_meta.cols):
         return None
-    from ..runtime.pricing import price_mmchain
-    v_meta = model.meta(table.sketches[(i + 2, j)])
-    out_meta = model.meta(table.sketches[(i, j)])
-    price = price_mmchain(x_meta, v_meta, out_meta, model.config, model.policy)
-    return table.weight * price.seconds
+    _price, seconds = model.priced(
+        price_mmchain, x_meta, model.meta(table.sketches[(i + 2, j)]),
+        model.meta(table.sketches[(i, j)]))
+    return table.weight * seconds
 
 
 def _operator_cost(table: SpanTable, model: CostModel, i: int, k: int, j: int) -> float:
     """Program-total price of multiplying span [i,k] by [k+1,j]."""
-    key = (i, k, j)
-    cached = table.op_cost.get(key)
-    if cached is not None:
-        return cached
-    from ..runtime.pricing import price_matmul
-    left_meta = model.meta(table.sketches[(i, k)])
-    right_meta = model.meta(table.sketches[(k + 1, j)])
-    out_meta = model.meta(table.sketches[(i, j)])
-    price = price_matmul(left_meta, right_meta, out_meta, model.config, model.policy)
-    cost = table.weight * price.seconds
-    table.op_cost[key] = cost
+    _price, seconds = model.priced(
+        price_matmul, model.meta(table.sketches[(i, k)]),
+        model.meta(table.sketches[(k + 1, j)]),
+        model.meta(table.sketches[(i, j)]))
+    cost = table.op_cost[(i, k, j)] = table.weight * seconds
     return cost
 
 
@@ -249,7 +281,9 @@ def cost_option(option: EliminationOption, chains: ProgramChains, model: CostMod
     first = option.occurrences[0]
     first_site = chains.site(first.site_id)
     env = envs[first_site.stmt_index]
-    operand_sketches = [_operand_sketch(op, env, model) for op in option.operands]
+    evaluator = ProgramCostEvaluator(model)
+    operand_sketches = [_operand_sketch(op, env, evaluator)
+                        for op in option.operands]
     # The shared value is computed once: in the prologue for LSE (then
     # persisted), or once per iteration for an in-loop CSE.
     if option.is_lse:
@@ -263,10 +297,9 @@ def cost_option(option: EliminationOption, chains: ProgramChains, model: CostMod
     for occ in option.occurrences:
         table = tables[occ.site_id]
         replaced += table.plain_cost[(occ.start, occ.end)]
-    from ..runtime.pricing import price_transpose
     result_sketch = _chain_result_sketch(model, operand_sketches)
-    transpose_price = price_transpose(model.meta(result_sketch), model.config,
-                                      model.policy).seconds
+    _price, transpose_price = model.priced(price_transpose,
+                                           model.meta(result_sketch))
     return OptionCosting(option=option, shared_cost=shared,
                          apportioned=shared / len(option.occurrences),
                          replaced_cost=replaced,
@@ -278,11 +311,8 @@ def _standalone_chain_cost(option: EliminationOption, model: CostModel,
     """Optimal cost of computing the option's chain once (times weight)."""
     if len(operand_sketches) == 1:
         return 0.0
-    pseudo_site = ChainSite(site_id=-1, stmt_index=-1,
-                            operands=list(option.operands),
-                            coords=list(range(len(option.operands))),
-                            in_loop=False)
-    table = build_span_table(pseudo_site, model, operand_sketches, weight)
+    table = build_span_table(list(option.operands), model, operand_sketches,
+                             weight)
     return table.plain_cost[(0, len(operand_sketches) - 1)]
 
 
@@ -293,17 +323,12 @@ def _chain_result_sketch(model: CostModel, operand_sketches: list[Sketch]) -> Sk
     return result
 
 
-def _operand_sketch(operand: Operand, env: dict[str, Sketch], model: CostModel) -> Sketch:
+def _operand_sketch(operand: Operand, env: dict[str, Sketch],
+                    evaluator: ProgramCostEvaluator) -> Sketch:
     """Sketch of one operand occurrence (orientation applied)."""
-    evaluator = ProgramCostEvaluator(model)
-    try:
-        _seconds, sketch = evaluator._price_expr(operand.base, env)
-    except OptimizerError:
-        # Opaque operand referencing a not-yet-sketched temp; fall back to
-        # metadata via type inference is impossible here, so treat as dense.
-        raise
+    _seconds, sketch = evaluator._price_expr(operand.base, env)
     if operand.transposed and not operand.symmetric:
-        return model.estimator.transpose(sketch)
+        return evaluator.model.estimator.transpose(sketch)
     return sketch
 
 
@@ -318,11 +343,13 @@ def build_all_tables(chains: ProgramChains, model: CostModel,
     """
     from .parallel import parallel_map
 
+    evaluator = ProgramCostEvaluator(model)
+
     def build(site: ChainSite) -> SpanTable:
         env = envs[site.stmt_index]
-        sketches = [_operand_sketch(op, env, model) for op in site.operands]
+        sketches = [_operand_sketch(op, env, evaluator) for op in site.operands]
         weight = float(chains.iterations) if site.in_loop else 1.0
-        return build_span_table(site, model, sketches, weight)
+        return build_span_table(site.operands, model, sketches, weight)
 
     tables = parallel_map(build, chains.sites, workers)
     return {site.site_id: table for site, table in zip(chains.sites, tables)}

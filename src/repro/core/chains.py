@@ -36,7 +36,7 @@ from ..lang.ast import (
 )
 from ..lang.program import Assign, Program, WhileLoop
 from ..lang.typecheck import Environment, infer_expr_meta
-from .normalize import normalize, symmetric_names
+from .normalize import normalize, trusted_symmetric_names
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,9 @@ class ProgramChains:
     loop_constants: frozenset[str] = frozenset()
     symmetric: frozenset[str] = frozenset()
     iterations: int = 100
+    #: (model, input sketches, environments) of the last
+    #: :func:`repro.core.build.statement_sketch_envs` walk over these chains.
+    sketch_envs: tuple | None = field(default=None, repr=False, compare=False)
 
     def site(self, site_id: int) -> ChainSite:
         return self.sites[site_id]
@@ -189,10 +192,15 @@ def build_chains(program: Program, inputs: Environment,
         raise OptimizerError("programs with multiple top-level loops are not supported")
     loop = loops[0] if loops else None
     loop_constants = frozenset(program.loop_constant_variables(loop)) if loop else frozenset()
+    # One pass over the loop body settles loop-carried metadata, like the
+    # type checker's first; the symmetry proofs and the extraction below
+    # both read it.
+    settled: Environment = dict(inputs)
+    for stmt in program.assignments():
+        settled[stmt.target] = infer_expr_meta(stmt.expr, settled)
     # Declared symmetry is only trusted when every assignment provably
     # preserves it — otherwise Xᵀ≡X canonicalization would be unsound.
-    from .normalize import trusted_symmetric_names
-    symmetric = trusted_symmetric_names(program, inputs)
+    symmetric = trusted_symmetric_names(program, inputs, typed=settled)
 
     result = ProgramChains(
         program=program,
@@ -203,39 +211,23 @@ def build_chains(program: Program, inputs: Environment,
         else (loop.max_iterations if loop else 1),
     )
 
-    env: Environment = dict(inputs)
-    builder = _ChainBuilder(result, env)
-    # Two passes over the loop body, like the type checker: the first pass
-    # settles loop-carried metadata, the second records statements.
-    builder.preflight(program)
-    builder.extract(program)
+    _ChainBuilder(result, dict(inputs), settled).extract(program)
     return result
 
 
 class _ChainBuilder:
     """Stateful walk over a program extracting templates and chain sites."""
 
-    def __init__(self, chains: ProgramChains, env: Environment):
+    def __init__(self, chains: ProgramChains, env: Environment,
+                 settled: Environment):
         self.chains = chains
         self.env = env
+        #: Metadata after one pass over every assignment: what loop-carried
+        #: variables read inside the loop. Prologue statements are
+        #: re-inferred in order during extract().
+        self._settled = settled
         self._coord = 0
         self._stmt_index = 0
-
-    # ------------------------------------------------------------------
-    # Passes
-    # ------------------------------------------------------------------
-    def preflight(self, program: Program) -> None:
-        """Settle loop-carried metadata without recording anything."""
-        scratch = dict(self.env)
-        for stmt in program.statements:
-            if isinstance(stmt, Assign):
-                scratch[stmt.target] = infer_expr_meta(stmt.expr, scratch)
-            else:
-                for loop_stmt in stmt.assignments():
-                    scratch[loop_stmt.target] = infer_expr_meta(loop_stmt.expr, scratch)
-        # Keep only loop-carried refinements; prologue statements will be
-        # re-inferred in order during extract().
-        self._settled = scratch
 
     def extract(self, program: Program) -> None:
         for stmt in program.statements:

@@ -11,8 +11,11 @@ Within one compilation the same (operator, operand sketches) pair is priced
 hundreds of times — once per candidate program, per adaptive round, per
 span table. The model therefore memoizes prices by operand identity (valid
 because :class:`~repro.core.sparsity.memo.MemoizedEstimator` makes repeated
-propagations return shared sketch objects); disable with ``memoize=False``
-to reproduce the unmemoized baseline.
+propagations return shared sketch objects), replays a pricing formula from
+the operand metadata it was computed from (:meth:`CostModel.priced`) and
+keeps one span table per distinct chain over sketches
+(:func:`repro.core.build.build_span_table`); disable all three with
+``memoize=False`` to reproduce the unmemoized baseline.
 """
 
 from __future__ import annotations
@@ -41,10 +44,12 @@ class Priced:
 
     price: OpPrice
     sketch: Sketch
+    #: ``price.seconds``, summed once: a memoized instance is read often.
+    seconds: float | None = None
 
-    @property
-    def seconds(self) -> float:
-        return self.price.seconds
+    def __post_init__(self) -> None:
+        if self.seconds is None:
+            self.seconds = self.price.seconds
 
 
 class CostModel:
@@ -61,8 +66,20 @@ class CostModel:
         #: price-memo table: op key (kind + operand sketch ids + flags) ->
         #: (operand refs..., result). Refs pin the keyed ids.
         self._prices: dict[tuple, tuple] | None = {} if memoize else None
+        self.memoizes = memoize
         self.price_hits = 0
         self.price_misses = 0
+        #: (pricing function, operand metas, flags) -> (price, its seconds):
+        #: the formulas are pure in those once config and policy are fixed,
+        #: as they are for this model's life. Empty when not memoizing.
+        self._formula_prices: dict[tuple, tuple[OpPrice, float]] = {}
+        self.prices_asked = 0
+        self.prices_computed = 0
+        #: Span tables by what their prices were read from; filled and
+        #: counted by :func:`repro.core.build.build_span_table`.
+        self.span_tables: dict[tuple, object] = {}
+        self.tables_asked = 0
+        self.tables_built = 0
 
     def _memo(self, key: tuple, operands: tuple, compute):
         """Memoized operator pricing (identity-keyed, see module docstring)."""
@@ -77,11 +94,29 @@ class CostModel:
         self._prices[key] = (*operands, result)
         return result
 
+    def priced(self, price_fn, *metas: MatrixMeta, **flags) -> tuple[OpPrice, float]:
+        """``price_fn(*metas, config, policy, **flags)`` and its seconds,
+        computed once per distinct (function, metas, flags)."""
+        self.prices_asked += 1
+        key = (price_fn, metas, *flags.items())
+        kept = self._formula_prices.get(key)
+        if kept is None:
+            self.prices_computed += 1
+            price = price_fn(*metas, self.config, self.policy, **flags)
+            kept = (price, price.seconds)
+            if self.memoizes:
+                self._formula_prices[key] = kept
+        return kept
+
     @property
     def memo_stats(self) -> dict[str, int]:
         """Hit/miss counters of the price and sketch memo layers."""
         stats = {"price_hits": self.price_hits,
-                 "price_misses": self.price_misses}
+                 "price_misses": self.price_misses,
+                 "prices_asked": self.prices_asked,
+                 "prices_computed": self.prices_computed,
+                 "tables_asked": self.tables_asked,
+                 "tables_built": self.tables_built}
         if isinstance(self.estimator, MemoizedEstimator):
             sketch = self.estimator.stats
             stats["sketch_hits"] = sketch["hits"]
@@ -124,11 +159,11 @@ class CostModel:
             eff_left = self.estimator.transpose(left) if left_fused_transpose else left
             eff_right = self.estimator.transpose(right) if right_fused_transpose else right
             out = self.estimator.matmul(eff_left, eff_right)
-            price = price_matmul(self.meta(eff_left), self.meta(eff_right), self.meta(out),
-                                 self.config, self.policy,
-                                 left_fused_transpose=left_fused_transpose,
-                                 right_fused_transpose=right_fused_transpose)
-            return Priced(price, out)
+            price, seconds = self.priced(
+                price_matmul, self.meta(eff_left), self.meta(eff_right),
+                self.meta(out), left_fused_transpose=left_fused_transpose,
+                right_fused_transpose=right_fused_transpose)
+            return Priced(price, out, seconds)
         key = ("matmul", id(left), id(right),
                left_fused_transpose, right_fused_transpose)
         return self._memo(key, (left, right), compute)

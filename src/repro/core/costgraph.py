@@ -110,7 +110,12 @@ def _pack(i: int, j: int) -> int:
 
 def build_cost_graph(chains: ProgramChains, tables: dict[int, SpanTable],
                      costings: list[OptionCosting]) -> CostGraph:
-    """Collate span tables and option costings into a cost graph."""
+    """Collate span tables and option costings into a cost graph.
+
+    ``tables`` maps each site to its table; sites over the same chain share
+    one table object, so what is particular to a site (its id, its global
+    coordinates) is read off the site and only prices off the table.
+    """
     graph = CostGraph()
     for site in chains.sites:
         table = tables[site.site_id]

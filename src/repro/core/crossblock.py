@@ -167,9 +167,10 @@ def apply_cross_block(chains: ProgramChains, option: CrossBlockOption,
     from ..lang.program import Assign, Program, WhileLoop
     from .build import (build_chain_expr, build_span_table, _operand_sketch,
                         statement_sketch_envs)
-    from .chains import ChainSite
+    from .cost.evaluate import ProgramCostEvaluator
 
     envs = statement_sketch_envs(chains, model, input_sketches)
+    evaluator = ProgramCostEvaluator(model)
     member_sites = {site_id for group in option.groups
                     for site_id in group.site_ids}
     first_group = option.groups[0]
@@ -182,14 +183,11 @@ def apply_cross_block(chains: ProgramChains, option: CrossBlockOption,
         operands = (site.operands[1:] if first_group.side == "prefix"
                     else site.operands[:-1])
         env = envs[site.stmt_index]
-        sketches = [_operand_sketch(op, env, model) for op in operands]
+        sketches = [_operand_sketch(op, env, evaluator) for op in operands]
         if len(operands) == 1:
             rest_exprs.append(operands[0].to_expr())
             continue
-        pseudo = ChainSite(site_id=-1, stmt_index=site.stmt_index,
-                           operands=list(operands),
-                           coords=list(range(len(operands))), in_loop=False)
-        table = build_span_table(pseudo, model, sketches, 1.0)
+        table = build_span_table(list(operands), model, sketches, 1.0)
         rest_exprs.append(build_chain_expr(list(operands), table.plain_split,
                                            0, len(operands) - 1))
     temp_expr = rest_exprs[0]
@@ -261,13 +259,11 @@ def apply_cross_block(chains: ProgramChains, option: CrossBlockOption,
 
     def _plain_site_expr(site) -> Expr:
         env = envs[site.stmt_index]
-        sketches = [_operand_sketch(op, env, model) for op in site.operands]
+        sketches = [_operand_sketch(op, env, evaluator)
+                    for op in site.operands]
         if len(site.operands) == 1:
             return site.operands[0].to_expr()
-        pseudo = ChainSite(site_id=-1, stmt_index=site.stmt_index,
-                           operands=list(site.operands),
-                           coords=list(range(len(site))), in_loop=False)
-        table = build_span_table(pseudo, model, sketches, 1.0)
+        table = build_span_table(list(site.operands), model, sketches, 1.0)
         return build_chain_expr(list(site.operands), table.plain_split,
                                 0, len(site.operands) - 1)
 

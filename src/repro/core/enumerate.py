@@ -213,9 +213,8 @@ class _CombinationEvaluator:
                 table = self.tables[occ.site_id]
                 if option.needs_transpose(occ) and occ.width == table.n:
                     total += table.weight * costing.reuse_transpose_seconds
-        for table in self.tables.values():
-            spans = forced.get(table.site.site_id, set())
-            cost = self._forced_chain_cost(table, spans)
+        for site_id, table in self.tables.items():
+            cost = self._forced_chain_cost(table, forced.get(site_id, set()))
             if cost == INFINITY:
                 return INFINITY
             total += cost

@@ -313,7 +313,8 @@ def _chain_tokens(expr: Expr, symmetric: frozenset[str],
     return tokens
 
 
-def trusted_symmetric_names(program, env: Environment) -> frozenset[str]:
+def trusted_symmetric_names(program, env: Environment,
+                            typed: Environment | None = None) -> frozenset[str]:
     """Declared-symmetric variables whose symmetry every assignment preserves.
 
     Iterates to a fixpoint: once a variable is demoted (some assignment's
@@ -321,17 +322,24 @@ def trusted_symmetric_names(program, env: Environment) -> frozenset[str]:
     variables whose proofs depended on it are re-checked. This is what makes
     the transpose-canonical hash keys of the block-wise search sound — a
     symmetric flag only collapses Xᵀ to X when no update can break it.
+
+    ``typed`` is ``env`` plus every assigned variable's metadata, from a
+    caller that has inferred them already: the proofs read shapes only, and
+    a program that type-checks has them right after one pass.
     """
     trusted = set(symmetric_names(env))
     if not trusted:
         return frozenset()
     # Use the fully typed environment so loop-local scalars (line-search
     # denominators etc.) are recognized as scalar-like during the proofs.
-    try:
-        from ..lang.typecheck import check_program
-        env = dict(check_program(program, env).final_env)
-    except Exception:
-        env = dict(env)
+    if typed is not None:
+        env = typed
+    else:
+        try:
+            from ..lang.typecheck import check_program
+            env = dict(check_program(program, env).final_env)
+        except Exception:
+            env = dict(env)
     assignments = list(program.assignments())
     for _ in range(len(trusted) + 1):
         demoted = False

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .build import (
     OptionCosting,
@@ -170,58 +171,8 @@ def _probe_with_tables(chains: ProgramChains, tables: dict[int, SpanTable],
     costs: dict[int, float] = {0: 0.0}
     folded: dict[int, int] = {0: 0}
     for site_id, root in site_roots:
-        # A group's joint upstream is its last site: this is the one merge
-        # after which all of its occurrences are in the keys, so it folds
-        # (every bit set; cleared into the applied set) or the entry is
-        # withdrawn (some but not all) here — the paper's whole group or
-        # none. So an entry holding part of a group on its own side pairs
-        # with nothing, and the others only where both sides agree, group
-        # by group, on all or none.
-        ready = ready_at.get(site_id, ())
-        ready_mask = 0
-        for earlier, here, _option_bit in ready:
-            ready_mask |= earlier | here
-        #: groups to agree on -> the root entries' (key minus ready bits,
-        #: cost, groups folded), in root order.
-        partners: dict[int, list[tuple[int, float, int]]] = {}
-        for key_s, cost_s in root.items():
-            agreed = bits = 0
-            for earlier, here, option_bit in ready:
-                part = key_s & here
-                if part == here:
-                    bits |= option_bit
-                    if earlier:
-                        agreed |= option_bit
-                elif part:
-                    break
-            else:
-                partners.setdefault(agreed, []).append(
-                    (key_s & ~ready_mask, cost_s, bits))
-        # Pending keys hold bits of earlier sites and root keys bits of this
-        # one, so every pair is a distinct merged key: the surviving pairs,
-        # pending-major in root order, arrive in the order that merging all
-        # pairs first and resolving afterwards would meet them.
-        merged: dict[int, float] = {}
-        merged_folded: dict[int, int] = {}
-        for key_g, cost_g in costs.items():
-            agreed = 0
-            for earlier, _here, option_bit in ready:
-                part = key_g & earlier
-                if part and part == earlier:
-                    agreed |= option_bit
-                elif part:
-                    break
-            else:
-                rest_g = key_g & ~ready_mask
-                applied_g = folded[key_g]
-                for rest_s, cost_s, bits in partners.get(agreed, ()):
-                    key = rest_g | rest_s
-                    cost = cost_g + cost_s
-                    current = merged.get(key)
-                    if current is None or cost < current:
-                        merged[key] = cost
-                        merged_folded[key] = applied_g | bits
-        costs, folded = _prune(merged, global_cap), merged_folded
+        costs, folded = _merge_site(costs, folded, root,
+                                    ready_at.get(site_id, ()), global_cap)
         result.entries_explored += len(costs)
 
     # Everything should be resolved now: only the empty key is a valid plan
@@ -233,6 +184,137 @@ def _probe_with_tables(chains: ProgramChains, tables: dict[int, SpanTable],
         (opt for at, opt in enumerate(options) if best_applied >> at & 1),
         key=lambda opt: opt.option_id)
     return result
+
+
+def _merge_site(costs: dict[int, float], folded: dict[int, int],
+                root: dict[int, float], ready, cap: int
+                ) -> tuple[dict[int, float], dict[int, int]]:
+    """Join one site's root entries onto the pending ones, resolve the
+    groups whose last site this is, keep the ``cap`` cheapest keys and 0.
+
+    A group's joint upstream is its last site: this is the one merge after
+    which all of its occurrences are in the keys, so it folds (every bit
+    set; cleared into the applied set) or the entry is withdrawn (some but
+    not all) here — the paper's whole group or none. So an entry holding
+    part of a ready group on its own side pairs with nothing, and the
+    others only where both sides agree, group by group, on all or none.
+
+    Pending keys hold bits of earlier sites and root keys bits of this one,
+    so a merged key is one (pending family, root family) pair, a *family*
+    being the entries that differ only in bits of the ready groups. A pair
+    whose cheapest entries sum to strictly more than :func:`_cap_bound` is
+    not priced: ``cap`` keys cost less. What is kept, and in which order,
+    is what pricing every pair and pruning afterwards kept: there a dict
+    remembered when each key was first set and the stable sort tied on it,
+    so here a key carries the (pending, root) positions of its first
+    agreeing pair and the sort ties on those (docs/architecture.md §5).
+    """
+    ready_mask = 0
+    for earlier, here, _option_bit in ready:
+        ready_mask |= earlier | here
+    # Per side, what a ready group asks of an entry's key: all of these
+    # bits or none; and what all of them means: (folds, agrees to) it.
+    root_families = _families(
+        root, ready_mask, None,
+        [(here, bit, bit if earlier else 0) for earlier, here, bit in ready])
+    pending_families = _families(
+        costs, ready_mask, folded,
+        [(earlier, 0, bit) for earlier, _here, bit in ready if earlier])
+
+    cheapest_first = sorted(
+        [(family[0], rest, family[2]) for rest, family in root_families.items()],
+        key=itemgetter(0))
+
+    def walk(bound: float) -> tuple[list[tuple], bool]:
+        """(cost, pending position, root position, key, groups folded) of
+        every key that may cost ``bound`` or less, and whether a pair was
+        passed over (which may or may not have been a key)."""
+        merged: list[tuple] = []
+        passed_over = False
+        for rest_g, (least_g, _none, entries_g) in pending_families.items():
+            for least_s, rest_s, entries_s in cheapest_first:
+                if least_g + least_s > bound and (rest_g or rest_s):
+                    passed_over = True
+                    if rest_g:
+                        break  # only dearer root families follow
+                    continue  # key 0 is kept whatever it costs
+                best = None
+                for cost_g, agreed, at_g, applied in entries_g:
+                    for cost_s, agreed_s, at_s, bits in entries_s:
+                        if agreed_s != agreed:
+                            continue
+                        cost = cost_g + cost_s
+                        if best is None:
+                            first_g, first_s = at_g, at_s
+                        elif cost >= best:
+                            continue
+                        best, resolved = cost, applied | bits
+                if best is not None:
+                    merged.append((best, first_g, first_s, rest_g | rest_s,
+                                   resolved))
+        return merged, passed_over
+
+    merged, passed_over = walk(_cap_bound(
+        sorted([family[1] for family in pending_families.values()]),
+        sorted([family[1] for family in root_families.values()]), cap))
+    if passed_over and len(merged) <= cap:
+        # Exactly the cap keys behind the bound, and pairs passed over that
+        # may agree on nothing at all: only counting them tells whether
+        # pruning would have sorted.
+        merged, _ = walk(INFINITY)
+    if len(merged) <= cap:
+        merged.sort(key=itemgetter(1, 2))
+    else:
+        merged.sort()
+        merged[cap:] = [entry for entry in merged[cap:] if entry[3] == 0]
+    return ({entry[3]: entry[0] for entry in merged},
+            {entry[3]: entry[4] for entry in merged})
+
+
+def _families(entries: dict[int, float], ready_mask: int,
+              folded: dict[int, int] | None, asks: list[tuple[int, int, int]]
+              ) -> dict[int, list]:
+    """One side's entries by key minus the ready bits: [cheapest, cheapest
+    agreeing to no ready group, [(cost, groups agreed to, position, groups
+    folded here or (pending side) before)]]. An entry holding part of a
+    ready group is in no family."""
+    families: dict[int, list] = {}
+    for position, (key, cost) in enumerate(entries.items()):
+        agreed = bits = 0
+        for mask, fold_bit, agree_bit in asks:
+            part = key & mask
+            if part == mask:
+                bits |= fold_bit
+                agreed |= agree_bit
+            elif part:
+                break
+        else:
+            entry = (cost, agreed, position,
+                     bits if folded is None else folded[key])
+            family = families.get(key & ~ready_mask)
+            if family is None:
+                families[key & ~ready_mask] = [
+                    cost, INFINITY if agreed else cost, [entry]]
+            else:
+                if cost < family[0]:
+                    family[0] = cost
+                if not agreed and cost < family[1]:
+                    family[1] = cost
+                family[2].append(entry)
+    return families
+
+
+def _cap_bound(pending: list[float], roots: list[float], cap: int) -> float:
+    """A cost that at least ``cap`` sums of one of ``pending`` and one of
+    ``roots`` (both ascending) do not exceed: ``a * b >= cap`` of them are
+    at most ``pending[a - 1] + roots[b - 1]``, addition being monotone.
+    Infinite when there are fewer finite sums than that."""
+    bound = INFINITY
+    for a in range(1, len(pending) + 1):
+        b = -(-cap // a)
+        if b <= len(roots) and pending[a - 1] + roots[b - 1] < bound:
+            bound = pending[a - 1] + roots[b - 1]
+    return bound
 
 
 def _prune(entries: dict[int, float], cap: int) -> dict[int, float]:

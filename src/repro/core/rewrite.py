@@ -37,8 +37,10 @@ from ..lang.ast import (
     Transpose,
 )
 from ..lang.program import Assign, Program, Statement, WhileLoop
-from .build import build_chain_expr, build_span_table, statement_sketch_envs
+from .build import (_operand_sketch, build_chain_expr, build_span_table,
+                    statement_sketch_envs)
 from .chains import ChainPlaceholder, ChainSite, Operand, ProgramChains
+from .cost.evaluate import ProgramCostEvaluator
 from .cost.model import CostModel
 from .options import EliminationOption, Occurrence
 from .sparsity.base import Sketch
@@ -76,6 +78,7 @@ def _plan_temps(chains: ProgramChains, chosen: list[EliminationOption],
                 model: CostModel, envs,
                 temp_prefix: str = TEMP_PREFIX) -> dict[int, _TempInfo]:
     temps: dict[int, _TempInfo] = {}
+    evaluator = ProgramCostEvaluator(model)
     for option in chosen:
         first = min(option.occurrences,
                     key=lambda o: chains.site(o.site_id).stmt_index)
@@ -84,7 +87,7 @@ def _plan_temps(chains: ProgramChains, chosen: list[EliminationOption],
         if option.temp_reversed:
             operands = [op.flipped() for op in reversed(operands)]
         env = envs[first_site.stmt_index]
-        sketch = _chain_sketch(model, operands, env)
+        sketch = _chain_sketch(evaluator, operands, env)
         temps[option.option_id] = _TempInfo(
             option=option,
             name=f"{temp_prefix}{option.option_id}",
@@ -96,12 +99,12 @@ def _plan_temps(chains: ProgramChains, chosen: list[EliminationOption],
     return temps
 
 
-def _chain_sketch(model: CostModel, operands: list[Operand], env) -> Sketch:
-    from .build import _operand_sketch
-    sketches = [_operand_sketch(op, env, model) for op in operands]
+def _chain_sketch(evaluator: ProgramCostEvaluator, operands: list[Operand],
+                  env) -> Sketch:
+    sketches = [_operand_sketch(op, env, evaluator) for op in operands]
     result = sketches[0]
     for sketch in sketches[1:]:
-        result = model.estimator.matmul(result, sketch)
+        result = evaluator.model.estimator.matmul(result, sketch)
     return result
 
 
@@ -117,10 +120,11 @@ def _rewrite_sites(chains: ProgramChains, chosen: list[EliminationOption],
         for occ in option.occurrences:
             per_site.setdefault(occ.site_id, []).append((option, occ))
     site_exprs: dict[int, Expr] = {}
+    evaluator = ProgramCostEvaluator(model)
     for site in chains.sites:
         picks = _select_site_occurrences(per_site.get(site.site_id, []))
-        operands, sketches = _substituted_operands(chains, site, picks, temps,
-                                                   model, envs)
+        operands, sketches = _substituted_operands(site, picks, temps,
+                                                   evaluator, envs)
         site_exprs[site.site_id] = _parenthesize(site, operands, sketches, model,
                                                  chains)
     return site_exprs
@@ -144,9 +148,8 @@ def _select_site_occurrences(picks: list[tuple[EliminationOption, Occurrence]]):
     return sorted(kept, key=lambda p: p[1].start)
 
 
-def _substituted_operands(chains: ProgramChains, site: ChainSite, picks,
-                          temps: dict[int, _TempInfo], model: CostModel, envs):
-    from .build import _operand_sketch
+def _substituted_operands(site: ChainSite, picks, temps: dict[int, _TempInfo],
+                          evaluator: ProgramCostEvaluator, envs):
     env = envs[site.stmt_index]
     replacements = {occ.start: (option, occ) for option, occ in picks}
     operands: list[Operand] = []
@@ -164,13 +167,13 @@ def _substituted_operands(chains: ProgramChains, site: ChainSite, picks,
                 loop_constant=option.is_lse))
             sketch = info.sketch
             if transposed:
-                sketch = model.estimator.transpose(sketch)
+                sketch = evaluator.model.estimator.transpose(sketch)
             sketches.append(sketch)
             position = occ.end + 1
         else:
             operand = site.operands[position]
             operands.append(operand)
-            sketches.append(_operand_sketch(operand, env, model))
+            sketches.append(_operand_sketch(operand, env, evaluator))
             position += 1
     return operands, sketches
 
@@ -180,11 +183,8 @@ def _parenthesize(site: ChainSite, operands: list[Operand],
                   chains: ProgramChains) -> Expr:
     if len(operands) == 1:
         return operands[0].to_expr()
-    pseudo = ChainSite(site_id=site.site_id, stmt_index=site.stmt_index,
-                       operands=operands, coords=list(range(len(operands))),
-                       in_loop=site.in_loop)
     weight = float(chains.iterations) if site.in_loop else 1.0
-    table = build_span_table(pseudo, model, sketches, weight)
+    table = build_span_table(operands, model, sketches, weight)
     return build_chain_expr(operands, table.plain_split, 0, len(operands) - 1)
 
 
@@ -195,6 +195,7 @@ def _temp_statements(chains: ProgramChains, temps: dict[int, _TempInfo],
                      model: CostModel, envs) -> dict[int, _TempInfo | Assign]:
     """Build each temp's defining assignment, reusing narrower temps."""
     statements: dict[int, Assign] = {}
+    evaluator = ProgramCostEvaluator(model)
     infos = sorted(temps.values(), key=lambda t: len(t.operands))
     for info in infos:
         operands = list(info.operands)
@@ -205,7 +206,6 @@ def _temp_statements(chains: ProgramChains, temps: dict[int, _TempInfo],
             operands = _substitute_tokens(operands, other, model)
         env = envs[info.first_stmt]
         sketches = []
-        from .build import _operand_sketch
         for op in operands:
             if op.symbol in {t.name for t in infos}:
                 owner = next(t for t in infos if t.name == op.symbol)
@@ -214,11 +214,8 @@ def _temp_statements(chains: ProgramChains, temps: dict[int, _TempInfo],
                     sketch = model.estimator.transpose(sketch)
                 sketches.append(sketch)
             else:
-                sketches.append(_operand_sketch(op, env, model))
-        pseudo = ChainSite(site_id=-1, stmt_index=info.first_stmt,
-                           operands=operands,
-                           coords=list(range(len(operands))), in_loop=False)
-        table = build_span_table(pseudo, model, sketches, 1.0)
+                sketches.append(_operand_sketch(op, env, evaluator))
+        table = build_span_table(operands, model, sketches, 1.0)
         expr = build_chain_expr(operands, table.plain_split, 0, len(operands) - 1) \
             if len(operands) > 1 else operands[0].to_expr()
         statements[info.option.option_id] = Assign(info.name, expr)

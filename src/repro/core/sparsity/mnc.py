@@ -17,6 +17,7 @@ reproducing MNC's estimation overhead in Fig. 10(a).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +34,10 @@ class MNCSketch:
     row_counts: np.ndarray  # shape (rows,), float64 expected counts
     col_counts: np.ndarray  # shape (cols,)
 
-    @property
+    @cached_property
     def nnz(self) -> float:
+        """Summed once: a product reads it of both operands, and so does
+        every ``meta`` of the sketch."""
         return float(self.row_counts.sum())
 
     @property

@@ -253,6 +253,150 @@ class TestEnumeration:
 
 
 # ----------------------------------------------------------------------
+# What one compile keeps: prices, span tables, sketch environments
+# ----------------------------------------------------------------------
+def compile_recording_model(algorithm, monkeypatch, dataset="cri1"):
+    """(compiled plan, the cost model its cold compile priced with)."""
+    import repro.core.optimizer as optimizer
+    from repro.engines import make_engine
+    models = []
+
+    def recording(*args, **kwargs):
+        models.append(CostModel(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(optimizer, "CostModel", recording)
+    algo = get_algorithm(algorithm)
+    meta, data = algo.make_inputs(load_dataset(dataset, scale=0.3).matrix)
+    compiled = make_engine("remac").compile(algo.program(5), meta, data,
+                                            iterations=5)
+    (model,) = models
+    return compiled, model
+
+
+class TestCompileDerivesOnce:
+    @pytest.mark.parametrize("algorithm", ["dfp", "gnmf"])
+    def test_kept_prices_equal_fresh_ones(self, algorithm, monkeypatch):
+        compiled, model = compile_recording_model(algorithm, monkeypatch)
+        assert model._formula_prices
+        for (price_fn, metas, *flags), (price, seconds) in \
+                model._formula_prices.items():
+            assert price == price_fn(*metas, model.config, model.policy,
+                                     **dict(flags))
+            assert seconds == price.seconds
+        memo = compiled.notes["cost_memo"]
+        assert memo["prices_computed"] == len(model._formula_prices)
+        assert memo["prices_computed"] < memo["prices_asked"]
+        assert memo["tables_built"] == len(model.span_tables)
+        assert memo["tables_built"] <= memo["tables_asked"]
+
+    def test_one_environment_walk_per_round(self, monkeypatch):
+        """The probe walks the program; the rewrite of the same round is
+        handed the list the probe built (5 walks -> 3 on dfp/cri1)."""
+        import importlib
+        import repro.core.build as build
+        import repro.core.rewrite as rewrite
+        probe_module = importlib.import_module("repro.core.probe")
+        walks, seen = [], {"probe": [], "rewrite": []}
+        walk = build._walk_sketch_envs
+        monkeypatch.setattr(build, "_walk_sketch_envs",
+                            lambda *args: walks.append(1) or walk(*args))
+        for name, module in (("probe", probe_module), ("rewrite", rewrite)):
+            def recording(*args, _name=name):
+                seen[_name].append(statement_sketch_envs(*args))
+                return seen[_name][-1]
+            monkeypatch.setattr(module, "statement_sketch_envs", recording)
+        compiled, _model = compile_recording_model("dfp", monkeypatch)
+        rounds = compiled.notes["rounds"]
+        assert len(rounds) == 3 and len(walks) == len(rounds)
+        assert len(seen["probe"]) == 3 and len(seen["rewrite"]) == 2
+        for probed, rewritten in zip(seen["probe"], seen["rewrite"]):
+            assert rewritten is probed
+
+    def test_environments_are_rebuilt_for_another_model(self, cluster,
+                                                        thin_inputs):
+        chains, _options, model, sketches = setup(thin_inputs, cluster)
+        envs = statement_sketch_envs(chains, model, sketches)
+        assert statement_sketch_envs(chains, model, sketches) is envs
+        assert statement_sketch_envs(chains, model, dict(sketches)) is not envs
+        other = CostModel(cluster, make_estimator("metadata"))
+        other_envs = statement_sketch_envs(chains, other,
+                                           sketch_inputs(other, thin_inputs))
+        assert other_envs is not envs
+
+    def test_equal_chains_share_one_table(self, cluster, thin_inputs):
+        """A chain over the same operand sketches is answered with the
+        table object built for it the first time (here: the same sites
+        asked again, as a later round asks for an untouched statement's),
+        and an unmemoized model builds each its own, equal to it."""
+        chains, _options, model, sketches = setup(thin_inputs, cluster)
+        envs = statement_sketch_envs(chains, model, sketches)
+        tables = build_all_tables(chains, model, envs)
+        again = build_all_tables(chains, model, envs)
+        assert all(again[site_id] is table for site_id, table in tables.items())
+        assert model.tables_asked == 2 * len(chains.sites)
+        assert model.tables_built == len(chains.sites)
+        plain = CostModel(cluster, make_estimator("metadata"), memoize=False)
+        plain_sketches = sketch_inputs(plain, thin_inputs)
+        unshared = build_all_tables(
+            chains, plain, statement_sketch_envs(chains, plain, plain_sketches))
+        assert plain.tables_built == plain.tables_asked == len(chains.sites)
+        for site_id, table in tables.items():
+            assert unshared[site_id].op_cost == table.op_cost
+            assert unshared[site_id].plain_cost == table.plain_cost
+            assert unshared[site_id].plain_split == table.plain_split
+            assert unshared[site_id].fused_cost == table.fused_cost
+
+    def test_a_table_is_published_complete(self, cluster, thin_inputs):
+        """Four threads ask for the same chain's table at once. Whichever
+        of them fills it, none may be handed one that is still filling: a
+        first cut that stored the table before filling it failed
+        ``build_chain_expr`` with ``KeyError: (0, 1)``."""
+        import sys
+        import threading
+        from repro.core.build import _operand_sketch, build_span_table
+        chains, _options, model, sketches = setup(thin_inputs, cluster)
+        envs = statement_sketch_envs(chains, model, sketches)
+        site = max(chains.sites, key=len)
+        evaluator = ProgramCostEvaluator(model)
+        operand_sketches = [_operand_sketch(op, envs[site.stmt_index], evaluator)
+                            for op in site.operands]
+        n = len(site)
+        spans = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        splits = [(i, k, j) for i, j in spans for k in range(i, j)]
+        start = threading.Barrier(4)
+        missing, tables = [], []
+
+        def ask():
+            # A fresh key (the weight) each round: every round is a race
+            # to fill, and one lost race in thirty is enough to see.
+            for weight in range(2, 32):
+                start.wait(timeout=10)
+                table = build_span_table(site.operands, model,
+                                         operand_sketches, float(weight))
+                tables.append(table)
+                missing.extend(key for key in spans
+                               if key not in table.plain_split)
+                missing.extend(key for key in splits
+                               if key not in table.op_cost)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(tables) == 4 * 30 and not missing
+        assert build_span_table(site.operands, model, operand_sketches,
+                                2.0) in tables
+
+
+# ----------------------------------------------------------------------
 # Golden identity pin of the probing DP (tests/data/probe_golden.json)
 # ----------------------------------------------------------------------
 GOLDEN_PATH = Path(__file__).parent / "data" / "probe_golden.json"

@@ -110,3 +110,42 @@ class TestCompile:
         program, inputs, _data = gd_setup
         compiled = ReMacOptimizer(cluster).compile(program, inputs)
         assert compiled.estimated_cost > 0
+
+
+class TestCalibratedReentry:
+    def test_shared_tables_leave_a_replan_as_it_was(self, cluster):
+        """A mid-run replan re-enters the pipeline under observed metadata
+        (``runtime/replan.py``). Compiled with prices, span tables and
+        environments kept and shared, it is the plan — program, applied
+        options, estimated cost, every round's figures — that an
+        unmemoized compile, which shares nothing, arrives at."""
+        from repro.algorithms import get_algorithm
+        from repro.core.sparsity.calibrate import CalibrationState
+        from repro.data import load_dataset
+        from repro.engines import make_engine
+        from repro.runtime import ExecutionTracer
+        algo = get_algorithm("dfp")
+        meta, data = algo.make_inputs(load_dataset("cri1", scale=0.3).matrix)
+        tracer = ExecutionTracer()
+        make_engine("remac").run(algo.program(5), meta, data, iterations=5,
+                                 symmetric=algo.symmetric_inputs, tracer=tracer)
+        calibration = CalibrationState.from_spans(tracer.spans)
+        assert len(calibration) > 0
+
+        def replan(**knobs):
+            config = OptimizerConfig(calibration=calibration, plan_cache=False,
+                                     **knobs)
+            return ReMacOptimizer(cluster, config).compile(
+                algo.program(5), meta, data, iterations=5)
+
+        shared, unshared = replan(), replan(cost_memo=False)
+        memo = shared.notes["cost_memo"]
+        assert memo["tables_built"] < memo["tables_asked"]
+        assert unshared.notes["cost_memo"] is None
+        assert shared.program.text == unshared.program.text
+        assert shared.estimated_cost == unshared.estimated_cost
+        assert [repr(o) for o in shared.applied_options] \
+            == [repr(o) for o in unshared.applied_options]
+        figures = ("options", "chosen", "chain_cost", "plain_cost", "entries")
+        assert [[r[f] for f in figures] for r in shared.notes["rounds"]] \
+            == [[r[f] for f in figures] for r in unshared.notes["rounds"]]

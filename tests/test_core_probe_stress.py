@@ -12,7 +12,7 @@ from repro.core.chains import ChainSite, ProgramChains
 from repro.core.cost import CostModel, sketch_inputs
 from repro.core.options import (LSE, EliminationOption, Occurrence,
                                 conflict_free)
-from repro.core.probe import _probe_with_tables
+from repro.core.probe import _merge_site, _probe_with_tables, _prune
 from repro.core.sparsity import make_estimator
 from repro.lang import parse
 from repro.matrix.meta import MatrixMeta
@@ -152,7 +152,7 @@ def synthetic(site_lengths, groups, activation=0.25):
     tables = {}
     for site in sites:
         n = len(site)
-        table = SpanTable(site=site, weight=1.0)
+        table = SpanTable(operands=site.operands, weight=1.0)
         for i in range(n):
             for j in range(i, n):
                 table.plain_cost[(i, j)] = float(j - i)
@@ -241,3 +241,209 @@ class TestGroupResolution:
                                     entry_cap=128, global_cap=512)
         assert result.chain_cost == best
         assert cost_of({o.option_id for o in result.chosen}) == best
+
+
+# ----------------------------------------------------------------------
+# The program-level merge against the loop it replaced
+# ----------------------------------------------------------------------
+def merge_every_pair(costs, folded, root, ready, cap):
+    """The merge as it was before ``_merge_site``: price every agreeing
+    (pending, root) pair, prune afterwards. Kept verbatim as the oracle."""
+    ready_mask = 0
+    for earlier, here, _option_bit in ready:
+        ready_mask |= earlier | here
+    #: groups to agree on -> the root entries' (key minus ready bits,
+    #: cost, groups folded), in root order.
+    partners: dict[int, list[tuple[int, float, int]]] = {}
+    for key_s, cost_s in root.items():
+        agreed = bits = 0
+        for earlier, here, option_bit in ready:
+            part = key_s & here
+            if part == here:
+                bits |= option_bit
+                if earlier:
+                    agreed |= option_bit
+            elif part:
+                break
+        else:
+            partners.setdefault(agreed, []).append(
+                (key_s & ~ready_mask, cost_s, bits))
+    merged: dict[int, float] = {}
+    merged_folded: dict[int, int] = {}
+    for key_g, cost_g in costs.items():
+        agreed = 0
+        for earlier, _here, option_bit in ready:
+            part = key_g & earlier
+            if part and part == earlier:
+                agreed |= option_bit
+            elif part:
+                break
+        else:
+            rest_g = key_g & ~ready_mask
+            applied_g = folded[key_g]
+            for rest_s, cost_s, bits in partners.get(agreed, ()):
+                key = rest_g | rest_s
+                cost = cost_g + cost_s
+                current = merged.get(key)
+                if current is None or cost < current:
+                    merged[key] = cost
+                    merged_folded[key] = applied_g | bits
+    return _prune(merged, cap), merged_folded
+
+
+def assert_same_merge(costs, folded, root, ready, cap):
+    """Same keys, costs, order and folded bits; returns how many keys
+    pricing every pair built."""
+    want_costs, want_folded = merge_every_pair(costs, folded, root, ready, cap)
+    got_costs, got_folded = _merge_site(costs, folded, root, ready, cap)
+    assert list(got_costs.items()) == list(want_costs.items())
+    assert got_folded == {key: want_folded[key] for key in want_costs}
+    return len(want_folded)
+
+
+def random_merge(rng):
+    """One merge with everything that makes it delicate: costs on a 0.5
+    grid (ties), families of several entries that collapse onto one key,
+    ready groups with and without bits at earlier sites, entries holding
+    half a group, key 0 present, absent or dear."""
+    cap = rng.choice((4, 16, 64, 512))
+    n_ready = rng.randrange(5)
+    bit = 1
+    ready, ready_earlier, ready_here = [], [], []
+    for at in range(n_ready):
+        earlier = here = 0
+        if rng.random() < 0.6:
+            for _ in range(rng.randint(1, 2)):
+                earlier |= bit
+                bit <<= 1
+        for _ in range(rng.randint(1, 2)):
+            here |= bit
+            bit <<= 1
+        ready.append((earlier, here, 1 << at))
+        ready_earlier.append(earlier)
+        ready_here.append(here)
+    other_pending = [bit << k for k in range(rng.randint(0, 7))]
+    bit <<= 7
+    other_root = [bit << k for k in range(rng.randint(0, 5))]
+
+    def side(own_bits, ready_parts, size, zero):
+        entries = {}
+        for _ in range(size):
+            key = 0
+            for single in own_bits:
+                if rng.random() < 0.3:
+                    key |= single
+            for part in ready_parts:
+                roll = rng.random()
+                if roll < 0.4:
+                    key |= part
+                elif roll < 0.5:
+                    key |= part & -part  # maybe half a group: withdrawn
+            entries[key] = rng.randint(0, 40) * 0.5
+        if zero == "absent":
+            entries.pop(0, None)
+        elif zero == "dear":
+            entries.pop(0, None)
+            entries[0] = 1000.0
+        return entries
+
+    size = rng.choice((1, 3, 20, 120))
+    pending = side(other_pending, ready_earlier, size,
+                   rng.choice(("absent", "dear", "as drawn")))
+    root = side(other_root, ready_here, rng.choice((1, 3, 12, 40)),
+                rng.choice(("absent", "dear", "as drawn")))
+    folded = {key: rng.randrange(8) << n_ready for key in pending}
+    return pending, folded, root, ready, cap
+
+
+class TestMergeKeepsItsCapFromBounds:
+    def test_random_merges_agree_with_pricing_every_pair(self):
+        rng = random.Random(2022)
+        pruned = collapsed = 0
+        for _ in range(6000):
+            pending, folded, root, ready, cap = random_merge(rng)
+            built = assert_same_merge(pending, folded, root, ready, cap)
+            pruned += built > cap
+            ready_mask = sum(earlier | here for earlier, here, _bit in ready)
+            collapsed += len({key & ~ready_mask for key in pending}) < len(pending)
+        assert pruned >= 1000 and collapsed >= 1000
+
+    @pytest.mark.parametrize("label", ["dfp/cri1", "bfgs/red3"])
+    def test_merges_of_a_real_compile(self, label, monkeypatch):
+        import importlib
+        from repro.algorithms import get_algorithm
+        from repro.data import load_dataset
+        from repro.engines import make_engine
+        probe_module = importlib.import_module("repro.core.probe")
+        captured = []
+
+        def capture(costs, folded, root, ready, cap):
+            captured.append((dict(costs), dict(folded), dict(root),
+                             list(ready), cap))
+            return _merge_site(costs, folded, root, ready, cap)
+
+        monkeypatch.setattr(probe_module, "_merge_site", capture)
+        algorithm, dataset = label.split("/")
+        algo = get_algorithm(algorithm)
+        meta, data = algo.make_inputs(load_dataset(dataset, scale=0.3).matrix)
+        make_engine("remac").compile(algo.program(5), meta, data, iterations=5)
+        assert max(len(costs) for costs, *_ in captured) >= 256
+        for merge in captured:
+            assert_same_merge(*merge)
+
+    def test_exactly_cap_keys_stay_in_first_touch_order(self):
+        """2 x 2 keys under a cap of 4: nothing is pruned, so nothing is
+        sorted — the dearest key was touched first and stays first."""
+        pending = {1: 9.0, 0: 1.0}
+        root = {4: 5.0, 0: 0.5}
+        costs, _folded = _merge_site(pending, {1: 0, 0: 0}, root, (), 4)
+        assert list(costs.items()) == [(5, 14.0), (1, 9.5), (4, 6.0), (0, 1.5)]
+        assert_same_merge(pending, {1: 0, 0: 0}, root, (), 4)
+
+    def test_exactly_cap_keys_behind_the_bound(self):
+        """Cap 2, two keys at or under the bound of 2.5, and the dear
+        pending entry's pairs passed over on cost. Whether they were keys
+        decides the order. Where that entry took the ready group and no
+        root entry did, they agree on nothing: two keys is all there is,
+        and two keys under a cap of two are never sorted — the dearer one
+        was touched first and stays first. Where no group is ready they
+        are keys, four in all, and pruning four to two sorts by cost."""
+        folded = {8: 0, 3: 0}
+        root = {16: 1.5, 32: 1.0}
+        costs, _ = _merge_site({8: 1.0, 3: 5.0}, folded, root, [(1, 4, 1)], 2)
+        assert list(costs.items()) == [(8 | 16, 2.5), (8 | 32, 2.0)]
+        assert assert_same_merge({8: 1.0, 3: 5.0}, folded, root,
+                                 [(1, 4, 1)], 2) == 2
+        costs, _ = _merge_site({8: 1.0, 3: 5.0}, folded, root, (), 2)
+        assert list(costs.items()) == [(8 | 32, 2.0), (8 | 16, 2.5)]
+        assert assert_same_merge({8: 1.0, 3: 5.0}, folded, root, (), 2) == 4
+
+    def test_first_touch_is_the_dearest_pair(self):
+        """Key 2 is first reached through its dearest pair (the pending
+        entry that took the ready group, 8.0 + 1.0) and then improved (1.0
+        + 3.0); key 0 costs 4.0 too but was touched later. The tie at the
+        cap of 1 goes to key 2: its place is where it was first set."""
+        ready = [(1, 4, 1)]  # bit 1 earlier, bit 4 here
+        pending = {1 | 2: 8.0, 2: 1.0, 0: 1.0}
+        folded = {3: 0, 2: 0, 0: 0}
+        root = {4: 1.0, 0: 3.0}
+        costs, resolved = _merge_site(pending, folded, root, ready, 1)
+        assert list(costs.items()) == [(2, 4.0), (0, 4.0)]
+        assert resolved == {2: 0, 0: 0}
+        assert_same_merge(pending, folded, root, ready, 1)
+
+    def test_equal_costs_straddling_the_cap(self):
+        """Four keys, three of them at 2.0, cap 2: the two touched first
+        stay, the third equal one goes."""
+        pending = {1: 1.0, 2: 1.0}
+        folded = {1: 0, 2: 0}
+        root = {8: 1.0, 16: 1.0}
+        root[32] = 0.5
+        pending[4] = 9.0
+        folded[4] = 0
+        costs, _ = _merge_site(pending, folded, root, (), 2)
+        assert list(costs.items()) == [(1 | 32, 1.5), (2 | 32, 1.5)]
+        costs, _ = _merge_site(pending, folded, {8: 1.0, 16: 1.0}, (), 3)
+        assert list(costs.items()) == [(1 | 8, 2.0), (1 | 16, 2.0),
+                                       (2 | 8, 2.0)]
+        assert_same_merge(pending, folded, {8: 1.0, 16: 1.0}, (), 3)

@@ -28,6 +28,19 @@ def sym(source: str) -> bool:
                               SYM, ENV)
 
 
+def trusted_both_ways(program, env) -> frozenset[str]:
+    """``trusted_symmetric_names`` typing the program itself, after
+    checking that it answers the same from metadata settled in one pass
+    over the assignments — the form ``build_chains`` calls."""
+    from repro.lang.typecheck import infer_expr_meta
+    settled = dict(env)
+    for stmt in program.assignments():
+        settled[stmt.target] = infer_expr_meta(stmt.expr, settled)
+    trusted = trusted_symmetric_names(program, env)
+    assert trusted_symmetric_names(program, env, typed=settled) == trusted
+    return trusted
+
+
 class TestStructuralProofs:
     def test_symmetric_leaf(self):
         assert sym("H")
@@ -86,7 +99,7 @@ class TestFixpoint:
               H = H - v %*% t(v)
               i = i + 1
             }""", scalar_names={"i"})
-        assert trusted_symmetric_names(program, ENV) == SYM
+        assert trusted_both_ways(program, ENV) == SYM
 
     def test_breaking_update_demotes(self):
         program = parse("""
@@ -95,7 +108,7 @@ class TestFixpoint:
               H = H - t(A) %*% A %*% H / (t(v) %*% v + 1)
               i = i + 1
             }""", scalar_names={"i"})
-        assert "H" not in trusted_symmetric_names(program, ENV)
+        assert "H" not in trusted_both_ways(program, ENV)
 
     def test_demotion_cascades(self):
         """S's proof depends on H; breaking H must also demote S."""
@@ -106,7 +119,7 @@ class TestFixpoint:
               H = H - t(A) %*% A %*% H / (t(v) %*% v + 1)
               i = i + 1
             }""", scalar_names={"i"})
-        trusted = trusted_symmetric_names(program, ENV)
+        trusted = trusted_both_ways(program, ENV)
         assert trusted == frozenset()
 
     def test_untouched_variable_stays(self):
@@ -116,12 +129,12 @@ class TestFixpoint:
               v = H %*% v
               i = i + 1
             }""", scalar_names={"i"})
-        assert "H" in trusted_symmetric_names(program, ENV)
+        assert "H" in trusted_both_ways(program, ENV)
 
     def test_no_declared_symmetry_short_circuits(self):
         program = parse("x = A %*% v")
         env = {"A": MatrixMeta(50, 10), "v": MatrixMeta(10, 1)}
-        assert trusted_symmetric_names(program, env) == frozenset()
+        assert trusted_both_ways(program, env) == frozenset()
 
     def test_search_drops_canonicalization_for_demoted(self):
         """After demotion, Hᵀ and H hash apart (no unsound collisions)."""
@@ -136,3 +149,31 @@ class TestFixpoint:
         chains = build_chains(program, ENV)
         tokens = {t for site in chains.sites for t in site.tokens()}
         assert "H'" in tokens  # the transpose is no longer collapsed
+
+
+class TestSettledMetadata:
+    @pytest.mark.parametrize("algorithm", ["gd", "dfp", "bfgs", "gnmf"])
+    def test_every_round_of_a_compile_trusts_the_same_names(self, algorithm,
+                                                            monkeypatch):
+        """``build_chains`` hands the proofs metadata from its own single
+        pass; on the program of every adaptive round (temporaries and
+        all) that names what typing it with ``check_program`` names."""
+        import repro.core.optimizer as optimizer
+        from repro.algorithms import get_algorithm
+        from repro.data import load_dataset
+        from repro.engines import make_engine
+        rounds = []
+        build_chains = optimizer.build_chains
+
+        def recording(program, inputs, iterations=None):
+            chains = build_chains(program, inputs, iterations)
+            rounds.append((program, inputs, chains.symmetric))
+            return chains
+
+        monkeypatch.setattr(optimizer, "build_chains", recording)
+        algo = get_algorithm(algorithm)
+        meta, data = algo.make_inputs(load_dataset("cri1", scale=0.3).matrix)
+        make_engine("remac").compile(algo.program(5), meta, data, iterations=5)
+        assert rounds and (algorithm == "gnmf" or len(rounds) >= 2)
+        for program, inputs, symmetric in rounds:
+            assert trusted_both_ways(program, inputs) == symmetric
