@@ -9,6 +9,7 @@ materialized (they are simply absent from the grid).
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -26,6 +27,10 @@ Payload = np.ndarray | sparse.spmatrix
 #: result is counted in words (86 / 21 us), but it allocates, which a
 #: 512x1 vector pays for (1.4 against 0.7 us).
 COMPARE_COUNT_CELLS = 4096
+
+#: Smallest normal double: a product of magnitudes at or above it is not
+#: rounded to zero.
+TINY = float(np.finfo(np.float64).tiny)
 
 
 def count_nonzero(array: np.ndarray) -> int:
@@ -50,9 +55,15 @@ class Block:
     * ``nnz`` (a full payload scan for dense blocks) is seeded by a maker
       that already knows it, carried by the operations that cannot change
       it (``transpose``, ``negate``, CSR ``scale``, dense -> CSR
-      re-layout), and otherwise counted on first use and kept. For CSR
-      payloads it is the *stored* entry count, explicit zeros included,
-      which is why a CSR -> dense re-layout recounts.
+      re-layout), *proved* where the operands' facts settle it (a large
+      rank-one product, :func:`rank_one_facts`; a large dense ``scale``),
+      and otherwise counted on first use and kept. For CSR payloads it is
+      the *stored* entry count, explicit zeros included, which is why a
+      CSR -> dense re-layout recounts.
+    * ``_floor``, on a large dense tile whose count was proved: a lower
+      bound on the magnitude of its non-zero cells, which lets the next
+      ``scale`` prove that none underflows. Only those two kernels pass it
+      on; it says nothing about ``inf`` / ``nan`` cells and is not pickled.
 
     Everything else (``sparsity``, ``serialized_bytes``, ``meta``) derives
     from the two in O(1).
@@ -61,7 +72,7 @@ class Block:
     (:meth:`transposed_view`); it is not pickled.
     """
 
-    __slots__ = ("data", "is_sparse", "_nnz", "_transposed_view")
+    __slots__ = ("data", "is_sparse", "_nnz", "_transposed_view", "_floor")
 
     def __init__(self, data: Payload):
         """Wrap a payload of unknown provenance: validate and coerce it."""
@@ -76,25 +87,29 @@ class Block:
         self.is_sparse = is_sparse
         self._nnz: int | None = None
         self._transposed_view = None
+        self._floor: float | None = None
 
     @classmethod
-    def of(cls, data: Payload, is_sparse: bool, nnz: int | None = None) -> "Block":
+    def of(cls, data: Payload, is_sparse: bool, nnz: int | None = None,
+           floor: float | None = None) -> "Block":
         """Wrap a payload the caller just produced, without re-deriving it.
 
         The caller vouches for what ``__init__`` would establish — ``data``
         is a 2-D float64 ndarray (``is_sparse`` False) or a CSR matrix
-        (True) — and for ``nnz`` when it passes one.
+        (True) — and for ``nnz`` and ``floor`` when it passes them.
         """
         block = cls.__new__(cls)
         block.data = data
         block.is_sparse = is_sparse
         block._nnz = nnz
         block._transposed_view = None
+        block._floor = floor
         return block
 
     def __reduce__(self):
-        # The view stays behind: sparse blocks ride the process backend's
-        # pickle pipe, and the receiver can rebuild it from ``data``.
+        # The view and the floor stay behind: sparse blocks ride the
+        # process backend's pickle pipe; the receiver rebuilds the one
+        # from ``data`` and counts without the other.
         return Block.of, (self.data, self.is_sparse, self._nnz)
 
     # ------------------------------------------------------------------
@@ -180,10 +195,21 @@ class Block:
                         self.is_sparse, self._nnz)
 
     def scale(self, scalar: float) -> "Block":
-        # CSR keeps its stored entries; a dense cell can underflow to zero
-        # or turn nan (0 * inf), so the dense count is not carried.
-        return Block.of(self.data * scalar, self.is_sparse,
-                        self._nnz if self.is_sparse else None)
+        data = self.data * scalar
+        if self.is_sparse:  # stored entries stay stored
+            return Block.of(data, True, self._nnz)
+        nnz = self._nnz
+        if nnz is not None and data.size >= COMPARE_COUNT_CELLS \
+                and math.isfinite(scalar):
+            # A finite scalar keeps zeros zero (no 0 * inf) and inf / nan
+            # cells non-zero; a non-zero cell stays one if it cannot
+            # underflow: it does not shrink, or the floor says so.
+            size, floor = abs(float(scalar)), self._floor
+            if floor is not None and floor * size >= TINY:
+                return Block.of(data, False, nnz, 0.5 * floor * size)
+            if size >= 1.0:
+                return Block.of(data, False, nnz)
+        return Block.of(data, False)  # counted on first use, as ever
 
     def add_scalar(self, scalar: float) -> "Block":
         return Block.of(self.to_dense_array() + scalar, False)
@@ -224,6 +250,29 @@ class Block:
     def __repr__(self) -> str:
         layout = "sparse" if self.is_sparse else "dense"
         return f"Block({self.shape[0]}x{self.shape[1]}, {layout}, nnz={self.nnz})"
+
+
+def finite_floor(array: np.ndarray) -> float:
+    """The smallest non-zero magnitude in ``array`` (``inf`` if it is all
+    zeros), or 0.0 — no bound — if a cell is ``inf`` or ``nan``."""
+    magnitudes = np.abs(array)
+    if not math.isfinite(magnitudes.max(initial=0.0)):  # nan propagates
+        return 0.0
+    return float(magnitudes.min(where=magnitudes != 0.0, initial=math.inf))
+
+
+def rank_one_facts(left: Block, right: Block) -> tuple[int, float] | None:
+    """``(nnz, floor)`` of the dense product ``left @ right`` with inner
+    dimension 1, from its two factors alone, or ``None`` if a scan has to
+    say. Each cell is one rounded product ``u * v``: when every factor
+    cell is finite there is no ``0 * inf``, and when the two smallest
+    non-zero magnitudes multiply to a normal number none underflows, so a
+    cell is zero exactly where a factor is (an overflow to ``inf`` is
+    still a non-zero cell)."""
+    floor = finite_floor(left.data) * finite_floor(right.data)
+    if floor >= TINY:  # false for nan (inf * 0: an all-zero factor)
+        return left.nnz * right.nnz, 0.5 * floor
+    return None
 
 
 def zeros(rows: int, cols: int) -> Block:

@@ -17,14 +17,14 @@ Two execution fast paths live at this layer (see ``docs/architecture.md``
 bit-identical to the serial seed behaviour:
 
 * **Parallel block kernels.** The tile loops of ``matmul``, the cell-wise
-  ops, ``map_cells``, ``add_scalar``, construction and the CSR tiles of
-  ``transpose`` fan out over the shared worker pools in
+  ops, ``map_cells``, ``add_scalar``, dense construction and the CSR tiles
+  of ``transpose`` fan out over the shared worker pools in
   :mod:`repro.matrix.blockpool` when a ``workers`` count > 1 (or a
   :class:`~repro.matrix.blockpool.KernelDispatch`) is passed — the runtime
   threads ``ClusterConfig.kernel_dispatch()`` through. The heavy kernels
   (matmul tile products, the ``_zip`` family, ``add_scalar``, CSR
   transposes) are module-level task functions over self-contained tasks,
-  so the process backend can ship them to worker processes; construction
+  so the process backend can ship them to worker processes; ``from_numpy``
   and ``map_cells`` carry closures and run on the thread backend. Dense
   tiles are transposed on the spot, as views: a copy made elsewhere would
   multiply differently against its own source. Each helper preserves the
@@ -40,10 +40,12 @@ bit-identical to the serial seed behaviour:
   block.Block`): constructors and reductions count a tile in the one scan
   that decides whether to store it; kernels pass on the layout their
   operands imply; ``transpose`` and ``negate`` pass on the count, at tile
-  and at grid level. Grids are treated as immutable once an operation
-  returns, so grid ``nnz``, ``serialized_bytes()`` and ``meta()`` are
-  summed once from the tiles and kept; callers that legitimately edit
-  ``blocks`` afterwards must call :meth:`BlockedMatrix.invalidate_stats`.
+  and at grid level; a large rank-one product and a large dense ``scale``
+  state a count their operands prove instead of scanning for it. Grids
+  are treated as immutable once an operation returns, so grid ``nnz``,
+  ``serialized_bytes()`` and ``meta()`` are summed once from the tiles and
+  kept; callers that legitimately edit ``blocks`` afterwards must call
+  :meth:`BlockedMatrix.invalidate_stats`.
 * **Transposed twins.** For the same reason ``t(A)`` is a loop constant of
   the grid ``A`` itself: :meth:`BlockedMatrix.transpose` transposes the
   tiles once and keeps them with their source, so a fused ``t(A) %*% v``
@@ -51,7 +53,9 @@ bit-identical to the serial seed behaviour:
   still returns a grid of its own around those tiles — which grids exist,
   and for how long, is something lineage recovery can see, the tiles
   inside them are not. The kept tiles live as long as the source grid and
-  are dropped by :meth:`BlockedMatrix.invalidate_stats`.
+  are dropped by :meth:`BlockedMatrix.invalidate_stats`. A CSR input cut by
+  :meth:`BlockedMatrix.from_scipy` is born with them: the CSC form of a
+  slab, which every tile is converted from, is the slab's tiles transposed.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ import numpy as np
 from scipy import sparse
 
 from ..errors import ExecutionError, ShapeError
-from .block import Block, count_nonzero, zeros
+from .block import (COMPARE_COUNT_CELLS, Block, count_nonzero,
+                    rank_one_facts, zeros)
 from .blockpool import map_blocks
 from .meta import MatrixMeta
 
@@ -127,29 +132,57 @@ class BlockedMatrix:
     def from_scipy(cls, matrix: sparse.spmatrix, block_size: int = DEFAULT_BLOCK_SIZE,
                    symmetric: bool = False,
                    workers: int | None = None) -> "BlockedMatrix":
+        """CSR tiles from one conversion per row slab, none per tile.
+
+        A slab is a slice of the input's CSR arrays. One tile wide with
+        sorted indices, it *is* the tile (copied: a tile never aliases the
+        caller's memory). Otherwise it is converted to CSC once; a column
+        range of that, read as CSR, is the tile of ``t(A)`` — kept as the
+        grid's transposed twin — and the tile is the twin converted back.
+        Both conversions are stable: columns come out sorted, repeated
+        entries in the caller's order.
+        """
         matrix = matrix.tocsr().astype(np.float64, copy=False)
         rows, cols = matrix.shape
         result = cls(rows, cols, block_size, symmetric=symmetric)
-        col_blocks = result.col_blocks
-
-        def build_row(bi: int) -> list[tuple[tuple[int, int], Block]]:
-            row: list[tuple[tuple[int, int], Block]] = []
-            row_slab = matrix[bi * block_size:(bi + 1) * block_size, :]
-            if row_slab.nnz == 0:
-                return row
-            slab_csc = row_slab.tocsc()
-            for bj in range(col_blocks):
-                tile = slab_csc[:, bj * block_size:(bj + 1) * block_size]
-                count = tile.nnz
-                if count:
-                    row.append(((bi, bj),
-                                Block.of(tile.tocsr(), True, count).normalized()))
-            return row
-
-        row_work = matrix.nnz / max(1, result.row_blocks)
-        for row in map_blocks(build_row, range(result.row_blocks), workers,
-                              work_hint=row_work):
-            result.blocks.update(row)
+        csr = type(matrix)  # csr_matrix, or csr_array if that came in
+        indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+        whole_slabs = cols <= block_size and matrix.has_sorted_indices
+        twins: dict[tuple[int, int], Block] = {}
+        for bi in range(result.row_blocks):
+            top = bi * block_size
+            bottom = min(top + block_size, rows)
+            start, stop = indptr[top], indptr[bottom]
+            if start == stop:
+                continue
+            slab = csr(
+                (data[start:stop], indices[start:stop],
+                 indptr[top:bottom + 1] - start),
+                shape=(bottom - top, cols), copy=whole_slabs)
+            if whole_slabs:
+                slab.has_sorted_indices = True
+                result.blocks[bi, 0] = Block.of(
+                    slab, True, int(stop - start)).normalized()
+                continue
+            columns = slab.tocsc()
+            for bj in range(result.col_blocks):
+                left = bj * block_size
+                right = min(left + block_size, cols)
+                start, stop = columns.indptr[left], columns.indptr[right]
+                if start == stop:
+                    continue
+                twin = csr(
+                    (columns.data[start:stop], columns.indices[start:stop],
+                     columns.indptr[left:right + 1] - start),
+                    shape=(right - left, bottom - top))
+                twin.has_sorted_indices = True  # as ``tocsc`` left them
+                count = int(stop - start)
+                tile = Block.of(twin.T.tocsr(), True, count).normalized()
+                result.blocks[bi, bj] = tile
+                twins[bj, bi] = Block.of(twin, True, count) \
+                    if tile.is_sparse else tile.transpose()
+        if not whole_slabs:
+            result._transposed = twins
         return result
 
     @classmethod
@@ -682,7 +715,18 @@ def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
             # The accumulator is always a private array here (a fresh
             # product or a toarray() copy), so in-place add is safe.
             np.add(accumulator, dense, out=accumulator)
-    count = int(accumulator.nnz) if all_sparse else count_nonzero(accumulator)
+    proved = None
+    if not all_sparse and accumulator.size >= COMPARE_COUNT_CELLS \
+            and len(pairs) == 1 and left.data.shape[1] == 1 \
+            and not (left.is_sparse or right.is_sparse):
+        # A large rank-one product: its factors may settle its count.
+        proved = rank_one_facts(left, right)
+    if proved is not None:
+        count, floor = proved
+    else:
+        floor = None
+        count = int(accumulator.nnz) if all_sparse \
+            else count_nonzero(accumulator)
     if not count:
         return None
-    return Block.of(accumulator, all_sparse, count).normalized()
+    return Block.of(accumulator, all_sparse, count, floor).normalized()

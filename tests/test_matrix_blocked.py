@@ -8,6 +8,9 @@ from scipy import sparse as sp
 
 from repro.errors import ExecutionError, ShapeError
 from repro.matrix import Block, BlockedMatrix, HashPartitioner, blocked, worker_of_block
+from repro.matrix import block as block_module
+from repro.matrix.block import COMPARE_COUNT_CELLS
+from repro.matrix.blockpool import map_blocks
 
 
 class TestConstruction:
@@ -498,7 +501,372 @@ class TestDenseTimesCsr:
         assert not dense.is_sparse and dense._nnz == 12
 
 
+class _Scans:
+    """Stands in for ``count_nonzero`` in both modules that call it and
+    keeps the size of every array it is asked to count."""
+
+    def __init__(self, monkeypatch):
+        self.sizes = []
+        self._count = block_module.count_nonzero
+        monkeypatch.setattr(block_module, "count_nonzero", self)
+        monkeypatch.setattr(blocked, "count_nonzero", self)
+
+    def __call__(self, array):
+        self.sizes.append(array.size)
+        return self._count(array)
+
+    def large(self):
+        return sum(size >= COMPARE_COUNT_CELLS for size in self.sizes)
+
+
+def _true_floor(cells):
+    return np.abs(cells[(cells != 0.0) & ~np.isnan(cells)]).min(initial=np.inf)
+
+
+class TestProvedCounts:
+    """A rank-one product and a dense ``scale`` of ``COMPARE_COUNT_CELLS``
+    cells or more state their count from their operands' facts when those
+    settle it, and scan when they do not."""
+
+    @staticmethod
+    def _factors(rng, rows=64, cols=64):
+        u, v = rng.standard_normal((rows, 1)), rng.standard_normal((1, cols))
+        u[[3, 9]], v[0, [0, 5, 6]] = [[0.0], [-0.0]], [0.0, -0.0, 0.0]
+        return u, v
+
+    def test_a_large_rank_one_product_is_not_scanned(self, rng, monkeypatch):
+        scans = _Scans(monkeypatch)
+        u, v = self._factors(rng)
+        tile = blocked._tile_product([(Block(u), Block(v))])
+        assert scans.large() == 0
+        assert tile._nnz == 62 * 61 == np.count_nonzero(u @ v)
+        assert 0.0 < tile._floor <= _true_floor(tile.data)
+        assert tile.data.tobytes() == (u @ v).tobytes()
+        # The factors' own counts are small scans, made once and kept.
+        assert sorted(scans.sizes) == [64, 64]
+
+    @pytest.mark.parametrize("poison, where", [
+        (1e-200, "both"), (5e-324, "left"), (np.inf, "left"),
+        (-np.inf, "right"), (np.nan, "left"), (np.nan, "right")])
+    def test_what_a_factor_cannot_vouch_for_is_scanned(self, rng, monkeypatch,
+                                                       poison, where):
+        scans = _Scans(monkeypatch)
+        u, v = self._factors(rng)
+        if where in ("left", "both"):
+            u[17] = poison
+        if where in ("right", "both"):
+            v[0, 23] = poison
+        with np.errstate(all="ignore"):
+            tile = blocked._tile_product([(Block(u), Block(v))])
+            truth = u @ v
+        assert scans.large() == 1
+        assert tile._floor is None
+        assert tile._nnz == np.count_nonzero(truth)
+        assert tile.data.tobytes() == truth.tobytes()
+
+    def test_a_product_that_underflows_everywhere_is_absent(self, monkeypatch):
+        scans = _Scans(monkeypatch)
+        u, v = np.full((64, 1), 1e-200), np.full((1, 64), 1e-200)
+        assert blocked._tile_product([(Block(u), Block(v))]) is None
+        assert scans.large() == 1
+
+    def test_an_overflow_is_still_a_non_zero_cell(self, rng, monkeypatch):
+        scans = _Scans(monkeypatch)
+        u, v = self._factors(rng)
+        u[17], v[0, 23] = 1e300, -1e300
+        with np.errstate(over="ignore"):
+            tile = blocked._tile_product([(Block(u), Block(v))])
+        assert np.isinf(tile.data).any() and scans.large() == 0
+        assert tile._nnz == np.count_nonzero(tile.data)
+        assert tile._floor <= _true_floor(tile.data)
+        # ... which the next scale keeps non-zero, and zero times it is nan.
+        assert tile.scale(0.5)._nnz == tile._nnz
+        with np.errstate(invalid="ignore"):
+            zeroed = tile.scale(0.0)
+        assert zeroed._nnz is None and zeroed.nnz == 1
+
+    @pytest.mark.parametrize("left, right", [
+        ((63, 1), (1, 64)), ((1, 1), (1, 1)), ((32, 1), (1, 1)),
+        ((64, 2), (2, 64)), ((4096, 1), (1, 1))])
+    def test_the_size_gate_comes_before_any_guard(self, rng, monkeypatch,
+                                                  left, right):
+        # A magnitude pass costs more than a small count: it is never made
+        # for a tile under the gate (nor for anything but a rank-one pair).
+        gated = left == (4096, 1)
+        asked = []
+        monkeypatch.setattr(block_module, "finite_floor",
+                            lambda array: asked.append(array.shape) or 1.0)
+        pair = Block(rng.random(left) + 1.0), Block(rng.random(right) + 1.0)
+        tile = blocked._tile_product([pair])
+        assert (len(asked) == 2) == gated
+        assert (tile._floor is not None) == gated
+        assert tile.nnz == tile.data.size
+        small = Block.of(rng.random((63, 64)) + 1.0, False, 63 * 64)
+        for scalar in (2.0, 0.5, -1.0):
+            assert small.scale(scalar)._nnz is None
+            assert small.scale(scalar)._floor is None
+
+    def test_only_a_single_dense_pair_is_proved(self, rng, monkeypatch):
+        scans = _Scans(monkeypatch)
+        u, v = self._factors(rng)
+        sparse_u = Block(sp.csr_matrix(u))
+        assert sparse_u.is_sparse
+        for pairs in ([(Block(u), Block(v)), (Block(u), Block(v))],
+                      [(sparse_u, Block(v))],
+                      [(Block(u), Block(sp.csr_matrix(v)))]):
+            before = scans.large()
+            tile = blocked._tile_product(pairs)
+            assert tile._floor is None
+            assert tile.nnz == np.count_nonzero(tile.to_dense_array())
+            assert scans.large() == before + (0 if tile.is_sparse else 1)
+
+    @pytest.mark.parametrize("scalar", [
+        0.0, np.inf, -np.inf, np.nan, 1e-300, 1e-200, 0.5, 1.0, -1.0, 3.0,
+        1e300, np.float64(2.0)])
+    @pytest.mark.parametrize("cells", ["ordinary", "tiny", "subnormal"])
+    @pytest.mark.parametrize("facts", ["proved", "counted", "uncounted"])
+    def test_scale_carries_a_count_only_when_no_cell_can_vanish(
+            self, rng, scalar, cells, facts):
+        u, v = self._factors(rng)
+        if cells == "tiny":
+            u[17] = 1e-160
+        elif cells == "subnormal":
+            u[17] = 5e-324
+        tile = blocked._tile_product([(Block(u), Block(v))])
+        assert (tile._floor is None) == (cells == "subnormal")
+        if facts != "proved":
+            tile = Block.of(tile.data, False,
+                            tile.nnz if facts == "counted" else None)
+        with np.errstate(all="ignore"):
+            scaled = tile.scale(scalar)
+            truth = tile.data * scalar
+        assert scaled.data.tobytes() == truth.tobytes()
+        magnitude = abs(scalar)
+        finite = np.isfinite(scalar)
+        carried = tile._nnz is not None and finite and (
+            magnitude >= 1.0
+            or (tile._floor is not None
+                and tile._floor * magnitude >= np.finfo(float).tiny))
+        assert (scaled._nnz is not None) == bool(carried)
+        assert scaled.nnz == np.count_nonzero(truth)
+        if scaled._floor is not None:
+            assert carried and tile._floor is not None
+            assert scaled._floor <= _true_floor(truth)
+        # What was not carried is what could change, and sometimes did.
+        if cells == "tiny" and scalar == 1e-200:
+            assert not carried and scaled.nnz < tile.nnz
+        if cells == "subnormal" and scalar == 0.5 and facts == "counted":
+            assert not carried and scaled.nnz < tile.nnz
+
+    def test_other_kernels_drop_the_floor(self, rng):
+        u, v = self._factors(rng)
+        tile = blocked._tile_product([(Block(u), Block(v))])
+        assert tile._floor is not None
+        for result in (tile.negate(), tile.transpose(), tile.add(tile),
+                       tile.subtract(tile), tile.multiply(tile),
+                       tile.add_scalar(1.0), tile.matmul(tile),
+                       tile.normalized() if tile.normalized() is not tile
+                       else tile.negate()):
+            assert result._floor is None
+        sparse_tile = blocked._tile_product(
+            [(Block(u * (rng.random(u.shape) < 0.2)), Block(v))])
+        assert sparse_tile.is_sparse and sparse_tile._floor is None
+        assert sparse_tile.nnz == sparse_tile.data.nnz
+
+    def test_a_pickled_block_travels_without_its_floor(self, rng):
+        u, v = self._factors(rng)
+        tile = blocked._tile_product([(Block(u), Block(v))])
+        copy = pickle.loads(pickle.dumps(tile))
+        assert tile._floor is not None and copy._floor is None
+        assert copy._nnz == tile._nnz
+        assert _payload(copy) == _payload(tile)
+        # It counts right all the same: by carrying where that needs no
+        # floor, by scanning where it would have.
+        assert copy.scale(3.0)._nnz == tile._nnz
+        assert copy.scale(0.5)._nnz is None
+        assert copy.scale(0.5).nnz == tile.scale(0.5)._nnz == tile._nnz
+
+    def test_a_dfp_execute_scans_84_large_tiles_where_it_made_244(
+            self, monkeypatch):
+        """Exact, so it cannot flake: ``dfp`` on a 1024-column input keeps
+        a 2x2-tile dense ``H``; of the 244 large dense tiles an execute
+        used to count, 160 are outer products ``u %*% t(v)`` or a counted
+        tile times a scalar."""
+        from repro import engines
+        from repro.algorithms import get_algorithm
+        from repro.data import load_dataset
+
+        algo = get_algorithm("dfp")
+        matrix = load_dataset("red3", scale=0.1).matrix
+        assert matrix.shape[1] == 1024
+        meta, data = algo.make_inputs(matrix)
+        engine = engines.make_engine("remac")
+        compiled = engine.compile(algo.program(10), meta, data, iterations=10)
+        scans = _Scans(monkeypatch)
+        engine.execute(compiled, data, symmetric=algo.symmetric_inputs)
+        assert scans.large() == 84
+
+
+def _old_from_scipy(matrix, block_size, symmetric=False, workers=None):
+    """``BlockedMatrix.from_scipy`` as it was before a slab was converted
+    once: two SciPy slices and two format conversions per tile, no twins.
+    Moved here verbatim; the oracle the partitioner is compared against."""
+    cls = BlockedMatrix
+    matrix = matrix.tocsr().astype(np.float64, copy=False)
+    rows, cols = matrix.shape
+    result = cls(rows, cols, block_size, symmetric=symmetric)
+    col_blocks = result.col_blocks
+
+    def build_row(bi: int) -> list[tuple[tuple[int, int], Block]]:
+        row: list[tuple[tuple[int, int], Block]] = []
+        row_slab = matrix[bi * block_size:(bi + 1) * block_size, :]
+        if row_slab.nnz == 0:
+            return row
+        slab_csc = row_slab.tocsc()
+        for bj in range(col_blocks):
+            tile = slab_csc[:, bj * block_size:(bj + 1) * block_size]
+            count = tile.nnz
+            if count:
+                row.append(((bi, bj),
+                            Block.of(tile.tocsr(), True, count).normalized()))
+        return row
+
+    row_work = matrix.nnz / max(1, result.row_blocks)
+    for row in map_blocks(build_row, range(result.row_blocks), workers,
+                          work_hint=row_work):
+        result.blocks.update(row)
+    return result
+
+
+def _random_sparse_input(rng, block_size):
+    """A sparse matrix as a caller might hand it over, hygiene not
+    included: unsorted indices, repeated entries, stored zeros, empty
+    slabs and strips, ragged edges, 64-bit indices, any of three formats."""
+    blocks = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    rows, cols = (max(1, count * block_size - int(rng.integers(0, block_size)))
+                  for count in blocks)
+    if rng.random() < 0.3:
+        cols = min(cols, block_size)  # one strip
+    elif rng.random() < 0.2:
+        cols = rows  # may carry the symmetric flag
+    entries = int(rng.integers(0, max(2, int(rows * cols * rng.choice(
+        [0.02, 0.1, 0.3, 0.9])))))
+    row = rng.integers(0, rows, entries)
+    col = rng.integers(0, cols, entries)
+    value = rng.standard_normal(entries)
+    value[rng.random(entries) < 0.1] = 0.0  # stored zeros
+    keep = np.ones(entries, dtype=bool)
+    for index, extent in ((row, rows), (col, cols)):  # empty slabs / strips
+        if extent > block_size and rng.random() < 0.4:
+            gone = int(rng.integers(0, -(-extent // block_size)))
+            keep &= index // block_size != gone
+    row, col, value = row[keep], col[keep], value[keep]
+    kind = rng.choice(["csr", "csc", "coo"])
+    if kind == "coo":  # ``tocsr`` sums its repeated entries
+        return sp.coo_matrix((value, (row, col)), shape=(rows, cols))
+    # Compressed along one axis by hand, so that repeated entries stay
+    # repeated and the other axis' indices stay in drawing order.
+    major, minor, extent = (row, col, rows) if kind == "csr" \
+        else (col, row, cols)
+    order = np.argsort(major, kind="stable")
+    pointers = np.concatenate(([0], np.cumsum(np.bincount(major,
+                                                          minlength=extent))))
+    index_type = np.int64 if rng.random() < 0.25 else np.int32
+    container = sp.csr_matrix if kind == "csr" else sp.csc_matrix
+    matrix = container((value[order], minor[order].astype(index_type),
+                        pointers.astype(index_type)), shape=(rows, cols))
+    if rng.random() < 0.5:
+        matrix.sort_indices()  # repeated entries become neighbours
+    return matrix
+
+
+def _assert_same_csr(got, expected, where):
+    assert got.format == expected.format == "csr", where
+    assert got.shape == expected.shape, where
+    assert got.data.tobytes() == expected.data.tobytes(), where
+    for part in ("indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(expected, part)), \
+            (where, part)
+        # The old partitioner let a one-tile input keep 64-bit indices and
+        # narrowed every other tile; now SciPy narrows them all.
+        assert getattr(got, part).dtype == np.int32, (where, part)
+    assert got.has_sorted_indices and expected.has_sorted_indices, where
+
+
 class TestPartitioner:
+    """Which tile a cell lands in (``from_scipy`` against the partitioner
+    it replaced), then which worker a tile lands on."""
+
+    @pytest.mark.parametrize("block_size", [4, 7, 64])
+    def test_tiles_and_twins_are_the_old_partitioners(self, block_size):
+        rng = np.random.default_rng(2400 + block_size)
+        seeded = 0
+        for case in range(180):
+            matrix = _random_sparse_input(rng, block_size)
+            symmetric = matrix.shape[0] == matrix.shape[1]
+            got = BlockedMatrix.from_scipy(matrix, block_size, symmetric)
+            expected = _old_from_scipy(matrix, block_size, symmetric)
+            assert list(got.blocks) == list(expected.blocks), case
+            for key, tile in got.blocks.items():
+                old = expected.blocks[key]
+                assert tile.is_sparse == old.is_sparse, (case, key)
+                assert tile._nnz == old._nnz, (case, key)
+                if tile.is_sparse:
+                    _assert_same_csr(tile.data, old.data, (case, key))
+                else:
+                    assert tile.data.flags.c_contiguous
+                    assert tile.data.tobytes() == old.data.tobytes()
+            assert got.shape == expected.shape
+            assert got.symmetric == expected.symmetric == symmetric
+            assert got.nnz == expected.nnz
+            assert got.serialized_bytes() == expected.serialized_bytes()
+            assert got.meta() == expected.meta()
+            # A twin seeded at load is the tile a first transpose() made.
+            twins = got._transposed
+            if twins is not None:
+                seeded += 1
+                assert list(twins) == [(bj, bi) for bi, bj in got.blocks]
+                for (bi, bj), tile in got.blocks.items():
+                    twin, made = twins[bj, bi], Block(tile.data).transpose()
+                    assert twin.is_sparse == made.is_sparse, (case, bi, bj)
+                    assert twin.nnz == made.nnz
+                    if twin.is_sparse:
+                        assert twin._nnz == tile._nnz
+                        _assert_same_csr(twin.data, made.data, (case, bi, bj))
+                    else:  # a view of the tile it mirrors
+                        assert twin.data.base is tile.data
+                        assert twin.data.tobytes() == made.data.tobytes()
+            _assert_same_grid(got.transpose(), expected.transpose())
+            got.invalidate_stats()
+            assert got._transposed is None
+        assert 60 < seeded < 180  # both routes were taken
+
+    def test_one_strip_sorted_inputs_seed_no_twins(self, rng):
+        matrix = sp.random(300, 32, density=0.05, format="csr",
+                           random_state=rng)
+        assert matrix.has_sorted_indices
+        grid = BlockedMatrix.from_scipy(matrix, 32)
+        assert grid._transposed is None and len(grid.blocks) == 10
+        _assert_same_grid(grid, _old_from_scipy(matrix, 32))
+        assert BlockedMatrix.from_scipy(matrix, 16)._transposed is not None
+
+    @pytest.mark.parametrize("block_size", [16, 64])
+    def test_tiles_never_alias_the_callers_arrays(self, rng, block_size):
+        matrix = sp.random(60, 48, density=0.2, format="csr",
+                           random_state=rng)
+        before = matrix.copy()
+        grid = BlockedMatrix.from_scipy(matrix, block_size)
+        twin = grid.transpose()
+        for tile in list(grid.blocks.values()) + list(twin.blocks.values()):
+            for mine in (tile.data.data, tile.data.indices, tile.data.indptr):
+                for theirs in (matrix.data, matrix.indices, matrix.indptr):
+                    assert not np.shares_memory(mine, theirs)
+        matrix.data[:] = -7.0
+        matrix.indices[:] = 0
+        assert np.array_equal(grid.to_numpy(), before.toarray())
+        assert np.array_equal(twin.to_numpy(), before.toarray().T)
+        assert np.array_equal(grid.transpose().to_numpy(), before.toarray().T)
+
     def test_assignment_is_deterministic(self, sparse_matrix):
         blocked = BlockedMatrix.from_scipy(sparse_matrix, 32)
         p = HashPartitioner(6)

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from repro.lang import format_expr, parse_expression
 from repro.lang.ast import Expr, MatMul, MatrixRef, Transpose
 from repro.lang.program import Program, Assign
 from repro.errors import ExecutionError
-from repro.matrix.block import Block
+from repro.matrix.block import COMPARE_COUNT_CELLS, Block
+from repro.matrix import blocked
 from repro.matrix.blocked import BlockedMatrix
 from repro.matrix.fused import Step, evaluate_fused_ewise
 from repro.matrix.meta import MatrixMeta
@@ -171,6 +173,10 @@ def _check_statistics(matrix):
             count = int(np.count_nonzero(data))
         assert block._nnz is None or block._nnz == count, key
         assert block.nnz == count, key
+        if block._floor is not None:  # proved, never measured: checked here
+            assert not block.is_sparse and data.size >= COMPARE_COUNT_CELLS
+            cells = np.abs(data[(data != 0.0) & ~np.isnan(data)])
+            assert block._floor <= cells.min(initial=np.inf), key
         assert block.shape == matrix.block_dims(*key)
         rederived = Block(data)
         assert rederived.serialized_bytes() == block.serialized_bytes()
@@ -185,6 +191,12 @@ def _check_statistics(matrix):
     cells = matrix.rows * matrix.cols
     assert matrix.meta() == MatrixMeta(matrix.rows, matrix.cols, total / cells,
                                        symmetric=matrix.symmetric)
+
+
+def _nothing_proved():
+    """Every product tile is scanned for its count, as before any was
+    proved (a ``scale`` of a :func:`_fresh` tile has no count to carry)."""
+    return mock.patch.object(blocked, "rank_one_facts", lambda left, right: None)
 
 
 def _same_grid(carried, fresh):
@@ -245,6 +257,14 @@ UNARY_OPS = {
     "col_sums": lambda m: m.col_sums(),
     "diagonal": lambda m: m.diagonal() if m.rows == m.cols else m,
 }
+
+
+#: What a proved count must survive: cells that vanish, underflow or
+#: poison a product, and scalars that do the same to a whole tile.
+HOSTILE_CELLS = (0.0, -0.0, 5e-324, 1e-310, 1e-200, 1e-160, 1e200, 1e300,
+                 float("inf"), float("-inf"), float("nan"))
+HOSTILE_SCALARS = (0.0, float("inf"), float("-inf"), float("nan"), 1e-300,
+                   1e-200, 0.5, 1.0, -1.0, 3.0, 1e300)
 
 
 @st.composite
@@ -324,6 +344,61 @@ class TestCarriedStatistics:
                 # and still has to equal the fresh derivation above.
                 _check_twin(result)
             current = result
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_proved_counts_equal_scanned_ones(self, data):
+        """Tiles at and above ``COMPARE_COUNT_CELLS``, where a rank-one
+        product and a ``scale`` may state their count instead of scanning:
+        hostile cells in the factors, hostile scalars after them."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        rows = data.draw(st.sampled_from([64, 100, 128]), label="rows")
+        cols = data.draw(st.sampled_from([64, 100, 128]), label="cols")
+
+        def factor(cells):
+            values = rng.standard_normal(cells) * 10.0 ** rng.integers(-3, 4)
+            for value in data.draw(st.lists(st.sampled_from(HOSTILE_CELLS),
+                                            max_size=3)):
+                values[rng.random(cells) < rng.choice([0.02, 0.3, 1.0])] = value
+            return values
+
+        def outer():
+            return (BlockedMatrix.from_numpy(factor(rows).reshape(-1, 1), 64),
+                    BlockedMatrix.from_numpy(factor(cols).reshape(1, -1), 64))
+
+        with np.errstate(all="ignore"):
+            left, right = outer()
+            current = left.matmul(right)
+            _check_statistics(current)
+            with _nothing_proved():
+                _same_grid(current, _fresh(left).matmul(_fresh(right)))
+            for _ in range(data.draw(st.integers(1, 6), label="length")):
+                fresh = _fresh(current)
+                op = data.draw(st.sampled_from(
+                    ["scale", "scale", "scale", "negate", "transpose",
+                     "add", "multiply", "square"]), label="op")
+                if op == "scale":
+                    scalar = data.draw(st.sampled_from(HOSTILE_SCALARS))
+                    result, expected = current.scale(scalar), fresh.scale(scalar)
+                elif op in ("negate", "transpose"):
+                    result = getattr(current, op)()
+                    expected = getattr(fresh, op)()
+                elif op == "square":
+                    other = current.transpose()
+                    result = current.matmul(other)
+                    with _nothing_proved():
+                        expected = fresh.matmul(_fresh(other))
+                else:
+                    other = BlockedMatrix.matmul(*outer())
+                    if other.shape != current.shape:
+                        other = other.transpose()
+                    if other.shape != current.shape:
+                        continue
+                    result = getattr(current, op)(other)
+                    expected = getattr(fresh, op)(_fresh(other))
+                _check_statistics(result)
+                _same_grid(result, expected)
+                current = result
 
     @given(st.sampled_from(["dense", "csr", "ragged"]), st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)

@@ -58,10 +58,36 @@ def _run_payload(iterations: int = ITERATIONS, tenant: str = "t",
 
 
 def _slow_payload(tenant: str = "slow", **extra) -> dict:
-    """A cold request heavy enough (~200ms on a fresh server) to be
-    observably in flight while the test races it."""
+    """A cold request heavy enough (100 ms and more) to be in flight, most
+    likely, while a test whose outcome does not depend on it races it.
+    A test that *needs* a request in flight holds it: ``_execute_held``."""
     return {"op": "run", "tenant": tenant, "algorithm": "dfp",
             "dataset": "cri1", "scale": 0.5, "iterations": 30, **extra}
+
+
+#: The bound on every wait the held-execute tests make for another thread.
+WAIT = 30.0
+
+
+@contextmanager
+def _execute_held(service):
+    """Hold the service's execute stage: a ``run`` admitted inside the
+    block stays in flight, by construction and not by being heavy, until
+    the test sets ``release``. Yields ``(entered, release)``."""
+    entered, release = threading.Event(), threading.Event()
+    execute = service._execute_and_package
+
+    def held(*args, **kwargs):
+        entered.set()
+        assert release.wait(timeout=WAIT), "the test never released execute"
+        return execute(*args, **kwargs)
+
+    service._execute_and_package = held  # shadows the method on this instance
+    try:
+        yield entered, release
+    finally:
+        release.set()
+        del service._execute_and_package
 
 
 def _wait_until(predicate, timeout: float = 10.0) -> bool:
@@ -252,19 +278,27 @@ class TestDrain:
 
             in_flight_response = []
 
-            def cold_request() -> None:
-                with ServerClient(handle.host, handle.port) as c:
+            def held_request() -> None:
+                with ServerClient(handle.host, handle.port,
+                                  timeout=WAIT) as c:
                     in_flight_response.append(c.request(
-                        _slow_payload(tenant="slow")))
+                        _run_payload(COLD_ITERATIONS, tenant="slow")))
 
-            worker = threading.Thread(target=cold_request)
-            worker.start()
-            assert _wait_until(lambda: handle.service.in_flight > 0)
-            with ServerClient(handle.host, handle.port) as client:
-                ack = client.drain()
-            assert ack["status"] == "ok" and ack["op"] == "drain"
-            worker.join(timeout=30.0)
-            assert not worker.is_alive()
+            worker = threading.Thread(target=held_request)
+            with _execute_held(handle.service) as (entered, release):
+                worker.start()
+                assert entered.wait(timeout=WAIT)
+                assert handle.service.in_flight == 1
+                with ServerClient(handle.host, handle.port,
+                                  timeout=WAIT) as client:
+                    ack = client.drain()
+                assert ack["status"] == "ok" and ack["op"] == "drain"
+                # Acknowledged with the request still held: it is the
+                # drain that waits for it, not the other way round.
+                assert not in_flight_response
+                release.set()
+                worker.join(timeout=WAIT)
+                assert not worker.is_alive()
             # The admitted request finished despite the drain.
             assert in_flight_response[0]["status"] == "ok"
             stats = handle.stop()
@@ -320,19 +354,24 @@ class TestClientResilience:
     def test_read_timeout_is_typed_and_burns_the_connection(self):
         with ServerHandle(ServerConfig(port=0)) as handle:
             client = ServerClient(handle.host, handle.port, timeout=0.05)
-            with client:
+            with client, _execute_held(handle.service) as (entered, release):
+                # No answer can come before ``release``: the 50 ms read
+                # timeout fires however fast the server has become.
                 with pytest.raises(ClientTimeout):
-                    client.request(_slow_payload(tenant="impatient"))
+                    client.request(_run_payload(tenant="impatient"))
                 # The socket was closed — no stale half-read frame can
                 # leak into the next exchange.
                 assert not client.connected
-                client._timeout = 30.0  # reconnect with a sane timeout
+                client._timeout = WAIT  # reconnect with a sane timeout
                 response = client.request({"op": "ping", "id": "fresh"})
+                assert entered.wait(timeout=WAIT)
+                assert handle.service.in_flight == 1
+                release.set()
             assert response["op"] == "ping"
             assert response["id"] == "fresh"
-            # Give the abandoned run time to finish so stats settle.
-            assert _wait_until(
-                lambda: handle.service.in_flight == 0)
+            # The abandoned run finishes, so stats settle.
+            assert _wait_until(lambda: handle.service.in_flight == 0,
+                               timeout=WAIT)
 
     def test_budget_zero_raises_on_dropped_connection(self):
         handle = ServerHandle(ServerConfig(port=0))
