@@ -10,7 +10,6 @@ materialized (they are simply absent from the grid).
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 from scipy import sparse
@@ -25,7 +24,10 @@ Payload = np.ndarray | sparse.spmatrix
 #: ``count_nonzero`` walks 8-byte cells one by one (240 us on a 512x512
 #: tile, 76 us on 512x160), the comparison is vectorised and its byte-wide
 #: result is counted in words (86 / 21 us), but it allocates, which a
-#: 512x1 vector pays for (1.4 against 0.7 us).
+#: 512x1 vector pays for (1.4 against 0.7 us). It is also the size from
+#: which a cell-wise kernel may write its result over an operand, the test
+#: each one makes first: below it the guards cost more than the allocation
+#: they save.
 COMPARE_COUNT_CELLS = 4096
 
 #: Smallest normal double: a product of magnitudes at or above it is not
@@ -41,13 +43,22 @@ def count_nonzero(array: np.ndarray) -> int:
     return int(np.count_nonzero(array))
 
 
+def _out(array: np.ndarray, free: bool) -> np.ndarray | None:
+    """``out=`` of a one-operand ufunc past the size gate: ``array`` if it
+    is ``free`` (nobody else reads it) and C-ordered, as a fresh result
+    would be (memory order decides how the next BLAS product sums)."""
+    return array if free and array.flags.c_contiguous else None
+
+
 class Block:
     """One block of a distributed matrix.
 
     The payload adapts between dense and CSR based on its own sparsity, the
-    way SystemDS converts block layouts. All arithmetic returns new blocks;
-    payloads are treated as immutable, so the two facts the runtime keeps
-    asking for travel with the block instead of being rediscovered:
+    way SystemDS converts block layouts. All arithmetic returns new blocks,
+    and a payload is immutable once shared (a cell-wise kernel may write
+    over a *dying* operand's, or a CSR operand's private ``toarray()``), so
+    the two facts the runtime keeps asking for travel with the block
+    instead of being rediscovered:
 
     * ``is_sparse`` is decided once, where the block is made. Every kernel
       below knows the layout of what it produces from its operands' flags
@@ -154,29 +165,50 @@ class Block:
         return Block.of(self.data @ other.data,
                         self.is_sparse and other.is_sparse)
 
-    def add(self, other: "Block") -> "Block":
-        return self._additive(other, operator.add)
-
-    def subtract(self, other: "Block") -> "Block":
-        return self._additive(other, operator.sub)
-
-    def _additive(self, other: "Block", op) -> "Block":
-        """CSR while both sides are; dense as soon as either is."""
+    # The cell-wise kernels take ``dying``: whether each operand's payload
+    # (``self``'s, ``other``'s) may be written over. Only a caller that
+    # knows nobody else reads the block may say so. ``add`` and
+    # ``subtract`` are CSR while both sides are, dense as soon as either is.
+    def add(self, other: "Block",
+            dying: tuple[bool, bool] = (False, False)) -> "Block":
         if self.is_sparse and other.is_sparse:
-            return Block.of(op(self.data, other.data), True)
-        return Block.of(op(self.to_dense_array(), other.to_dense_array()),
-                        False)
+            return Block.of(self.data + other.data, True)
+        return self._dense_ewise(other, np.add, dying)
 
-    def multiply(self, other: "Block") -> "Block":
+    def subtract(self, other: "Block",
+                 dying: tuple[bool, bool] = (False, False)) -> "Block":
+        if self.is_sparse and other.is_sparse:
+            return Block.of(self.data - other.data, True)
+        return self._dense_ewise(other, np.subtract, dying)
+
+    def multiply(self, other: "Block",
+                 dying: tuple[bool, bool] = (False, False)) -> "Block":
         # A sparse-by-dense product comes back COO, hence the tocsr().
         if self.is_sparse:
             return Block.of(self.data.multiply(other.data).tocsr(), True)
         if other.is_sparse:
             return Block.of(other.data.multiply(self.data).tocsr(), True)
-        return Block.of(self.data * other.data, False)
+        return self._dense_ewise(other, np.multiply, dying)
 
-    def divide(self, other: "Block") -> "Block":
-        return Block.of(self.to_dense_array() / other.to_dense_array(), False)
+    def divide(self, other: "Block",
+               dying: tuple[bool, bool] = (False, False)) -> "Block":
+        return self._dense_ewise(other, np.divide, dying)
+
+    def _dense_ewise(self, other: "Block", ufunc,
+                     dying: tuple[bool, bool]) -> "Block":
+        """``ufunc`` over both payloads as dense arrays: over the first
+        one nobody else reads when both are C-ordered (a fresh result of
+        two C-ordered arrays is C-ordered too)."""
+        left, right = self.to_dense_array(), other.to_dense_array()
+        if left.size < COMPARE_COUNT_CELLS:
+            return Block.of(ufunc(left, right), False)
+        out = None
+        if left.flags.c_contiguous and right.flags.c_contiguous:
+            if dying[0] or self.is_sparse:
+                out = left
+            elif dying[1] or other.is_sparse:
+                out = right
+        return Block.of(ufunc(left, right, out=out), False)
 
     def transposed_view(self) -> Payload:
         """``self.data.T``, made once: for a CSR payload the CSC matrix
@@ -194,13 +226,15 @@ class Block:
         return Block.of(data.tocsr() if self.is_sparse else data,
                         self.is_sparse, self._nnz)
 
-    def scale(self, scalar: float) -> "Block":
-        data = self.data * scalar
+    def scale(self, scalar: float, dying: bool = False) -> "Block":
         if self.is_sparse:  # stored entries stay stored
-            return Block.of(data, True, self._nnz)
+            return Block.of(self.data * scalar, True, self._nnz)
+        data = self.data
+        if data.size < COMPARE_COUNT_CELLS:  # counted on first use
+            return Block.of(data * scalar, False)
+        data = np.multiply(data, scalar, out=_out(data, dying))
         nnz = self._nnz
-        if nnz is not None and data.size >= COMPARE_COUNT_CELLS \
-                and math.isfinite(scalar):
+        if nnz is not None and math.isfinite(scalar):
             # A finite scalar keeps zeros zero (no 0 * inf) and inf / nan
             # cells non-zero; a non-zero cell stays one if it cannot
             # underflow: it does not shrink, or the floor says so.
@@ -211,11 +245,19 @@ class Block:
                 return Block.of(data, False, nnz)
         return Block.of(data, False)  # counted on first use, as ever
 
-    def add_scalar(self, scalar: float) -> "Block":
-        return Block.of(self.to_dense_array() + scalar, False)
+    def add_scalar(self, scalar: float, dying: bool = False) -> "Block":
+        data = self.to_dense_array()
+        if data.size < COMPARE_COUNT_CELLS:
+            return Block.of(data + scalar, False)
+        return Block.of(np.add(data, scalar,
+                               out=_out(data, dying or self.is_sparse)), False)
 
-    def negate(self) -> "Block":
-        return Block.of(-self.data, self.is_sparse, self._nnz)
+    def negate(self, dying: bool = False) -> "Block":
+        data = self.data
+        if self.is_sparse or data.size < COMPARE_COUNT_CELLS:
+            return Block.of(-data, self.is_sparse, self._nnz)
+        return Block.of(np.negative(data, out=_out(data, dying)), False,
+                        self._nnz)
 
     def sum(self) -> float:
         return float(self.data.sum())

@@ -42,10 +42,14 @@ bit-identical to the serial seed behaviour:
   operands imply; ``transpose`` and ``negate`` pass on the count, at tile
   and at grid level; a large rank-one product and a large dense ``scale``
   state a count their operands prove instead of scanning for it. Grids
-  are treated as immutable once an operation returns, so grid ``nnz``,
-  ``serialized_bytes()`` and ``meta()`` are summed once from the tiles and
-  kept; callers that legitimately edit ``blocks`` afterwards must call
+  are immutable once shared, so grid ``nnz``, ``serialized_bytes()`` and
+  ``meta()`` are summed once from the tiles and kept; callers that
+  legitimately edit ``blocks`` afterwards must call
   :meth:`BlockedMatrix.invalidate_stats`.
+* **Dying temporaries.** A grid that made every one of its tiles
+  (``owns_tiles``) may be given up to the one operator that reads it
+  (``dying``), which then writes its large dense result tiles over the
+  grid's C-ordered payloads, bit for bit the fresh result.
 * **Transposed twins.** For the same reason ``t(A)`` is a loop constant of
   the grid ``A`` itself: :meth:`BlockedMatrix.transpose` transposes the
   tiles once and keeps them with their source, so a fused ``t(A) %*% v``
@@ -76,7 +80,8 @@ DEFAULT_BLOCK_SIZE = 512
 
 
 class BlockedMatrix:
-    """A matrix partitioned into fixed-size square blocks."""
+    """A matrix partitioned into fixed-size square blocks, immutable once
+    shared."""
 
     def __init__(self, rows: int, cols: int, block_size: int = DEFAULT_BLOCK_SIZE,
                  blocks: dict[tuple[int, int], Block] | None = None,
@@ -98,6 +103,10 @@ class BlockedMatrix:
         # This grid's tiles, transposed: kept by ``transpose``, never
         # handed out as a grid.
         self._transposed: dict[tuple[int, int], Block] | None = None
+        #: Set by the kernels that allocate every tile they store
+        #: (``matmul``, ``_zip``, non-zero ``scale`` / ``add_scalar``,
+        #: ``negate``): only such a grid's payloads can be nobody else's.
+        self.owns_tiles = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -346,12 +355,13 @@ class BlockedMatrix:
         """The transposed grid: its tiles are transposed on the first call
         and shared by every later one.
 
-        Grids are immutable once returned, so the transposed tiles are a
-        loop constant of the grid itself and are kept with it until
-        :meth:`invalidate_stats`. What is kept is the tiles, not a grid:
-        each call returns a new ``BlockedMatrix`` around them, so a caller
-        that registers, edits or drops the grid it got (lineage recovery
-        does all three) touches no other caller's.
+        Grids are immutable once shared (one that is transposed is), so
+        the transposed tiles are a loop constant of the grid itself and
+        are kept with it until :meth:`invalidate_stats`. What is kept is
+        the tiles, not a grid: each call returns a new ``BlockedMatrix``
+        around them, so a caller that registers, edits or drops the grid
+        it got (lineage recovery does all three) touches no other
+        caller's.
         """
         tiles = self._transposed
         if tiles is None:
@@ -386,6 +396,7 @@ class BlockedMatrix:
         # A x A of a symmetric A is provably symmetric: (AA)^T = A^T A^T = AA.
         result = BlockedMatrix(self.rows, other.cols, self.block_size,
                                symmetric=self is other and self.symmetric)
+        result.owns_tiles = True
         size = self.block_size
         if self.rows <= size and self.cols <= size and other.cols <= size:
             # Three one-cell grids: at most one pair, nothing to join.
@@ -397,7 +408,8 @@ class BlockedMatrix:
         return result
 
     def _zip(self, other: "BlockedMatrix", op_name: str,
-             workers: int | None = None) -> "BlockedMatrix":
+             workers: int | None = None,
+             dying: tuple[bool, bool] = (False, False)) -> "BlockedMatrix":
         """Cell-wise combine; see the named wrappers below.
 
         Implicit (absent) blocks are all-zero tiles. ``multiply`` skips a
@@ -408,62 +420,66 @@ class BlockedMatrix:
         scalar-divide guard in ``Kernels._scalar_ewise``). A tile absent on
         *both* sides stays absent for every op, including divide: the
         result cell is defined as zero, the sparse-grid shortcut the seed
-        semantics always took.
+        semantics always took. ``dying`` gives ``self`` / ``other`` up to
+        this call, as it does to every cell-wise kernel below.
         """
         if self.shape != other.shape:
             raise ShapeError(
                 f"cell-wise shape mismatch: {self.rows}x{self.cols} vs "
                 f"{other.rows}x{other.cols}")
         result = BlockedMatrix(self.rows, self.cols, self.block_size)
+        result.owns_tiles = True
         if self.rows <= self.block_size and self.cols <= self.block_size:
             # One-cell grids: the only tile there can be, same rules.
             key = (0, 0)
             _store(result, key, _zip_entry(
                 (key, self.blocks.get(key), other.blocks.get(key),
-                 (self.rows, self.cols), op_name)))
+                 (self.rows, self.cols), op_name, dying)))
         else:
-            _join_cells(self, other, op_name, result, workers)
+            _join_cells(self, other, op_name, result, workers, dying)
         return result
 
-    def add(self, other: "BlockedMatrix",
-            workers: int | None = None) -> "BlockedMatrix":
-        return self._zip(other, "add", workers)
+    def add(self, other: "BlockedMatrix", workers: int | None = None,
+            dying: tuple[bool, bool] = (False, False)) -> "BlockedMatrix":
+        return self._zip(other, "add", workers, dying)
 
-    def subtract(self, other: "BlockedMatrix",
-                 workers: int | None = None) -> "BlockedMatrix":
-        return self._zip(other, "subtract", workers)
+    def subtract(self, other: "BlockedMatrix", workers: int | None = None,
+                 dying: tuple[bool, bool] = (False, False)) -> "BlockedMatrix":
+        return self._zip(other, "subtract", workers, dying)
 
-    def multiply(self, other: "BlockedMatrix",
-                 workers: int | None = None) -> "BlockedMatrix":
-        return self._zip(other, "multiply", workers)
+    def multiply(self, other: "BlockedMatrix", workers: int | None = None,
+                 dying: tuple[bool, bool] = (False, False)) -> "BlockedMatrix":
+        return self._zip(other, "multiply", workers, dying)
 
-    def divide(self, other: "BlockedMatrix",
-               workers: int | None = None) -> "BlockedMatrix":
-        return self._zip(other, "divide", workers)
+    def divide(self, other: "BlockedMatrix", workers: int | None = None,
+               dying: tuple[bool, bool] = (False, False)) -> "BlockedMatrix":
+        return self._zip(other, "divide", workers, dying)
 
-    def scale(self, scalar: float) -> "BlockedMatrix":
+    def scale(self, scalar: float, dying: bool = False) -> "BlockedMatrix":
         result = BlockedMatrix(self.rows, self.cols, self.block_size,
                                symmetric=self.symmetric)
         if scalar == 0.0:
             return result
+        result.owns_tiles = True
         for key, block in self.blocks.items():
-            result.blocks[key] = block.scale(scalar)
+            result.blocks[key] = block.scale(scalar, dying)
         return result
 
-    def add_scalar(self, scalar: float,
-                   workers: int | None = None) -> "BlockedMatrix":
+    def add_scalar(self, scalar: float, workers: int | None = None,
+                   dying: bool = False) -> "BlockedMatrix":
         if scalar == 0.0:
             # Value-identical to self, but with a fresh grid dict: callers
             # may edit the result's grid without aliasing this matrix
-            # (blocks themselves are immutable and safely shared).
+            # (blocks themselves are shared, so it owns none of them).
             return self._carrying_stats(BlockedMatrix(
                 self.rows, self.cols, self.block_size,
                 blocks=dict(self.blocks), symmetric=self.symmetric))
         result = BlockedMatrix(self.rows, self.cols, self.block_size,
                                symmetric=self.symmetric)
+        result.owns_tiles = True
         coords = [(bi, bj) for bi in range(self.row_blocks)
                   for bj in range(self.col_blocks)]
-        tasks = [(self.blocks.get(key), self.block_dims(*key), scalar)
+        tasks = [(self.blocks.get(key), self.block_dims(*key), scalar, dying)
                  for key in coords]
         tile_work = float(self.rows) * self.cols / max(1, len(coords))
         for key, block in zip(coords, map_blocks(_shift_entry, tasks, workers,
@@ -471,11 +487,12 @@ class BlockedMatrix:
             result.blocks[key] = block
         return result
 
-    def negate(self) -> "BlockedMatrix":
+    def negate(self, dying: bool = False) -> "BlockedMatrix":
         result = BlockedMatrix(self.rows, self.cols, self.block_size,
                                symmetric=self.symmetric)
+        result.owns_tiles = True
         for key, block in self.blocks.items():
-            result.blocks[key] = block.negate()
+            result.blocks[key] = block.negate(dying)
         return self._carrying_stats(result)
 
     def sum(self) -> float:
@@ -634,7 +651,8 @@ def _join_products(left: BlockedMatrix, right: BlockedMatrix,
 
 
 def _join_cells(left: BlockedMatrix, right: BlockedMatrix, op_name: str,
-                result: BlockedMatrix, workers) -> None:
+                result: BlockedMatrix, workers,
+                dying: tuple[bool, bool] = (False, False)) -> None:
     """Cell-wise ``op_name`` into ``result`` over the union of both grids'
     stored tiles, one :func:`_zip_entry` task each (one-cell grids: see
     :meth:`BlockedMatrix._zip`)."""
@@ -642,7 +660,7 @@ def _join_cells(left: BlockedMatrix, right: BlockedMatrix, op_name: str,
     # Self-contained task tuples (grid lookups happen here, serially)
     # so the module-level task function is process-backend shippable.
     tasks = [(key, left.blocks.get(key), right.blocks.get(key),
-              left.block_dims(*key), op_name) for key in keys]
+              left.block_dims(*key), op_name, dying) for key in keys]
     tiles = map_blocks(
         _zip_entry, tasks, workers,
         work_hint=lambda: (left.nnz + right.nnz) / max(1, len(keys)))
@@ -653,12 +671,13 @@ def _join_cells(left: BlockedMatrix, right: BlockedMatrix, op_name: str,
 def _zip_entry(task) -> Block | None:
     """One cell-wise combine task; replicates the serial ``_zip`` rules.
 
-    ``task`` is ``(key, left, right, dims, op_name)`` with either block
-    possibly ``None`` (an implicit all-zero tile). Module-level and
+    ``task`` is ``(key, left, right, dims, op_name, dying)`` with either
+    block possibly ``None`` (an implicit all-zero tile). Module-level and
     self-contained so :func:`~repro.matrix.blockpool.map_blocks` can ship
-    it to worker processes.
+    it to worker processes (where a payload written over is the worker's
+    copy).
     """
-    key, left, right, dims, op_name = task
+    key, left, right, dims, op_name, dying = task
     if left is None and right is None:
         return None
     if left is None:
@@ -671,18 +690,19 @@ def _zip_entry(task) -> Block | None:
                 f"division by an implicit zero block at grid {key}; "
                 "materializing it would produce inf/nan cells")
         right = zeros(*dims)
-    block = getattr(left, op_name)(right)
+    block = getattr(left, op_name)(right, dying)
     if block.is_zero():
         return None
     return block.normalized()
 
 
 def _shift_entry(task) -> Block:
-    """One ``add_scalar`` tile task: ``(block_or_none, dims, scalar)``."""
-    block, dims, scalar = task
+    """One ``add_scalar`` tile task: ``(block_or_none, dims, scalar,
+    dying)``."""
+    block, dims, scalar, dying = task
     if block is None:
         block = zeros(*dims)
-    return block.add_scalar(scalar)
+    return block.add_scalar(scalar, dying)
 
 
 def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:

@@ -57,6 +57,10 @@ _COMPARISONS = {
 _EWISE_KERNELS = {Add: "add", Sub: "subtract", ElemMul: "multiply",
                   ElemDiv: "divide"}
 
+#: Expressions whose value others may hold: a variable's, and a transpose
+#: (a view of its child's tiles, or a scalar child passed through as is).
+_SHARED = frozenset({MatrixRef, ScalarRef, Transpose})
+
 _SCALAR_MATH = {
     "sqrt": math.sqrt,
     "abs": abs,
@@ -257,13 +261,25 @@ class Executor:
             fused = self._try_fused_ewise(expr, env)
             if fused is not None:
                 return fused
+        left = self.evaluate(expr.left, env)
+        right = self.evaluate(expr.right, env)
         # Looked up on the kernels by name at each call, as a plain
         # ``kernels.add(...)`` would be.
         return getattr(kernels, _EWISE_KERNELS[type(expr)])(
-            self.evaluate(expr.left, env), self.evaluate(expr.right, env))
+            left, right, dying=(self._dying(expr.left, left),
+                                self._dying(expr.right, right)))
 
     def _eval_neg(self, expr: Neg, env: dict[str, Value]) -> Value:
-        return self.kernels.negate(self.evaluate(expr.child, env))
+        value = self.evaluate(expr.child, env)
+        return self.kernels.negate(value, dying=self._dying(expr.child, value))
+
+    def _dying(self, expr: Expr, value: Value) -> bool:
+        """Whether ``value`` dies into the operator reading it: ``expr`` is
+        not a variable or a transpose (whose values others share), a kernel
+        made every tile of the grid, and no recovery manager's lineage
+        thunks read operands again (or heal grids in place)."""
+        return type(expr) not in _SHARED and value.matrix.owns_tiles \
+            and self.recovery is None
 
     def _eval_matmul(self, expr: MatMul, env: dict[str, Value]) -> Value:
         fused = self._try_mmchain(expr, env)

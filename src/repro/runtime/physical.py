@@ -338,86 +338,100 @@ class Kernels:
     # ------------------------------------------------------------------
     # Cell-wise operators
     # ------------------------------------------------------------------
-    def _ewise(self, left: Value, right: Value, kind: str) -> Value:
-        op_name = kind
+    # ``dying`` gives an operand up: nothing reads it after this operator
+    # (``Executor._dying``; never under a recovery manager), so the result
+    # may be written over its payloads. Operand metas are read first.
+    def _ewise(self, left: Value, right: Value, kind: str,
+               dying: tuple[bool, bool]) -> Value:
         if left.is_scalar and not right.is_scalar:
-            return self._scalar_ewise(left.scalar_value(), right, kind, left_side=True)
+            return self._scalar_ewise(left.scalar_value(), right, kind,
+                                      left_side=True, dying=dying[1])
         if right.is_scalar and not left.is_scalar:
-            return self._scalar_ewise(right.scalar_value(), left, kind, left_side=False)
-        result = getattr(left.matrix, op_name)(right.matrix, self.kernel_workers)
+            return self._scalar_ewise(right.scalar_value(), left, kind,
+                                      left_side=False, dying=dying[0])
+        left_meta, right_meta = left.meta, right.meta
+        result = getattr(left.matrix, kind)(right.matrix, self.kernel_workers,
+                                            dying)
         price = self._priced(
-            price_ewise, (kind, left.meta, right.meta, result.meta()),
+            price_ewise, (kind, left_meta, right_meta, result.meta()),
             (max(left.imbalance, right.imbalance),))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
-            self.tracer.record_operator(kind, price, (left.meta, right.meta), out)
+            self.tracer.record_operator(kind, price, (left_meta, right_meta),
+                                        out)
         if self.recovery is not None:
             left_mat, right_mat, workers = left.matrix, right.matrix, self.kernel_workers
             self._finish_op(kind, price, result,
-                            lambda: getattr(left_mat, op_name)(right_mat, workers))
+                            lambda: getattr(left_mat, kind)(right_mat, workers))
         return out
 
     def _scalar_ewise(self, scalar: float, value: Value, kind: str,
-                      left_side: bool) -> Value:
+                      left_side: bool, dying: bool) -> Value:
         matrix = value.matrix
+        meta = value.meta
         workers = self.kernel_workers
 
         def compute() -> BlockedMatrix:
             if kind == "add":
-                return matrix.add_scalar(scalar, workers)
+                return matrix.add_scalar(scalar, workers, dying)
             if kind == "subtract":
-                return matrix.negate().add_scalar(scalar, workers) if left_side \
-                    else matrix.add_scalar(-scalar, workers)
+                return matrix.negate(dying).add_scalar(scalar, workers, dying) \
+                    if left_side else matrix.add_scalar(-scalar, workers, dying)
             if kind == "multiply":
-                return matrix.scale(scalar)
+                return matrix.scale(scalar, dying)
             if kind == "divide":
                 if left_side:
                     raise ExecutionError("scalar / matrix is not supported; "
                                          "zero cells would produce infinities")
                 if scalar == 0.0:
                     raise ExecutionError("division by a zero scalar")
-                return matrix.scale(1.0 / scalar)
+                return matrix.scale(1.0 / scalar, dying)
             raise ExecutionError(f"unknown cell-wise op {kind!r}")  # pragma: no cover
 
         result = compute()
         price = self._priced(
-            price_ewise, (kind, value.meta, MatrixMeta(1, 1), result.meta()),
+            price_ewise, (kind, meta, MatrixMeta(1, 1), result.meta()),
             (value.imbalance,))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
-            operands = (MatrixMeta(1, 1), value.meta) if left_side \
-                else (value.meta, MatrixMeta(1, 1))
+            operands = (MatrixMeta(1, 1), meta) if left_side \
+                else (meta, MatrixMeta(1, 1))
             self.tracer.record_operator(kind, price, operands, out)
         if self.recovery is not None:
             self._finish_op(kind, price, result, compute)
         return out
 
-    def add(self, left: Value, right: Value) -> Value:
-        return self._ewise(left, right, "add")
+    def add(self, left: Value, right: Value,
+            dying: tuple[bool, bool] = (False, False)) -> Value:
+        return self._ewise(left, right, "add", dying)
 
-    def subtract(self, left: Value, right: Value) -> Value:
-        return self._ewise(left, right, "subtract")
+    def subtract(self, left: Value, right: Value,
+                 dying: tuple[bool, bool] = (False, False)) -> Value:
+        return self._ewise(left, right, "subtract", dying)
 
-    def multiply(self, left: Value, right: Value) -> Value:
-        return self._ewise(left, right, "multiply")
+    def multiply(self, left: Value, right: Value,
+                 dying: tuple[bool, bool] = (False, False)) -> Value:
+        return self._ewise(left, right, "multiply", dying)
 
-    def divide(self, left: Value, right: Value) -> Value:
+    def divide(self, left: Value, right: Value,
+               dying: tuple[bool, bool] = (False, False)) -> Value:
         if right.is_scalar and right.scalar_value() == 0.0:
             raise ExecutionError("division by a zero scalar")
-        return self._ewise(left, right, "divide")
+        return self._ewise(left, right, "divide", dying)
 
-    def negate(self, value: Value) -> Value:
-        result = value.matrix.negate()
+    def negate(self, value: Value, dying: bool = False) -> Value:
+        meta = value.meta
+        result = value.matrix.negate(dying)
         price = self._priced(
             price_ewise,
-            ("multiply", value.meta, MatrixMeta(1, 1), result.meta()),
+            ("multiply", meta, MatrixMeta(1, 1), result.meta()),
             (value.imbalance,))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             # The cost model treats negation as free, so this span never
             # carries a prediction — "negate" deliberately matches no
             # recorded kind.
-            self.tracer.record_operator("negate", price, (value.meta,), out)
+            self.tracer.record_operator("negate", price, (meta,), out)
         if self.recovery is not None:
             matrix = value.matrix
             self._finish_op("negate", price, result, matrix.negate)

@@ -501,6 +501,92 @@ class TestDenseTimesCsr:
         assert not dense.is_sparse and dense._nnz == 12
 
 
+def _cellwise(op, left, right, dying):
+    """``op`` over tiles: ``right`` is the zip partner, ``dying`` the
+    operands given up (a one-operand kernel reads the first)."""
+    if op in ("scale", "add_scalar"):
+        return getattr(left, op)(1.5, dying[0])
+    if op == "negate":
+        return left.negate(dying[0])
+    return getattr(left, op)(right, dying)
+
+
+class TestWrittenOver:
+    """A cell-wise tile kernel told an operand is dying writes its dense
+    result over that operand's payload — from ``COMPARE_COUNT_CELLS`` cells
+    up, over C-ordered arrays only — and the tile it returns is, bit for
+    bit and memory order included, the fresh one."""
+
+    OPS = ("add", "subtract", "multiply", "divide", "scale", "add_scalar",
+           "negate")
+
+    @pytest.mark.parametrize("shape", [(1, 1), (63, 64), (64, 64), (4095, 1),
+                                       (1, 4096), (100, 160)])
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_the_size_gate_comes_first(self, rng, shape, op, side):
+        left, right = rng.random(shape) + 0.5, rng.random(shape) + 0.5
+        expected = _cellwise(op, Block.of(left.copy(), False),
+                             Block.of(right.copy(), False), (False, False))
+        operands = Block.of(left, False, left.size), Block.of(right, False)
+        got = _cellwise(op, *operands, (side == 0, side == 1))
+        assert _payload(got) == _payload(expected)
+        unary = op in ("scale", "add_scalar", "negate")
+        written = left.size >= COMPARE_COUNT_CELLS and not (unary and side)
+        assert np.shares_memory(got.data, operands[side].data) == written
+        assert not np.shares_memory(got.data, operands[1 - side].data)
+
+    def test_an_f_ordered_operand_is_never_written_over(self, rng):
+        # ``dense @ csr`` is SciPy's ``(csr.T @ dense.T).T``: F-ordered.
+        csr = sp.random(64, 64, density=0.2, format="csr", random_state=rng)
+        product = blocked._tile_product([(Block(rng.random((64, 64))),
+                                          Block(csr))])
+        assert product.data.flags.f_contiguous \
+            and not product.data.flags.c_contiguous
+        other = rng.random((64, 64)) + 0.5
+        for op in self.OPS:
+            for side in (0, 1):
+                pair = [product.data.copy(order="K"), other.copy()]
+                if side:
+                    pair.reverse()
+                expected = _cellwise(op, *(Block.of(array.copy(order="K"),
+                                                    False) for array in pair),
+                                     (False, False))
+                operands = [Block.of(array, False) for array in pair]
+                got = _cellwise(op, *operands, (True, True))
+                assert _payload(got) == _payload(expected), (op, side)
+                # A mixed pair's fresh result is C-ordered: neither side
+                # takes it. A one-operand kernel reads ``pair[0]``, and
+                # takes it only when that is the C-ordered one.
+                unary = op in ("scale", "add_scalar", "negate")
+                assert not np.shares_memory(got.data, operands[side].data)
+                assert np.shares_memory(got.data, operands[1 - side].data) \
+                    == (unary and side == 1), (op, side)
+
+    def test_a_csr_operand_is_densified_into_the_result(self, rng,
+                                                        monkeypatch):
+        copies = []
+        densify = Block.to_dense_array
+        monkeypatch.setattr(Block, "to_dense_array",
+                            lambda block: copies.append(densify(block))
+                            or copies[-1])
+        csr = Block(sp.random(64, 64, density=0.1, format="csr",
+                              random_state=rng))
+        dense = Block.of(rng.random((64, 64)) + 0.5, False)
+        before = _payload(csr), _payload(dense)
+        for op in ("add", "subtract", "divide", "add_scalar"):
+            copies.clear()
+            got = _cellwise(op, csr, dense, (False, False))  # nobody dies
+            expected = {"add": np.add, "subtract": np.subtract,
+                        "divide": np.divide,
+                        "add_scalar": lambda a, _b: a + 1.5}[op](
+                csr.data.toarray(), dense.data)
+            assert got.data.flags.c_contiguous
+            assert got.data.tobytes() == expected.tobytes(), op
+            assert np.shares_memory(got.data, copies[0]), op
+        assert (_payload(csr), _payload(dense)) == before
+
+
 class _Scans:
     """Stands in for ``count_nonzero`` in both modules that call it and
     keeps the size of every array it is asked to count."""

@@ -1,14 +1,25 @@
 """Executor tests: correctness of every operator plus loop semantics."""
 
+import weakref
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import sparse as sp
 
+from repro.algorithms import get_algorithm
 from repro.core.chains import ChainPlaceholder
+from repro.data import load_dataset
+from repro.engines import make_engine
 from repro.errors import ExecutionError, ShapeError
 from repro.lang import ast, parse, parse_expression
-from repro.matrix import BlockedMatrix
+from repro.matrix import Block, BlockedMatrix
+from repro.matrix.block import COMPARE_COUNT_CELLS
 from repro.runtime import ExecutionPolicy, Executor
+from repro.runtime.physical import Value
+from repro.runtime.recovery import RecoveryConfig
+from repro.server.protocol import array_digest
 
 
 @pytest.fixture
@@ -343,3 +354,169 @@ class TestCellwiseAndStructuralBuiltins:
         from repro.lang import parse_expression
         executor.evaluate(parse_expression("exp(A)"), env)
         assert executor.metrics.seconds_by_phase["computation"] > 0
+
+
+#: The cell-wise grid kernels, named by what they do to a tile.
+_CELLWISE = {"add": "zipped", "subtract": "zipped", "multiply": "zipped",
+             "divide": "zipped", "scale": "scaled", "add_scalar": "shifted",
+             "negate": "negated"}
+
+
+class _Consumption:
+    """Watches the cell-wise grid kernels, and the statements of every
+    executor, while installed.
+
+    A result tile that is a new block over an operand's dense payload was
+    written over that operand: it is counted by kernel, its size kept, and
+    the operand grid held weakly — it must be dead once its statement has
+    been evaluated (nobody, the tracer included, kept it). No result tile
+    may share memory with a variable or a ``held`` array.
+    """
+
+    def __init__(self, monkeypatch, held=()):
+        self.written = Counter()
+        self.sizes = []
+        self.held = list(held)
+        self._spent = []
+        self._env = {}
+        for name, kind in _CELLWISE.items():
+            monkeypatch.setattr(BlockedMatrix, name,
+                                self._kernel(getattr(BlockedMatrix, name), kind))
+        monkeypatch.setattr(Executor, "evaluate",
+                            self._statement(Executor.evaluate))
+
+    def _kernel(self, kernel, kind):
+        def watched(grid, *args, **kwargs):
+            operands = [grid, *(arg for arg in args
+                                if isinstance(arg, BlockedMatrix))]
+            tiles = [block for operand in operands
+                     for block in operand.blocks.values()]
+            payloads = [(operand, block.data) for operand in operands
+                        for block in operand.blocks.values()
+                        if not block.is_sparse]
+            held = self.held + [block.data for value in self._env.values()
+                                for block in value.matrix.blocks.values()
+                                if not block.is_sparse]
+            result = kernel(grid, *args, **kwargs)
+            for block in result.blocks.values():
+                if block.is_sparse or any(block is tile for tile in tiles):
+                    continue  # CSR, or handed on as it is (``X + 0``)
+                spent = [operand for operand, data in payloads
+                         if np.shares_memory(block.data, data)]
+                if spent:
+                    self.written[kind] += 1
+                    self.sizes.append(block.data.size)
+                    self._spent += [weakref.ref(operand) for operand in spent]
+                assert not any(np.shares_memory(block.data, data)
+                               for data in held)
+            return result
+        return watched
+
+    def _statement(self, evaluate):
+        depth = 0
+
+        def watched(executor, expr, env):
+            nonlocal depth
+            self._env = env
+            depth += 1
+            value = evaluate(executor, expr, env)
+            depth -= 1
+            if not depth:
+                assert all(ref() is None for ref in self._spent), expr
+                self._spent.clear()
+            return value
+        return watched
+
+
+def _tile_bytes(grid):
+    return [(key, block.to_dense_array().tobytes())
+            for key, block in grid.blocks.items()]
+
+
+class TestDyingTemporaries:
+    """A temporary a kernel made for one cell-wise operator dies into it:
+    the operator writes its result over the temporary's tiles. Nothing
+    else is ever written over — no variable, no input, no resident grid,
+    nothing under a recovery manager, no tile under the size gate — and
+    the run is the run that writes over nothing."""
+
+    @staticmethod
+    def _workload(algorithm, dataset, scale):
+        algo = get_algorithm(algorithm)
+        meta, data = algo.make_inputs(
+            load_dataset(dataset, scale=scale).matrix)
+        engine = make_engine("remac")
+        compiled = engine.compile(algo.program(10), meta, data, iterations=10)
+        return algo, engine, compiled, data
+
+    @pytest.mark.parametrize("algorithm, dataset, scale, written", [
+        # H's update: two scaled rank-one products of 2 x 2 tiles, and the
+        # difference and sum over them, ten times.
+        ("dfp", "red3", 0.1, {"scaled": 80, "zipped": 78}),
+        # R = V - W %*% Hm, both multiplicative updates, their + 1e-6.
+        ("gnmf", "red2", 0.5, {"zipped": 320, "shifted": 160}),
+    ])
+    def test_an_execute_writes_over_what_dies_and_nothing_else(
+            self, monkeypatch, algorithm, dataset, scale, written):
+        algo, engine, compiled, data = self._workload(algorithm, dataset,
+                                                      scale)
+        symmetric = algo.symmetric_inputs
+        with mock.patch.object(Executor, "_dying",
+                               lambda self, expr, value: False):
+            reference = engine.execute(compiled, data, symmetric=symmetric)
+        # Tiled once and handed over, as a resident workload's inputs are.
+        grids = {name: BlockedMatrix.from_any(
+                     value, block_size=engine.cluster.block_size,
+                     symmetric=name in symmetric)
+                 for name, value in data.items()
+                 if not isinstance(value, float)}
+        before = {name: _tile_bytes(grid) for name, grid in grids.items()}
+        watch = _Consumption(monkeypatch, held=[
+            block.data for grid in grids.values()
+            for block in grid.blocks.values() if not block.is_sparse])
+        for inputs in (data, {**data, **grids}):
+            watch.written.clear()
+            run = engine.execute(compiled, inputs, symmetric=symmetric)
+            assert dict(watch.written) == written
+            assert min(watch.sizes) >= COMPARE_COUNT_CELLS
+            assert {name: array_digest(run.value(name))
+                    for name in algo.outputs} \
+                == {name: array_digest(reference.value(name))
+                    for name in algo.outputs}
+            assert run.metrics.summary() == reference.metrics.summary()
+        assert {name: _tile_bytes(grid) for name, grid in grids.items()} \
+            == before
+
+    def test_nothing_is_written_over_under_recovery(self, monkeypatch):
+        algo, engine, compiled, data = self._workload("dfp", "red3", 0.1)
+        watch = _Consumption(monkeypatch)
+        engine.execute(compiled, data, symmetric=algo.symmetric_inputs,
+                       recovery_config=RecoveryConfig())
+        assert not watch.written
+
+    @pytest.mark.parametrize("operation", ["zip", "shift", "from_scalar"])
+    def test_operand_metas_are_read_before_the_operator(self, cluster, rng,
+                                                        operation):
+        kernels = Executor(cluster).kernels
+        cells = rng.random((128, 64))
+        cells[cells < 0.5] = 0.0
+        # Built by hand and given up: no tile or grid statistic is known
+        # until the operator asks, and its operands are written over.
+        private = BlockedMatrix(128, 64, 64, blocks={
+            (bi, 0): Block.of(cells[bi * 64:(bi + 1) * 64].copy(), False)
+            for bi in range(2)})
+        private.owns_tiles = True
+        tiles = [block.data for block in private.blocks.values()]
+        value, two = Value(private, False), kernels.from_scalar(2.0)
+        ones = kernels.load("ones", np.ones((128, 64)))
+        out = {"zip": lambda: kernels.add(value, ones, dying=(True, False)),
+               "shift": lambda: kernels.add(value, two, dying=(True, False)),
+               "from_scalar": lambda: kernels.subtract(
+                   two, value, dying=(False, True))}[operation]()
+        assert all(np.shares_memory(out.matrix.blocks[bi, 0].data, tiles[bi])
+                   for bi in range(2))
+        # One operator priced, with the operand as it was: half its cells
+        # were zero, none of what is in its tiles now is.
+        [(_function, charged, _flags)] = kernels._prices
+        assert charged[1] == BlockedMatrix.from_numpy(cells, 64).meta()
+        assert charged[1].sparsity < 0.6 and out.meta.sparsity == 1.0
