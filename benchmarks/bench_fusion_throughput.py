@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.config import ClusterConfig
 from repro.lang import parse_expression
+from repro.lang.program import single_expression_program
 from repro.runtime import ExecutionPolicy, Executor
 
 SPEEDUP_FLOOR = 1.5  # simulated-seconds acceptance, non-smoke only
@@ -58,9 +59,8 @@ def _expression_workloads(smoke: bool):
 
 def _evaluate(policy, source, bindings):
     executor = Executor(ClusterConfig(), policy)
-    env = {name: executor.kernels.load(name, value)
-           for name, value in bindings.items()}
-    out = executor.evaluate(parse_expression(source), env)
+    out = executor.run(single_expression_program(parse_expression(source)),
+                       bindings)["out"]
     return out, executor.metrics.summary()
 
 

@@ -155,12 +155,6 @@ class ProgramChains:
     def sites_of_statement(self, stmt_index: int) -> list[ChainSite]:
         return [s for s in self.sites if s.stmt_index == stmt_index]
 
-    def operand_meta(self, site: ChainSite, operand: Operand):
-        """Metadata of an operand occurrence under its statement's env."""
-        env = self.statements[site.stmt_index].env_before
-        meta = infer_expr_meta(operand.base, env)
-        return meta.transposed() if operand.transposed and not operand.symmetric else meta
-
     def variables_reassigned_between(self, first_stmt: int, last_stmt: int) -> set[str]:
         """Targets assigned by statements in the half-open range [first, last).
 

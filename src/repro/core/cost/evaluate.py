@@ -17,24 +17,22 @@ from dataclasses import dataclass, field
 
 from ...errors import OptimizerError
 from ...lang.ast import (
-    Add,
     Call,
     Compare,
-    ElemDiv,
-    ElemMul,
     Expr,
     Literal,
     MatMul,
     MatrixRef,
     Neg,
     ScalarRef,
-    Sub,
     Transpose,
 )
 from ...lang.program import Assign, Program, Statement, WhileLoop
 from ...matrix import ops as flops
 from ...matrix.meta import MatrixMeta
-from ...runtime.fusion import Region, find_ewise_region, mmchain_beats_unfused
+from ...runtime.fusion import (ZIP_KINDS, Region, find_ewise_region,
+                               mmchain_beats_unfused, mmchain_match,
+                               unwrap_transpose)
 from ...runtime.hybrid import LOCAL, value_distributed
 from ...runtime.plan import PredictedOp, StatementPath
 from ...runtime.pricing import price_fused_ewise
@@ -138,7 +136,7 @@ class ProgramCostEvaluator:
             out_rows=meta.rows, out_cols=meta.cols, out_nnz=meta.nnz))
 
     # ------------------------------------------------------------------
-    # Expression pricing (mirrors Executor.evaluate)
+    # Expression pricing (the operators the executor's lowering emits)
     # ------------------------------------------------------------------
     def _price_expr(self, expr: Expr, env: dict[str, Sketch]) -> tuple[float, Sketch]:
         if isinstance(expr, (MatrixRef, ScalarRef)):
@@ -158,13 +156,12 @@ class ProgramCostEvaluator:
             priced = self.model.transpose(sketch)
             self._note("transpose", priced)
             return seconds + priced.seconds, priced.sketch
-        if isinstance(expr, (Add, Sub, ElemMul, ElemDiv)):
+        if type(expr) in ZIP_KINDS:
             if self.model.policy.fuse:
                 fused = self._try_price_fused_ewise(expr, env)
                 if fused is not None:
                     return fused
-            kind = {Add: "add", Sub: "subtract", ElemMul: "multiply",
-                    ElemDiv: "divide"}[type(expr)]
+            kind = ZIP_KINDS[type(expr)]
             sec_l, left = self._price_expr(expr.left, env)
             sec_r, right = self._price_expr(expr.right, env)
             priced = self.model.ewise(kind, left, right)
@@ -185,8 +182,8 @@ class ProgramCostEvaluator:
         fused = self._try_price_mmchain(expr, env)
         if fused is not None:
             return fused
-        left_expr, left_fused = _unwrap_transpose(expr.left)
-        right_expr, right_fused = _unwrap_transpose(expr.right)
+        left_expr, left_fused = unwrap_transpose(expr.left)
+        right_expr, right_fused = unwrap_transpose(expr.right)
         sec_l, left = self._price_expr(left_expr, env)
         sec_r, right = self._price_expr(right_expr, env)
         left_meta = self.model.meta(left)
@@ -221,47 +218,33 @@ class ProgramCostEvaluator:
 
     def _try_price_mmchain(self, expr: MatMul,
                            env: dict[str, Sketch]) -> tuple[float, Sketch] | None:
-        """Mirror the executor's mmchain fusion (legacy and cost-gated)."""
-        if not isinstance(expr.left, Transpose):
+        """The executor's mmchain fusion (legacy and cost-gated), priced."""
+        match = mmchain_match(expr)
+        if match is None:
             return None
-        if not isinstance(expr.right, MatMul):
-            return None
-        if expr.left.child != expr.right.left:
-            return None
-        sec_x, x = self._price_expr(expr.left.child, env)
+        x_expr, v_expr, by_cost = match
+        policy = self.model.policy
+        sec_x, x = self._price_expr(x_expr, env)
         x_meta = self.model.meta(x)
-        if self.model.policy.mmchain_applicable_cols(x_meta.cols):
-            sec_v, v = self._price_expr(expr.right.right, env)
-            if self.model.meta(v).is_scalar_like or x_meta.is_scalar_like:
-                return None
-            priced = self.model.mmchain(x, v)
-            self._note("mmchain", priced)
-            return sec_x + sec_v + priced.seconds, priced.sketch
-        if not self.model.policy.fuse:
+        legacy = policy.mmchain_applicable_cols(x_meta.cols)
+        if not (legacy or policy.fuse and by_cost):
             return None
-        if not isinstance(expr.left.child, (MatrixRef, ScalarRef)):
-            return None
-        if not isinstance(expr.right.right, (MatrixRef, ScalarRef, Literal)):
-            return None
-        sec_v, v = self._price_expr(expr.right.right, env)
+        sec_v, v = self._price_expr(v_expr, env)
         v_meta = self.model.meta(v)
         if v_meta.is_scalar_like or x_meta.is_scalar_like:
             return None
-        if not mmchain_beats_unfused(x_meta, v_meta, 1.0, 1.0,
-                                     self.model.config, self.model.policy):
+        if not legacy and not mmchain_beats_unfused(
+                x_meta, v_meta, 1.0, 1.0, self.model.config, policy):
             return None
-        priced = self.model.mmchain(x, v, exact_inner=True)
+        priced = self.model.mmchain(x, v, exact_inner=not legacy)
         self._note("mmchain", priced)
         return sec_x + sec_v + priced.seconds, priced.sketch
 
     def _price_call(self, expr: Call, env: dict[str, Sketch]) -> tuple[float, Sketch]:
         seconds, sketch = self._price_expr(expr.args[0], env)
-        if expr.func in ("sum", "trace"):
-            priced = self.model.aggregate(sketch)
-            self._note("aggregate", priced)
-            return seconds + priced.seconds, priced.sketch
-        if expr.func == "norm":
-            priced = self.model.aggregate(sketch, flop_multiplier=2.0)
+        if expr.func in ("sum", "trace", "norm"):
+            priced = self.model.aggregate(
+                sketch, flop_multiplier=2.0 if expr.func == "norm" else 1.0)
             self._note("aggregate", priced)
             return seconds + priced.seconds, priced.sketch
         if expr.func in ("rowsums", "colsums", "diag"):
@@ -356,12 +339,6 @@ def price_fused_region(model: CostModel, region: Region,
                               model.config, model.policy)
     return FusedRegionEstimate(Priced(price, root_sketch), unfused_seconds,
                                member_count)
-
-
-def _unwrap_transpose(expr: Expr) -> tuple[Expr, bool]:
-    if isinstance(expr, Transpose):
-        return expr.child, True
-    return expr, False
 
 
 def _assignments_with_paths(body, path: StatementPath):

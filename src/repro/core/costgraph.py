@@ -52,10 +52,6 @@ class OperatorNode:
     def output_span(self) -> tuple[int, int]:
         return (self.left_span[0], self.right_span[1])
 
-    @property
-    def min_cost(self) -> float:
-        return min(c.value for c in self.costs)
-
     def __repr__(self) -> str:
         left = "{" + ",".join(map(str, self.coords_left)) + "}"
         right = "{" + ",".join(map(str, self.coords_right)) + "}"

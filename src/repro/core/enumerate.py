@@ -267,12 +267,10 @@ def enumerate_fusion_regions(program, model: CostModel,
     evaluator make the authoritative per-site decision with the same
     pricing functions, so this is the plan's fusion story, not its gate.
     """
-    from ..lang.ast import (
-        Add, Call, Compare, ElemDiv, ElemMul, Literal, MatMul, MatrixRef,
-        Neg, ScalarRef, Sub, Transpose,
-    )
+    from ..lang.ast import Add, ElemDiv, ElemMul, Literal, MatMul, Neg, Sub
     from ..lang.program import Assign, WhileLoop
-    from ..runtime.fusion import find_ewise_region, mmchain_beats_unfused
+    from ..runtime.fusion import (find_ewise_region, mmchain_beats_unfused,
+                                  mmchain_match)
     from .cost.evaluate import ProgramCostEvaluator, price_fused_region
 
     evaluator = ProgramCostEvaluator(model)
@@ -301,13 +299,9 @@ def enumerate_fusion_regions(program, model: CostModel,
                             "selected": estimate.fuses,
                         })
                         return  # leaves are refs; nothing fusable below
-        if isinstance(expr, MatMul) and isinstance(expr.left, Transpose) \
-                and isinstance(expr.right, MatMul) \
-                and expr.left.child == expr.right.left \
-                and isinstance(expr.left.child, (MatrixRef, ScalarRef)) \
-                and isinstance(expr.right.right, (MatrixRef, ScalarRef)):
-            x = env.get(expr.left.child.name)
-            v = env.get(expr.right.right.name)
+        match = mmchain_match(expr) if isinstance(expr, MatMul) else None
+        if match is not None and match[2] and not isinstance(match[1], Literal):
+            x, v = env.get(match[0].name), env.get(match[1].name)
             if x is not None and v is not None \
                     and not model.meta(x).is_scalar_like \
                     and not model.meta(v).is_scalar_like:

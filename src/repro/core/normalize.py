@@ -30,7 +30,7 @@ from ..lang.ast import (
     Sub,
     Transpose,
 )
-from ..lang.typecheck import Environment
+from ..lang.typecheck import Environment, static_shape
 from ..matrix.meta import MatrixMeta
 
 _MAX_PASSES = 50
@@ -54,18 +54,8 @@ def _is_scalar_like(expr: Expr, env: Environment | None) -> bool:
         meta = env.get(expr.name)
         return meta is not None and meta.is_scalar_like
     if isinstance(expr, MatMul) and env is not None:
-        return _static_shape(expr, env) == (1, 1)
+        return static_shape(expr, env) == (1, 1)
     return False
-
-
-def _static_shape(expr: Expr, env: Environment) -> tuple[int, int] | None:
-    """Best-effort static shape; None when the environment can't resolve it."""
-    try:
-        from ..lang.typecheck import infer_expr_meta
-        meta = infer_expr_meta(expr, env)
-        return meta.rows, meta.cols
-    except Exception:
-        return None
 
 
 def push_down_transposes(expr: Expr, symmetric: frozenset[str] | set[str] = frozenset(),

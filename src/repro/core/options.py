@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from ..lang.ast import Expr, MatMul, Transpose
-from .chains import ChainSite, Operand, ProgramChains
+from ..lang.ast import Expr, MatMul
+from .chains import ChainSite, Operand
 
 CSE = "cse"
 LSE = "lse"
@@ -100,11 +100,6 @@ class EliminationOption:
             return False
         return occurrence.reversed_orientation != self.temp_reversed
 
-    def canonical_expr(self) -> Expr:
-        """AST of the canonical subexpression (left-deep association)."""
-        exprs = [op.to_expr() for op in self.operands]
-        return reduce(MatMul, exprs)
-
     def temp_expr(self) -> Expr:
         """AST computing the shared temporary in its stored orientation."""
         operands = self.operands
@@ -112,12 +107,6 @@ class EliminationOption:
             operands = tuple(op.flipped() for op in reversed(operands))
         exprs = [op.to_expr() for op in operands]
         return reduce(MatMul, exprs)
-
-    def occurrence_expr(self, temp: Expr, occurrence: Occurrence) -> Expr:
-        """How an occurrence reads the shared temporary."""
-        if self.needs_transpose(occurrence):
-            return Transpose(temp)
-        return temp
 
     @cached_property
     def _text(self) -> str:
@@ -173,13 +162,3 @@ def count_contradictions(options: list[EliminationOption]) -> int:
             if options_contradict(left, right):
                 count += 1
     return count
-
-
-def describe_options(options: list[EliminationOption],
-                     chains: ProgramChains | None = None) -> str:
-    """Multi-line human-readable dump used in logs and examples."""
-    lines = []
-    for option in options:
-        lines.append(repr(option))
-    del chains
-    return "\n".join(lines)

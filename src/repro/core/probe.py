@@ -61,10 +61,6 @@ class ProbeResult:
     dp_seconds: float = 0.0
     costings: dict[int, OptionCosting] = field(default_factory=dict)
 
-    @property
-    def predicted_saving(self) -> float:
-        return self.plain_cost - self.chain_cost
-
 
 def probe(chains: ProgramChains, model: CostModel,
           options: list[EliminationOption],

@@ -44,10 +44,6 @@ class SearchResult:
     def cse_options(self) -> list[EliminationOption]:
         return [o for o in self.options if o.is_cse]
 
-    @property
-    def lse_options(self) -> list[EliminationOption]:
-        return [o for o in self.options if o.is_lse]
-
 
 def blockwise_search(chains: ProgramChains, min_width: int = 2,
                      cross_statement: bool = True) -> SearchResult:

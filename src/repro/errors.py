@@ -47,10 +47,6 @@ class TypeCheckError(ReproError):
     """A program references undefined symbols or mixes types illegally."""
 
 
-class PlanError(ReproError):
-    """A logical plan could not be converted to a physical plan."""
-
-
 class OptimizerError(ReproError):
     """The optimizer reached an inconsistent state (internal invariant)."""
 
@@ -83,10 +79,6 @@ class ExecutionError(ReproError):
             self.args = (f"{self.args[0]} [{where}{what}]",) + self.args[1:]
         else:  # pragma: no cover - errors always carry a message
             self.args = (f"execution failed [{where}{what}]",)
-
-
-class MemoryBudgetError(ExecutionError):
-    """An operator required more memory than the configured budget allows."""
 
 
 class SearchBudgetExceeded(ReproError):

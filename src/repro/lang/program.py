@@ -112,15 +112,6 @@ class Program:
             else:
                 yield from stmt.assignments()
 
-    def referenced_variables(self) -> set[str]:
-        """All variable names read anywhere in the program."""
-        names: set[str] = set()
-        for stmt in self.assignments():
-            names.update(stmt.expr.variables())
-        for loop in self._all_loops():
-            names.update(loop.condition.variables())
-        return names
-
     def free_variables(self) -> set[str]:
         """Variables read before any assignment defines them (program inputs)."""
         free: set[str] = set()
@@ -165,11 +156,6 @@ class Program:
         for stmt in loop.assignments():
             read.update(stmt.expr.variables())
         return read - updated
-
-    def is_loop_constant(self, expr: Expr, loop: WhileLoop) -> bool:
-        """Whether ``expr`` has a constant value across iterations of ``loop``."""
-        constants = self.loop_constant_variables(loop)
-        return all(name in constants for name in expr.variables())
 
     def __repr__(self) -> str:
         return "\n".join(repr(s) for s in self.statements)

@@ -72,6 +72,15 @@ def infer_expr_meta(expr: Expr, env: Environment) -> MatrixMeta:
     raise TypeCheckError(f"cannot type expression node {type(expr).__name__}")
 
 
+def static_shape(expr: Expr, env: Environment) -> tuple[int, int] | None:
+    """Best-effort static shape; None when the environment can't resolve it."""
+    try:
+        meta = infer_expr_meta(expr, env)
+        return meta.rows, meta.cols
+    except (ShapeError, TypeCheckError):
+        return None
+
+
 def _matmul_meta(left: MatrixMeta, right: MatrixMeta) -> MatrixMeta:
     # Scalar-like operands of %*% behave as scalar multiplication in the
     # degenerate 1x1 case only when shapes agree; a genuine mismatch raises.

@@ -138,17 +138,6 @@ def default_kernel_workers() -> int:
     return _default_workers
 
 
-def set_default_kernel_backend(backend: str) -> str:
-    """Set the module-default backend; returns the previous one."""
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(f"unknown kernel backend {backend!r}; "
-                         f"expected one of {KERNEL_BACKENDS}")
-    global _default_backend
-    previous = _default_backend
-    _default_backend = backend
-    return previous
-
-
 def _resolve_dispatch(workers: int | KernelDispatch | None
                       ) -> tuple[int, str, float | None]:
     """(effective width, backend, threshold override) for one dispatch."""

@@ -55,16 +55,3 @@ class HashPartitioner:
         for key in matrix.blocks:
             counts[worker_of_block(*key, self.num_workers)] += 1
         return counts
-
-    def row_groups_per_worker(self, matrix: BlockedMatrix) -> list[int]:
-        """Distinct row-block indexes each worker holds.
-
-        In BMM, partial products with the same row-block index on the same
-        worker are pre-aggregated before the shuffle, so the shuffle carries
-        one product per (worker, row-group) — this is the B_U / P_U reduction
-        of Eq. 6.
-        """
-        groups: list[set[int]] = [set() for _ in range(self.num_workers)]
-        for (bi, bj) in matrix.blocks:
-            groups[worker_of_block(bi, bj, self.num_workers)].add(bi)
-        return [len(g) for g in groups]

@@ -1,13 +1,15 @@
 """The executor: runs programs on the simulated cluster.
 
-Walks the (possibly rewritten) AST statement by statement, dispatching each
-operator through :class:`~repro.runtime.physical.Kernels`, which computes
-real values and advances the simulated clock. ``while`` loops genuinely
-evaluate their scalar conditions, bounded by the loop's ``max_iterations``.
+Walks the (possibly rewritten) program statement by statement, running each
+expression's operators (lowered once per plan, :func:`lower`) through
+:class:`~repro.runtime.physical.Kernels`, which computes real values and
+advances the simulated clock. ``while`` loops genuinely evaluate their
+scalar conditions, bounded by the loop's ``max_iterations``.
 
 Transposes directly under a multiplication are *fused* (executed
 block-locally inside the multiply, SystemDS-style); only materialized
-transposes pay the distributed re-key shuffle.
+transposes pay the distributed re-key shuffle. A cell-wise operator over
+statically 1x1 operands computes on driver floats (docs/architecture.md §7).
 
 Host wall-clock and the simulated clock are decoupled by design: the
 kernels may fan block work out across host threads or worker processes
@@ -19,43 +21,35 @@ every backend/width produces bit-identical values, metrics, and traces.
 from __future__ import annotations
 
 import math
+import operator
+from dataclasses import dataclass
 
 from ..config import ClusterConfig
 from ..cluster.metrics import MetricsCollector
 from ..errors import ExecutionError
 from ..lang.ast import (
-    Add,
     Call,
     Compare,
-    ElemDiv,
-    ElemMul,
     Expr,
     Literal,
     MatMul,
     MatrixRef,
     Neg,
     ScalarRef,
-    Sub,
     Transpose,
 )
 from ..lang.program import Assign, Program, Statement, WhileLoop
+from ..lang.typecheck import static_shape
+from ..matrix.meta import MatrixMeta
+from . import fusion
 from .hybrid import ExecutionPolicy
 from .physical import Kernels, Value
 from .plan import CompiledProgram
 from .recovery import RecoveryConfig, RecoveryManager
 from .replan import PlanSwitch, Replanner
 
-_COMPARISONS = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
-
-_EWISE_KERNELS = {Add: "add", Sub: "subtract", ElemMul: "multiply",
-                  ElemDiv: "divide"}
+_COMPARISONS = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
+                ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
 #: Expressions whose value others may hold: a variable's, and a transpose
 #: (a view of its child's tiles, or a scalar child passed through as is).
@@ -68,6 +62,29 @@ _SCALAR_MATH = {
     "log": math.log,
     "sigmoid": lambda x: 1.0 / (1.0 + math.exp(-x)),
 }
+
+#: What a lowered record runs (:attr:`Op.kind`).
+LOAD, CONST, EWISE, NEG, MATMUL, TRANSPOSE, COMPARE, CALL, MMCHAIN, \
+    FUSED = range(10)
+
+
+@dataclass(slots=True, eq=False)
+class Op:
+    """One operator of a lowered expression, over the stack the records
+    before it left. ``arg``: a name, a literal's value, a :class:`Kernels`
+    method's name (looked up at each call, so class wrappers see it), a
+    comparison, a builtin, a region, or whether mmchain may be admitted by
+    cost. ``dying``: per operand, kernel-built (empty when none is);
+    ``shape``: static, None when unknown; ``sub``: a fusion's codes, plain
+    last."""
+
+    kind: int
+    arg: object = None
+    transposed: tuple[bool, bool] = (False, False)
+    dying: tuple[bool, ...] = ()
+    driver: bool = False
+    shape: tuple[int, int] | None = None
+    sub: tuple = ()
 
 
 class Executor:
@@ -104,6 +121,8 @@ class Executor:
         #: Top-level statements of the currently executing plan (the
         #: replanner carries the statements after a loop into a switch).
         self._top_statements: list | tuple = ()
+        #: Lowered records of the executing plan, by ``id`` of statement.
+        self._lowered: dict[int, tuple[Op, ...]] = {}
 
     # ------------------------------------------------------------------
     # Program entry points
@@ -119,6 +138,7 @@ class Executor:
         Returns the final environment of all variables.
         """
         tracer = self.tracer
+        plan = program
         if isinstance(program, CompiledProgram):
             if tracer is not None:
                 tracer.begin_run(program.predicted_ops or {},
@@ -135,6 +155,7 @@ class Executor:
                                               charge_partition=charge_partition)
         env["__always__"] = self.kernels.from_scalar(1.0)
         self.loop_iterations = []
+        self._lowered = self._lower(plan, program, env)
         statements = program.statements
         while True:
             self._top_statements = statements
@@ -146,6 +167,8 @@ class Executor:
                 # environment: loop counters and carried variables persist,
                 # so values are untouched — only pricing and plan change.
                 statements = switch.compiled.program.statements
+                self._lowered = self._lower(switch.compiled,
+                                            switch.compiled.program, env)
                 if tracer is not None:
                     tracer.begin_run(switch.compiled.predicted_ops or {},
                                      self.kernels.config.num_workers,
@@ -161,20 +184,21 @@ class Executor:
     def _run_block(self, statements: list[Statement] | tuple[Statement, ...],
                    env: dict[str, Value], path: tuple = ()) -> None:
         tracer = self.tracer
+        lowered = self._lowered
         for index, stmt in enumerate(statements):
-            stmt_path = path + (index,)
             if isinstance(stmt, Assign):
                 if tracer is not None:
-                    tracer.begin_statement(stmt_path, stmt.target)
+                    tracer.begin_statement(path + (index,), stmt.target)
                 try:
-                    env[stmt.target] = self.evaluate(stmt.expr, env)
+                    env[stmt.target] = self._eval(lowered[id(stmt)], env)
                 except ExecutionError as error:
-                    error.annotate_statement(_path_str(stmt_path), stmt.target)
+                    error.annotate_statement(_path_str(path + (index,)),
+                                             stmt.target)
                     raise
                 if tracer is not None:
                     tracer.end_statement()
             elif isinstance(stmt, WhileLoop):
-                self._run_loop(stmt, env, stmt_path)
+                self._run_loop(stmt, env, path + (index,))
             else:  # pragma: no cover - defensive
                 raise ExecutionError(f"unknown statement type {type(stmt).__name__}")
 
@@ -190,7 +214,7 @@ class Executor:
                 # operator spans never carry predictions.
                 tracer.begin_statement(path + ("cond",), None, kind="condition")
             try:
-                condition = self.evaluate(loop.condition, env)
+                condition = self._eval(self._lowered[id(loop)], env)
             except ExecutionError as error:
                 error.annotate_statement(_path_str(path + ("cond",)), None)
                 raise
@@ -226,176 +250,214 @@ class Executor:
         if tracer is not None:
             tracer.end_loop(iterations)
 
+    def _lower(self, plan: Program | CompiledProgram, program: Program,
+               env: dict[str, Value]) -> dict[int, tuple[Op, ...]]:
+        """``program``'s records: kept with a compiled plan (shared by its
+        plan-cache copies), made per run of a bare :class:`Program`."""
+        kept = plan.lowered if isinstance(plan, CompiledProgram) else {}
+        key = (self.config.block_size, self.kernels.policy.fuse)
+        if key not in kept:
+            kept[key] = lower(program.statements, env, self.kernels)
+        return kept[key]
+
     # ------------------------------------------------------------------
     # Expression evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, expr: Expr, env: dict[str, Value]) -> Value:
-        """Evaluate one expression to a :class:`Value`."""
-        try:
-            handler = self._EVALUATE[type(expr)]
-        except KeyError:
-            raise ExecutionError("cannot execute expression node "
-                                 f"{type(expr).__name__}") from None
-        return handler(self, expr, env)
+    def _eval(self, code: tuple[Op, ...], env: dict[str, Value]) -> Value:
+        """Run one lowered expression to its :class:`Value`."""
+        kernels, stack = self.kernels, []
+        push, pop = stack.append, stack.pop
+        for op in code:
+            kind = op.kind
+            if kind == LOAD:
+                try:
+                    push(env[op.arg])
+                except KeyError:
+                    raise ExecutionError(
+                        f"undefined variable {op.arg!r}") from None
+            elif kind == EWISE:
+                right, left = pop(), pop()
+                dying = op.dying and (self._dying(op.dying[0], left),
+                                      self._dying(op.dying[1], right))
+                push(getattr(kernels, op.arg)(left, right,
+                                              dying or (False, False),
+                                              op.driver))
+            elif kind == CONST:
+                push(op.arg)
+            elif kind == MATMUL:
+                right, left = pop(), pop()
+                if left.is_scalar and right.is_scalar:
+                    # Degenerate 1x1 "matmul" behaves as scalar multiplication.
+                    push(kernels.from_scalar(left.scalar_value()
+                                             * right.scalar_value()))
+                else:
+                    push(kernels.matmul(left, right, *op.transposed))
+            elif kind == NEG:
+                right = pop()
+                push(kernels.negate(right, bool(op.dying)
+                                    and self._dying(True, right), op.driver))
+            elif kind == TRANSPOSE:
+                right = pop()
+                push(right if right.is_scalar else kernels.transpose(right))
+            elif kind == CALL:
+                push(self._call(op.arg, pop()))
+            elif kind == COMPARE:
+                right, left = pop(), pop()
+                if not (left.is_scalar and right.is_scalar):
+                    raise ExecutionError("comparisons require scalar operands")
+                push(kernels.from_scalar(float(op.arg(left.scalar_value(),
+                                                      right.scalar_value()))))
+            else:
+                fused = self._try_mmchain(op, env) if kind == MMCHAIN \
+                    else self._try_fused_ewise(op, env)
+                push(fused if fused is not None
+                     else self._eval(op.sub[-1], env))
+        return pop()
 
-    def _eval_ref(self, expr: MatrixRef | ScalarRef,
-                  env: dict[str, Value]) -> Value:
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise ExecutionError(f"undefined variable {expr.name!r}") from None
-
-    def _eval_literal(self, expr: Literal, env: dict[str, Value]) -> Value:
-        return self.kernels.from_scalar(expr.value)
-
-    def _eval_transpose(self, expr: Transpose, env: dict[str, Value]) -> Value:
-        inner = self.evaluate(expr.child, env)
-        if inner.is_scalar:
-            return inner
-        return self.kernels.transpose(inner)
-
-    def _eval_ewise(self, expr: Add | Sub | ElemMul | ElemDiv,
-                    env: dict[str, Value]) -> Value:
-        kernels = self.kernels
-        if kernels.policy.fuse:
-            fused = self._try_fused_ewise(expr, env)
-            if fused is not None:
-                return fused
-        left = self.evaluate(expr.left, env)
-        right = self.evaluate(expr.right, env)
-        # Looked up on the kernels by name at each call, as a plain
-        # ``kernels.add(...)`` would be.
-        return getattr(kernels, _EWISE_KERNELS[type(expr)])(
-            left, right, dying=(self._dying(expr.left, left),
-                                self._dying(expr.right, right)))
-
-    def _eval_neg(self, expr: Neg, env: dict[str, Value]) -> Value:
-        value = self.evaluate(expr.child, env)
-        return self.kernels.negate(value, dying=self._dying(expr.child, value))
-
-    def _dying(self, expr: Expr, value: Value) -> bool:
-        """Whether ``value`` dies into the operator reading it: ``expr`` is
-        not a variable or a transpose (whose values others share), a kernel
-        made every tile of the grid, and no recovery manager's lineage
-        thunks read operands again (or heal grids in place)."""
-        return type(expr) not in _SHARED and value.matrix.owns_tiles \
+    def _dying(self, built: bool, value: Value) -> bool:
+        """Whether ``value`` dies into the operator reading it: it is
+        kernel-built, a grid (not a float) whose every tile a kernel made,
+        and no recovery manager's thunks read operands again."""
+        return built and value.number is None and value.matrix.owns_tiles \
             and self.recovery is None
 
-    def _eval_matmul(self, expr: MatMul, env: dict[str, Value]) -> Value:
-        fused = self._try_mmchain(expr, env)
-        if fused is not None:
-            return fused
-        left_expr, left_fused = _unwrap_transpose(expr.left)
-        right_expr, right_fused = _unwrap_transpose(expr.right)
-        left = self.evaluate(left_expr, env)
-        right = self.evaluate(right_expr, env)
-        # Degenerate 1x1 "matmul" behaves as scalar multiplication.
-        if left.is_scalar and right.is_scalar:
-            return self.kernels.from_scalar(left.scalar_value() * right.scalar_value())
-        return self.kernels.matmul(left, right, left_transposed=left_fused,
-                                   right_transposed=right_fused)
-
-    def _try_fused_ewise(self, expr: Expr, env: dict[str, Value]) -> Value | None:
-        """Fuse an element-wise region when the cost model prices it cheaper.
-
-        Region leaves are references/literals, so both the detection probe
-        and a declined fusion cost nothing: returning None falls through to
-        the untouched recursive path, whose re-evaluation of the leaves is
-        a free environment lookup — values, metrics, and trace on that path
-        are identical to a run with fusion disabled.
-        """
-        from .fusion import find_ewise_region, plan_fused_ewise
-        region = find_ewise_region(expr)
-        if region is None:
-            return None
-        leaf_values = [self.evaluate(leaf, env) for leaf in region.leaves]
-        plan = plan_fused_ewise(region, leaf_values, self.config,
-                                self.kernels.policy)
+    def _try_fused_ewise(self, op: Op, env: dict[str, Value]) -> Value | None:
+        """Fuse an element-wise region when the cost model prices it
+        cheaper. Its leaves are references/literals, so a declined fusion
+        (None: run the plain code) re-reads them for free."""
+        leaf_values = [self._eval(code, env) for code in op.sub[0]]
+        plan = fusion.plan_fused_ewise(op.arg, leaf_values, self.config,
+                                       self.kernels.policy)
         if plan is None or not plan.fuses:
             return None
         return self.kernels.fused_ewise(plan)
 
-    def _try_mmchain(self, expr: MatMul, env: dict[str, Value]) -> Value | None:
-        """Fuse ``t(X) %*% (X %*% v)`` when the policy's mmchain allows it.
-
-        Two admission paths: the legacy structural column bound
-        (SystemDS-style, fuses unconditionally when it matches), and — with
-        ``policy.fuse`` — a cost-gated path open to any shape, taken only
-        when the fused pass prices below the two unfused multiplies. The
-        cost-gated path demands plain-reference operands so declining it
-        re-evaluates nothing.
-        """
-        if not isinstance(expr.left, Transpose):
+    def _try_mmchain(self, op: Op, env: dict[str, Value]) -> Value | None:
+        """Fuse ``t(X) %*% (X %*% v)`` on the legacy column bound, or with
+        ``policy.fuse`` (reference operands only) when the fused pass prices
+        below the two unfused multiplies. None runs the plain code."""
+        x_code, v_code, _plain = op.sub
+        policy = self.kernels.policy
+        x = self._eval(x_code, env)
+        legacy = policy.mmchain_applicable_cols(x.meta.cols)
+        if not (legacy or policy.fuse and op.arg):
             return None
-        if not isinstance(expr.right, MatMul):
-            return None
-        if expr.left.child != expr.right.left:
-            return None
-        x = self.evaluate(expr.left.child, env)
-        if self.kernels.policy.mmchain_applicable_cols(x.meta.cols):
-            v = self.evaluate(expr.right.right, env)
-            if v.is_scalar or x.is_scalar:
-                return None
-            return self.kernels.mmchain(x, v)
-        if not self.kernels.policy.fuse:
-            return None
-        if not isinstance(expr.left.child, (MatrixRef, ScalarRef)):
-            return None
-        if not isinstance(expr.right.right, (MatrixRef, ScalarRef, Literal)):
-            return None
-        v = self.evaluate(expr.right.right, env)
+        v = self._eval(v_code, env)
         if v.is_scalar or x.is_scalar:
             return None
-        from .fusion import mmchain_beats_unfused
-        if not mmchain_beats_unfused(x.meta, v.meta, x.imbalance, v.imbalance,
-                                     self.config, self.kernels.policy):
+        if not legacy and not fusion.mmchain_beats_unfused(
+                x.meta, v.meta, x.imbalance, v.imbalance, self.config, policy):
             return None
-        return self.kernels.mmchain(x, v, exact_inner=True)
+        return self.kernels.mmchain(x, v, exact_inner=not legacy)
 
-    def _eval_compare(self, expr: Compare, env: dict[str, Value]) -> Value:
-        left = self.evaluate(expr.left, env)
-        right = self.evaluate(expr.right, env)
-        if not (left.is_scalar and right.is_scalar):
-            raise ExecutionError("comparisons require scalar operands")
-        outcome = _COMPARISONS[expr.op](left.scalar_value(), right.scalar_value())
-        return self.kernels.from_scalar(1.0 if outcome else 0.0)
-
-    def _eval_call(self, expr: Call, env: dict[str, Value]) -> Value:
-        arg = self.evaluate(expr.args[0], env)
-        if expr.func == "sum":
-            return self.kernels.aggregate_sum(arg)
-        if expr.func == "norm":
-            return self.kernels.aggregate_norm(arg)
-        if expr.func == "trace":
-            return self.kernels.aggregate_trace(arg)
-        if expr.func == "nrow":
-            return self.kernels.from_scalar(float(arg.meta.rows))
-        if expr.func == "ncol":
-            return self.kernels.from_scalar(float(arg.meta.cols))
-        if expr.func in ("rowsums", "colsums", "diag"):
-            return self.kernels.structural(arg, expr.func)
-        if expr.func in _SCALAR_MATH and arg.is_scalar:
-            return self.kernels.from_scalar(_SCALAR_MATH[expr.func](arg.scalar_value()))
-        if expr.func in self.kernels._CELLWISE:
-            return self.kernels.map_cells(arg, expr.func)
-        raise ExecutionError(f"unknown builtin {expr.func!r}")
-
-    #: ``evaluate``'s branch for each node type (the AST classes are
-    #: leaves: none is subclassed).
-    _EVALUATE = {
-        MatrixRef: _eval_ref, ScalarRef: _eval_ref, Literal: _eval_literal,
-        MatMul: _eval_matmul, Transpose: _eval_transpose,
-        Add: _eval_ewise, Sub: _eval_ewise, ElemMul: _eval_ewise,
-        ElemDiv: _eval_ewise, Neg: _eval_neg, Compare: _eval_compare,
-        Call: _eval_call,
-    }
+    def _call(self, func: str, arg: Value) -> Value:
+        kernels = self.kernels
+        if func in ("sum", "norm", "trace"):
+            return getattr(kernels, "aggregate_" + func)(arg)
+        if func in ("nrow", "ncol"):
+            meta = arg.meta
+            return kernels.from_scalar(float(
+                meta.rows if func == "nrow" else meta.cols))
+        if func in ("rowsums", "colsums", "diag"):
+            return kernels.structural(arg, func)
+        if func in _SCALAR_MATH and arg.is_scalar:
+            x = arg.scalar_value()
+            try:
+                return kernels.from_scalar(_SCALAR_MATH[func](x))
+            except (ValueError, OverflowError) as error:
+                raise ExecutionError(f"{func}({x!r}): {error}") from None
+        if func in kernels._CELLWISE:
+            return kernels.map_cells(arg, func)
+        raise ExecutionError(f"unknown builtin {func!r}")
 
 
-def _unwrap_transpose(expr: Expr) -> tuple[Expr, bool]:
-    """Peel one transpose for fusion into an adjacent multiply."""
-    if isinstance(expr, Transpose):
-        return expr.child, True
-    return expr, False
+def lower(statements: list[Statement] | tuple[Statement, ...],
+          env: dict[str, Value], kernels: Kernels) -> dict[int, tuple[Op, ...]]:
+    """Each assignment's and loop condition's records, by ``id`` of
+    statement, under the shapes of ``env``'s values."""
+    metas = {name: value.meta for name, value in env.items()}
+    lowered: dict[int, tuple[Op, ...]] = {}
+
+    def block(statements) -> None:
+        for stmt in statements:
+            loop = isinstance(stmt, WhileLoop)
+            code = lowered[id(stmt)] = _lower_expr(
+                stmt.condition if loop else stmt.expr, metas, kernels)
+            if loop:
+                block(stmt.body)
+            elif code[-1].shape is None:
+                metas.pop(stmt.target, None)
+            else:
+                metas[stmt.target] = MatrixMeta(*code[-1].shape)
+
+    block(statements)
+    return lowered
+
+
+def _lower_expr(expr: Expr, metas: dict, kernels: Kernels) -> tuple[Op, ...]:
+    """``expr`` in postfix order as the kernels run it: children left to
+    right, one record per operator, a gated fusion holding its codes."""
+    regions = kernels.policy.fuse
+
+    def code_of(node: Expr, gated: bool = True) -> tuple[Op, ...]:
+        code: list[Op] = []
+        emit(node, code, gated)
+        return tuple(code)
+
+    def emit(node: Expr, code: list[Op], gated: bool = True):
+        """Append ``node``'s records; return its static shape."""
+        shape, kind = static_shape(node, metas), type(node)
+        region = fusion.find_ewise_region(node) \
+            if gated and regions and kind in fusion.ZIP_KINDS else None
+        match = fusion.mmchain_match(node) if gated and kind is MatMul \
+            else None
+        if kind is MatrixRef or kind is ScalarRef:
+            op = Op(LOAD, node.name)
+        elif kind is Literal:
+            op = Op(CONST, kernels.from_scalar(node.value))
+        elif region is not None:
+            op = Op(FUSED, region, sub=(
+                tuple(map(code_of, region.leaves)), code_of(node, False)))
+        elif match is not None:
+            x, v, by_cost = match
+            op = Op(MMCHAIN, by_cost, sub=(
+                code_of(x), code_of(v), code_of(node, False)))
+        elif kind in fusion.ZIP_KINDS or kind is Neg:
+            children = (node.child,) if kind is Neg else (node.left, node.right)
+            driver = _on_driver(*[emit(child, code) for child in children])
+            built = tuple(not driver and type(child) not in _SHARED
+                          for child in children)
+            op = Op(NEG if kind is Neg else EWISE, fusion.ZIP_KINDS.get(kind),
+                    dying=built if any(built) else (), driver=driver)
+        elif kind is MatMul:
+            (left, left_fused), (right, right_fused) = map(
+                fusion.unwrap_transpose, (node.left, node.right))
+            emit(left, code)
+            emit(right, code)
+            op = Op(MATMUL, transposed=(left_fused, right_fused))
+        elif kind is Transpose:
+            emit(node.child, code)
+            op = Op(TRANSPOSE)
+        elif kind is Call:
+            emit(node.args[0], code)
+            op = Op(CALL, node.func)
+        elif kind is Compare:
+            emit(node.left, code)
+            emit(node.right, code)
+            op = Op(COMPARE, _COMPARISONS[node.op])
+        else:
+            raise ExecutionError(
+                f"cannot execute expression node {kind.__name__}")
+        op.shape = shape
+        code.append(op)
+        return shape
+
+    return code_of(expr)
+
+
+def _on_driver(*shapes: tuple[int, int] | None) -> bool:
+    """Whether an operator over these static shapes computes on floats."""
+    return all(shape == (1, 1) for shape in shapes)
 
 
 def _path_str(path: tuple) -> str:

@@ -18,7 +18,7 @@ Design rules, in force everywhere below:
 * **Bit identity.** The fused evaluator replicates the unfused per-tile
   semantics exactly (see :mod:`repro.matrix.fused`), and regions are
   restricted to reference/literal leaves so that *declining* to fuse falls
-  back to the untouched recursive path with zero re-evaluation cost —
+  back to the untouched plain code with zero re-evaluation cost —
   values, metrics, and traces on the decline path are identical to a run
   with fusion disabled.
 * **Scalar folding mirrors the kernels.** Scalar operands fold into
@@ -39,10 +39,12 @@ from ..lang.ast import (
     ElemMul,
     Expr,
     Literal,
+    MatMul,
     MatrixRef,
     Neg,
     ScalarRef,
     Sub,
+    Transpose,
 )
 from ..matrix import ops as flops
 from ..matrix.fused import Step
@@ -56,8 +58,9 @@ from .pricing import (
     price_mmchain,
 )
 
-_ZIP_KINDS = {Add: "add", Sub: "subtract", ElemMul: "multiply",
-              ElemDiv: "divide"}
+#: Each cell-wise node type's kernel (and zip step) name.
+ZIP_KINDS = {Add: "add", Sub: "subtract", ElemMul: "multiply",
+             ElemDiv: "divide"}
 _LEAF_TYPES = (MatrixRef, ScalarRef, Literal)
 _SCALAR_META = MatrixMeta(1, 1)
 
@@ -104,7 +107,7 @@ def find_ewise_region(expr: Expr) -> Region | None:
     leaves: list[Expr] = []
 
     def build(node: Expr) -> int | None:
-        kind = _ZIP_KINDS.get(type(node))
+        kind = ZIP_KINDS.get(type(node))
         if kind is not None:
             left = build(node.left)
             if left is None:
@@ -132,6 +135,26 @@ def find_ewise_region(expr: Expr) -> Region | None:
     if region.member_count < 2:
         return None
     return region
+
+
+def unwrap_transpose(expr: Expr) -> tuple[Expr, bool]:
+    """Peel one transpose for fusion into an adjacent multiply."""
+    if isinstance(expr, Transpose):
+        return expr.child, True
+    return expr, False
+
+
+def mmchain_match(expr: MatMul) -> tuple[Expr, Expr, bool] | None:
+    """``(X, v, by_cost)`` when ``expr`` is ``t(X) %*% (X %*% v)``, else
+    None. ``by_cost``: ``X`` is a reference and ``v`` a leaf, so a declined
+    cost-gated admission re-evaluates nothing."""
+    left, right = expr.left, expr.right
+    if not (isinstance(left, Transpose) and isinstance(right, MatMul)
+            and left.child == right.left):
+        return None
+    x, v = left.child, right.right
+    return x, v, isinstance(x, (MatrixRef, ScalarRef)) \
+        and isinstance(v, _LEAF_TYPES)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ studies.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from ..cluster.network import Network
 from ..errors import ExecutionError, ShapeError
 from ..matrix.blocked import BlockedMatrix
 from ..matrix.formats import DENSE_THRESHOLD
-from ..matrix.meta import MatrixMeta
+from ..matrix.meta import DOUBLE_BYTES, MatrixMeta
 from ..matrix.partitioner import worker_of_block
 from . import volumes
 from .hybrid import ExecutionPolicy
@@ -53,6 +54,8 @@ class Value:
     #: mean worker bytes. 1.0 for balanced or local values.
     imbalance: float = 1.0
     name: str | None = None
+    #: The cell of a :class:`DriverFloat`; None for a grid.
+    number = None
 
     @property
     def meta(self) -> MatrixMeta:
@@ -64,6 +67,50 @@ class Value:
 
     def scalar_value(self) -> float:
         return self.matrix.scalar_value()
+
+
+class DriverFloat(Value):
+    """A local 1x1 value kept on the driver as ``number``, with the meta its
+    grid would have; the grid is made on demand. A zero of either sign is
+    the absent tile, ``+0.0``; NaN is a non-zero cell."""
+
+    __slots__ = ("number", "meta", "_grid", "_block_size")
+    distributed, imbalance, name, is_scalar = False, 1.0, None, True
+
+    def __init__(self, number: float, block_size: int,
+                 meta: MatrixMeta | None = None):
+        self.number = number = number or 0.0
+        self.meta = meta or (_CELL if number else _NO_CELL)
+        self._grid, self._block_size = None, block_size
+
+    @property
+    def matrix(self) -> BlockedMatrix:
+        if self._grid is None:
+            self._grid = BlockedMatrix.scalar(self.number, self._block_size)
+            self._grid.symmetric = self.meta.symmetric
+        return self._grid
+
+    def scalar_value(self) -> float:
+        return self.number
+
+
+#: Metas of a 1x1 grid holding a non-zero cell, and of one holding none.
+_CELL, _NO_CELL = MatrixMeta(1, 1, 1.0), MatrixMeta(1, 1, 0.0)
+#: Each cell-wise kind as a float operator (NumPy names its ufunc alike).
+_DRIVER_EWISE = {"add": operator.add, "subtract": operator.sub,
+                 "multiply": operator.mul, "divide": operator.truediv}
+
+
+def _driver_cell(kind: str, left: float, right: float) -> float:
+    """Two 1x1 grids' cells combined on floats (``_zip_entry``): an absent
+    right tile zeroes a product even of ``inf`` or ``nan``; of two NaNs the
+    grid's ufunc picks the bits (a compiler may swap commuted operands)."""
+    if kind == "multiply" and not right:
+        return 0.0
+    if left != left and right != right:
+        return float(getattr(np, kind)(np.array([[left]]),
+                                       np.array([[right]]))[0, 0])
+    return _DRIVER_EWISE[kind](left, right)
 
 
 def placement_imbalance(matrix: BlockedMatrix, num_workers: int) -> float:
@@ -222,7 +269,20 @@ class Kernels:
         return self._wrap(matrix, True, name)
 
     def from_scalar(self, value: float) -> Value:
-        return Value(BlockedMatrix.scalar(value, self.config.block_size), False)
+        return DriverFloat(float(value), self.config.block_size)
+
+    def _driver_result(self, kind: str, price: OpPrice, number: float,
+                       operands: tuple[MatrixMeta, ...],
+                       meta: MatrixMeta | None = None) -> Value:
+        """:meth:`_wrap`, the tracer and recovery for a local 1x1 result
+        kept as a float: the tile's bytes (none when absent), no thunk."""
+        out = DriverFloat(number, self.config.block_size, meta)
+        self.metrics.record_materialized(DOUBLE_BYTES if out.number else 0)
+        if self.tracer is not None:
+            self.tracer.record_operator(kind, price, operands, out)
+        if self.recovery is not None:
+            self._finish_op(kind, price)
+        return out
 
     # ------------------------------------------------------------------
     # Matrix multiplication
@@ -341,20 +401,36 @@ class Kernels:
     # ``dying`` gives an operand up: nothing reads it after this operator
     # (``Executor._dying``; never under a recovery manager), so the result
     # may be written over its payloads. Operand metas are read first.
+    # ``driver``: both operands are 1x1; a result its price keeps local is
+    # computed as a driver float.
     def _ewise(self, left: Value, right: Value, kind: str,
-               dying: tuple[bool, bool]) -> Value:
-        if left.is_scalar and not right.is_scalar:
+               dying: tuple[bool, bool], driver: bool) -> Value:
+        left_scalar, right_scalar = left.is_scalar, right.is_scalar
+        if kind == "divide" and right_scalar and right.scalar_value() == 0.0:
+            raise ExecutionError("division by a zero scalar")
+        if left_scalar and not right_scalar:
             return self._scalar_ewise(left.scalar_value(), right, kind,
                                       left_side=True, dying=dying[1])
-        if right.is_scalar and not left.is_scalar:
+        if right_scalar and not left_scalar:
             return self._scalar_ewise(right.scalar_value(), left, kind,
                                       left_side=False, dying=dying[0])
         left_meta, right_meta = left.meta, right.meta
+        imbalance, price = (max(left.imbalance, right.imbalance),), None
+        if driver and left_scalar:
+            number = _driver_cell(kind, left.scalar_value(),
+                                  right.scalar_value())
+            price = self._priced(price_ewise, (
+                kind, left_meta, right_meta, _CELL if number else _NO_CELL),
+                imbalance)
+            if not price.output_distributed:
+                return self._driver_result(kind, price, number,
+                                           (left_meta, right_meta))
         result = getattr(left.matrix, kind)(right.matrix, self.kernel_workers,
                                             dying)
-        price = self._priced(
-            price_ewise, (kind, left_meta, right_meta, result.meta()),
-            (max(left.imbalance, right.imbalance),))
+        if price is None:
+            price = self._priced(
+                price_ewise, (kind, left_meta, right_meta, result.meta()),
+                imbalance)
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             self.tracer.record_operator(kind, price, (left_meta, right_meta),
@@ -383,49 +459,44 @@ class Kernels:
                 if left_side:
                     raise ExecutionError("scalar / matrix is not supported; "
                                          "zero cells would produce infinities")
-                if scalar == 0.0:
-                    raise ExecutionError("division by a zero scalar")
                 return matrix.scale(1.0 / scalar, dying)
-            raise ExecutionError(f"unknown cell-wise op {kind!r}")  # pragma: no cover
 
         result = compute()
         price = self._priced(
-            price_ewise, (kind, meta, MatrixMeta(1, 1), result.meta()),
+            price_ewise, (kind, meta, _CELL, result.meta()),
             (value.imbalance,))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
-            operands = (MatrixMeta(1, 1), meta) if left_side \
-                else (meta, MatrixMeta(1, 1))
+            operands = (_CELL, meta) if left_side else (meta, _CELL)
             self.tracer.record_operator(kind, price, operands, out)
         if self.recovery is not None:
             self._finish_op(kind, price, result, compute)
         return out
 
-    def add(self, left: Value, right: Value,
-            dying: tuple[bool, bool] = (False, False)) -> Value:
-        return self._ewise(left, right, "add", dying)
+    def _cellwise(kind: str):
+        def kernel(self, left: Value, right: Value,
+                   dying: tuple[bool, bool] = (False, False),
+                   driver: bool = False) -> Value:
+            return self._ewise(left, right, kind, dying, driver)
+        kernel.__name__ = kind
+        kernel.__qualname__ = f"Kernels.{kind}"
+        return kernel
 
-    def subtract(self, left: Value, right: Value,
-                 dying: tuple[bool, bool] = (False, False)) -> Value:
-        return self._ewise(left, right, "subtract", dying)
+    add, subtract, multiply, divide = map(
+        _cellwise, ("add", "subtract", "multiply", "divide"))
+    del _cellwise
 
-    def multiply(self, left: Value, right: Value,
-                 dying: tuple[bool, bool] = (False, False)) -> Value:
-        return self._ewise(left, right, "multiply", dying)
-
-    def divide(self, left: Value, right: Value,
-               dying: tuple[bool, bool] = (False, False)) -> Value:
-        if right.is_scalar and right.scalar_value() == 0.0:
-            raise ExecutionError("division by a zero scalar")
-        return self._ewise(left, right, "divide", dying)
-
-    def negate(self, value: Value, dying: bool = False) -> Value:
+    def negate(self, value: Value, dying: bool = False,
+               driver: bool = False) -> Value:
         meta = value.meta
+        # A negated grid carries its operand's statistics, meta included.
+        price = self._priced(price_ewise,
+                             ("multiply", meta, _CELL, meta),
+                             (value.imbalance,))
+        if driver and value.is_scalar and not price.output_distributed:
+            return self._driver_result("negate", price, -value.scalar_value(),
+                                       (meta,), meta)
         result = value.matrix.negate(dying)
-        price = self._priced(
-            price_ewise,
-            ("multiply", meta, MatrixMeta(1, 1), result.meta()),
-            (value.imbalance,))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             # The cost model treats negation as free, so this span never
@@ -453,14 +524,18 @@ class Kernels:
                             lambda: matrix.transpose(workers))
         return out
 
-    def aggregate_sum(self, value: Value) -> Value:
-        price = self._priced(price_aggregate, (value.meta,), (value.imbalance,))
-        out = self.from_scalar(value.matrix.sum())
+    def _aggregated(self, price: OpPrice, number: float,
+                    meta: MatrixMeta) -> Value:
+        out = self.from_scalar(number)
         if self.tracer is not None:
-            self.tracer.record_operator("aggregate", price, (value.meta,), out)
+            self.tracer.record_operator("aggregate", price, (meta,), out)
         if self.recovery is not None:
             self._finish_op("aggregate", price)
         return out
+
+    def aggregate_sum(self, value: Value) -> Value:
+        price = self._priced(price_aggregate, (value.meta,), (value.imbalance,))
+        return self._aggregated(price, value.matrix.sum(), value.meta)
 
     def aggregate_norm(self, value: Value) -> Value:
         price = self._priced(price_aggregate, (value.meta,),
@@ -468,23 +543,14 @@ class Kernels:
         squared = sum(float((b.data.multiply(b.data)).sum()) if b.is_sparse
                       else float(np.square(b.data).sum())
                       for _, b in value.matrix.iter_blocks())
-        out = self.from_scalar(float(np.sqrt(squared)))
-        if self.tracer is not None:
-            self.tracer.record_operator("aggregate", price, (value.meta,), out)
-        if self.recovery is not None:
-            self._finish_op("aggregate", price)
-        return out
+        return self._aggregated(price, float(np.sqrt(squared)), value.meta)
 
     def aggregate_trace(self, value: Value) -> Value:
         if value.meta.rows != value.meta.cols:
             raise ExecutionError("trace of a non-square matrix")
         price = self._priced(price_aggregate, (value.meta,), (value.imbalance,))
-        out = self.from_scalar(float(np.trace(value.matrix.to_numpy())))
-        if self.tracer is not None:
-            self.tracer.record_operator("aggregate", price, (value.meta,), out)
-        if self.recovery is not None:
-            self._finish_op("aggregate", price)
-        return out
+        return self._aggregated(price, float(np.trace(value.matrix.to_numpy())),
+                                value.meta)
 
     # ------------------------------------------------------------------
     # Cell-wise maps and structural reductions

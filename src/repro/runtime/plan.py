@@ -67,6 +67,9 @@ class CompiledProgram:
     #: the operators execute within each statement (see :data:`StatementPath`).
     #: None when the plan predates prediction recording.
     predicted_ops: dict[StatementPath, tuple[PredictedOp, ...]] | None = None
+    #: The executor's lowered records by block size and fusion flag: made on
+    #: the first execute, shared by the plan cache's copies of this plan.
+    lowered: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_applied(self) -> int:

@@ -134,7 +134,7 @@ class TestFullNormalize:
         executor = Executor(ClusterConfig().as_single_node())
         bindings = {"A": rng.random((50, 10)), "B": rng.random((50, 10)),
                     "C": rng.random((10, 8))}
-        values = {k: executor.kernels.load(k, v) for k, v in bindings.items()}
-        out1 = executor.evaluate(expr, values).matrix.to_numpy()
-        out2 = executor.evaluate(normalized, values).matrix.to_numpy()
+        from repro.lang.program import single_expression_program
+        out1, out2 = (executor.run(single_expression_program(e), bindings)
+                      ["out"].matrix.to_numpy() for e in (expr, normalized))
         assert np.allclose(out1, out2)

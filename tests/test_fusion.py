@@ -23,6 +23,7 @@ from repro.core.plancache import plan_fingerprint, settings_text
 from repro.data import load_dataset
 from repro.engines import make_engine
 from repro.lang import parse_expression
+from repro.lang.program import single_expression_program
 from repro.matrix.meta import MatrixMeta
 from repro.runtime import ExecutionPolicy, ExecutionTracer, Executor
 from repro.runtime.fusion import find_ewise_region, mmchain_beats_unfused
@@ -36,9 +37,8 @@ UNFUSED = ExecutionPolicy.systemds()
 
 def _evaluate(cluster, policy, source, bindings):
     executor = Executor(cluster, policy)
-    env = {name: executor.kernels.load(name, value)
-           for name, value in bindings.items()}
-    out = executor.evaluate(parse_expression(source), env)
+    out = executor.run(single_expression_program(parse_expression(source)),
+                       bindings)["out"]
     return out, executor.metrics
 
 

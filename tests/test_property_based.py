@@ -670,11 +670,11 @@ class TestNormalizationProperties:
         from repro.runtime import Executor
         executor = Executor(ClusterConfig().as_single_node())
         rng = np.random.default_rng(42)
-        env = {name: executor.kernels.load(name, rng.random((16, 16)))
-               for name in "ABCDE"}
-        before = executor.evaluate(expr, env).matrix.to_numpy()
-        after = executor.evaluate(normalize(expr, env=SQUARE_ENV),
-                                  env).matrix.to_numpy()
+        inputs = {name: rng.random((16, 16)) for name in "ABCDE"}
+        before, after = (
+            executor.run(Program(statements=[Assign("out", e)]), inputs)
+            ["out"].matrix.to_numpy()
+            for e in (expr, normalize(expr, env=SQUARE_ENV)))
         assert np.allclose(before, after)
 
     @given(chain_expressions())

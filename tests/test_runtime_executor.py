@@ -1,11 +1,14 @@
 """Executor tests: correctness of every operator plus loop semantics."""
 
+import math
 import weakref
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse as sp
 
 from repro.algorithms import get_algorithm
@@ -14,11 +17,17 @@ from repro.data import load_dataset
 from repro.engines import make_engine
 from repro.errors import ExecutionError, ShapeError
 from repro.lang import ast, parse, parse_expression
+from repro.lang.program import (Assign, Program, WhileLoop,
+                                single_expression_program)
 from repro.matrix import Block, BlockedMatrix
 from repro.matrix.block import COMPARE_COUNT_CELLS
-from repro.runtime import ExecutionPolicy, Executor
+import repro.runtime.executor as executor_module
+from repro.runtime import (CompiledProgram, ExecutionPolicy, ExecutionTracer,
+                           Executor)
+from repro.runtime.executor import lower
 from repro.runtime.physical import Value
 from repro.runtime.recovery import RecoveryConfig
+from repro.runtime.replan import ReplanConfig
 from repro.server.protocol import array_digest
 
 
@@ -29,13 +38,7 @@ def executor(cluster):
 
 def evaluate(executor, source, bindings, scalar_names=frozenset()):
     expr = parse_expression(source, scalar_names=scalar_names)
-    env = {}
-    for name, value in bindings.items():
-        if isinstance(value, (int, float)):
-            env[name] = executor.kernels.from_scalar(float(value))
-        else:
-            env[name] = executor.kernels.load(name, value)
-    return executor.evaluate(expr, env)
+    return executor.run(single_expression_program(expr), bindings)["out"]
 
 
 class TestOperators:
@@ -135,22 +138,23 @@ class TestOperators:
 
 
 class TestEvaluateDispatch:
-    """``evaluate`` picks its branch from ``type(expr)``: every node type
-    still reaches the kernel it reached when the branches were a chain of
-    ``isinstance`` tests, and the fusion probe keeps its place."""
+    """Every node type lowers to a record that reaches the kernel the
+    recursive walk reached, a literal is made once, by the lowering, and
+    the fusion probe runs where the lowering found a region."""
 
     A, S = ast.MatrixRef("A"), ast.ScalarRef("s")
-    #: node -> the first kernel it calls (None: an environment read).
+    #: node -> a kernel it calls (None: an environment read or a literal).
+    #: A cell-wise case is a two-member region.
     CASES = {
         ast.MatrixRef: (A, None),
         ast.ScalarRef: (S, None),
-        ast.Literal: (ast.Literal(2.0), "from_scalar"),
+        ast.Literal: (ast.Literal(2.0), None),
         ast.Transpose: (ast.Transpose(A), "transpose"),
         ast.MatMul: (ast.MatMul(A, A), "matmul"),
-        ast.Add: (ast.Add(A, A), "add"),
-        ast.Sub: (ast.Sub(A, A), "subtract"),
-        ast.ElemMul: (ast.ElemMul(A, A), "multiply"),
-        ast.ElemDiv: (ast.ElemDiv(A, A), "divide"),
+        ast.Add: (ast.Add(ast.Neg(A), A), "add"),
+        ast.Sub: (ast.Sub(ast.Neg(A), A), "subtract"),
+        ast.ElemMul: (ast.ElemMul(ast.Neg(A), A), "multiply"),
+        ast.ElemDiv: (ast.ElemDiv(ast.Neg(A), A), "divide"),
         ast.Neg: (ast.Neg(A), "negate"),
         ast.Compare: (ast.Compare("<", S, S), "from_scalar"),
         ast.Call: (ast.Call("sum", (A,)), "aggregate_sum"),
@@ -184,21 +188,28 @@ class TestEvaluateDispatch:
             spy(kernels, name)
         spy(executor, "_try_fused_ewise")
         expr, kernel = self.CASES[node]
-        value = executor.evaluate(expr, env)
+        statement = Assign("out", expr)
+        lowered = lower([statement], env, kernels)
+        made = calls[:]
+        value = executor._eval(lowered[id(statement)], env)
         probes = [name for name in calls if name == "_try_fused_ewise"]
         assert probes == ["_try_fused_ewise"] * (fuse and node in self.CELLWISE)
-        reached = [name for name in calls if name != "_try_fused_ewise"]
+        reached = [name for name in calls[len(made):]
+                   if name != "_try_fused_ewise"]
+        assert made == ["from_scalar"] * (node is ast.Literal)
         if kernel is None:
-            assert reached == [] and value is env[expr.name]
+            assert reached == []
+            if node is not ast.Literal:
+                assert value is env[expr.name]
         else:
-            assert reached[0] == kernel
+            assert kernel in reached
 
     def test_a_node_of_no_program_is_refused(self, executor):
         # The optimizer's own stand-in node never reaches a rewritten
         # program; the executor has no branch for it.
         with pytest.raises(ExecutionError,
                            match="expression node ChainPlaceholder"):
-            executor.evaluate(ChainPlaceholder(0), {})
+            executor.run(single_expression_program(ChainPlaceholder(0)), {})
 
 
 class TestPreTiledInputs:
@@ -349,10 +360,8 @@ class TestCellwiseAndStructuralBuiltins:
     def test_distributed_map_charged_compute(self, cluster, rng):
         executor = Executor(cluster)
         a = rng.random((3000, 50))  # distributed under the tight budget
-        env = {"A": executor.kernels.load("A", a)}
-        assert env["A"].distributed
-        from repro.lang import parse_expression
-        executor.evaluate(parse_expression("exp(A)"), env)
+        assert executor.kernels.load("A", a).distributed
+        evaluate(executor, "exp(A)", {"A": a})
         assert executor.metrics.seconds_by_phase["computation"] > 0
 
 
@@ -382,8 +391,8 @@ class _Consumption:
         for name, kind in _CELLWISE.items():
             monkeypatch.setattr(BlockedMatrix, name,
                                 self._kernel(getattr(BlockedMatrix, name), kind))
-        monkeypatch.setattr(Executor, "evaluate",
-                            self._statement(Executor.evaluate))
+        monkeypatch.setattr(Executor, "_eval",
+                            self._statement(Executor._eval))
 
     def _kernel(self, kernel, kind):
         def watched(grid, *args, **kwargs):
@@ -415,14 +424,14 @@ class _Consumption:
     def _statement(self, evaluate):
         depth = 0
 
-        def watched(executor, expr, env):
+        def watched(executor, code, env):
             nonlocal depth
             self._env = env
             depth += 1
-            value = evaluate(executor, expr, env)
+            value = evaluate(executor, code, env)
             depth -= 1
             if not depth:
-                assert all(ref() is None for ref in self._spent), expr
+                assert all(ref() is None for ref in self._spent), code
                 self._spent.clear()
             return value
         return watched
@@ -520,3 +529,157 @@ class TestDyingTemporaries:
         [(_function, charged, _flags)] = kernels._prices
         assert charged[1] == BlockedMatrix.from_numpy(cells, 64).meta()
         assert charged[1].sparsity < 0.6 and out.meta.sparsity == 1.0
+
+
+#: Edge values of a double: both zeros, NaN, both infinities, the smallest
+#: subnormal and the smallest normal, magnitudes whose products overflow,
+#: and two plain values.
+EDGES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+         2.2250738585072014e-308, 1e308, -1e200, 1.5, -3.0)
+#: Column vectors whose products with each other are 1x1 grids (``t(u) %*%
+#: w`` overflows to ``inf``) and whose sums are driver floats.
+DRIVER_INPUTS = {"u": np.array([[1.5], [-1e200], [0.0]]),
+                 "w": np.array([[2.0], [1e200], [5e-324]]),
+                 "p": 2.5, "q": -0.0, "r": math.inf}
+
+
+@st.composite
+def scalar_trees(draw, names, depth=3):
+    """A scalar-valued tree: literals and scalar inputs (driver floats),
+    ``t(u) %*% w`` and ``sum`` (a 1x1 grid and a float the grid kernels
+    made), under cell-wise operators, negation, comparisons and builtins."""
+    kinds = ["literal", "name", "dot", "sum"]
+    if depth:
+        kinds += ["ewise"] * 4 + ["neg", "compare", "builtin"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "literal":
+        return ast.Literal(draw(st.sampled_from(EDGES)))
+    if kind == "name":
+        return ast.ScalarRef(draw(st.sampled_from(names)))
+    if kind == "dot":
+        return ast.MatMul(ast.Transpose(ast.MatrixRef("u")),
+                          ast.MatrixRef(draw(st.sampled_from("uw"))))
+    if kind == "sum":
+        return ast.Call("sum", (ast.MatrixRef(draw(st.sampled_from("uw"))),))
+    child = draw(scalar_trees(names, depth - 1))
+    if kind == "neg":
+        return ast.Neg(child)
+    if kind == "builtin":
+        func = draw(st.sampled_from(["sqrt", "abs", "exp", "log", "sigmoid"]))
+        return ast.Call(func, (child,))
+    other = draw(scalar_trees(names, depth - 1))
+    if kind == "compare":
+        return ast.Compare(draw(st.sampled_from(["<", "==", ">="])),
+                           child, other)
+    op = draw(st.sampled_from([ast.Add, ast.Sub, ast.ElemMul, ast.ElemDiv]))
+    return op(child, other)
+
+
+def _fingerprint(engine, program, traced):
+    """What a run shows: every value's SHA-256, the simulated seconds, the
+    metrics and the spans — or the error it stopped with."""
+    tracer = ExecutionTracer() if traced else None
+    try:
+        with np.errstate(all="ignore"):
+            run = make_engine(engine).execute(program, DRIVER_INPUTS,
+                                              tracer=tracer)
+    except ExecutionError as error:
+        return str(error)
+    return ({name: array_digest(value.matrix.to_numpy())
+             for name, value in run.env.items()}, run.execution_seconds,
+            run.metrics.summary(), tracer.spans if traced else None)
+
+
+class TestDriverScalars:
+    """A 1x1 cell-wise operator computed on driver floats is a perf-only
+    layer: values, simulated seconds, metrics and spans equal the run with
+    the driver-scalar flag patched off (the grid path), on engines that
+    keep scalars local and on pbdR's, which distributes them."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("engine", ["remac", "systemds", "pbdr"])
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_floats_are_the_grid(self, engine, traced, data):
+        names = ["p", "q", "r"]
+        trees = {}
+        for target in ("a", "b", "c"):
+            trees[target] = data.draw(scalar_trees(names), label=target)
+            names.append(target)
+        program = ast_program([
+            ("a", trees["a"]), ("b", trees["b"]),
+            ("i", ast.Literal(0.0)),
+            ("loop", ast.Compare("<", ast.ScalarRef("i"), ast.Literal(2.0)),
+             [("a", ast.Add(ast.ElemMul(ast.ScalarRef("a"),
+                                        ast.ScalarRef("b")), trees["c"])),
+              ("i", ast.Add(ast.ScalarRef("i"), ast.Literal(1.0)))]),
+            ("M", ast.ElemMul(ast.ScalarRef("a"), ast.MatrixRef("w"))),
+            ("c", trees["c"])])
+        floats = _fingerprint(engine, program, traced)
+        with mock.patch.object(executor_module, "_on_driver",
+                               lambda *shapes: False):
+            grids = _fingerprint(engine, program, traced)
+        assert floats == grids
+
+    @pytest.mark.parametrize("source, builtin", [
+        ("log(0 - s)", "log"), ("sqrt(0 - s)", "sqrt"),
+        ("exp(s * 1000)", "exp")])
+    def test_a_scalar_builtin_fails_typed_at_its_statement(
+            self, executor, source, builtin):
+        program = parse(f"input A\ns = sum(A)\ny = {source}\n")
+        with pytest.raises(ExecutionError,
+                           match=rf"^{builtin}\(.*at statement 1, "
+                                 "assigning 'y'"):
+            executor.run(program, {"A": np.ones((4, 4))})
+
+    def test_a_warm_copy_lowers_nothing(self):
+        algo = get_algorithm("gd")
+        meta, data = algo.make_inputs(load_dataset("cri1", scale=0.3).matrix)
+        engine = make_engine("remac")
+        cold = engine.compile(algo.program(3), meta, data, iterations=3)
+        warm = engine.compile(algo.program(3), meta, data, iterations=3)
+        assert warm is not cold and warm.notes["plan_cache"] == "hit"
+        with mock.patch.object(executor_module, "lower",
+                               wraps=executor_module.lower) as lowering:
+            runs = [engine.execute(plan, data) for plan in (cold, warm, warm)]
+        assert lowering.call_count == 1
+        assert len({run.execution_seconds for run in runs}) == 1
+
+    def test_a_plan_switch_lowers_the_switched_plan_once(self, cluster):
+        source = "while (i < 4) {\n  x = x * 2\n  i = i + 1\n}\n"
+        switched = CompiledProgram(parse(source, scalar_names={"i"}))
+
+        class Switching:
+            config, generation = ReplanConfig(), 0
+
+            def consider(self, executor, loop, env, path, iterations,
+                         trailing):
+                if not self.generation:
+                    self.generation = 1
+                    return switched
+                return None
+
+            def metrics_summary(self):
+                return {}
+
+        plan = CompiledProgram(parse("i = 0\n" + source,
+                                     scalar_names={"i"}))
+        with mock.patch.object(executor_module, "lower",
+                               wraps=executor_module.lower) as lowering:
+            env = Executor(cluster, tracer=ExecutionTracer(),
+                           replanner=Switching()).run(
+                plan, {"x": np.ones((3, 1))})
+        assert lowering.call_count == 2
+        assert set(switched.lowered) and set(plan.lowered)
+        assert np.array_equal(env["x"].matrix.to_numpy(), np.full((3, 1), 16))
+
+
+def ast_program(statements) -> Program:
+    """A program from ``(target, expr)`` assignments and ``("loop",
+    condition, body)`` loops."""
+    def build(entry):
+        if entry[0] == "loop":
+            return WhileLoop(entry[1], tuple(build(e) for e in entry[2]),
+                             max_iterations=2)
+        return Assign(*entry)
+    return Program(statements=[build(entry) for entry in statements])

@@ -7,6 +7,7 @@ from repro.config import ClusterConfig
 from repro.core.cost import CostModel, ProgramCostEvaluator, sketch_inputs
 from repro.core.sparsity import make_estimator
 from repro.lang import parse, parse_expression
+from repro.lang.program import single_expression_program
 from repro.matrix import MatrixMeta
 from repro.runtime import ExecutionPolicy, Executor
 from repro.runtime.pricing import price_matmul, price_mmchain
@@ -21,9 +22,8 @@ def tall(rng):
 
 def evaluate(cluster, policy, source, bindings):
     executor = Executor(cluster, policy)
-    env = {name: executor.kernels.load(name, value)
-           for name, value in bindings.items()}
-    out = executor.evaluate(parse_expression(source), env)
+    out = executor.run(single_expression_program(parse_expression(source)),
+                       bindings)["out"]
     return out, executor.metrics
 
 
