@@ -3,9 +3,8 @@
 Three optimizer configurations over the paper's datasets (DFP workload):
 
 * ``seed cold`` — every fast-path layer off (plan cache, sketch/price
-  memoization, parallel pricing): the pipeline as originally built.
-* ``fast cold`` — memoized estimator + cost model and a pricing thread
-  pool, but no plan cache: the cold path after this change.
+  memoization): the pipeline as originally built.
+* ``fast cold`` — memoized estimator + cost model, but no plan cache.
 * ``warm`` — plan-cache hit on a repeated compile of the same workload.
 
 Writes ``BENCH_compile_throughput.json`` at the repo root with the raw
@@ -27,12 +26,9 @@ DATASETS = ("cri1", "cri2", "cri3", "red1", "red2", "red3")
 ALGORITHM = "dfp"
 REPEATS = 3
 
-SEED_CONFIG = OptimizerConfig(plan_cache=False, cost_memo=False,
-                              pricing_workers=1)
-FAST_CONFIG = OptimizerConfig(plan_cache=False, cost_memo=True,
-                              pricing_workers=4)
-WARM_CONFIG = OptimizerConfig(plan_cache=True, cost_memo=True,
-                              pricing_workers=4)
+SEED_CONFIG = OptimizerConfig(plan_cache=False, cost_memo=False)
+FAST_CONFIG = OptimizerConfig(plan_cache=False, cost_memo=True)
+WARM_CONFIG = OptimizerConfig(plan_cache=True, cost_memo=True)
 
 
 def _compile_seconds(ctx, dataset: str, config: OptimizerConfig,
@@ -87,6 +83,6 @@ def test_compile_throughput(benchmark, ctx):
     by = {r["dataset"]: r for r in rows}
     # Acceptance: a warm compile is >=10x a cold one on at least one cri*.
     assert any(by[d]["warm_speedup"] >= 10.0 for d in ("cri1", "cri2", "cri3"))
-    # Memoization + parallel pricing make the cold path faster in aggregate.
+    # Memoization makes the cold path faster in aggregate.
     assert sum(r["fast_cold_ms"] for r in rows) \
         < sum(r["seed_cold_ms"] for r in rows)

@@ -79,10 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(repeats after the first hit the plan cache)")
     run.add_argument("--no-plan-cache", action="store_true",
                      help="disable the compiled-plan cache")
-    run.add_argument("--pricing-workers", type=int, default=None, metavar="W",
-                     help="thread-pool width for candidate pricing "
-                          "(1 = serial, 0 = one thread per CPU; "
-                          "default: serial)")
     run.add_argument("--kernel-workers", type=int, default=None, metavar="W",
                      help="worker-pool width for block-level execution "
                           "kernels (1 = serial, 0 = one worker per CPU; "
@@ -213,17 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    """OptimizerConfig from run-command flags.
-
-    ``--pricing-workers`` passes through verbatim so ``0`` keeps its
-    documented one-thread-per-CPU meaning end to end
-    (:func:`repro.core.parallel.resolve_workers`); omitting the flag keeps
-    the config default (serial).
-    """
-    kwargs = {"plan_cache": not args.no_plan_cache}
-    if args.pricing_workers is not None:
-        kwargs["pricing_workers"] = args.pricing_workers
-    return OptimizerConfig(**kwargs)
+    """OptimizerConfig from run-command flags."""
+    return OptimizerConfig(plan_cache=not args.no_plan_cache)
 
 
 def _command_run(args) -> int:

@@ -190,10 +190,6 @@ class OptimizerConfig:
     plan_cache_size: int = 64
     #: Memoize operator prices and sketch propagation within one compile.
     cost_memo: bool = True
-    #: Worker threads for candidate pricing: 1 = serial execution (the
-    #: default), 0 = one thread per CPU (resolved by
-    #: :func:`repro.core.parallel.resolve_workers`).
-    pricing_workers: int = 1
 
 
 @dataclass(frozen=True)

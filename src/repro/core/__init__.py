@@ -6,7 +6,6 @@ from .crossblock import CrossBlockOption, CrossBlockResult, crossblock_search
 from .enumerate import EnumResult, enumerate_combinations
 from .normalize import expand_distributive, normalize, push_down_transposes
 from .optimizer import ReMacOptimizer
-from .parallel import parallel_map, resolve_workers
 from .plancache import (
     DataTokens,
     InputSketchMemo,
@@ -46,7 +45,6 @@ __all__ = [
     "ReMacOptimizer",
     "DataTokens", "InputSketchMemo", "PlanCache", "PlanCacheStats",
     "plan_fingerprint", "settings_text",
-    "parallel_map", "resolve_workers",
     "CSE", "LSE", "EliminationOption", "Occurrence",
     "options_contradict", "conflict_free", "count_contradictions",
     "ProbeResult", "probe",

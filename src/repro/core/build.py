@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ..lang.ast import Expr, MatMul
 from ..lang.program import Assign, WhileLoop
 from ..runtime.pricing import price_matmul, price_mmchain, price_transpose
-from .chains import ChainSite, Operand, ProgramChains
+from .chains import Operand, ProgramChains
 from .cost.evaluate import ProgramCostEvaluator
 from .cost.model import CostModel
 from .options import EliminationOption
@@ -34,7 +34,8 @@ def statement_sketch_envs(chains: ProgramChains, model: CostModel,
     """Sketch environment in effect before each normalized statement.
 
     Mirrors the two-pass loop handling of the type checker so loop-carried
-    variables are sketched at their sparsity steady state. The result stays
+    variables are sketched at their sparsity steady state. The walk only
+    propagates sketches: nothing in it is priced. The result stays
     with ``chains``: the probe and the rewrite of one round read (never
     write) the same environments, so only the first of them walks.
     """
@@ -58,19 +59,16 @@ def _walk_sketch_envs(chains: ProgramChains, model: CostModel,
                 stmt_index = index_of.get(id(stmt))
                 if record and stmt_index is not None:
                     envs[stmt_index] = dict(env)
-                _seconds, sketch = evaluator._price_expr(stmt.expr, env)
-                env[stmt.target] = sketch
+                env[stmt.target] = evaluator.propagate(stmt.expr, env)
             elif isinstance(stmt, WhileLoop):
                 # Pass 1: settle; pass 2: record.
                 for loop_stmt in stmt.assignments():
-                    _seconds, sketch = evaluator._price_expr(loop_stmt.expr, env)
-                    env[loop_stmt.target] = sketch
+                    env[loop_stmt.target] = evaluator.propagate(loop_stmt.expr, env)
                 for loop_stmt in stmt.assignments():
                     stmt_index = index_of.get(id(loop_stmt))
                     if record and stmt_index is not None:
                         envs[stmt_index] = dict(env)
-                    _seconds, sketch = evaluator._price_expr(loop_stmt.expr, env)
-                    env[loop_stmt.target] = sketch
+                    env[loop_stmt.target] = evaluator.propagate(loop_stmt.expr, env)
 
     index_of = {id(ns.assign): ns.index for ns in chains.statements}
     run(chains.program.statements, record=True, index_of=index_of)
@@ -118,9 +116,8 @@ def build_span_table(operands: list[Operand], model: CostModel,
     symmetry, whether neighbours share a base. The model keeps one table
     per such key, so a site, an option's pseudo-chain, a re-parenthesized
     chain and the next round's copy of an untouched statement share the
-    one the first of them built. It is stored only once filled (another
-    pricing thread may be reading the memo); its ``sketches`` hold the
-    operand sketches, so the identities in its key stay taken.
+    one the first of them built. Its ``sketches`` hold the operand
+    sketches, so the identities in its key stay taken.
     """
     model.tables_asked += 1
     key = (tuple(map(id, operand_sketches)), weight,
@@ -325,31 +322,22 @@ def _chain_result_sketch(model: CostModel, operand_sketches: list[Sketch]) -> Sk
 
 def _operand_sketch(operand: Operand, env: dict[str, Sketch],
                     evaluator: ProgramCostEvaluator) -> Sketch:
-    """Sketch of one operand occurrence (orientation applied)."""
-    _seconds, sketch = evaluator._price_expr(operand.base, env)
+    """Sketch of one operand occurrence (orientation applied), unpriced."""
+    sketch = evaluator.propagate(operand.base, env)
     if operand.transposed and not operand.symmetric:
         return evaluator.model.estimator.transpose(sketch)
     return sketch
 
 
 def build_all_tables(chains: ProgramChains, model: CostModel,
-                     envs: list[dict[str, Sketch]],
-                     workers: int = 1) -> dict[int, SpanTable]:
-    """Span tables for every chain site of the program.
-
-    Sites are independent, so with ``workers > 1`` the tables are built on
-    the candidate-pricing pool; results are keyed by site, making the dict
-    identical to the serial build.
-    """
-    from .parallel import parallel_map
-
+                     envs: list[dict[str, Sketch]]) -> dict[int, SpanTable]:
+    """Span tables for every chain site of the program, keyed by site."""
     evaluator = ProgramCostEvaluator(model)
-
-    def build(site: ChainSite) -> SpanTable:
+    tables: dict[int, SpanTable] = {}
+    for site in chains.sites:
         env = envs[site.stmt_index]
         sketches = [_operand_sketch(op, env, evaluator) for op in site.operands]
         weight = float(chains.iterations) if site.in_loop else 1.0
-        return build_span_table(site.operands, model, sketches, weight)
-
-    tables = parallel_map(build, chains.sites, workers)
-    return {site.site_id: table for site, table in zip(chains.sites, tables)}
+        tables[site.site_id] = build_span_table(site.operands, model,
+                                                sketches, weight)
+    return tables

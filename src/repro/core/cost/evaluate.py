@@ -9,6 +9,13 @@ per-iteration cost is multiplied by the loop's iteration budget.
 This is the arbiter every elimination strategy uses: the brute-force
 enumerator prices each rewritten candidate program with it, and the DP's
 chosen plan gets its final predicted cost from it.
+
+The same walk, unpriced (:meth:`ProgramCostEvaluator.propagate`), serves
+every caller that wants sketches only: sketch environments, operand
+sketches, the fusion report and the loop settle pass. It skips the fused
+element-wise and mmchain checks (fusion changes prices, never sketches)
+and asks the estimator directly, so under a memoized estimator it returns
+the very sketch objects the priced walk would.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from dataclasses import dataclass, field
 
 from ...errors import OptimizerError
 from ...lang.ast import (
+    CELLWISE_BUILTINS,
+    ZERO_PRESERVING_BUILTINS,
     Call,
     Compare,
     Expr,
@@ -37,7 +46,7 @@ from ...runtime.hybrid import LOCAL, value_distributed
 from ...runtime.plan import PredictedOp, StatementPath
 from ...runtime.pricing import price_fused_ewise
 from ..sparsity.base import Sketch
-from .model import CostModel, Priced
+from .model import CostModel, Priced, structural_meta
 
 
 @dataclass
@@ -85,7 +94,7 @@ class ProgramCostEvaluator:
             for index, stmt in enumerate(program.statements):
                 if isinstance(stmt, Assign):
                     self._path = (index,)
-                    seconds, sketch = self._price_assign(stmt, env)
+                    seconds, sketch = self._price_expr(stmt.expr, env)
                     self._path = None
                     cost.prologue_seconds += seconds
                     cost.hoisted.append(stmt.target)
@@ -105,23 +114,24 @@ class ProgramCostEvaluator:
                     path: StatementPath) -> float:
         # Same in-order DFS as WhileLoop.assignments(), with statement paths.
         pairs = list(_assignments_with_paths(loop.body, path))
-        # First pass settles loop-carried sketches; second pass is priced
-        # (and recorded: the steady-state prices are the plan's prediction).
+        # First pass settles loop-carried sketches (unpriced); second pass
+        # is priced (and recorded: the steady-state prices are the plan's
+        # prediction).
         for _stmt_path, stmt in pairs:
-            _seconds, sketch = self._price_assign(stmt, env)
-            env[stmt.target] = sketch
+            env[stmt.target] = self.propagate(stmt.expr, env)
         total = 0.0
         for stmt_path, stmt in pairs:
             self._path = stmt_path
-            seconds, sketch = self._price_assign(stmt, env)
+            seconds, sketch = self._price_expr(stmt.expr, env)
             self._path = None
             env[stmt.target] = sketch
             total += seconds
         return total
 
-    def _price_assign(self, stmt: Assign, env: dict[str, Sketch]) -> tuple[float, Sketch]:
-        seconds, sketch = self._price_expr(stmt.expr, env)
-        return seconds, sketch
+    def propagate(self, expr: Expr, env: dict[str, Sketch]) -> Sketch:
+        """The sketch of ``expr``, unpriced: the walk of :meth:`_price_expr`
+        with every price left out (module docstring)."""
+        return self._price_expr(expr, env, pricing=False)[1]
 
     def _note(self, kind: str, priced) -> None:
         """Record one priced operator under the current statement path."""
@@ -138,7 +148,10 @@ class ProgramCostEvaluator:
     # ------------------------------------------------------------------
     # Expression pricing (the operators the executor's lowering emits)
     # ------------------------------------------------------------------
-    def _price_expr(self, expr: Expr, env: dict[str, Sketch]) -> tuple[float, Sketch]:
+    def _price_expr(self, expr: Expr, env: dict[str, Sketch],
+                    pricing: bool = True) -> tuple[float, Sketch]:
+        """(seconds, sketch) of ``expr``; ``pricing=False`` reads 0.0 seconds
+        and asks the estimator, not the model, at every operator."""
         if isinstance(expr, (MatrixRef, ScalarRef)):
             try:
                 return 0.0, env[expr.name]
@@ -148,48 +161,60 @@ class ProgramCostEvaluator:
         if isinstance(expr, Literal):
             return 0.0, self.model.scalar()
         if isinstance(expr, MatMul):
-            return self._price_matmul(expr, env)
+            return self._price_matmul(expr, env, pricing)
         if isinstance(expr, Transpose):
-            seconds, sketch = self._price_expr(expr.child, env)
+            seconds, sketch = self._price_expr(expr.child, env, pricing)
             if self.model.meta(sketch).is_scalar_like:
                 return seconds, sketch
+            if not pricing:
+                return 0.0, self.model.estimator.transpose(sketch)
             priced = self.model.transpose(sketch)
             self._note("transpose", priced)
             return seconds + priced.seconds, priced.sketch
         if type(expr) in ZIP_KINDS:
-            if self.model.policy.fuse:
+            if pricing and self.model.policy.fuse:
                 fused = self._try_price_fused_ewise(expr, env)
                 if fused is not None:
                     return fused
             kind = ZIP_KINDS[type(expr)]
-            sec_l, left = self._price_expr(expr.left, env)
-            sec_r, right = self._price_expr(expr.right, env)
+            sec_l, left = self._price_expr(expr.left, env, pricing)
+            sec_r, right = self._price_expr(expr.right, env, pricing)
+            if not pricing:
+                return 0.0, getattr(self.model.estimator, kind)(left, right)
             priced = self.model.ewise(kind, left, right)
             self._note(kind, priced)
             return sec_l + sec_r + priced.seconds, priced.sketch
         if isinstance(expr, Neg):
-            seconds, sketch = self._price_expr(expr.child, env)
-            return seconds, sketch
+            return self._price_expr(expr.child, env, pricing)
         if isinstance(expr, Compare):
-            sec_l, _ = self._price_expr(expr.left, env)
-            sec_r, _ = self._price_expr(expr.right, env)
+            sec_l, _ = self._price_expr(expr.left, env, pricing)
+            sec_r, _ = self._price_expr(expr.right, env, pricing)
             return sec_l + sec_r, self.model.scalar()
         if isinstance(expr, Call):
-            return self._price_call(expr, env)
+            return self._price_call(expr, env, pricing)
         raise OptimizerError(f"cannot price expression node {type(expr).__name__}")
 
-    def _price_matmul(self, expr: MatMul, env: dict[str, Sketch]) -> tuple[float, Sketch]:
-        fused = self._try_price_mmchain(expr, env)
-        if fused is not None:
-            return fused
+    def _price_matmul(self, expr: MatMul, env: dict[str, Sketch],
+                      pricing: bool) -> tuple[float, Sketch]:
+        if pricing:
+            fused = self._try_price_mmchain(expr, env)
+            if fused is not None:
+                return fused
         left_expr, left_fused = unwrap_transpose(expr.left)
         right_expr, right_fused = unwrap_transpose(expr.right)
-        sec_l, left = self._price_expr(left_expr, env)
-        sec_r, right = self._price_expr(right_expr, env)
+        sec_l, left = self._price_expr(left_expr, env, pricing)
+        sec_r, right = self._price_expr(right_expr, env, pricing)
         left_meta = self.model.meta(left)
         right_meta = self.model.meta(right)
         if left_meta.is_scalar_like and right_meta.is_scalar_like:
             return sec_l + sec_r, self.model.scalar()
+        if not pricing:
+            estimator = self.model.estimator
+            if left_fused:
+                left = estimator.transpose(left)
+            if right_fused:
+                right = estimator.transpose(right)
+            return 0.0, estimator.matmul(left, right)
         priced = self.model.matmul(left, right, left_fused_transpose=left_fused,
                                    right_fused_transpose=right_fused)
         self._note("matmul", priced)
@@ -240,20 +265,28 @@ class ProgramCostEvaluator:
         self._note("mmchain", priced)
         return sec_x + sec_v + priced.seconds, priced.sketch
 
-    def _price_call(self, expr: Call, env: dict[str, Sketch]) -> tuple[float, Sketch]:
-        seconds, sketch = self._price_expr(expr.args[0], env)
+    def _price_call(self, expr: Call, env: dict[str, Sketch],
+                    pricing: bool) -> tuple[float, Sketch]:
+        seconds, sketch = self._price_expr(expr.args[0], env, pricing)
         if expr.func in ("sum", "trace", "norm"):
+            if not pricing:
+                return 0.0, self.model.scalar()
             priced = self.model.aggregate(
                 sketch, flop_multiplier=2.0 if expr.func == "norm" else 1.0)
             self._note("aggregate", priced)
             return seconds + priced.seconds, priced.sketch
         if expr.func in ("rowsums", "colsums", "diag"):
+            if not pricing:
+                return 0.0, self.model.estimator.sketch_meta(
+                    structural_meta(expr.func, self.model.meta(sketch)))
             priced = self.model.structural(expr.func, sketch)
             self._note("structural", priced)
             return seconds + priced.seconds, priced.sketch
-        from ...lang.ast import CELLWISE_BUILTINS
         if expr.func in CELLWISE_BUILTINS and \
                 not self.model.meta(sketch).is_scalar_like:
+            if not pricing:
+                return 0.0, self.model.estimator.scalar_op(
+                    sketch, preserves_zero=expr.func in ZERO_PRESERVING_BUILTINS)
             priced = self.model.map_cells(expr.func, sketch)
             self._note("map", priced)
             return seconds + priced.seconds, priced.sketch

@@ -150,15 +150,51 @@ class CostModel:
         return self.estimator.stats_collection_flops / self.config.cluster_flops
 
     # ------------------------------------------------------------------
+    # Sketch halves: how each operator derives its output sketch. The
+    # priced operators below call them, and so does an unpriced walk.
+    # ------------------------------------------------------------------
+    def matmul_sketch(self, left: Sketch, right: Sketch,
+                      left_fused_transpose: bool = False,
+                      right_fused_transpose: bool = False
+                      ) -> tuple[Sketch, Sketch, Sketch]:
+        """(left, right) as multiplied, after fused transposes, and the product."""
+        if left_fused_transpose:
+            left = self.estimator.transpose(left)
+        if right_fused_transpose:
+            right = self.estimator.transpose(right)
+        return left, right, self.estimator.matmul(left, right)
+
+    def ewise_sketch(self, kind: str, left: Sketch, right: Sketch) -> Sketch:
+        return getattr(self.estimator, kind)(left, right)
+
+    def map_cells_sketch(self, func_name: str, operand: Sketch) -> Sketch:
+        from ...lang.ast import ZERO_PRESERVING_BUILTINS
+        return self.estimator.scalar_op(
+            operand, preserves_zero=func_name in ZERO_PRESERVING_BUILTINS)
+
+    def aggregate_sketch(self, operand: Sketch) -> Sketch:
+        del operand
+        return self.estimator.scalar()
+
+    def structural_sketch(self, kind: str, operand: Sketch
+                          ) -> tuple[MatrixMeta, Sketch]:
+        """Output meta (the type checker's rules) and sketch of rowsums /
+        colsums / diag."""
+        from ...lang.typecheck import _call_meta
+        from ...lang.ast import Call, MatrixRef
+        out_meta = _call_meta(Call(kind, (MatrixRef("__x__"),)),
+                              {"__x__": self.meta(operand)})
+        return out_meta, self.estimator.sketch_meta(out_meta)
+
+    # ------------------------------------------------------------------
     # Operators
     # ------------------------------------------------------------------
     def matmul(self, left: Sketch, right: Sketch,
                left_fused_transpose: bool = False,
                right_fused_transpose: bool = False) -> Priced:
         def compute() -> Priced:
-            eff_left = self.estimator.transpose(left) if left_fused_transpose else left
-            eff_right = self.estimator.transpose(right) if right_fused_transpose else right
-            out = self.estimator.matmul(eff_left, eff_right)
+            eff_left, eff_right, out = self.matmul_sketch(
+                left, right, left_fused_transpose, right_fused_transpose)
             price, seconds = self.priced(
                 price_matmul, self.meta(eff_left), self.meta(eff_right),
                 self.meta(out), left_fused_transpose=left_fused_transpose,
@@ -232,12 +268,9 @@ class CostModel:
     def structural(self, kind: str, operand: Sketch) -> Priced:
         """Price rowsums / colsums / diag."""
         def compute() -> Priced:
-            from ...lang.typecheck import _call_meta  # shape rules live there
-            from ...lang.ast import Call, MatrixRef
             from ...runtime.pricing import price_structural
             meta_in = self.meta(operand)
-            out_meta = _call_meta(Call(kind, (MatrixRef("__x__"),)),
-                                  {"__x__": meta_in})
+            out_meta = structural_meta(kind, meta_in)
             out = self.estimator.sketch_meta(out_meta)
             price = price_structural(kind, meta_in, out_meta, self.config, self.policy)
             return Priced(price, out)
@@ -251,3 +284,10 @@ class CostModel:
 
     def scalar(self) -> Sketch:
         return self.estimator.scalar()
+
+
+def structural_meta(kind: str, meta_in: MatrixMeta) -> MatrixMeta:
+    """Output meta of rowsums / colsums / diag (the type checker's rules)."""
+    from ...lang.typecheck import _call_meta
+    from ...lang.ast import Call, MatrixRef
+    return _call_meta(Call(kind, (MatrixRef("__x__"),)), {"__x__": meta_in})

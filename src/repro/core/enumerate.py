@@ -49,8 +49,7 @@ def enumerate_combinations(chains: ProgramChains, model: CostModel,
                            order: str = "dfs",
                            option_limit: int = 20,
                            combination_budget: int = 20000,
-                           evaluation: str = "full",
-                           workers: int = 1) -> EnumResult:
+                           evaluation: str = "full") -> EnumResult:
     """Evaluate option subsets exhaustively (within a budget).
 
     ``evaluation`` selects how each combination is priced:
@@ -63,12 +62,9 @@ def enumerate_combinations(chains: ProgramChains, model: CostModel,
       tables. Much cheaper per combination; used by tests to cross-check
       the probing DP's plan quality on identical objectives.
 
-    Combinations are independent, so ``workers > 1`` prices them on a
-    thread pool. The min-cost reduction runs serially over the results in
-    enumeration order (strict ``<``, first-found wins), so the chosen plan
-    and cost are identical to the serial path.
+    The min-cost reduction runs in enumeration order (strict ``<``,
+    first-found wins).
     """
-    from .parallel import parallel_map
     if order not in ("dfs", "bfs"):
         raise ValueError(f"order must be 'dfs' or 'bfs', got {order!r}")
     if evaluation not in ("full", "incremental"):
@@ -76,12 +72,9 @@ def enumerate_combinations(chains: ProgramChains, model: CostModel,
                          f"got {evaluation!r}")
     started = time.perf_counter()
     envs = statement_sketch_envs(chains, model, input_sketches)
-    tables = build_all_tables(chains, model, envs, workers=workers)
-    all_costings = parallel_map(
-        lambda opt: cost_option(opt, chains, model, tables, envs),
-        options, workers)
-    costings = {opt.option_id: costing
-                for opt, costing in zip(options, all_costings)}
+    tables = build_all_tables(chains, model, envs)
+    costings = {opt.option_id: cost_option(opt, chains, model, tables, envs)
+                for opt in options}
     result = EnumResult(costings=costings)
     result.plain_cost = sum(t.plain_cost[(0, t.n - 1)] for t in tables.values()
                             if t.n >= 2)
@@ -103,15 +96,12 @@ def enumerate_combinations(chains: ProgramChains, model: CostModel,
         subsets = _dfs_subsets(considered)
     else:
         subsets = _bfs_subsets(considered)
-    batch: list[tuple[EliminationOption, ...]] = []
     for subset in subsets:
-        if len(batch) >= combination_budget:
+        if result.combinations_evaluated >= combination_budget:
             result.budget_exhausted = True
             break
-        batch.append(subset)
-    result.combinations_evaluated = len(batch)
-    costs = parallel_map(evaluator.cost_of, batch, workers)
-    for subset, cost in zip(batch, costs):
+        result.combinations_evaluated += 1
+        cost = evaluator.cost_of(subset)
         if cost < best_cost:
             best_cost = cost
             best = subset
@@ -329,10 +319,9 @@ def enumerate_fusion_regions(program, model: CostModel,
             if isinstance(stmt, Assign):
                 visit(stmt.expr)
                 try:
-                    _seconds, sketch = evaluator._price_expr(stmt.expr, env)
+                    env[stmt.target] = evaluator.propagate(stmt.expr, env)
                 except Exception:
                     continue  # report stays best-effort; compile handles errors
-                env[stmt.target] = sketch
             elif isinstance(stmt, WhileLoop):
                 visit(stmt.condition)
                 walk(stmt.body)

@@ -60,9 +60,8 @@ class ReMacOptimizer:
     Repeated compiles are served by a *compilation fast path*: a plan cache
     keyed by a fingerprint of everything the plan depends on (warm compiles
     skip the pipeline entirely), plus memoized sketch propagation and
-    operator pricing and an optional candidate-pricing thread pool on the
-    cold path. All three layers are perf-only: with them disabled or
-    enabled, the chosen plans and predicted costs are identical.
+    operator pricing on the cold path. Both layers are perf-only: with them
+    disabled or enabled, the chosen plans and predicted costs are identical.
 
     The optimizer is safe to share across threads (the serving deployment:
     one warm optimizer, N tenants). Concurrent compiles of the *same*
@@ -296,7 +295,6 @@ class ReMacOptimizer:
                 "strategy_notes": strategy.notes,
                 "rounds": rounds,
                 "cost_memo": model.memo_stats if self.config.cost_memo else None,
-                "pricing_workers": self.config.pricing_workers,
                 "fusion": fusion_notes,
                 **search_notes,
             })

@@ -58,7 +58,7 @@ from ..runtime.plan import CompiledProgram
 #: predicted cost — excluded from fingerprints so toggling them never
 #: fragments the cache.
 PERF_ONLY_CONFIG_FIELDS = frozenset({
-    "plan_cache", "plan_cache_size", "cost_memo", "pricing_workers",
+    "plan_cache", "plan_cache_size", "cost_memo",
 })
 
 #: ClusterConfig fields that cannot affect the chosen plan or its

@@ -65,23 +65,13 @@ class ProbeResult:
 def probe(chains: ProgramChains, model: CostModel,
           options: list[EliminationOption],
           input_sketches: dict[str, Sketch],
-          entry_cap: int = 128, global_cap: int = 512,
-          workers: int = 1) -> ProbeResult:
-    """Run building + probing; returns the chosen options and predicted cost.
-
-    ``workers > 1`` prices independent candidates (span tables, per-option
-    shared costs) on a thread pool; results are keyed per site/option, so
-    the DP consumes exactly what the serial path would.
-    """
-    from .parallel import parallel_map
+          entry_cap: int = 128, global_cap: int = 512) -> ProbeResult:
+    """Run building + probing; returns the chosen options and predicted cost."""
     started = time.perf_counter()
     envs = statement_sketch_envs(chains, model, input_sketches)
-    tables = build_all_tables(chains, model, envs, workers=workers)
-    all_costings = parallel_map(
-        lambda opt: cost_option(opt, chains, model, tables, envs),
-        options, workers)
-    costings = {opt.option_id: costing
-                for opt, costing in zip(options, all_costings)}
+    tables = build_all_tables(chains, model, envs)
+    costings = {opt.option_id: cost_option(opt, chains, model, tables, envs)
+                for opt in options}
     priced = time.perf_counter()
     result = _probe_with_tables(chains, tables, costings, options,
                                 entry_cap, global_cap)

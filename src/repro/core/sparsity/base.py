@@ -90,11 +90,16 @@ class SparsityEstimator(ABC):
         """The estimated metadata of a sketch."""
 
 
+#: Cells of the 0/1 mask :func:`_dense_counts` holds at once (512 KiB).
+_SLAB_CELLS = 1 << 16
+
+
 def to_support_arrays(data) -> tuple[int, int, np.ndarray, np.ndarray, int]:
     """Row/column non-zero counts of any accepted matrix input.
 
     Returns (rows, cols, row_counts, col_counts, nnz). This is the single
-    scan that structure-exploiting estimators pay for.
+    scan that structure-exploiting estimators pay for. A stored sparse
+    entry counts even when it holds zero; a dense NaN counts, -0.0 not.
     """
     if isinstance(data, BlockedMatrix):
         rows, cols = data.shape
@@ -103,14 +108,15 @@ def to_support_arrays(data) -> tuple[int, int, np.ndarray, np.ndarray, int]:
         size = data.block_size
         for (bi, bj), block in data.iter_blocks():
             payload = block.data
+            height, width = payload.shape
             if sparse.issparse(payload):
                 coo = payload.tocoo()
-                np.add.at(row_counts, bi * size + coo.row, 1)
-                np.add.at(col_counts, bj * size + coo.col, 1)
+                tile_rows = np.bincount(coo.row, minlength=height)
+                tile_cols = np.bincount(coo.col, minlength=width)
             else:
-                mask = payload != 0
-                row_counts[bi * size:bi * size + payload.shape[0]] += mask.sum(axis=1)
-                col_counts[bj * size:bj * size + payload.shape[1]] += mask.sum(axis=0)
+                tile_rows, tile_cols = _dense_counts(payload)
+            row_counts[bi * size:bi * size + height] += tile_rows
+            col_counts[bj * size:bj * size + width] += tile_cols
         return rows, cols, row_counts, col_counts, int(row_counts.sum())
     if sparse.issparse(data):
         csr = data.tocsr()
@@ -119,10 +125,37 @@ def to_support_arrays(data) -> tuple[int, int, np.ndarray, np.ndarray, int]:
         col_counts = np.bincount(csr.indices, minlength=cols).astype(np.int64)
         return rows, cols, row_counts, col_counts, int(csr.nnz)
     array = np.atleast_2d(np.asarray(data))
-    mask = array != 0
     rows, cols = array.shape
-    return rows, cols, mask.sum(axis=1).astype(np.int64), \
-        mask.sum(axis=0).astype(np.int64), int(mask.sum())
+    row_counts, col_counts = _dense_counts(array)
+    return rows, cols, row_counts, col_counts, int(row_counts.sum())
+
+
+def _dense_counts(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact int64 non-zero counts per row and per column of a 2-D array.
+
+    A vector's mask is its own count along the long axis. A matrix is read
+    in row slabs of at most :data:`_SLAB_CELLS` cells: each slab's 0/1
+    mask (float64, so the counts are exact below 2**53) meets a vector of
+    ones once per axis, one BLAS pass each, where summing a bool mask
+    casts it to integers per axis.
+    """
+    rows, cols = array.shape
+    if rows == 1 or cols == 1:
+        flat = np.empty(rows * cols, dtype=np.int64)
+        np.not_equal(array.reshape(-1), 0, out=flat)
+        total = np.array([np.count_nonzero(flat)], dtype=np.int64)
+        return (flat, total) if cols == 1 else (total, flat)
+    step = max(1, _SLAB_CELLS // max(cols, 1))
+    mask = np.empty((min(step, rows), cols))
+    ones_rows, ones_cols = np.ones(len(mask)), np.ones(cols)
+    row_counts = np.empty(rows)
+    col_counts = np.zeros(cols)
+    for start in range(0, rows, step):
+        slab = mask[:min(step, rows - start)]
+        np.not_equal(array[start:start + step], 0, out=slab)
+        np.dot(slab, ones_cols, out=row_counts[start:start + len(slab)])
+        col_counts += ones_rows[:len(slab)] @ slab
+    return row_counts.astype(np.int64), col_counts.astype(np.int64)
 
 
 def observed_meta(data) -> MatrixMeta:

@@ -16,9 +16,7 @@ never be recycled while its entry is alive. The memo's lifetime is one
 
 Estimator operators are pure, so memoization is purely a performance layer:
 cached and recomputed sketches are the same object graph, never merely
-similar. Under the optional pricing thread pool two workers may race to fill
-the same slot; the loser's result is dropped, which only costs the duplicate
-computation (dict reads/writes are atomic in CPython).
+similar.
 """
 
 from __future__ import annotations

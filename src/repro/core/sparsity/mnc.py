@@ -46,19 +46,22 @@ class MNCSketch:
         return min(1.0, self.nnz / cells) if cells else 0.0
 
 
-def _collision_correct(candidates: np.ndarray | float, capacity: float):
-    """Expected distinct cells hit by ``candidates`` uniform throws.
+def _collision_correct(candidates: np.ndarray, capacity: float) -> None:
+    """Replace ``candidates`` (float64, owned by the caller) by the expected
+    distinct cells their uniform throws hit.
 
     ``capacity * (1 - (1 - 1/capacity)^candidates)`` — the same correction
     MNC applies when candidate non-zero pairs may collide in one output
-    cell.
+    cell. Written in place; ``-capacity * expm1(...)`` rounds exactly as
+    ``capacity * -expm1(...)`` does.
     """
-    if capacity <= 0:
-        return 0.0
-    scaled = np.minimum(np.asarray(candidates, dtype=np.float64), 1e18)
+    np.minimum(candidates, 1e18, out=candidates)
     if capacity <= 1.0:
-        return np.minimum(scaled, capacity)
-    return capacity * (-np.expm1(scaled * np.log1p(-1.0 / capacity)))
+        np.minimum(candidates, capacity, out=candidates)
+        return
+    np.multiply(candidates, np.log1p(-1.0 / capacity), out=candidates)
+    np.expm1(candidates, out=candidates)
+    np.multiply(candidates, -capacity, out=candidates)
 
 
 class MNCEstimator(SparsityEstimator):
@@ -93,16 +96,18 @@ class MNCEstimator(SparsityEstimator):
         # Apportion candidates to output rows proportionally to the left's
         # row counts (row i contributes h^r_L[i]/nnz_L of the pairings),
         # then correct for collisions within each output row of width cols.
-        row_candidates = left.row_counts * (total_candidates / left_nnz)
-        col_candidates = right.col_counts * (total_candidates / right_nnz)
-        row_counts = _collision_correct(row_candidates, float(right.cols))
-        col_counts = _collision_correct(col_candidates, float(left.rows))
+        row_counts = left.row_counts * (total_candidates / left_nnz)
+        col_counts = right.col_counts * (total_candidates / right_nnz)
+        _collision_correct(row_counts, float(right.cols))
+        _collision_correct(col_counts, float(left.rows))
         # Keep the two marginals consistent: scale columns to the row total.
         row_total = float(np.sum(row_counts))
         col_total = float(np.sum(col_counts))
         if col_total > 0:
-            col_counts = col_counts * (row_total / col_total)
-        return MNCSketch(left.rows, right.cols, row_counts, col_counts)
+            col_counts *= row_total / col_total
+        product = MNCSketch(left.rows, right.cols, row_counts, col_counts)
+        product.__dict__["nnz"] = row_total  # what ``nnz`` would sum again
+        return product
 
     def transpose(self, operand: MNCSketch) -> MNCSketch:
         return MNCSketch(operand.cols, operand.rows,

@@ -24,7 +24,6 @@ from .chains import ProgramChains
 from .cost.model import CostModel
 from .enumerate import enumerate_combinations
 from .options import EliminationOption, options_contradict
-from .parallel import parallel_map, resolve_workers
 from .probe import ProbeResult, probe
 from .sparsity.base import Sketch
 
@@ -45,14 +44,8 @@ def choose_options(strategy: str, chains: ProgramChains, model: CostModel,
                    options: list[EliminationOption],
                    input_sketches: dict[str, Sketch],
                    config: OptimizerConfig | None = None) -> StrategyResult:
-    """Dispatch to the requested elimination strategy.
-
-    ``config.pricing_workers`` fans independent candidate pricing out over
-    a thread pool (1 = serial); either way the chosen plan and predicted
-    cost are identical — parallelism never reorders a cost reduction.
-    """
+    """Dispatch to the requested elimination strategy."""
     config = config or OptimizerConfig()
-    workers = resolve_workers(config.pricing_workers)
     started = time.perf_counter()
     if strategy == "none":
         result = StrategyResult(strategy=strategy)
@@ -62,25 +55,21 @@ def choose_options(strategy: str, chains: ProgramChains, model: CostModel,
         # improving the operator order", i.e. it never trades order for
         # reuse — but it does not apply reuses that lose outright either.
         eligible = [o for o in options if o.preserves_order]
-        outcome = probe(chains, model, eligible, input_sketches,
-                        workers=workers)
+        outcome = probe(chains, model, eligible, input_sketches)
         result = StrategyResult(chosen=outcome.chosen, strategy=strategy,
                                 notes={"eligible": len(eligible),
                                        **_probe_notes(outcome)})
     elif strategy == "aggressive":
         result = _greedy(chains, model, options, input_sketches,
                          predicate=lambda o: True,
-                         order_changing_first=True, strategy=strategy,
-                         workers=workers)
+                         order_changing_first=True, strategy=strategy)
     elif strategy == "automatic":
         result = _maximal(options)
     elif strategy == "adaptive":
-        result = _adaptive(chains, model, options, input_sketches, config,
-                           workers)
+        result = _adaptive(chains, model, options, input_sketches, config)
     else:
         raise ValueError(f"unknown strategy {strategy!r}; known: {STRATEGIES}")
     result.wall_seconds = time.perf_counter() - started
-    result.notes.setdefault("pricing_workers", workers)
     return result
 
 
@@ -96,17 +85,16 @@ def _probe_notes(outcome: ProbeResult) -> dict:
 def _adaptive(chains: ProgramChains, model: CostModel,
               options: list[EliminationOption],
               input_sketches: dict[str, Sketch],
-              config: OptimizerConfig, workers: int = 1) -> StrategyResult:
+              config: OptimizerConfig) -> StrategyResult:
     if config.combiner == "dp":
-        outcome = probe(chains, model, options, input_sketches,
-                        workers=workers)
+        outcome = probe(chains, model, options, input_sketches)
         return StrategyResult(chosen=outcome.chosen, strategy="adaptive",
                               notes=_probe_notes(outcome))
     if config.combiner in ("enum-dfs", "enum-bfs"):
         order = config.combiner.split("-")[1]
         outcome = enumerate_combinations(
             chains, model, options, input_sketches, order=order,
-            option_limit=config.enum_option_limit, workers=workers)
+            option_limit=config.enum_option_limit)
         return StrategyResult(chosen=outcome.chosen, strategy="adaptive",
                               notes={"chain_cost": outcome.chain_cost,
                                      "plain_cost": outcome.plain_cost,
@@ -119,8 +107,7 @@ def _greedy(chains: ProgramChains, model: CostModel,
             options: list[EliminationOption],
             input_sketches: dict[str, Sketch], predicate,
             order_changing_first: bool, strategy: str,
-            require_positive_saving: bool = False,
-            workers: int = 1) -> StrategyResult:
+            require_positive_saving: bool = False) -> StrategyResult:
     """Greedy compatible set in a fixed priority order.
 
     The aggressive strategy does not consult the cost model to *reject*
@@ -131,12 +118,10 @@ def _greedy(chains: ProgramChains, model: CostModel,
     """
     eligible = [o for o in options if predicate(o)]
     envs = statement_sketch_envs(chains, model, input_sketches)
-    tables = build_all_tables(chains, model, envs, workers=workers)
-    all_savings = parallel_map(
-        lambda o: cost_option(o, chains, model, tables, envs).estimated_saving,
-        eligible, workers)
-    savings = {o.option_id: saving
-               for o, saving in zip(eligible, all_savings)}
+    tables = build_all_tables(chains, model, envs)
+    savings = {o.option_id:
+               cost_option(o, chains, model, tables, envs).estimated_saving
+               for o in eligible}
     if require_positive_saving:
         eligible = [o for o in eligible if savings[o.option_id] > 0.0]
 

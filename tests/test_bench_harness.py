@@ -10,6 +10,7 @@ from repro.bench import (
     BenchContext,
     claims_counts,
     fig3_motivation,
+    fig9_strategies,
     fig10_dp_vs_enum,
     fig13_balance,
     render_table,
@@ -135,7 +136,7 @@ class TestFigureDrivers:
 
 
 class TestPaperShapes:
-    """Two of the paper's qualitative results, on the simulated clock the
+    """Three of the paper's qualitative results, on the simulated clock the
     benchmarks run (default cluster, three iterations), which cannot
     flake: a change that moves a simulated second and breaks a shape is
     caught here, not by a reader of ``results/``."""
@@ -162,3 +163,22 @@ class TestPaperShapes:
         assert all(by["DP-MNC"] <= by["DP-MD"] for by in plans.values())
         # Not a tie everywhere: zipf-tail is where the estimators differ.
         assert any(by["DP-MNC"] < by["DP-MD"] for by in plans.values())
+
+    def test_fig9_aggressive_blows_up_and_adaptive_tracks_the_better(self):
+        # Aggressive's dfp/cri3 loss to SystemDS grows with the data: 5x at
+        # scale 0.01, 9x at 0.02, 13x at 0.03, 22x at 0.05, 43x at 0.1.
+        rows = fig9_strategies(BenchContext(scale=0.05, iterations=3),
+                               datasets=("cri1", "cri3"))
+        seconds = {}
+        for row in rows:
+            seconds.setdefault((row["algorithm"], row["dataset"]), {})[
+                row["engine"]] = row["execution_seconds"]
+        blown = seconds[("dfp", "cri3")]
+        assert blown["remac-aggressive"] > 10 * blown["systemds"]
+        assert blown["remac-aggressive"] > 10 * blown["remac"]
+        for by in seconds.values():
+            assert by["remac"] <= 1.25 * min(by["remac-conservative"],
+                                             by["remac-aggressive"])
+        # The recorded deviation: conservative trails SystemDS on DFP.
+        dfp = seconds[("dfp", "cri1")]
+        assert dfp["remac-conservative"] > dfp["systemds"]

@@ -144,42 +144,3 @@ class TestFaultFlags:
                      "--scale", "0.05"])
         assert code == 0
         assert "faults" not in capsys.readouterr().out
-
-
-class TestPricingWorkersFlag:
-    def _args(self, pricing_workers=None, no_plan_cache=False):
-        import argparse
-        return argparse.Namespace(pricing_workers=pricing_workers,
-                                  no_plan_cache=no_plan_cache)
-
-    def test_zero_means_one_thread_per_cpu_end_to_end(self):
-        """``--pricing-workers 0`` must keep its documented meaning instead
-        of being coerced to serial before reaching OptimizerConfig."""
-        import os
-
-        from repro.__main__ import _optimizer_config
-        from repro.core import resolve_workers
-
-        config = _optimizer_config(self._args(pricing_workers=0))
-        assert config.pricing_workers == 0
-        assert resolve_workers(config.pricing_workers) == (os.cpu_count() or 1)
-
-    def test_omitted_keeps_config_default(self):
-        from repro.__main__ import _optimizer_config
-        from repro.config import OptimizerConfig
-
-        config = _optimizer_config(self._args())
-        assert config.pricing_workers == OptimizerConfig().pricing_workers == 1
-
-    def test_explicit_width_passes_through(self):
-        from repro.__main__ import _optimizer_config
-
-        config = _optimizer_config(self._args(pricing_workers=3))
-        assert config.pricing_workers == 3
-
-    def test_run_accepts_zero(self, capsys):
-        code = main(["run", "--engine", "remac", "--algorithm", "gd",
-                     "--dataset", "cri1", "--iterations", "2",
-                     "--scale", "0.05", "--pricing-workers", "0"])
-        assert code == 0
-        assert "execution" in capsys.readouterr().out

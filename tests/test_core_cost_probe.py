@@ -313,6 +313,34 @@ class TestCompileDerivesOnce:
         for probed, rewritten in zip(seen["probe"], seen["rewrite"]):
             assert rewritten is probed
 
+    def test_environment_walks_price_nothing(self, monkeypatch):
+        """A walk that keeps only sketches asks the model for no price and
+        no operator (the full pricer asked 64 of dfp/cri1's 315 prices)."""
+        import repro.core.build as build
+        inside, asked = [False], []
+        walk = build._walk_sketch_envs
+
+        def walking(*args):
+            inside[0] = True
+            try:
+                return walk(*args)
+            finally:
+                inside[0] = False
+
+        def spy(method):
+            def asking(self, *args, **kwargs):
+                asked.append((method.__name__, inside[0]))
+                return method(self, *args, **kwargs)
+            return asking
+
+        monkeypatch.setattr(build, "_walk_sketch_envs", walking)
+        for name in ("priced", "matmul", "mmchain", "ewise", "transpose",
+                     "aggregate", "map_cells", "structural"):
+            monkeypatch.setattr(CostModel, name, spy(getattr(CostModel, name)))
+        compile_recording_model("dfp", monkeypatch)
+        assert {"priced", "matmul"} <= {name for name, _ in asked}
+        assert [name for name, walking in asked if walking] == []
+
     def test_environments_are_rebuilt_for_another_model(self, cluster,
                                                         thin_inputs):
         chains, _options, model, sketches = setup(thin_inputs, cluster)

@@ -140,7 +140,7 @@ class TestStrategies:
         assert set(notes["conservative"]) - {"eligible"} \
             == set(notes["adaptive"]) \
             == {"chain_cost", "plain_cost", "entries", "cost_graph_seconds",
-                "dp_seconds", "pricing_workers"}
+                "dp_seconds"}
 
     def test_aggressive_prefers_order_changing(self, world):
         _p, chains, options, model, sketches, _d, _c = world

@@ -91,8 +91,7 @@ class TestCacheHits:
         assert 1 <= len(rounds) <= 3
         assert all(set(entry) == {"options", "chosen", "chain_cost",
                                   "plain_cost", "entries",
-                                  "cost_graph_seconds", "dp_seconds",
-                                  "pricing_workers"}
+                                  "cost_graph_seconds", "dp_seconds"}
                    for entry in rounds)
         assert sum(entry["chosen"] for entry in rounds) \
             == len(cold.applied_options)
@@ -201,8 +200,7 @@ class TestFingerprint:
         base = self.fingerprint(gd_setup, cluster, tokens=tokens)
         tweaked = self.fingerprint(
             gd_setup, cluster, tokens=tokens,
-            config=OptimizerConfig(cost_memo=False, pricing_workers=8,
-                                   plan_cache_size=2))
+            config=OptimizerConfig(cost_memo=False, plan_cache_size=2))
         assert base == tweaked
 
     @pytest.mark.parametrize("kwarg, perf_only", [
