@@ -9,14 +9,6 @@ Scale and iteration budget come from ``REPRO_BENCH_SCALE`` /
 import pytest
 
 from repro.bench import BenchContext
-from repro.matrix.blockpool import shutdown_pools
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _kernel_pool_teardown():
-    """Shut kernel pools down deterministically after the bench session."""
-    yield
-    shutdown_pools()
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .algorithms import ALGORITHMS, get_algorithm
@@ -79,24 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(repeats after the first hit the plan cache)")
     run.add_argument("--no-plan-cache", action="store_true",
                      help="disable the compiled-plan cache")
-    run.add_argument("--kernel-workers", type=int, default=None, metavar="W",
-                     help="worker-pool width for block-level execution "
-                          "kernels (1 = serial, 0 = one worker per CPU; "
-                          "default: serial); perf-only — results and "
-                          "simulated times are bit-identical at any width")
-    run.add_argument("--kernel-backend", default=None,
-                     choices=["thread", "process"],
-                     help="block-kernel fan-out backend: 'thread' (shared "
-                          "thread pool) or 'process' (worker processes fed "
-                          "via shared memory, so the GIL stops bounding "
-                          "dense matmul); perf-only, and hosts without "
-                          "process-pool support fall back to threads")
-    run.add_argument("--kernel-parallel-threshold", type=float, default=None,
-                     metavar="CELLS",
-                     help="serial/parallel gate for block kernels, in "
-                          "estimated cell touches per tile task (0 = always "
-                          "parallel, inf = always serial; default: "
-                          "calibrated once per host and backend)")
     run.add_argument("--no-fusion", action="store_true",
                      help="disable cost-priced operator fusion (fused "
                           "element-wise regions and cost-gated mmchain); "
@@ -196,13 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="BYTES",
                        help="largest request/response line accepted on the "
                             "wire (default 64 MiB)")
-    serve.add_argument("--kernel-workers", type=int, default=None, metavar="W",
-                       help="worker-pool width for block-level execution "
-                            "kernels, shared across all requests "
-                            "(1 = serial, 0 = one worker per CPU)")
-    serve.add_argument("--kernel-backend", default=None,
-                       choices=["thread", "process"],
-                       help="block-kernel fan-out backend")
 
     sub.add_parser("datasets", help="list available datasets")
     return parser
@@ -220,13 +194,6 @@ def _command_run(args) -> int:
         engine_kwargs["estimator"] = args.estimator
     engine_kwargs["optimizer_config"] = _optimizer_config(args)
     cluster = ClusterConfig()
-    if args.kernel_workers is not None:
-        cluster = replace(cluster, kernel_workers=args.kernel_workers)
-    if args.kernel_backend is not None:
-        cluster = replace(cluster, kernel_backend=args.kernel_backend)
-    if args.kernel_parallel_threshold is not None:
-        cluster = replace(
-            cluster, kernel_parallel_threshold=args.kernel_parallel_threshold)
     if args.single_node:
         cluster = cluster.as_single_node()
     dataset = load_dataset(args.dataset, scale=args.scale)
@@ -375,11 +342,6 @@ def _command_serve(args) -> int:
     from .config import ServerConfig
     from .server import run_server
 
-    cluster = ClusterConfig()
-    if args.kernel_workers is not None:
-        cluster = replace(cluster, kernel_workers=args.kernel_workers)
-    if args.kernel_backend is not None:
-        cluster = replace(cluster, kernel_backend=args.kernel_backend)
     server_kwargs = {}
     if args.default_deadline is not None:
         server_kwargs["default_deadline_seconds"] = args.default_deadline
@@ -400,7 +362,7 @@ def _command_serve(args) -> int:
         default_engine=args.engine,
         allow_remote_shutdown=not args.no_remote_shutdown,
         **server_kwargs)
-    stats = run_server(config, cluster)
+    stats = run_server(config, ClusterConfig())
     counters = stats.get("counters", {})
     cache = stats.get("plan_cache", {})
     print(f"server stopped after {counters.get('completed', 0)} completed / "

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .matrix.blocked import DEFAULT_BLOCK_SIZE
-from .matrix.blockpool import KERNEL_BACKENDS, KernelDispatch
 
 #: Gigabit Ethernet payload rate, bytes/second.
 GBPS = 125_000_000.0
@@ -44,22 +43,6 @@ class ClusterConfig:
     #: Single-node mode: every operator runs locally with no transmission
     #: (the paper's Fig. 3(b) setting, "sufficient memory").
     single_node: bool = False
-    #: Host workers for block-level kernels at execution time: 1 = serial
-    #: (the seed behaviour and default), 0 = one worker per CPU, n > 1 =
-    #: that many workers. Perf-only — results, simulated time, and metrics
-    #: are bit-identical at any width (``--kernel-workers`` on the CLI).
-    kernel_workers: int = 1
-    #: Kernel fan-out backend: ``"thread"`` (shared thread pool, right when
-    #: the tile kernels release the GIL) or ``"process"`` (worker processes
-    #: fed via shared memory, so the GIL stops bounding dense matmul).
-    #: Perf-only like the width (``--kernel-backend`` on the CLI); hosts
-    #: that cannot run process pools fall back to threads automatically.
-    kernel_backend: str = "thread"
-    #: Serial/parallel gate for block kernels, in estimated cell touches
-    #: per tile task. ``None`` (default) calibrates the break-even once
-    #: per host and backend; ``0.0`` always parallelizes; ``inf`` always
-    #: stays serial (``--kernel-parallel-threshold`` on the CLI).
-    kernel_parallel_threshold: float | None = None
 
     def __post_init__(self) -> None:
         """Validate at construction: a bad knob raises :class:`ConfigError`
@@ -89,29 +72,6 @@ class ClusterConfig:
                 f"broadcast_limit_bytes must be >= 0, got {self.broadcast_limit_bytes}")
         if self.block_size < 1:
             raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
-        if self.kernel_workers < 0:
-            raise ConfigError(
-                f"kernel_workers must be >= 0 (0 = one worker per CPU), "
-                f"got {self.kernel_workers}")
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ConfigError(
-                f"kernel_backend must be one of {'/'.join(KERNEL_BACKENDS)}, "
-                f"got {self.kernel_backend!r}")
-        if self.kernel_parallel_threshold is not None \
-                and not self.kernel_parallel_threshold >= 0.0:  # rejects NaN
-            raise ConfigError(
-                f"kernel_parallel_threshold must be >= 0 or None (= per-host "
-                f"calibrated), got {self.kernel_parallel_threshold}")
-
-    def kernel_dispatch(self) -> KernelDispatch:
-        """The execution-kernel fan-out spec these knobs describe.
-
-        The runtime threads this object through every block kernel in
-        place of a bare worker count; all three fields are perf-only, so
-        any dispatch produces results bit-identical to the serial path.
-        """
-        return KernelDispatch(self.kernel_workers, self.kernel_backend,
-                              self.kernel_parallel_threshold)
 
     @property
     def cluster_flops(self) -> float:

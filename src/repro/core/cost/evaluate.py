@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from ...errors import OptimizerError
 from ...lang.ast import (
     CELLWISE_BUILTINS,
-    ZERO_PRESERVING_BUILTINS,
     Call,
     Compare,
     Expr,
@@ -46,7 +45,7 @@ from ...runtime.hybrid import LOCAL, value_distributed
 from ...runtime.plan import PredictedOp, StatementPath
 from ...runtime.pricing import price_fused_ewise
 from ..sparsity.base import Sketch
-from .model import CostModel, Priced, structural_meta
+from .model import CostModel, Priced
 
 
 @dataclass
@@ -180,7 +179,7 @@ class ProgramCostEvaluator:
             sec_l, left = self._price_expr(expr.left, env, pricing)
             sec_r, right = self._price_expr(expr.right, env, pricing)
             if not pricing:
-                return 0.0, getattr(self.model.estimator, kind)(left, right)
+                return 0.0, self.model.ewise_sketch(kind, left, right)
             priced = self.model.ewise(kind, left, right)
             self._note(kind, priced)
             return sec_l + sec_r + priced.seconds, priced.sketch
@@ -209,12 +208,8 @@ class ProgramCostEvaluator:
         if left_meta.is_scalar_like and right_meta.is_scalar_like:
             return sec_l + sec_r, self.model.scalar()
         if not pricing:
-            estimator = self.model.estimator
-            if left_fused:
-                left = estimator.transpose(left)
-            if right_fused:
-                right = estimator.transpose(right)
-            return 0.0, estimator.matmul(left, right)
+            return 0.0, self.model.matmul_sketch(left, right, left_fused,
+                                                 right_fused)[2]
         priced = self.model.matmul(left, right, left_fused_transpose=left_fused,
                                    right_fused_transpose=right_fused)
         self._note("matmul", priced)
@@ -277,16 +272,14 @@ class ProgramCostEvaluator:
             return seconds + priced.seconds, priced.sketch
         if expr.func in ("rowsums", "colsums", "diag"):
             if not pricing:
-                return 0.0, self.model.estimator.sketch_meta(
-                    structural_meta(expr.func, self.model.meta(sketch)))
+                return 0.0, self.model.structural_sketch(expr.func, sketch)[1]
             priced = self.model.structural(expr.func, sketch)
             self._note("structural", priced)
             return seconds + priced.seconds, priced.sketch
         if expr.func in CELLWISE_BUILTINS and \
                 not self.model.meta(sketch).is_scalar_like:
             if not pricing:
-                return 0.0, self.model.estimator.scalar_op(
-                    sketch, preserves_zero=expr.func in ZERO_PRESERVING_BUILTINS)
+                return 0.0, self.model.map_cells_sketch(expr.func, sketch)
             priced = self.model.map_cells(expr.func, sketch)
             self._note("map", priced)
             return seconds + priced.seconds, priced.sketch

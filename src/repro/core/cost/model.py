@@ -172,10 +172,6 @@ class CostModel:
         return self.estimator.scalar_op(
             operand, preserves_zero=func_name in ZERO_PRESERVING_BUILTINS)
 
-    def aggregate_sketch(self, operand: Sketch) -> Sketch:
-        del operand
-        return self.estimator.scalar()
-
     def structural_sketch(self, kind: str, operand: Sketch
                           ) -> tuple[MatrixMeta, Sketch]:
         """Output meta (the type checker's rules) and sketch of rowsums /
@@ -224,13 +220,7 @@ class CostModel:
 
     def ewise(self, kind: str, left: Sketch, right: Sketch) -> Priced:
         def compute() -> Priced:
-            combine = {
-                "add": self.estimator.add,
-                "subtract": self.estimator.subtract,
-                "multiply": self.estimator.multiply,
-                "divide": self.estimator.divide,
-            }[kind]
-            out = combine(left, right)
+            out = self.ewise_sketch(kind, left, right)
             price = price_ewise(kind, self.meta(left), self.meta(right), self.meta(out),
                                 self.config, self.policy)
             return Priced(price, out)
@@ -255,10 +245,8 @@ class CostModel:
     def map_cells(self, func_name: str, operand: Sketch) -> Priced:
         """Price a cell-wise builtin map."""
         def compute() -> Priced:
-            from ...lang.ast import ZERO_PRESERVING_BUILTINS
             from ...runtime.pricing import price_map
-            preserves = func_name in ZERO_PRESERVING_BUILTINS
-            out = self.estimator.scalar_op(operand, preserves_zero=preserves)
+            out = self.map_cells_sketch(func_name, operand)
             price = price_map(self.meta(operand), self.meta(out), self.config,
                               self.policy)
             return Priced(price, out)
@@ -269,10 +257,9 @@ class CostModel:
         """Price rowsums / colsums / diag."""
         def compute() -> Priced:
             from ...runtime.pricing import price_structural
-            meta_in = self.meta(operand)
-            out_meta = structural_meta(kind, meta_in)
-            out = self.estimator.sketch_meta(out_meta)
-            price = price_structural(kind, meta_in, out_meta, self.config, self.policy)
+            out_meta, out = self.structural_sketch(kind, operand)
+            price = price_structural(kind, self.meta(operand), out_meta,
+                                     self.config, self.policy)
             return Priced(price, out)
         return self._memo(("structural", kind, id(operand)), (operand,),
                           compute)
@@ -284,10 +271,3 @@ class CostModel:
 
     def scalar(self) -> Sketch:
         return self.estimator.scalar()
-
-
-def structural_meta(kind: str, meta_in: MatrixMeta) -> MatrixMeta:
-    """Output meta of rowsums / colsums / diag (the type checker's rules)."""
-    from ...lang.typecheck import _call_meta
-    from ...lang.ast import Call, MatrixRef
-    return _call_meta(Call(kind, (MatrixRef("__x__"),)), {"__x__": meta_in})

@@ -61,14 +61,6 @@ PERF_ONLY_CONFIG_FIELDS = frozenset({
     "plan_cache", "plan_cache_size", "cost_memo",
 })
 
-#: ClusterConfig fields that cannot affect the chosen plan or its
-#: predicted cost — the kernel pool width, backend, and serial/parallel
-#: gate only change host wall-clock, so toggling them must hit the same
-#: cached plan.
-PERF_ONLY_CLUSTER_FIELDS = frozenset({
-    "kernel_workers", "kernel_backend", "kernel_parallel_threshold",
-})
-
 
 #: Separates the parts of a fingerprint.
 _SEPARATOR = "\x1e"
@@ -147,7 +139,7 @@ class DataTokens:
         return purge
 
 
-def _fields_text(config, perf_only: frozenset) -> str:
+def _fields_text(config, perf_only: frozenset = frozenset()) -> str:
     return ";".join(f"{f.name}={getattr(config, f.name)!r}"
                     for f in fields(config) if f.name not in perf_only)
 
@@ -161,7 +153,7 @@ def settings_text(config: OptimizerConfig, cluster: ClusterConfig,
     """
     return _SEPARATOR.join((
         "config", _fields_text(config, PERF_ONLY_CONFIG_FIELDS),
-        "cluster", _fields_text(cluster, PERF_ONLY_CLUSTER_FIELDS),
+        "cluster", _fields_text(cluster),
         "policy", repr(policy)))
 
 

@@ -1,10 +1,10 @@
 """Sessions: per-tenant views onto one shared, warm :class:`Engine`.
 
 The serving deployment (docs/architecture.md §14) keeps exactly one warm
-engine per configuration in the process — its optimizer, plan cache,
-input-sketch memo, and the blockpool kernel pools are *shared* state that
-amortizes across every caller. What is *not* shared is the per-request
-state: the program being run, the bound inputs, the executor with its
+engine per configuration in the process — its optimizer, plan cache and
+input-sketch memo are *shared* state that amortizes across every caller.
+What is *not* shared is the per-request state: the program being run, the
+bound inputs, the executor with its
 metrics/volumes/environment, and the tenant-facing accounting. A
 :class:`Session` is the object that draws that line: it holds the tenant
 identity and usage counters, and delegates compile/execute to the shared

@@ -2,18 +2,6 @@
 
 from .block import Block, zeros
 from .blocked import DEFAULT_BLOCK_SIZE, BlockedMatrix
-from .blockpool import (
-    KERNEL_BACKENDS,
-    KernelDispatch,
-    default_kernel_workers,
-    map_blocks,
-    parallel_work_threshold,
-    process_backend_available,
-    resolve_kernel_workers,
-    set_default_kernel_workers,
-    set_parallel_work_threshold,
-    shutdown_pools,
-)
 from .formats import (
     DENSE_THRESHOLD,
     ULTRA_SPARSE_THRESHOLD,
@@ -28,11 +16,6 @@ from .partitioner import HashPartitioner, worker_of_block
 __all__ = [
     "Block", "zeros",
     "BlockedMatrix", "DEFAULT_BLOCK_SIZE",
-    "map_blocks", "resolve_kernel_workers",
-    "default_kernel_workers", "set_default_kernel_workers",
-    "KernelDispatch", "KERNEL_BACKENDS", "shutdown_pools",
-    "parallel_work_threshold", "set_parallel_work_threshold",
-    "process_backend_available",
     "StorageFormat", "choose_format", "size_in_bytes", "dense_size_in_bytes",
     "DENSE_THRESHOLD", "ULTRA_SPARSE_THRESHOLD",
     "MatrixMeta", "scalar_meta", "DOUBLE_BYTES",

@@ -74,13 +74,13 @@ class Block:
     * ``_floor``, on a large dense tile whose count was proved: a lower
       bound on the magnitude of its non-zero cells, which lets the next
       ``scale`` prove that none underflows. Only those two kernels pass it
-      on; it says nothing about ``inf`` / ``nan`` cells and is not pickled.
+      on; it says nothing about ``inf`` / ``nan`` cells.
 
     Everything else (``sparsity``, ``serialized_bytes``, ``meta``) derives
     from the two in O(1).
 
     A block also keeps, once asked, the view ``data.T``
-    (:meth:`transposed_view`); it is not pickled.
+    (:meth:`transposed_view`).
     """
 
     __slots__ = ("data", "is_sparse", "_nnz", "_transposed_view", "_floor")
@@ -118,9 +118,9 @@ class Block:
         return block
 
     def __reduce__(self):
-        # The view and the floor stay behind: sparse blocks ride the
-        # process backend's pickle pipe; the receiver rebuilds the one
-        # from ``data`` and counts without the other.
+        # The view and the floor stay behind: a pickled block carries its
+        # payload and count; the receiver rebuilds the one from ``data``
+        # and counts without the other.
         return Block.of, (self.data, self.is_sparse, self._nnz)
 
     # ------------------------------------------------------------------

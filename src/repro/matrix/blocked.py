@@ -12,28 +12,16 @@ Distribution effects (which worker holds which block, what a multiply
 shuffles) are the runtime's business; it consumes the grid structure exposed
 here.
 
-Two execution fast paths live at this layer (see ``docs/architecture.md``
-§10), both invariant-preserving — results, simulated time, and metrics are
-bit-identical to the serial seed behaviour:
+The execution fast paths at this layer (see ``docs/architecture.md`` §10)
+are invariant-preserving — results, simulated time, and metrics are
+bit-identical to the seed behaviour:
 
-* **Parallel block kernels.** The tile loops of ``matmul``, the cell-wise
-  ops, ``map_cells``, ``add_scalar``, dense construction and the CSR tiles
-  of ``transpose`` fan out over the shared worker pools in
-  :mod:`repro.matrix.blockpool` when a ``workers`` count > 1 (or a
-  :class:`~repro.matrix.blockpool.KernelDispatch`) is passed — the runtime
-  threads ``ClusterConfig.kernel_dispatch()`` through. The heavy kernels
-  (matmul tile products, the ``_zip`` family, ``add_scalar``, CSR
-  transposes) are module-level task functions over self-contained tasks,
-  so the process backend can ship them to worker processes; ``from_numpy``
-  and ``map_cells`` carry closures and run on the thread backend. Dense
-  tiles are transposed on the spot, as views: a copy made elsewhere would
-  multiply differently against its own source. Each helper preserves the
-  serial iteration order for every float fold and grid insertion, so
-  parallelism only changes host wall-clock, never a value. Every
-  ``work_hint`` follows the :func:`~repro.matrix.blockpool.map_blocks`
-  contract — estimated *cell touches per tile task* — and the ones that
-  read tile counts are passed as callables, which a serial dispatch never
-  evaluates.
+* **Fixed folds.** Every tile loop runs where it is called, in one order:
+  a product tile folds its pairs in left-block scan order, and grids are
+  filled in first-touch order, because later float folds read them in
+  that order. Dense tiles transpose as views of their source payload: a
+  multiply of a payload by its own transposed view is not summed in the
+  order a multiply by a copy is.
 * **Statistics that travel with the tile.** A tile's layout flag and
   non-zero count are set once, by whoever makes the tile, and carried by
   every operation that cannot change them (see :class:`~repro.matrix.
@@ -65,7 +53,7 @@ bit-identical to the serial seed behaviour:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from scipy import sparse
@@ -73,7 +61,6 @@ from scipy import sparse
 from ..errors import ExecutionError, ShapeError
 from .block import (COMPARE_COUNT_CELLS, Block, count_nonzero,
                     rank_one_facts, zeros)
-from .blockpool import map_blocks
 from .meta import MatrixMeta
 
 DEFAULT_BLOCK_SIZE = 512
@@ -113,34 +100,23 @@ class BlockedMatrix:
     # ------------------------------------------------------------------
     @classmethod
     def from_numpy(cls, array: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE,
-                   symmetric: bool = False,
-                   workers: int | None = None) -> "BlockedMatrix":
+                   symmetric: bool = False) -> "BlockedMatrix":
         array = np.atleast_2d(np.asarray(array, dtype=np.float64))
         rows, cols = array.shape
         result = cls(rows, cols, block_size, symmetric=symmetric)
-        col_blocks = result.col_blocks
-
-        def build_row(bi: int) -> list[tuple[tuple[int, int], Block]]:
-            row: list[tuple[tuple[int, int], Block]] = []
-            for bj in range(col_blocks):
+        for bi in range(result.row_blocks):
+            for bj in range(result.col_blocks):
                 tile = array[bi * block_size:(bi + 1) * block_size,
                              bj * block_size:(bj + 1) * block_size]
                 count = count_nonzero(tile)
                 if count:
-                    row.append(((bi, bj),
-                                Block.of(tile.copy(), False, count).normalized()))
-            return row
-
-        row_work = float(cols) * block_size  # cells scanned per row slab
-        for row in map_blocks(build_row, range(result.row_blocks), workers,
-                              work_hint=row_work):
-            result.blocks.update(row)
+                    result.blocks[bi, bj] = Block.of(
+                        tile.copy(), False, count).normalized()
         return result
 
     @classmethod
     def from_scipy(cls, matrix: sparse.spmatrix, block_size: int = DEFAULT_BLOCK_SIZE,
-                   symmetric: bool = False,
-                   workers: int | None = None) -> "BlockedMatrix":
+                   symmetric: bool = False) -> "BlockedMatrix":
         """CSR tiles from one conversion per row slab, none per tile.
 
         A slab is a slice of the input's CSR arrays. One tile wide with
@@ -196,8 +172,7 @@ class BlockedMatrix:
 
     @classmethod
     def from_any(cls, data, block_size: int = DEFAULT_BLOCK_SIZE,
-                 symmetric: bool = False,
-                 workers: int | None = None) -> "BlockedMatrix":
+                 symmetric: bool = False) -> "BlockedMatrix":
         if isinstance(data, BlockedMatrix):
             # Already tiled: checked against the arguments, then passed
             # through with whatever it has cached (transposed tiles too).
@@ -215,9 +190,8 @@ class BlockedMatrix:
                 return flagged
             return data
         if sparse.issparse(data):
-            return cls.from_scipy(data, block_size, symmetric, workers=workers)
-        return cls.from_numpy(np.asarray(data), block_size, symmetric,
-                              workers=workers)
+            return cls.from_scipy(data, block_size, symmetric)
+        return cls.from_numpy(np.asarray(data), block_size, symmetric)
 
     @classmethod
     def scalar(cls, value: float, block_size: int = DEFAULT_BLOCK_SIZE) -> "BlockedMatrix":
@@ -351,7 +325,7 @@ class BlockedMatrix:
     # ------------------------------------------------------------------
     # Logical arithmetic (used by the executor's kernels)
     # ------------------------------------------------------------------
-    def transpose(self, workers: int | None = None) -> "BlockedMatrix":
+    def transpose(self) -> "BlockedMatrix":
         """The transposed grid: its tiles are transposed on the first call
         and shared by every later one.
 
@@ -365,29 +339,18 @@ class BlockedMatrix:
         """
         tiles = self._transposed
         if tiles is None:
-            # Dense tiles transpose as views of the source payload, here
-            # and now: a worker process would hand back a copy, and a
-            # multiply of a payload by its own transposed view is not
-            # summed in the order a multiply by a copy is. Only CSR tiles,
-            # which pay an O(nnz) re-conversion, are tasks; the hint is
-            # their average nnz.
-            sparse_tiles = [block for block in self.blocks.values()
-                            if block.is_sparse]
-            converted = iter(map_blocks(
-                Block.transpose, sparse_tiles, workers,
-                work_hint=lambda: sum(block.nnz for block in sparse_tiles)
-                / len(sparse_tiles)))
+            # Dense tiles transpose as views of the source payload, never
+            # as copies: a multiply of a payload by its own transposed view
+            # is not summed in the order a multiply by a copy is.
             tiles = self._transposed = {
-                (bj, bi): next(converted) if block.is_sparse
-                else block.transpose()
+                (bj, bi): block.transpose()
                 for (bi, bj), block in self.blocks.items()}
         result = BlockedMatrix(self.cols, self.rows, self.block_size,
                                blocks=dict(tiles), symmetric=self.symmetric)
         result._nnz = self.nnz  # a transpose moves cells, it makes none
         return result
 
-    def matmul(self, other: "BlockedMatrix",
-               workers: int | None = None) -> "BlockedMatrix":
+    def matmul(self, other: "BlockedMatrix") -> "BlockedMatrix":
         if self.cols != other.rows:
             raise ShapeError(
                 f"matmul shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -404,11 +367,10 @@ class BlockedMatrix:
             if left is not None and right is not None:
                 _store(result, (0, 0), _tile_product([(left, right)]))
         else:
-            _join_products(self, other, result, workers)
+            _join_products(self, other, result)
         return result
 
     def _zip(self, other: "BlockedMatrix", op_name: str,
-             workers: int | None = None,
              dying: tuple[bool, bool] = (False, False)) -> "BlockedMatrix":
         """Cell-wise combine; see the named wrappers below.
 
@@ -433,27 +395,27 @@ class BlockedMatrix:
             # One-cell grids: the only tile there can be, same rules.
             key = (0, 0)
             _store(result, key, _zip_entry(
-                (key, self.blocks.get(key), other.blocks.get(key),
-                 (self.rows, self.cols), op_name, dying)))
+                key, self.blocks.get(key), other.blocks.get(key),
+                (self.rows, self.cols), op_name, dying))
         else:
-            _join_cells(self, other, op_name, result, workers, dying)
+            _join_cells(self, other, op_name, result, dying)
         return result
 
-    def add(self, other: "BlockedMatrix", workers: int | None = None,
+    def add(self, other: "BlockedMatrix",
             dying: tuple[bool, bool] = (False, False)) -> "BlockedMatrix":
-        return self._zip(other, "add", workers, dying)
+        return self._zip(other, "add", dying)
 
-    def subtract(self, other: "BlockedMatrix", workers: int | None = None,
+    def subtract(self, other: "BlockedMatrix",
                  dying: tuple[bool, bool] = (False, False)) -> "BlockedMatrix":
-        return self._zip(other, "subtract", workers, dying)
+        return self._zip(other, "subtract", dying)
 
-    def multiply(self, other: "BlockedMatrix", workers: int | None = None,
+    def multiply(self, other: "BlockedMatrix",
                  dying: tuple[bool, bool] = (False, False)) -> "BlockedMatrix":
-        return self._zip(other, "multiply", workers, dying)
+        return self._zip(other, "multiply", dying)
 
-    def divide(self, other: "BlockedMatrix", workers: int | None = None,
+    def divide(self, other: "BlockedMatrix",
                dying: tuple[bool, bool] = (False, False)) -> "BlockedMatrix":
-        return self._zip(other, "divide", workers, dying)
+        return self._zip(other, "divide", dying)
 
     def scale(self, scalar: float, dying: bool = False) -> "BlockedMatrix":
         result = BlockedMatrix(self.rows, self.cols, self.block_size,
@@ -465,7 +427,7 @@ class BlockedMatrix:
             result.blocks[key] = block.scale(scalar, dying)
         return result
 
-    def add_scalar(self, scalar: float, workers: int | None = None,
+    def add_scalar(self, scalar: float,
                    dying: bool = False) -> "BlockedMatrix":
         if scalar == 0.0:
             # Value-identical to self, but with a fresh grid dict: callers
@@ -477,14 +439,12 @@ class BlockedMatrix:
         result = BlockedMatrix(self.rows, self.cols, self.block_size,
                                symmetric=self.symmetric)
         result.owns_tiles = True
-        coords = [(bi, bj) for bi in range(self.row_blocks)
-                  for bj in range(self.col_blocks)]
-        tasks = [(self.blocks.get(key), self.block_dims(*key), scalar, dying)
-                 for key in coords]
-        tile_work = float(self.rows) * self.cols / max(1, len(coords))
-        for key, block in zip(coords, map_blocks(_shift_entry, tasks, workers,
-                                                 work_hint=tile_work)):
-            result.blocks[key] = block
+        for bi in range(self.row_blocks):
+            for bj in range(self.col_blocks):
+                block = self.blocks.get((bi, bj))
+                if block is None:
+                    block = zeros(*self.block_dims(bi, bj))
+                result.blocks[bi, bj] = block.add_scalar(scalar, dying)
         return result
 
     def negate(self, dying: bool = False) -> "BlockedMatrix":
@@ -498,8 +458,7 @@ class BlockedMatrix:
     def sum(self) -> float:
         return sum(block.sum() for block in self.blocks.values())
 
-    def map_cells(self, func, preserves_zero: bool,
-                  workers: int | None = None) -> "BlockedMatrix":
+    def map_cells(self, func, preserves_zero: bool) -> "BlockedMatrix":
         """Apply ``func`` cell-wise.
 
         Zero-preserving maps run on sparse payloads directly; densifying
@@ -509,32 +468,23 @@ class BlockedMatrix:
         result = BlockedMatrix(self.rows, self.cols, self.block_size,
                                symmetric=self.symmetric)
         if preserves_zero:
-            def mapped(entry: tuple[tuple[int, int], Block]):
-                key, block = entry
+            for key, block in self.blocks.items():
                 if block.is_sparse:
                     # Same stored entries, new values.
                     payload = block.data.copy()
                     payload.data = func(payload.data)
-                    return key, Block.of(payload, True, block.nnz).normalized()
-                return key, Block(func(block.data)).normalized()
-
-            entries = list(self.blocks.items())
-            result.blocks.update(map_blocks(
-                mapped, entries, workers,
-                work_hint=lambda: self.nnz / max(1, len(entries))))
+                    result.blocks[key] = Block.of(
+                        payload, True, block.nnz).normalized()
+                else:
+                    result.blocks[key] = Block(func(block.data)).normalized()
             return result
-
-        def densified(key: tuple[int, int]):
-            block = self.blocks.get(key)
-            payload = block.to_dense_array() if block is not None \
-                else np.zeros(self.block_dims(*key))
-            return key, Block(func(payload))  # whatever func returned
-
-        coords = [(bi, bj) for bi in range(self.row_blocks)
-                  for bj in range(self.col_blocks)]
-        tile_work = float(self.rows) * self.cols / max(1, len(coords))
-        result.blocks.update(map_blocks(densified, coords, workers,
-                                        work_hint=tile_work))
+        for bi in range(self.row_blocks):
+            for bj in range(self.col_blocks):
+                block = self.blocks.get((bi, bj))
+                payload = block.to_dense_array() if block is not None \
+                    else np.zeros(self.block_dims(bi, bj))
+                # Whatever func returned.
+                result.blocks[bi, bj] = Block(func(payload))
         return result
 
     def row_sums(self) -> "BlockedMatrix":
@@ -613,10 +563,10 @@ def _store(result: BlockedMatrix, key: tuple[int, int],
 
 
 def _join_products(left: BlockedMatrix, right: BlockedMatrix,
-                   result: BlockedMatrix, workers) -> None:
+                   result: BlockedMatrix) -> None:
     """``left @ right`` into ``result``: a sparse-grid join on the inner
-    dimension, one :func:`_tile_product` task per output tile. Grids of
-    one cell each are the case :meth:`BlockedMatrix.matmul` answers without
+    dimension, one :func:`_tile_product` per output tile. Grids of one
+    cell each are the case :meth:`BlockedMatrix.matmul` answers without
     it, through the same tile function."""
     # Group right-operand blocks by their row-block index so we only touch
     # compatible pairs.
@@ -624,10 +574,9 @@ def _join_products(left: BlockedMatrix, right: BlockedMatrix,
     for (bk, bj), block in right.blocks.items():
         right_by_row.setdefault(bk, []).append((bj, block))
     # Per-output-tile contribution lists. Tiles are discovered in
-    # first-touch order and each tile's pairs in left-block scan order —
-    # exactly the serial accumulation order, so the per-tile partial-sum
-    # folds (and the result grid's insertion order) are bit-identical no
-    # matter how the tile tasks are scheduled.
+    # first-touch order and each tile's pairs in left-block scan order:
+    # that order is the per-tile partial-sum fold and the result grid's
+    # insertion order.
     contributions: dict[tuple[int, int], list[tuple[Block, Block]]] = {}
     for (bi, bk), left_block in left.blocks.items():
         for bj, right_block in right_by_row.get(bk, ()):
@@ -635,49 +584,27 @@ def _join_products(left: BlockedMatrix, right: BlockedMatrix,
             if pairs is None:
                 contributions[(bi, bj)] = pairs = []
             pairs.append((left_block, right_block))
-    # Estimated per-output-tile work: each contributing pair touches on
-    # the order of (left nnz) x (block width) cells. It keeps
-    # micro-grids off the pool; a serial dispatch never evaluates it.
-    def tile_work() -> float:
-        pair_work = sum(left_block.nnz
-                        for pairs in contributions.values()
-                        for left_block, _right_block in pairs)
-        return left.block_size * pair_work / max(1, len(contributions))
-
-    tiles = map_blocks(_tile_product, list(contributions.values()), workers,
-                       work_hint=tile_work)
-    for key, block in zip(contributions, tiles):
-        _store(result, key, block)
+    for key, pairs in contributions.items():
+        _store(result, key, _tile_product(pairs))
 
 
 def _join_cells(left: BlockedMatrix, right: BlockedMatrix, op_name: str,
-                result: BlockedMatrix, workers,
+                result: BlockedMatrix,
                 dying: tuple[bool, bool] = (False, False)) -> None:
     """Cell-wise ``op_name`` into ``result`` over the union of both grids'
-    stored tiles, one :func:`_zip_entry` task each (one-cell grids: see
+    stored tiles, one :func:`_zip_entry` each (one-cell grids: see
     :meth:`BlockedMatrix._zip`)."""
-    keys = list(set(left.blocks) | set(right.blocks))
-    # Self-contained task tuples (grid lookups happen here, serially)
-    # so the module-level task function is process-backend shippable.
-    tasks = [(key, left.blocks.get(key), right.blocks.get(key),
-              left.block_dims(*key), op_name, dying) for key in keys]
-    tiles = map_blocks(
-        _zip_entry, tasks, workers,
-        work_hint=lambda: (left.nnz + right.nnz) / max(1, len(keys)))
-    for key, block in zip(keys, tiles):
-        _store(result, key, block)
+    for key in set(left.blocks) | set(right.blocks):
+        _store(result, key, _zip_entry(
+            key, left.blocks.get(key), right.blocks.get(key),
+            left.block_dims(*key), op_name, dying))
 
 
-def _zip_entry(task) -> Block | None:
-    """One cell-wise combine task; replicates the serial ``_zip`` rules.
-
-    ``task`` is ``(key, left, right, dims, op_name, dying)`` with either
-    block possibly ``None`` (an implicit all-zero tile). Module-level and
-    self-contained so :func:`~repro.matrix.blockpool.map_blocks` can ship
-    it to worker processes (where a payload written over is the worker's
-    copy).
-    """
-    key, left, right, dims, op_name, dying = task
+def _zip_entry(key: tuple[int, int], left: Block | None,
+               right: Block | None, dims: tuple[int, int], op_name: str,
+               dying: tuple[bool, bool]) -> Block | None:
+    """One cell-wise combine; replicates the ``_zip`` rules. Either block
+    may be ``None`` (an implicit all-zero tile)."""
     if left is None and right is None:
         return None
     if left is None:
@@ -694,15 +621,6 @@ def _zip_entry(task) -> Block | None:
     if block.is_zero():
         return None
     return block.normalized()
-
-
-def _shift_entry(task) -> Block:
-    """One ``add_scalar`` tile task: ``(block_or_none, dims, scalar,
-    dying)``."""
-    block, dims, scalar, dying = task
-    if block is None:
-        block = zeros(*dims)
-    return block.add_scalar(scalar, dying)
 
 
 def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:

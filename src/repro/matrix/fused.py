@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from ..errors import ExecutionError
 from .block import Block, zeros
 from .blocked import BlockedMatrix
-from .blockpool import KernelDispatch, map_blocks
 
 ZIP_OPS = ("add", "subtract", "multiply", "divide")
 
@@ -170,8 +169,7 @@ def _root_symmetric(steps: list[Step], leaves: list[BlockedMatrix]) -> bool:
     return flags[-1]
 
 
-def evaluate_fused_ewise(steps: list[Step], leaves: list[BlockedMatrix],
-                         workers: int | KernelDispatch | None = None
+def evaluate_fused_ewise(steps: list[Step], leaves: list[BlockedMatrix]
                          ) -> tuple[BlockedMatrix, list[int]]:
     """Evaluate a fused element-wise region in one pass per tile.
 
@@ -180,13 +178,6 @@ def evaluate_fused_ewise(steps: list[Step], leaves: list[BlockedMatrix],
     observed total ``nnz`` of every step — the exact intermediate metadata
     the runtime prices the fused operator with, available here for free
     because the single pass visits every intermediate tile anyway.
-
-    ``workers`` accepts a worker count or a full
-    :class:`~repro.matrix.blockpool.KernelDispatch`; the per-tile chain
-    closes over the leaf grids, so a process-backend dispatch runs on the
-    thread pool (shipping whole operand grids per slice would cost more
-    than the GIL saves) — the calibrated gate and batched submission still
-    apply. The ``work_hint`` below follows the cells-per-task contract.
     """
     if not steps or steps[-1].op == "leaf":
         raise ValueError("fused region must end in a non-leaf step")
@@ -199,21 +190,12 @@ def evaluate_fused_ewise(steps: list[Step], leaves: list[BlockedMatrix],
                              "block size")
     row_blocks = reference.row_blocks
     col_blocks = reference.col_blocks
-    candidates = _candidate_keys(steps, leaves, row_blocks, col_blocks)
-
-    def chain(key: tuple[int, int]) -> list[Block | None]:
-        return _tile_chain(steps, leaves, rows, cols, block_size, key)
-
-    columns = map_blocks(
-        chain, candidates, workers,
-        work_hint=lambda: len(steps) * sum(leaf.nnz for leaf in leaves)
-        / max(1, len(candidates)))
-
     present: list[dict[tuple[int, int], bool]] = [{} for _ in steps]
     nnz: list[int] = [0] * len(steps)
     root_tiles: dict[tuple[int, int], Block] = {}
     root_index = len(steps) - 1
-    for key, vals in zip(candidates, columns):
+    for key in _candidate_keys(steps, leaves, row_blocks, col_blocks):
+        vals = _tile_chain(steps, leaves, rows, cols, block_size, key)
         for index, tile in enumerate(vals):
             if tile is not None:
                 present[index][key] = True

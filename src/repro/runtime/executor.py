@@ -12,10 +12,8 @@ transposes pay the distributed re-key shuffle. A cell-wise operator over
 statically 1x1 operands computes on driver floats (docs/architecture.md §7).
 
 Host wall-clock and the simulated clock are decoupled by design: the
-kernels may fan block work out across host threads or worker processes
-(``ClusterConfig.kernel_dispatch()``, docs/architecture.md §10) without
-moving a single simulated nanosecond — the dispatch spec is perf-only and
-every backend/width produces bit-identical values, metrics, and traces.
+kernels compute real tiles on the host, serially, and charge the simulated
+cluster what the operator would cost there (docs/architecture.md §10).
 """
 
 from __future__ import annotations

@@ -144,14 +144,6 @@ class Kernels:
         self.network = Network(config, self.metrics, recovery=recovery)
         if recovery is not None:
             recovery.bind(self)
-        #: Fan-out spec for block-level kernels — width, thread/process
-        #: backend, and serial/parallel gate, from ``config.kernel_*``
-        #: (width 1 = serial seed behaviour). Perf-only: values, simulated
-        #: time, and metrics are bit-identical under any dispatch — see
-        #: ``docs/architecture.md`` §10. ``map_blocks`` accepts the spec
-        #: anywhere a bare worker count is accepted, so every kernel below
-        #: passes it through unchanged.
-        self.kernel_workers = config.kernel_dispatch()
         #: Optional :class:`~repro.runtime.trace.ExecutionTracer`. Every
         #: hook below is guarded by an ``is None`` check so tracing is
         #: zero-cost when off (no spans allocated, no placement scans).
@@ -246,8 +238,7 @@ class Kernels:
         """
         try:
             matrix = BlockedMatrix.from_any(
-                data, block_size=self.config.block_size, symmetric=symmetric,
-                workers=self.kernel_workers)
+                data, block_size=self.config.block_size, symmetric=symmetric)
         except ShapeError as exc:
             raise ShapeError(f"input {name!r}: {exc}") from None
         meta = matrix.meta()
@@ -295,15 +286,14 @@ class Kernels:
         blocks worker-locally: they cost FLOP touches but no re-keying
         shuffle, unlike :meth:`transpose`.
         """
-        workers = self.kernel_workers
         left_meta = left.meta.transposed() if left_transposed else left.meta
         right_meta = right.meta.transposed() if right_transposed else right.meta
-        left_mat = left.matrix.transpose(workers) if left_transposed else left.matrix
-        right_mat = right.matrix.transpose(workers) if right_transposed \
+        left_mat = left.matrix.transpose() if left_transposed else left.matrix
+        right_mat = right.matrix.transpose() if right_transposed \
             else right.matrix
         left_mat, right_mat = self._coerce_mixed(left_mat, right_mat)
 
-        result = left_mat.matmul(right_mat, workers=workers)
+        result = left_mat.matmul(right_mat)
         # t(X) %*% X and X %*% t(X) are provably symmetric whatever X is
         # (the flag changes no pricing — metas price by shape and sparsity).
         if left.matrix is right.matrix and left_transposed != right_transposed:
@@ -317,7 +307,7 @@ class Kernels:
             self.tracer.record_operator("matmul", price, (left_meta, right_meta), out)
         if self.recovery is not None:
             self._finish_op("matmul", price, result,
-                            lambda: left_mat.matmul(right_mat, workers=workers))
+                            lambda: left_mat.matmul(right_mat))
         return out
 
     def mmchain(self, x: Value, v: Value, exact_inner: bool = False) -> Value:
@@ -331,9 +321,8 @@ class Kernels:
         the charge prices the never-materialized intermediate with its
         observed meta instead of the legacy dense assumption.
         """
-        workers = self.kernel_workers
-        inner = x.matrix.matmul(v.matrix, workers=workers)
-        result = x.matrix.transpose(workers).matmul(inner, workers=workers)
+        inner = x.matrix.matmul(v.matrix)
+        result = x.matrix.transpose().matmul(inner)
         price = self._priced(
             price_mmchain, (x.meta, v.meta, result.meta()),
             (x.imbalance, inner.meta() if exact_inner else None))
@@ -344,8 +333,7 @@ class Kernels:
             x_mat, v_mat = x.matrix, v.matrix
             self._finish_op(
                 "mmchain", price, result,
-                lambda: x_mat.transpose(workers).matmul(
-                    x_mat.matmul(v_mat, workers=workers), workers=workers))
+                lambda: x_mat.transpose().matmul(x_mat.matmul(v_mat)))
         return out
 
     def fused_ewise(self, plan) -> Value:
@@ -360,10 +348,9 @@ class Kernels:
         """
         from ..matrix.fused import evaluate_fused_ewise
         from .fusion import exact_fused_price
-        workers = self.kernel_workers
         steps = plan.steps
         leaves = [value.matrix for value in plan.leaf_values]
-        result, step_nnz = evaluate_fused_ewise(steps, leaves, workers)
+        result, step_nnz = evaluate_fused_ewise(steps, leaves)
         price = exact_fused_price(plan, result.meta(), step_nnz, self.config,
                                   self.policy)
         self._charge(price)
@@ -374,7 +361,7 @@ class Kernels:
         if self.recovery is not None:
             self._finish_op(
                 "fused_ewise", price, result,
-                lambda: evaluate_fused_ewise(steps, leaves, workers)[0])
+                lambda: evaluate_fused_ewise(steps, leaves)[0])
         return out
 
     def _coerce_mixed(self, left_mat: BlockedMatrix,
@@ -387,8 +374,8 @@ class Kernels:
         if left_sparse == right_sparse:
             return left_mat, right_mat
         target = left_mat if left_sparse else right_mat
-        densified = BlockedMatrix.from_numpy(target.to_numpy(), target.block_size,
-                                             workers=self.kernel_workers)
+        densified = BlockedMatrix.from_numpy(target.to_numpy(),
+                                             target.block_size)
         self.metrics.charge_compute(
             target.rows * target.cols / self.config.cluster_flops)
         if left_sparse:
@@ -425,8 +412,7 @@ class Kernels:
             if not price.output_distributed:
                 return self._driver_result(kind, price, number,
                                            (left_meta, right_meta))
-        result = getattr(left.matrix, kind)(right.matrix, self.kernel_workers,
-                                            dying)
+        result = getattr(left.matrix, kind)(right.matrix, dying)
         if price is None:
             price = self._priced(
                 price_ewise, (kind, left_meta, right_meta, result.meta()),
@@ -436,23 +422,22 @@ class Kernels:
             self.tracer.record_operator(kind, price, (left_meta, right_meta),
                                         out)
         if self.recovery is not None:
-            left_mat, right_mat, workers = left.matrix, right.matrix, self.kernel_workers
+            left_mat, right_mat = left.matrix, right.matrix
             self._finish_op(kind, price, result,
-                            lambda: getattr(left_mat, kind)(right_mat, workers))
+                            lambda: getattr(left_mat, kind)(right_mat))
         return out
 
     def _scalar_ewise(self, scalar: float, value: Value, kind: str,
                       left_side: bool, dying: bool) -> Value:
         matrix = value.matrix
         meta = value.meta
-        workers = self.kernel_workers
 
         def compute() -> BlockedMatrix:
             if kind == "add":
-                return matrix.add_scalar(scalar, workers, dying)
+                return matrix.add_scalar(scalar, dying)
             if kind == "subtract":
-                return matrix.negate(dying).add_scalar(scalar, workers, dying) \
-                    if left_side else matrix.add_scalar(-scalar, workers, dying)
+                return matrix.negate(dying).add_scalar(scalar, dying) \
+                    if left_side else matrix.add_scalar(-scalar, dying)
             if kind == "multiply":
                 return matrix.scale(scalar, dying)
             if kind == "divide":
@@ -513,15 +498,14 @@ class Kernels:
     # ------------------------------------------------------------------
     def transpose(self, value: Value) -> Value:
         """Materialized transpose: distributed inputs pay a re-key shuffle."""
-        result = value.matrix.transpose(self.kernel_workers)
+        result = value.matrix.transpose()
         price = self._priced(price_transpose, (value.meta,), (value.imbalance,))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             self.tracer.record_operator("transpose", price, (value.meta,), out)
         if self.recovery is not None:
-            matrix, workers = value.matrix, self.kernel_workers
             self._finish_op("transpose", price, result,
-                            lambda: matrix.transpose(workers))
+                            value.matrix.transpose)
         return out
 
     def _aggregated(self, price: OpPrice, number: float,
@@ -569,17 +553,16 @@ class Kernels:
             func, preserves_zero = self._CELLWISE[func_name]
         except KeyError:
             raise ExecutionError(f"unknown cell-wise builtin {func_name!r}") from None
-        result = value.matrix.map_cells(func, preserves_zero,
-                                        self.kernel_workers)
+        result = value.matrix.map_cells(func, preserves_zero)
         price = self._priced(price_map, (value.meta, result.meta()),
                              (value.imbalance,))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             self.tracer.record_operator("map", price, (value.meta,), out)
         if self.recovery is not None:
-            matrix, workers = value.matrix, self.kernel_workers
+            matrix = value.matrix
             self._finish_op("map", price, result,
-                            lambda: matrix.map_cells(func, preserves_zero, workers))
+                            lambda: matrix.map_cells(func, preserves_zero))
         return out
 
     _STRUCTURAL = {

@@ -10,9 +10,7 @@ entry point the TCP front end (:mod:`repro.server.net`) drives:
   ``(algorithm, dataset, scale)`` whose inputs the service owns in two
   forms — the raw arrays, so data-identity tokens stay stable across
   requests (the thing that makes warm hits possible at all), and the
-  grids every ``run`` executes on, partitioned once by the first — and
-  the blockpool kernel pools, which are created lazily on first dispatch
-  and torn down exactly once in :meth:`close` — never per request.
+  grids every ``run`` executes on, partitioned once by the first.
 * **Admission control** — checked synchronously on the event loop before
   any work queues, in containment order: the drain gate, a per-tenant
   token-bucket request rate (``tenant_rate``/``tenant_burst``), a global
@@ -54,7 +52,6 @@ from ..core.plancache import PlanCache
 from ..data import load_dataset
 from ..engines import make_engine
 from ..matrix.blocked import BlockedMatrix
-from ..matrix.blockpool import shutdown_pools
 from . import protocol
 from .protocol import ProtocolError, Request
 
@@ -541,15 +538,9 @@ class OptimizerService:
         }
 
     def close(self) -> None:
-        """Tear down worker pools and the shared kernel pools, exactly once.
-
-        This is the *only* place the serving process calls
-        :func:`~repro.matrix.blockpool.shutdown_pools` — per-request
-        teardown would churn executors and defeat pool sharing.
-        """
+        """Tear down the compile and execute pools, exactly once."""
         if self.closed:
             return
         self.closed = True
         self._compile_pool.shutdown(wait=True)
         self._execute_pool.shutdown(wait=True)
-        shutdown_pools()

@@ -9,19 +9,7 @@ import pytest
 from scipy import sparse as sp
 
 from repro.config import ClusterConfig
-from repro.matrix.blockpool import shutdown_pools
 from repro.matrix.meta import MatrixMeta
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _kernel_pool_teardown():
-    """Release kernel thread/process pools after the suite.
-
-    ``shutdown_pools`` is idempotent (also registered via ``atexit``), so
-    calling it here just makes worker reclamation deterministic instead of
-    interpreter-exit-ordered."""
-    yield
-    shutdown_pools()
 
 
 @pytest.fixture(autouse=True)

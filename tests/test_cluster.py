@@ -164,8 +164,6 @@ class TestClusterConfigValidation:
             ClusterConfig(cores_per_worker=0)
         with pytest.raises(ConfigError):
             ClusterConfig(block_size=0)
-        with pytest.raises(ConfigError):
-            ClusterConfig(kernel_workers=-1)
 
     def test_bad_speeds_rejected(self):
         from repro.errors import ConfigError

@@ -4,7 +4,7 @@ First slice of the one differential harness: every output's SHA-256, the
 simulated execution seconds and ``metrics.summary()`` of 48 runs
 (gd, dfp, bfgs, gnmf x cri1, cri3, red1, red3 x remac, systemds, pbdr at
 scale 0.3), recorded before tile statistics started travelling with the
-tile, replayed under serial, thread and process kernel dispatch.
+tile.
 
 Re-record (only at a commit whose results are the reference) with
 ``PYTHONPATH=src python tests/test_execute_golden.py``.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,6 @@ from repro.algorithms import get_algorithm
 from repro.config import ClusterConfig
 from repro.data import load_dataset
 from repro.engines import make_engine
-from repro.matrix.blockpool import process_backend_available
 from repro.server.protocol import array_digest
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "execute_golden.json"
@@ -33,17 +31,6 @@ CASES = [(algorithm, dataset, engine)
          for algorithm in ("gd", "dfp", "bfgs", "gnmf")
          for dataset in ("cri1", "cri3", "red1", "red3")
          for engine in ("remac", "systemds", "pbdr")]
-#: ``threshold=0.0`` sends every batch through the thread pool, gate
-#: bypassed. Shipping a batch of fat tiles to a worker process costs
-#: 50-100 ms, so the process gate sits at 2**20 cell touches per task: every
-#: case still ships its heaviest batches (2 on gd/red1, 30 on bfgs/red3).
-DISPATCH = {
-    "serial": {},
-    "thread": {"kernel_workers": 4, "kernel_backend": "thread",
-               "kernel_parallel_threshold": 0.0},
-    "process": {"kernel_workers": 2, "kernel_backend": "process",
-                "kernel_parallel_threshold": 1048576.0},
-}
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,7 +46,7 @@ def _golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
-def golden_run(algorithm, dataset, engine, dispatch="serial"):
+def golden_run(algorithm, dataset, engine):
     """What the pin records for one case, exactly as the JSON stores it.
 
     Floats are stored by ``repr``: the comparison is bit for bit. The
@@ -67,8 +54,7 @@ def golden_run(algorithm, dataset, engine, dispatch="serial"):
     sum of the simulated phases that remain.
     """
     algo, meta, data = _workload(algorithm, dataset)
-    cluster = replace(ClusterConfig(), **DISPATCH[dispatch])
-    run = make_engine(engine, cluster).run(
+    run = make_engine(engine, ClusterConfig()).run(
         algo.program(ITERATIONS), meta, data,
         symmetric=algo.symmetric_inputs, iterations=ITERATIONS)
     summary = run.metrics.summary()
@@ -83,12 +69,11 @@ def golden_run(algorithm, dataset, engine, dispatch="serial"):
                         for key, value in sorted(summary.items())}}
 
 
-@pytest.mark.parametrize("dispatch", list(DISPATCH))
-@pytest.mark.parametrize("algorithm,dataset,engine", CASES)
-def test_matches_recorded(algorithm, dataset, engine, dispatch):
-    if dispatch == "process" and not process_backend_available():
-        pytest.skip("host cannot start kernel worker processes")
-    assert golden_run(algorithm, dataset, engine, dispatch) \
+# The ids end in where the tile kernels run: serially, where called.
+@pytest.mark.parametrize("algorithm,dataset,engine", CASES,
+                         ids=["-".join(case) + "-serial" for case in CASES])
+def test_matches_recorded(algorithm, dataset, engine):
+    assert golden_run(algorithm, dataset, engine) \
         == _golden()[f"{algorithm}/{dataset}/{engine}"]
 
 

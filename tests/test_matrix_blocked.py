@@ -10,7 +10,6 @@ from repro.errors import ExecutionError, ShapeError
 from repro.matrix import Block, BlockedMatrix, HashPartitioner, blocked, worker_of_block
 from repro.matrix import block as block_module
 from repro.matrix.block import COMPARE_COUNT_CELLS
-from repro.matrix.blockpool import map_blocks
 
 
 class TestConstruction:
@@ -123,6 +122,34 @@ class TestArithmetic:
         a = rng.random((50, 30))
         blocked = BlockedMatrix.from_numpy(a, 16).transpose()
         assert np.allclose(blocked.to_numpy(), a.T)
+
+    @pytest.mark.parametrize("shape,block_size", [((700, 300), 128),
+                                                   ((300, 120), 32)])
+    def test_gram_products_multiply_by_views(self, rng, shape, block_size):
+        # t(X) %*% X multiplies each tile by its own transposed view, which
+        # NumPy sums differently from a multiply by a copy.
+        x = BlockedMatrix.from_numpy(rng.random(shape), block_size)
+        first = x.transpose()
+        assert all(first.blocks[bj, bi].data.base is tile.data
+                   for (bi, bj), tile in x.blocks.items())
+        for left, right in ((first, x), (x, first)):
+            product = left.matmul(right)
+            for i in range(left.row_blocks):
+                for j in range(right.col_blocks):
+                    tiles = [left.blocks[i, k].data @ right.blocks[k, j].data
+                             for k in range(left.col_blocks)]
+                    expected = tiles[0]
+                    for tile in tiles[1:]:
+                        expected = expected + tile
+                    assert product.blocks[i, j].data.tobytes() \
+                        == expected.tobytes()
+        # The second t(X) on the same X is a memo hit: the kept tiles
+        # multiply bit for bit as they did when freshly built.
+        gram = first.matmul(x).to_numpy()
+        again = x.transpose()
+        assert all(again.blocks[key] is block
+                   for key, block in first.blocks.items())
+        assert gram.tobytes() == again.matmul(x).to_numpy().tobytes()
 
     def test_add_subtract(self, rng):
         a, b = rng.random((40, 40)), rng.random((40, 40))
@@ -334,7 +361,7 @@ class TestOneCellGrids:
     @staticmethod
     def _joined(left, right, op_name):
         result = BlockedMatrix(left.rows, left.cols, left.block_size)
-        blocked._join_cells(left, right, op_name, result, None)
+        blocked._join_cells(left, right, op_name, result)
         return result
 
     @pytest.mark.parametrize("shape", [(5, 5), (8, 8), (1, 7), (7, 1), (1, 1)])
@@ -378,7 +405,7 @@ class TestOneCellGrids:
         for left_name, left in self._operands(rows, inner).items():
             for right_name, right in self._operands(inner, cols).items():
                 expected = BlockedMatrix(rows, cols, self.SIZE)
-                blocked._join_products(left, right, expected, None)
+                blocked._join_products(left, right, expected)
                 result = left.matmul(right)
                 _assert_same_grid(result, expected)
                 assert np.array_equal(result.to_numpy(),
@@ -793,10 +820,11 @@ class TestProvedCounts:
         assert scans.large() == 84
 
 
-def _old_from_scipy(matrix, block_size, symmetric=False, workers=None):
+def _old_from_scipy(matrix, block_size, symmetric=False):
     """``BlockedMatrix.from_scipy`` as it was before a slab was converted
     once: two SciPy slices and two format conversions per tile, no twins.
-    Moved here verbatim; the oracle the partitioner is compared against."""
+    Moved here verbatim but for its row loop, which runs serially as it
+    always did; the oracle the partitioner is compared against."""
     cls = BlockedMatrix
     matrix = matrix.tocsr().astype(np.float64, copy=False)
     rows, cols = matrix.shape
@@ -817,10 +845,8 @@ def _old_from_scipy(matrix, block_size, symmetric=False, workers=None):
                             Block.of(tile.tocsr(), True, count).normalized()))
         return row
 
-    row_work = matrix.nnz / max(1, result.row_blocks)
-    for row in map_blocks(build_row, range(result.row_blocks), workers,
-                          work_hint=row_work):
-        result.blocks.update(row)
+    for bi in range(result.row_blocks):
+        result.blocks.update(build_row(bi))
     return result
 
 

@@ -12,8 +12,7 @@ from repro.algorithms import ALGORITHMS
 from repro.config import ClusterConfig, OptimizerConfig
 from repro.core import (DataTokens, PlanCache, ReMacOptimizer,
                         plan_fingerprint, settings_text)
-from repro.core.plancache import (PERF_ONLY_CLUSTER_FIELDS,
-                                  PERF_ONLY_CONFIG_FIELDS)
+from repro.core.plancache import PERF_ONLY_CONFIG_FIELDS
 from repro.engines import ENGINES, make_engine
 from repro.lang import (Add, Assign, MatrixRef, Program, ScalarRef, WhileLoop,
                         format_program, parse)
@@ -126,8 +125,6 @@ class TestCacheHits:
 
 def _other(name: str, value):
     """A legal value for config field ``name`` that is not ``value``."""
-    if name == "kernel_backend":
-        return "process"
     if isinstance(value, bool):
         return not value
     if isinstance(value, (int, float)):
@@ -205,7 +202,7 @@ class TestFingerprint:
 
     @pytest.mark.parametrize("kwarg, perf_only", [
         ("config", PERF_ONLY_CONFIG_FIELDS),
-        ("cluster_override", PERF_ONLY_CLUSTER_FIELDS),
+        ("cluster_override", frozenset()),
         ("policy", frozenset()),
     ])
     def test_every_settings_field(self, cluster, gd_setup, kwarg, perf_only):

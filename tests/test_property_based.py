@@ -4,7 +4,6 @@ import gc
 import hashlib
 import math
 import weakref
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -26,7 +25,6 @@ from repro.errors import ExecutionError
 from repro.matrix.block import COMPARE_COUNT_CELLS, Block
 from repro.matrix import blocked
 from repro.matrix.blocked import BlockedMatrix
-from repro.matrix.blockpool import process_backend_available
 from repro.runtime import Executor
 from repro.matrix.fused import Step, evaluate_fused_ewise
 from repro.matrix.meta import MatrixMeta
@@ -479,14 +477,6 @@ class TestCarriedStatistics:
 #: 100 x 100 operands on 64-cell tiles: tiles of 4 096 cells (the size
 #: from which a result is written over an operand), 2 304 and 1 296.
 DYING_SIDE, DYING_BLOCK = 100, 64
-#: The dispatch modes the golden replay runs, every batch sent to the pool.
-DYING_DISPATCH = {
-    "serial": {},
-    "thread": {"kernel_workers": 4, "kernel_backend": "thread",
-               "kernel_parallel_threshold": 0.0},
-    "process": {"kernel_workers": 2, "kernel_backend": "process",
-                "kernel_parallel_threshold": 0.0},
-}
 DYING_MATRICES = ("D", "S", "P", "G", "Z", "R")
 
 
@@ -602,24 +592,21 @@ class TestDyingTemporaries:
     not assign."""
 
     @staticmethod
-    def _run(dispatch, program):
+    def _run(config, program):
         inputs = _dying_inputs()
-        config = replace(ClusterConfig(driver_memory_bytes=60_000,
-                                       broadcast_limit_bytes=15_000,
-                                       block_size=DYING_BLOCK),
-                         **DYING_DISPATCH[dispatch])
         executor = _Snapshotting(config, inputs)
         with np.errstate(all="ignore"):
             env = executor.run(program, inputs)
         return ({name: _digest(value.matrix) for name, value in env.items()},
                 executor.metrics.execution_seconds, executor.metrics.summary())
 
-    @pytest.mark.parametrize("dispatch", list(DYING_DISPATCH))
+    # The id names where the tile kernels run: serially, where called.
+    @pytest.mark.parametrize("config", [
+        ClusterConfig(driver_memory_bytes=60_000, broadcast_limit_bytes=15_000,
+                      block_size=DYING_BLOCK)], ids=["serial"])
     @given(st.data())
     @settings(max_examples=12, deadline=None)
-    def test_writing_over_a_dying_temporary_is_invisible(self, dispatch, data):
-        if dispatch == "process" and not process_backend_available():
-            pytest.skip("host cannot start kernel worker processes")
+    def test_writing_over_a_dying_temporary_is_invisible(self, config, data):
         # Every variable is a temporary's value, then a ref held by the
         # environment: ``t(T) - T`` and ``T * T`` read it on both sides.
         names = list(DYING_MATRICES)
@@ -639,10 +626,10 @@ class TestDyingTemporaries:
             Assign("X", Sub(MatMul(d, s), MatMul(p, d))),
             Assign("Y", Add(p, MatMul(MatrixRef("G"), s))),
             Assign("out", data.draw(cellwise_trees(names), label="out")[0])])
-        written = self._run(dispatch, program)
+        written = self._run(config, program)
         with mock.patch.object(Executor, "_dying",
                                lambda self, expr, value: False):
-            fresh = self._run(dispatch, program)
+            fresh = self._run(config, program)
         assert written == fresh
 
 

@@ -526,28 +526,6 @@ class TestAdmissionControl:
 
 
 class TestSharedPools:
-    def test_kernel_pools_reused_across_requests_and_torn_down_on_stop(self):
-        """Requests share one kernel pool; server stop is the only teardown."""
-        from repro.matrix import blockpool
-
-        cluster = ClusterConfig(kernel_workers=2,
-                                kernel_parallel_threshold=0.0)
-        config = ServerConfig(port=0)
-        with ServerHandle(config, cluster) as handle:
-            with ServerClient(handle.host, handle.port) as connection:
-                first = connection.run(ALGORITHM, DATASET, scale=SCALE,
-                                       iterations=ITERATIONS, tenant="p1")
-                assert first["status"] == "ok"
-                pools_after_first = dict(blockpool._pools)
-                assert pools_after_first, "no kernel pool was created"
-                second = connection.run(ALGORITHM, DATASET, scale=SCALE,
-                                        iterations=3, tenant="p2")
-                assert second["status"] == "ok"
-                # Same executor objects — no per-request pool churn.
-                assert dict(blockpool._pools) == pools_after_first
-            handle.stop()
-        assert not blockpool._pools, "server stop left kernel pools alive"
-
     def test_service_close_is_idempotent(self):
         handle = ServerHandle(ServerConfig(port=0))
         handle.stop()
