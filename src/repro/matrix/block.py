@@ -117,12 +117,6 @@ class Block:
         block._floor = floor
         return block
 
-    def __reduce__(self):
-        # The view and the floor stay behind: a pickled block carries its
-        # payload and count; the receiver rebuilds the one from ``data``
-        # and counts without the other.
-        return Block.of, (self.data, self.is_sparse, self._nnz)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """CLI tests: python -m repro run / optimize / datasets."""
 
+import re
+
 import pytest
 
 from repro.__main__ import _parse_input_spec, main
@@ -50,6 +52,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "execution" in out
         assert "gd on cri1" in out
+
+    def test_run_repeat_hits_the_plan_cache(self, capsys):
+        code = main(["run", "--engine", "remac", "--algorithm", "dfp",
+                     "--dataset", "cri1", "--iterations", "3",
+                     "--scale", "0.05", "--repeat", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^run 2/2: .*\(plan cache hit\)$", out, re.M), out
 
     def test_run_single_node(self, capsys):
         code = main(["run", "--engine", "systemds*", "--algorithm", "gd",

@@ -1,6 +1,5 @@
 """Blocked matrix tests: construction, arithmetic, grid layout."""
 
-import pickle
 
 import numpy as np
 import pytest
@@ -513,20 +512,6 @@ class TestDenseTimesCsr:
         assert np.allclose(first.to_numpy(),
                            left.to_numpy() @ source.to_numpy().T)
 
-    def test_a_pickled_block_travels_without_the_view(self, rng):
-        block = self._csr(rng, 40, 30)
-        bare = pickle.dumps(block)
-        block.transposed_view()
-        assert block._transposed_view is not None
-        shipped = pickle.dumps(block)
-        assert len(shipped) == len(bare)
-        copy = pickle.loads(shipped)
-        assert copy._transposed_view is None
-        assert copy.is_sparse and copy._nnz == block._nnz
-        assert _payload(copy) == _payload(block)
-        dense = pickle.loads(pickle.dumps(Block.of(rng.random((4, 3)), False, 12)))
-        assert not dense.is_sparse and dense._nnz == 12
-
 
 def _cellwise(op, left, right, dying):
     """``op`` over tiles: ``right`` is the zip partner, ``dying`` the
@@ -785,19 +770,6 @@ class TestProvedCounts:
             [(Block(u * (rng.random(u.shape) < 0.2)), Block(v))])
         assert sparse_tile.is_sparse and sparse_tile._floor is None
         assert sparse_tile.nnz == sparse_tile.data.nnz
-
-    def test_a_pickled_block_travels_without_its_floor(self, rng):
-        u, v = self._factors(rng)
-        tile = blocked._tile_product([(Block(u), Block(v))])
-        copy = pickle.loads(pickle.dumps(tile))
-        assert tile._floor is not None and copy._floor is None
-        assert copy._nnz == tile._nnz
-        assert _payload(copy) == _payload(tile)
-        # It counts right all the same: by carrying where that needs no
-        # floor, by scanning where it would have.
-        assert copy.scale(3.0)._nnz == tile._nnz
-        assert copy.scale(0.5)._nnz is None
-        assert copy.scale(0.5).nnz == tile.scale(0.5)._nnz == tile._nnz
 
     def test_a_dfp_execute_scans_84_large_tiles_where_it_made_244(
             self, monkeypatch):

@@ -1,10 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import gc
-import hashlib
-import math
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +15,7 @@ from repro.core.search import blockwise_search
 from repro.core.chains import build_chains
 from repro.core.treewise import catalan, plan_tree_count
 from repro.lang import format_expr, parse_expression
-from repro.lang.ast import (Add, ElemDiv, ElemMul, Expr, Literal, MatMul,
-                            MatrixRef, Neg, ScalarRef, Sub, Transpose)
+from repro.lang.ast import Expr, MatMul, MatrixRef, Transpose
 from repro.lang.program import Program, Assign
 from repro.errors import ExecutionError
 from repro.matrix.block import COMPARE_COUNT_CELLS, Block
@@ -196,12 +192,6 @@ def _check_statistics(matrix):
                                        symmetric=matrix.symmetric)
 
 
-def _nothing_proved():
-    """Every product tile is scanned for its count, as before any was
-    proved (a ``scale`` of a :func:`_fresh` tile has no count to carry)."""
-    return mock.patch.object(blocked, "rank_one_facts", lambda left, right: None)
-
-
 def _same_grid(carried, fresh):
     """Bit for bit: key order, layouts and payload bytes."""
     assert list(carried.blocks) == list(fresh.blocks)
@@ -350,10 +340,11 @@ class TestCarriedStatistics:
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_proved_counts_equal_scanned_ones(self, data):
+    def test_proved_counts_equal_scanned_ones(self, reverted, data):
         """Tiles at and above ``COMPARE_COUNT_CELLS``, where a rank-one
         product and a ``scale`` may state their count instead of scanning:
-        hostile cells in the factors, hostile scalars after them."""
+        hostile cells in the factors, hostile scalars after them; the
+        expected products are scanned for their counts, none proved."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         rows = data.draw(st.sampled_from([64, 100, 128]), label="rows")
         cols = data.draw(st.sampled_from([64, 100, 128]), label="cols")
@@ -373,7 +364,7 @@ class TestCarriedStatistics:
             left, right = outer()
             current = left.matmul(right)
             _check_statistics(current)
-            with _nothing_proved():
+            with reverted("proved_counts"):
                 _same_grid(current, _fresh(left).matmul(_fresh(right)))
             for _ in range(data.draw(st.integers(1, 6), label="length")):
                 fresh = _fresh(current)
@@ -389,7 +380,7 @@ class TestCarriedStatistics:
                 elif op == "square":
                     other = current.transpose()
                     result = current.matmul(other)
-                    with _nothing_proved():
+                    with reverted("proved_counts"):
                         expected = fresh.matmul(_fresh(other))
                 else:
                     other = BlockedMatrix.matmul(*outer())
@@ -469,168 +460,6 @@ class TestCarriedStatistics:
         assert BlockedMatrix.scalar(0.0).blocks == {}
         assert BlockedMatrix.scalar(-0.0).blocks == {}
         assert BlockedMatrix.scalar(0.0).scalar_value() == 0.0
-
-
-# ----------------------------------------------------------------------
-# A temporary that dies into its consumer is written over unseen
-# ----------------------------------------------------------------------
-#: 100 x 100 operands on 64-cell tiles: tiles of 4 096 cells (the size
-#: from which a result is written over an operand), 2 304 and 1 296.
-DYING_SIDE, DYING_BLOCK = 100, 64
-DYING_MATRICES = ("D", "S", "P", "G", "Z", "R")
-
-
-def _dying_inputs():
-    """Dense, CSR, positive, ragged (an absent and a CSR tile), all-zero,
-    and a resident pre-tiled grid holding a stored all-zero tile."""
-    rng = np.random.default_rng(2500)
-    side = DYING_SIDE
-    ragged = rng.random((side, side)) - 0.5
-    ragged[:DYING_BLOCK, DYING_BLOCK:] = 0.0
-    ragged[DYING_BLOCK:, :DYING_BLOCK] *= \
-        rng.random((side - DYING_BLOCK, DYING_BLOCK)) < 0.1
-    resident = BlockedMatrix.from_numpy(rng.random((side, side)), DYING_BLOCK)
-    edge = side - DYING_BLOCK
-    resident.blocks[1, 1] = Block.of(np.zeros((edge, edge)), False, 0)
-    return {"D": rng.random((side, side)) - 0.5,
-            "S": sp.random(side, side, density=0.05, format="csr",
-                           random_state=rng),
-            "P": rng.random((side, side)) + 0.5, "G": ragged,
-            "Z": np.zeros((side, side)), "R": resident, "s": 1.5}
-
-
-@st.composite
-def cellwise_trees(draw, names, depth=3):
-    """A cell-wise tree over refs, literals, transposes and temporaries
-    (products, among them ``dense %*% CSR``'s F-ordered tiles; ``R * R``;
-    ``X + 0``, which shares its operand's tiles), and whether its value is
-    a scalar. A divisor is ``P`` (no zero cell) or a non-zero scalar."""
-    kinds = ["ref", "scalar", "transpose", "product", "square"]
-    if depth:
-        kinds += ["ewise", "ewise", "ewise", "neg", "plus_zero", "t_of", "div"]
-    kind = draw(st.sampled_from(kinds))
-    if kind == "ref":
-        return MatrixRef(draw(st.sampled_from(names))), False
-    if kind == "scalar":
-        return draw(st.sampled_from([Literal(2.0), Literal(-0.5),
-                                     Literal(0.0), ScalarRef("s")])), True
-    if kind == "transpose":
-        return Transpose(MatrixRef(draw(st.sampled_from(names)))), False
-    if kind == "product":
-        return MatMul(_leaf(draw(st.sampled_from(names)), draw(st.booleans())),
-                      _leaf(draw(st.sampled_from(names)),
-                            draw(st.booleans()))), False
-    if kind == "square":
-        ref = MatrixRef(draw(st.sampled_from(names)))
-        return ElemMul(ref, ref), False
-    child, scalar = draw(cellwise_trees(names, depth - 1))
-    if kind == "neg":
-        return Neg(child), scalar
-    if kind == "plus_zero":
-        return Add(child, Literal(0.0)), scalar
-    if kind == "t_of":
-        return Transpose(child), scalar
-    if kind == "div":
-        divisor = MatrixRef("P") if not scalar and draw(st.booleans()) \
-            else draw(st.sampled_from([Literal(4.0), ScalarRef("s")]))
-        return ElemDiv(child, divisor), scalar
-    other, other_scalar = draw(cellwise_trees(names, depth - 1))
-    pair = (child, other) if draw(st.booleans()) else (other, child)
-    op = draw(st.sampled_from([Add, Sub, ElemMul]))
-    return op(*pair), scalar and other_scalar
-
-
-def _digest(data) -> str:
-    """SHA-256 of every payload a value holds, memory order included."""
-    digest = hashlib.sha256()
-    if isinstance(data, BlockedMatrix):
-        for key, block in data.blocks.items():
-            digest.update(repr(key).encode())
-            digest.update(_digest(block.data).encode())
-    elif sp.issparse(data):
-        for part in (data.data, data.indices, data.indptr):
-            digest.update(part.tobytes())
-    elif isinstance(data, np.ndarray):
-        digest.update(bytes([data.flags.c_contiguous, data.flags.f_contiguous]))
-        digest.update(data.tobytes())
-    else:
-        digest.update(repr(data).encode())
-    return digest.hexdigest()
-
-
-class _Snapshotting(Executor):
-    """Runs statement by statement, and checks that a statement changed
-    the payloads of no input, no resident grid and no variable but the
-    one it assigns."""
-
-    def __init__(self, config, inputs):
-        super().__init__(config)
-        self.inputs = inputs
-
-    def _snapshot(self, env):
-        held = {("input", name): _digest(data)
-                for name, data in self.inputs.items()}
-        held.update({("variable", name): _digest(value.matrix)
-                     for name, value in env.items()})
-        return held
-
-    def _run_block(self, statements, env, path=()):
-        for stmt in statements:
-            before = self._snapshot(env)
-            super()._run_block([stmt], env, path)
-            after = self._snapshot(env)
-            changed = {key for key, digest in before.items()
-                       if after[key] != digest}
-            assert changed <= {("variable", stmt.target)}, (stmt, changed)
-
-
-class TestDyingTemporaries:
-    """Writing a cell-wise result over a temporary that dies into it is a
-    perf-only layer: results, simulated seconds and ``metrics.summary()``
-    equal a run that never writes over anything (the executor's dying
-    decision patched to ``False``), and no statement changes what it does
-    not assign."""
-
-    @staticmethod
-    def _run(config, program):
-        inputs = _dying_inputs()
-        executor = _Snapshotting(config, inputs)
-        with np.errstate(all="ignore"):
-            env = executor.run(program, inputs)
-        return ({name: _digest(value.matrix) for name, value in env.items()},
-                executor.metrics.execution_seconds, executor.metrics.summary())
-
-    # The id names where the tile kernels run: serially, where called.
-    @pytest.mark.parametrize("config", [
-        ClusterConfig(driver_memory_bytes=60_000, broadcast_limit_bytes=15_000,
-                      block_size=DYING_BLOCK)], ids=["serial"])
-    @given(st.data())
-    @settings(max_examples=12, deadline=None)
-    def test_writing_over_a_dying_temporary_is_invisible(self, config, data):
-        # Every variable is a temporary's value, then a ref held by the
-        # environment: ``t(T) - T`` and ``T * T`` read it on both sides.
-        names = list(DYING_MATRICES)
-        tree, scalar = data.draw(cellwise_trees(names), label="T")
-        assume(not scalar)
-        names.append("T")
-        other, scalar = data.draw(cellwise_trees(names), label="U")
-        names += ["V", "W"] if scalar else ["U", "V", "W"]
-        d, s, p = MatrixRef("D"), MatrixRef("S"), MatrixRef("P")
-        program = Program(statements=[
-            Assign("T", tree), Assign("U", other),
-            Assign("V", Sub(Transpose(MatrixRef("T")), MatrixRef("T"))),
-            Assign("W", ElemMul(MatrixRef("T"), MatrixRef("T"))),
-            # F-ordered ``dense %*% CSR`` tiles dying beside C-ordered ones,
-            # on the left and on the right: a mixed pair's fresh result is
-            # C-ordered, so neither may take it.
-            Assign("X", Sub(MatMul(d, s), MatMul(p, d))),
-            Assign("Y", Add(p, MatMul(MatrixRef("G"), s))),
-            Assign("out", data.draw(cellwise_trees(names), label="out")[0])])
-        written = self._run(config, program)
-        with mock.patch.object(Executor, "_dying",
-                               lambda self, expr, value: False):
-            fresh = self._run(config, program)
-        assert written == fresh
 
 
 # ----------------------------------------------------------------------

@@ -36,33 +36,41 @@ SHAPES = {
 
 @st.composite
 def loop_programs(draw):
-    """A random 2-4 statement loop over the cast above, always well-typed."""
+    """A random loop of 2-4 drawn updates over the cast above, always
+    well-typed. A drawn update is one or two statements, and goes in whole."""
     statements = []
-    # Each statement writes v or H from a shape-correct random chain.
+    # Each update writes v or H from a shape-correct random chain.
     n_statements = draw(st.integers(2, 4))
     for _ in range(n_statements):
         target = draw(st.sampled_from(["v", "H"]))
         if target == "v":
-            expr = draw(st.sampled_from([
-                "B %*% v",
-                "H %*% v",
-                "t(A) %*% (A %*% v)",
-                "t(A) %*% A %*% v",
-                "B %*% t(B) %*% v",
-                "H %*% t(A) %*% A %*% v",
-                "v + B %*% v",
-                "0.5 * (t(A) %*% (A %*% v)) + v",
-                "B %*% v / (t(v) %*% v + 1)",
+            update = draw(st.sampled_from([
+                "v = B %*% v",
+                "v = H %*% v",
+                "v = t(A) %*% (A %*% v)",
+                "v = t(A) %*% A %*% v",
+                "v = B %*% t(B) %*% v",
+                "v = H %*% t(A) %*% A %*% v",
+                "v = v + B %*% v",
+                "v = 0.5 * (t(A) %*% (A %*% v)) + v",
+                "v = B %*% v / (t(v) %*% v + 1)",
+                # A transpose materialized, then fused.
+                "T = t(A)\n  v = T %*% (A %*% v)",
+                # An operand one assignment from loop-variant.
+                "w = v\n  v = B %*% w + w",
+                # Reductions over a chain.
+                "v = v / (sum(t(A) %*% (A %*% v)) + 1)",
+                "v = v + rowsums(t(A) %*% A) * 0.001",
             ]))
         else:
-            expr = draw(st.sampled_from([
+            update = "H = " + draw(st.sampled_from([
                 "H - v %*% t(v)",
                 "H - v %*% t(v) / (t(v) %*% v + 1)",
                 "H - H %*% v %*% t(v) %*% H / (t(v) %*% H %*% v + 1)",
                 "H + t(B) %*% B",
                 "H - t(A) %*% A %*% H / (t(v) %*% t(A) %*% A %*% v + 1)",
             ]))
-        statements.append(f"{target} = {expr}")
+        statements.append(update)
     body = "\n  ".join(statements + ["i = i + 1"])
     return f"i = 0\nwhile (i < 4) {{\n  {body}\n}}"
 

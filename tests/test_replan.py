@@ -92,10 +92,10 @@ def crash_case():
     declined the hoist, but on the survivors compute dominates and
     re-pricing adopts it."""
     rng = np.random.default_rng(7)
-    A = sp.random(4096, 512, density=0.4,
+    A = sp.random(1024, 512, density=0.4,
                   random_state=np.random.RandomState(11),
                   data_rvs=rng.standard_normal).tocsr()
-    cluster = ClusterConfig(num_workers=6, flops_per_core=1e7,
+    cluster = ClusterConfig(num_workers=6, flops_per_core=2.5e6,
                             dfs_bytes_per_sec=1.3e5)
     plan = FaultPlan(crashes=tuple(CrashEvent(time=0.4 * (n + 1), worker=0)
                                    for n in range(4)), seed=0)
@@ -243,9 +243,12 @@ class TestShrinkReplanning:
         assert np.array_equal(x_ref, crash_case["adaptive"].value("x"))
 
     def test_shrink_events_counted(self, crash_case):
+        assert not crash_case["fault_free"].compiled.applied_options
         summary = crash_case["adaptive"].metrics.replan_summary
         assert summary["replan_shrink_events"] >= 1
         assert summary["replan_adopted"] == 1
+        faults = crash_case["adaptive"].metrics.fault_summary
+        assert faults["recovery_active_workers"] == 2
 
     def test_checkpointing_composes_with_replanning(self, crash_case):
         """Satellite: ``checkpoint_every`` and mid-loop replanning both

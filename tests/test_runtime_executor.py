@@ -1,14 +1,11 @@
 """Executor tests: correctness of every operator plus loop semantics."""
 
-import math
 import weakref
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import sparse as sp
 
 from repro.algorithms import get_algorithm
@@ -17,8 +14,7 @@ from repro.data import load_dataset
 from repro.engines import make_engine
 from repro.errors import ExecutionError, ShapeError
 from repro.lang import ast, parse, parse_expression
-from repro.lang.program import (Assign, Program, WhileLoop,
-                                single_expression_program)
+from repro.lang.program import Assign, single_expression_program
 from repro.matrix import Block, BlockedMatrix
 from repro.matrix.block import COMPARE_COUNT_CELLS
 import repro.runtime.executor as executor_module
@@ -466,13 +462,10 @@ class TestDyingTemporaries:
         ("gnmf", "red2", 0.5, {"zipped": 320, "shifted": 160}),
     ])
     def test_an_execute_writes_over_what_dies_and_nothing_else(
-            self, monkeypatch, algorithm, dataset, scale, written):
+            self, monkeypatch, reverted, algorithm, dataset, scale, written):
         algo, engine, compiled, data = self._workload(algorithm, dataset,
                                                       scale)
         symmetric = algo.symmetric_inputs
-        with mock.patch.object(Executor, "_dying",
-                               lambda self, expr, value: False):
-            reference = engine.execute(compiled, data, symmetric=symmetric)
         # Tiled once and handed over, as a resident workload's inputs are.
         grids = {name: BlockedMatrix.from_any(
                      value, block_size=engine.cluster.block_size,
@@ -483,6 +476,9 @@ class TestDyingTemporaries:
         watch = _Consumption(monkeypatch, held=[
             block.data for grid in grids.values()
             for block in grid.blocks.values() if not block.is_sparse])
+        with reverted("dying"):
+            reference = engine.execute(compiled, data, symmetric=symmetric)
+        assert not watch.written
         for inputs in (data, {**data, **grids}):
             watch.written.clear()
             run = engine.execute(compiled, inputs, symmetric=symmetric)
@@ -531,95 +527,10 @@ class TestDyingTemporaries:
         assert charged[1].sparsity < 0.6 and out.meta.sparsity == 1.0
 
 
-#: Edge values of a double: both zeros, NaN, both infinities, the smallest
-#: subnormal and the smallest normal, magnitudes whose products overflow,
-#: and two plain values.
-EDGES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
-         2.2250738585072014e-308, 1e308, -1e200, 1.5, -3.0)
-#: Column vectors whose products with each other are 1x1 grids (``t(u) %*%
-#: w`` overflows to ``inf``) and whose sums are driver floats.
-DRIVER_INPUTS = {"u": np.array([[1.5], [-1e200], [0.0]]),
-                 "w": np.array([[2.0], [1e200], [5e-324]]),
-                 "p": 2.5, "q": -0.0, "r": math.inf}
-
-
-@st.composite
-def scalar_trees(draw, names, depth=3):
-    """A scalar-valued tree: literals and scalar inputs (driver floats),
-    ``t(u) %*% w`` and ``sum`` (a 1x1 grid and a float the grid kernels
-    made), under cell-wise operators, negation, comparisons and builtins."""
-    kinds = ["literal", "name", "dot", "sum"]
-    if depth:
-        kinds += ["ewise"] * 4 + ["neg", "compare", "builtin"]
-    kind = draw(st.sampled_from(kinds))
-    if kind == "literal":
-        return ast.Literal(draw(st.sampled_from(EDGES)))
-    if kind == "name":
-        return ast.ScalarRef(draw(st.sampled_from(names)))
-    if kind == "dot":
-        return ast.MatMul(ast.Transpose(ast.MatrixRef("u")),
-                          ast.MatrixRef(draw(st.sampled_from("uw"))))
-    if kind == "sum":
-        return ast.Call("sum", (ast.MatrixRef(draw(st.sampled_from("uw"))),))
-    child = draw(scalar_trees(names, depth - 1))
-    if kind == "neg":
-        return ast.Neg(child)
-    if kind == "builtin":
-        func = draw(st.sampled_from(["sqrt", "abs", "exp", "log", "sigmoid"]))
-        return ast.Call(func, (child,))
-    other = draw(scalar_trees(names, depth - 1))
-    if kind == "compare":
-        return ast.Compare(draw(st.sampled_from(["<", "==", ">="])),
-                           child, other)
-    op = draw(st.sampled_from([ast.Add, ast.Sub, ast.ElemMul, ast.ElemDiv]))
-    return op(child, other)
-
-
-def _fingerprint(engine, program, traced):
-    """What a run shows: every value's SHA-256, the simulated seconds, the
-    metrics and the spans — or the error it stopped with."""
-    tracer = ExecutionTracer() if traced else None
-    try:
-        with np.errstate(all="ignore"):
-            run = make_engine(engine).execute(program, DRIVER_INPUTS,
-                                              tracer=tracer)
-    except ExecutionError as error:
-        return str(error)
-    return ({name: array_digest(value.matrix.to_numpy())
-             for name, value in run.env.items()}, run.execution_seconds,
-            run.metrics.summary(), tracer.spans if traced else None)
-
-
 class TestDriverScalars:
-    """A 1x1 cell-wise operator computed on driver floats is a perf-only
-    layer: values, simulated seconds, metrics and spans equal the run with
-    the driver-scalar flag patched off (the grid path), on engines that
-    keep scalars local and on pbdR's, which distributes them."""
-
-    @pytest.mark.parametrize("traced", [False, True])
-    @pytest.mark.parametrize("engine", ["remac", "systemds", "pbdr"])
-    @given(st.data())
-    @settings(max_examples=15, deadline=None)
-    def test_floats_are_the_grid(self, engine, traced, data):
-        names = ["p", "q", "r"]
-        trees = {}
-        for target in ("a", "b", "c"):
-            trees[target] = data.draw(scalar_trees(names), label=target)
-            names.append(target)
-        program = ast_program([
-            ("a", trees["a"]), ("b", trees["b"]),
-            ("i", ast.Literal(0.0)),
-            ("loop", ast.Compare("<", ast.ScalarRef("i"), ast.Literal(2.0)),
-             [("a", ast.Add(ast.ElemMul(ast.ScalarRef("a"),
-                                        ast.ScalarRef("b")), trees["c"])),
-              ("i", ast.Add(ast.ScalarRef("i"), ast.Literal(1.0)))]),
-            ("M", ast.ElemMul(ast.ScalarRef("a"), ast.MatrixRef("w"))),
-            ("c", trees["c"])])
-        floats = _fingerprint(engine, program, traced)
-        with mock.patch.object(executor_module, "_on_driver",
-                               lambda *shapes: False):
-            grids = _fingerprint(engine, program, traced)
-        assert floats == grids
+    """A 1x1 cell-wise operator computes on driver floats (that it equals
+    the grid path is ``test_identity.py``'s ``driver_floats`` seam): a
+    builtin fails typed, and a plan is lowered once."""
 
     @pytest.mark.parametrize("source, builtin", [
         ("log(0 - s)", "log"), ("sqrt(0 - s)", "sqrt"),
@@ -673,13 +584,3 @@ class TestDriverScalars:
         assert set(switched.lowered) and set(plan.lowered)
         assert np.array_equal(env["x"].matrix.to_numpy(), np.full((3, 1), 16))
 
-
-def ast_program(statements) -> Program:
-    """A program from ``(target, expr)`` assignments and ``("loop",
-    condition, body)`` loops."""
-    def build(entry):
-        if entry[0] == "loop":
-            return WhileLoop(entry[1], tuple(build(e) for e in entry[2]),
-                             max_iterations=2)
-        return Assign(*entry)
-    return Program(statements=[build(entry) for entry in statements])

@@ -195,13 +195,11 @@ class TestPriceReplay:
     @pytest.mark.parametrize("algorithm, dataset",
                              [("dfp", "cri1"), ("gnmf", "red2")])
     def test_remembered_prices_are_what_their_functions_return(
-            self, algorithm, dataset, forgetful_prices):
+            self, algorithm, dataset, reverted):
         engine, algo, data, compiled = self._compiled(algorithm, dataset)
 
-        def run(prices=None):
+        def run():
             executor = Executor(engine.cluster, engine.policy)
-            if prices is not None:
-                executor.kernels._prices = prices
             executor.run(compiled, data, symmetric=algo.symmetric_inputs)
             return executor.kernels
 
@@ -214,7 +212,8 @@ class TestPriceReplay:
         charged = sum(kernels.metrics.operator_counts.values())
         assert kernels.prices_replayed > 0.6 * charged
         # ... and a run that re-prices every operator charges the same.
-        fresh = run(forgetful_prices)
+        with reverted("price_replay"):
+            fresh = run()
         assert fresh.prices_replayed == 0
         assert fresh.metrics.summary() == kernels.metrics.summary()
         assert fresh.metrics.operator_counts == kernels.metrics.operator_counts

@@ -52,19 +52,8 @@ def execute(cluster, compiled, data, tracer=None):
 
 
 class TestZeroCostWhenOff:
-    def test_summary_bit_identical_without_tracer(self, cluster, compiled_gd):
-        """An untraced run must be indistinguishable from the pre-tracing
-        collector: same keys, same bit-exact values, no ``trace_*`` keys."""
-        compiled, _, data = compiled_gd
-        plain = execute(cluster, compiled, data)
-        traced = execute(cluster, compiled, data, tracer=ExecutionTracer())
-        plain_summary = plain.metrics.summary()
-        traced_summary = traced.metrics.summary()
-        assert not any(key.startswith("trace_") for key in plain_summary)
-        assert plain.metrics.trace_summary is None
-        for key, value in plain_summary.items():
-            assert traced_summary[key] == value  # simulated clock bit-exact
-        assert any(key.startswith("trace_") for key in traced_summary)
+    """That a traced run reports what an untraced one does, minus its
+    ``trace_*`` keys, is ``test_identity.py``'s traced way."""
 
     def test_predictions_attached_regardless_of_tracing(self, compiled_gd):
         compiled, _, _ = compiled_gd
@@ -72,16 +61,6 @@ class TestZeroCostWhenOff:
         for path, ops in compiled.predicted_ops.items():
             assert isinstance(path, tuple)
             assert all(op.seconds >= 0.0 for op in ops)
-
-    def test_results_identical_with_and_without_tracer(self, cluster,
-                                                       compiled_gd):
-        compiled, _, data = compiled_gd
-        plain = Executor(cluster)
-        env_plain = plain.run(compiled, data)
-        traced = Executor(cluster, tracer=ExecutionTracer())
-        env_traced = traced.run(compiled, data)
-        np.testing.assert_array_equal(env_plain["x"].matrix.to_numpy(),
-                                      env_traced["x"].matrix.to_numpy())
 
 
 class TestOperatorSpans:

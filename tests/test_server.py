@@ -15,6 +15,7 @@ import json
 import socket
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,10 +36,11 @@ from repro.server import (ProtocolError, ServerClient, ServerHandle,
 ALGORITHM, DATASET, SCALE, ITERATIONS = "gd", "cri1", 0.25, 4
 
 #: SHA-256 of the ``x`` result of gd/cri1 at scale 0.25, 4 iterations,
-#: via a direct ``Engine.run`` on the default cluster. Pinned: the server
-#: must reproduce this exactly, and the engine must keep producing it.
-PINNED_X_SHA256 = \
-    "5a3b64b69358ac05bbdc9a22dc61f484ae63c542d0f16881f457ab01e153cc2c"
+#: via a direct run on the default cluster: the server must reproduce it
+#: exactly. Pinned, and reproduced by the engine, in ``test_identity.py``.
+PINNED_X_SHA256 = json.loads(
+    (Path(__file__).parent / "data" / "identity_golden.json").read_text()
+)["served/gd/cri1"]["outputs"]["x"]
 
 
 def _direct_run(algorithm: str = ALGORITHM, iterations: int = ITERATIONS,
@@ -72,10 +74,6 @@ class TestBitIdentity:
                               iterations=ITERATIONS, tenant="pin")
         assert response["status"] == "ok"
         assert response["results"]["x"]["sha256"] == PINNED_X_SHA256
-
-    def test_direct_engine_run_matches_pin(self):
-        _, result = _direct_run()
-        assert array_digest(result.value("x")) == PINNED_X_SHA256
 
     def test_returned_values_reconstruct_exactly(self, client):
         _, direct = _direct_run()

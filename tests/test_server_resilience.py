@@ -16,14 +16,12 @@ import socket
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.algorithms import get_algorithm
-from repro.config import ClusterConfig, ServerConfig
-from repro.data import load_dataset
-from repro.engines import make_engine
+from repro.config import ServerConfig
 from repro.errors import ConfigError
 from repro.server import (ChaosDriver, ClientError, ClientTimeout,
                           ProtocolError, RetryBudgetExceeded, ServerClient,
@@ -39,15 +37,10 @@ COLD_ITERATIONS = 7
 
 @pytest.fixture(scope="module")
 def reference_sha256() -> str:
-    """Digest of the warm workload via a direct Engine.run."""
-    algo = get_algorithm(ALGORITHM)
-    dataset = load_dataset(DATASET, scale=SCALE)
-    meta, data = algo.make_inputs(dataset.matrix)
-    engine = make_engine("remac", ClusterConfig())
-    result = engine.run(algo.program(ITERATIONS), meta, data,
-                        symmetric=algo.symmetric_inputs,
-                        iterations=ITERATIONS)
-    return array_digest(result.value("x"))
+    """Digest of the warm workload via a direct run, as pinned (and
+    reproduced) by ``test_identity.py``."""
+    golden = Path(__file__).parent / "data" / "identity_golden.json"
+    return json.loads(golden.read_text())["served/gd/cri1"]["outputs"]["x"]
 
 
 def _run_payload(iterations: int = ITERATIONS, tenant: str = "t",
