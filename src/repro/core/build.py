@@ -18,7 +18,7 @@ from ..lang.ast import Expr, MatMul
 from ..lang.program import Assign, WhileLoop
 from ..runtime.pricing import price_matmul, price_mmchain, price_transpose
 from .chains import Operand, ProgramChains
-from .cost.evaluate import ProgramCostEvaluator
+from .cost.evaluate import propagate
 from .cost.model import CostModel
 from .options import EliminationOption
 from .sparsity.base import Sketch
@@ -49,7 +49,6 @@ def statement_sketch_envs(chains: ProgramChains, model: CostModel,
 
 def _walk_sketch_envs(chains: ProgramChains, model: CostModel,
                       input_sketches: dict[str, Sketch]) -> list[dict[str, Sketch]]:
-    evaluator = ProgramCostEvaluator(model)
     env: dict[str, Sketch] = dict(input_sketches)
     envs: list[dict[str, Sketch]] = [dict() for _ in chains.statements]
 
@@ -59,16 +58,16 @@ def _walk_sketch_envs(chains: ProgramChains, model: CostModel,
                 stmt_index = index_of.get(id(stmt))
                 if record and stmt_index is not None:
                     envs[stmt_index] = dict(env)
-                env[stmt.target] = evaluator.propagate(stmt.expr, env)
+                env[stmt.target] = propagate(model, stmt.expr, env)
             elif isinstance(stmt, WhileLoop):
                 # Pass 1: settle; pass 2: record.
                 for loop_stmt in stmt.assignments():
-                    env[loop_stmt.target] = evaluator.propagate(loop_stmt.expr, env)
+                    env[loop_stmt.target] = propagate(model, loop_stmt.expr, env)
                 for loop_stmt in stmt.assignments():
                     stmt_index = index_of.get(id(loop_stmt))
                     if record and stmt_index is not None:
                         envs[stmt_index] = dict(env)
-                    env[loop_stmt.target] = evaluator.propagate(loop_stmt.expr, env)
+                    env[loop_stmt.target] = propagate(model, loop_stmt.expr, env)
 
     index_of = {id(ns.assign): ns.index for ns in chains.statements}
     run(chains.program.statements, record=True, index_of=index_of)
@@ -278,8 +277,7 @@ def cost_option(option: EliminationOption, chains: ProgramChains, model: CostMod
     first = option.occurrences[0]
     first_site = chains.site(first.site_id)
     env = envs[first_site.stmt_index]
-    evaluator = ProgramCostEvaluator(model)
-    operand_sketches = [_operand_sketch(op, env, evaluator)
+    operand_sketches = [_operand_sketch(op, env, model)
                         for op in option.operands]
     # The shared value is computed once: in the prologue for LSE (then
     # persisted), or once per iteration for an in-loop CSE.
@@ -321,22 +319,21 @@ def _chain_result_sketch(model: CostModel, operand_sketches: list[Sketch]) -> Sk
 
 
 def _operand_sketch(operand: Operand, env: dict[str, Sketch],
-                    evaluator: ProgramCostEvaluator) -> Sketch:
+                    model: CostModel) -> Sketch:
     """Sketch of one operand occurrence (orientation applied), unpriced."""
-    sketch = evaluator.propagate(operand.base, env)
+    sketch = propagate(model, operand.base, env)
     if operand.transposed and not operand.symmetric:
-        return evaluator.model.estimator.transpose(sketch)
+        return model.estimator.transpose(sketch)
     return sketch
 
 
 def build_all_tables(chains: ProgramChains, model: CostModel,
                      envs: list[dict[str, Sketch]]) -> dict[int, SpanTable]:
     """Span tables for every chain site of the program, keyed by site."""
-    evaluator = ProgramCostEvaluator(model)
     tables: dict[int, SpanTable] = {}
     for site in chains.sites:
         env = envs[site.stmt_index]
-        sketches = [_operand_sketch(op, env, evaluator) for op in site.operands]
+        sketches = [_operand_sketch(op, env, model) for op in site.operands]
         weight = float(chains.iterations) if site.in_loop else 1.0
         tables[site.site_id] = build_span_table(site.operands, model,
                                                 sketches, weight)

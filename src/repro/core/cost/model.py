@@ -176,10 +176,8 @@ class CostModel:
                           ) -> tuple[MatrixMeta, Sketch]:
         """Output meta (the type checker's rules) and sketch of rowsums /
         colsums / diag."""
-        from ...lang.typecheck import _call_meta
-        from ...lang.ast import Call, MatrixRef
-        out_meta = _call_meta(Call(kind, (MatrixRef("__x__"),)),
-                              {"__x__": self.meta(operand)})
+        from ...lang.typecheck import call_meta
+        out_meta = call_meta(kind, self.meta(operand))
         return out_meta, self.estimator.sketch_meta(out_meta)
 
     # ------------------------------------------------------------------

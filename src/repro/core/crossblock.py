@@ -167,10 +167,8 @@ def apply_cross_block(chains: ProgramChains, option: CrossBlockOption,
     from ..lang.program import Assign, Program, WhileLoop
     from .build import (build_chain_expr, build_span_table, _operand_sketch,
                         statement_sketch_envs)
-    from .cost.evaluate import ProgramCostEvaluator
 
     envs = statement_sketch_envs(chains, model, input_sketches)
-    evaluator = ProgramCostEvaluator(model)
     member_sites = {site_id for group in option.groups
                     for site_id in group.site_ids}
     first_group = option.groups[0]
@@ -183,7 +181,7 @@ def apply_cross_block(chains: ProgramChains, option: CrossBlockOption,
         operands = (site.operands[1:] if first_group.side == "prefix"
                     else site.operands[:-1])
         env = envs[site.stmt_index]
-        sketches = [_operand_sketch(op, env, evaluator) for op in operands]
+        sketches = [_operand_sketch(op, env, model) for op in operands]
         if len(operands) == 1:
             rest_exprs.append(operands[0].to_expr())
             continue
@@ -259,7 +257,7 @@ def apply_cross_block(chains: ProgramChains, option: CrossBlockOption,
 
     def _plain_site_expr(site) -> Expr:
         env = envs[site.stmt_index]
-        sketches = [_operand_sketch(op, env, evaluator)
+        sketches = [_operand_sketch(op, env, model)
                     for op in site.operands]
         if len(site.operands) == 1:
             return site.operands[0].to_expr()

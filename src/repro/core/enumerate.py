@@ -243,90 +243,14 @@ class _CombinationEvaluator:
 
 
 # ----------------------------------------------------------------------
-# Fusion-region enumeration (compile-time report for the fusion layer)
+# Fusion-region report (compile-time notes for the fusion layer)
 # ----------------------------------------------------------------------
-def enumerate_fusion_regions(program, model: CostModel,
-                             input_sketches: dict[str, Sketch]) -> dict:
-    """Enumerate fusable regions in a program and price each both ways.
-
-    Walks every assignment (prologue statements once, loop bodies once) the
-    way the cost evaluator does, finds the fusable element-wise regions and
-    mmchain-shaped multiply chains, and prices fused vs unfused execution
-    for each with the model's sketches. Returns an additive report the
-    optimizer attaches to plan notes — advisory only: the executor and cost
-    evaluator make the authoritative per-site decision with the same
-    pricing functions, so this is the plan's fusion story, not its gate.
-    """
-    from ..lang.ast import Add, ElemDiv, ElemMul, Literal, MatMul, Neg, Sub
-    from ..lang.program import Assign, WhileLoop
-    from ..runtime.fusion import (find_ewise_region, mmchain_beats_unfused,
-                                  mmchain_match)
-    from .cost.evaluate import ProgramCostEvaluator, price_fused_region
-
-    evaluator = ProgramCostEvaluator(model)
-    env: dict[str, Sketch] = dict(input_sketches)
-    env["__always__"] = model.scalar()
-    regions: list[dict] = []
-
-    def leaf_sketch(leaf) -> Sketch | None:
-        if isinstance(leaf, Literal):
-            return model.scalar()
-        return env.get(leaf.name)
-
-    def visit(expr) -> None:
-        if isinstance(expr, (Add, Sub, ElemMul, ElemDiv, Neg)):
-            region = find_ewise_region(expr)
-            if region is not None:
-                sketches = [leaf_sketch(leaf) for leaf in region.leaves]
-                if all(sketch is not None for sketch in sketches):
-                    estimate = price_fused_region(model, region, sketches)
-                    if estimate is not None:
-                        regions.append({
-                            "kind": "ewise",
-                            "members": estimate.member_count,
-                            "fused_seconds": estimate.fused.seconds,
-                            "unfused_seconds": estimate.unfused_seconds,
-                            "selected": estimate.fuses,
-                        })
-                        return  # leaves are refs; nothing fusable below
-        match = mmchain_match(expr) if isinstance(expr, MatMul) else None
-        if match is not None and match[2] and not isinstance(match[1], Literal):
-            x, v = env.get(match[0].name), env.get(match[1].name)
-            if x is not None and v is not None \
-                    and not model.meta(x).is_scalar_like \
-                    and not model.meta(v).is_scalar_like:
-                x_meta, v_meta = model.meta(x), model.meta(v)
-                fused = model.mmchain(x, v, exact_inner=True)
-                inner = model.matmul(x, v)
-                outer = model.matmul(x, inner.sketch, left_fused_transpose=True)
-                unfused = inner.seconds + outer.seconds
-                selected = model.policy.mmchain_applicable_cols(x_meta.cols) \
-                    or mmchain_beats_unfused(x_meta, v_meta, 1.0, 1.0,
-                                             model.config, model.policy)
-                regions.append({
-                    "kind": "mmchain",
-                    "members": 2,
-                    "fused_seconds": fused.seconds,
-                    "unfused_seconds": unfused,
-                    "selected": selected,
-                })
-                return
-        for child in _expr_children(expr):
-            visit(child)
-
-    def walk(statements) -> None:
-        for stmt in statements:
-            if isinstance(stmt, Assign):
-                visit(stmt.expr)
-                try:
-                    env[stmt.target] = evaluator.propagate(stmt.expr, env)
-                except Exception:
-                    continue  # report stays best-effort; compile handles errors
-            elif isinstance(stmt, WhileLoop):
-                visit(stmt.condition)
-                walk(stmt.body)
-
-    walk(program.statements)
+def enumerate_fusion_regions(regions: list[dict]) -> dict:
+    """The plan's fusion report: every fusable element-wise region and
+    ``t(X) %*% (X %*% v)`` site the final cost evaluation decided
+    (:attr:`~repro.core.cost.evaluate.ProgramCost.regions`, one row each,
+    priced fused and unfused), and the totals of those it fused — the
+    plan's ``fused_ewise`` and ``mmchain`` predicted operators."""
     selected = [r for r in regions if r["selected"]]
     return {
         "regions_found": len(regions),
@@ -335,17 +259,3 @@ def enumerate_fusion_regions(program, model: CostModel,
         "predicted_unfused_seconds": sum(r["unfused_seconds"] for r in selected),
         "regions": regions,
     }
-
-
-def _expr_children(expr):
-    """Immediate subexpressions of an AST node, for generic traversal."""
-    from ..lang.ast import (
-        Add, Call, Compare, ElemDiv, ElemMul, MatMul, Neg, Sub, Transpose,
-    )
-    if isinstance(expr, (MatMul, Add, Sub, ElemMul, ElemDiv, Compare)):
-        return (expr.left, expr.right)
-    if isinstance(expr, (Transpose, Neg)):
-        return (expr.child,)
-    if isinstance(expr, Call):
-        return tuple(expr.args)
-    return ()

@@ -28,7 +28,7 @@ from ..errors import OptimizerError
 from ..lang.program import Program
 from ..lang.typecheck import Environment, check_program
 from ..runtime.hybrid import ExecutionPolicy
-from ..runtime.plan import CompiledProgram
+from ..runtime.plan import CompiledProgram, lower
 from .chains import build_chains
 from .cost.evaluate import ProgramCostEvaluator, sketch_inputs
 from .cost.model import CostModel
@@ -264,21 +264,25 @@ class ReMacOptimizer:
                 break
             chains = build_chains(rewritten, inputs, iterations)
 
-        # The final evaluation also records per-operator predicted prices
-        # (keyed by statement path) so the execution tracer can report
-        # predicted-vs-observed drift. Recording is pure observation: the
-        # evaluated cost is identical with or without it.
+        # The plan is lowered once, here: the final evaluation prices the
+        # records the executor will run. It also records per-operator
+        # predicted prices (keyed by statement path) so the execution tracer
+        # can report predicted-vs-observed drift, and each fusion decision.
+        # Recording is pure observation: the evaluated cost is identical
+        # with or without it.
+        lowered = lower(rewritten.statements, inputs, self.policy.fuse)
         predicted_ops: dict = {}
-        cost = ProgramCostEvaluator(model).evaluate(rewritten, sketches,
-                                                    iterations=chains.iterations,
-                                                    record=predicted_ops)
+        cost = ProgramCostEvaluator(model).evaluate(
+            rewritten, sketches, iterations=chains.iterations,
+            record=predicted_ops, lowered=lowered)
         fusion_notes = None
         if self.policy.fuse:
             from .enumerate import enumerate_fusion_regions
-            fusion_notes = enumerate_fusion_regions(rewritten, model, sketches)
+            fusion_notes = enumerate_fusion_regions(cost.regions)
         compile_seconds = time.perf_counter() - started
         return CompiledProgram(
             program=rewritten,
+            lowered=lowered,
             predicted_ops={path: tuple(ops)
                            for path, ops in predicted_ops.items()},
             applied_options=applied,

@@ -40,7 +40,6 @@ from ..lang.program import Assign, Program, Statement, WhileLoop
 from .build import (_operand_sketch, build_chain_expr, build_span_table,
                     statement_sketch_envs)
 from .chains import ChainPlaceholder, ChainSite, Operand, ProgramChains
-from .cost.evaluate import ProgramCostEvaluator
 from .cost.model import CostModel
 from .options import EliminationOption, Occurrence
 from .sparsity.base import Sketch
@@ -78,7 +77,6 @@ def _plan_temps(chains: ProgramChains, chosen: list[EliminationOption],
                 model: CostModel, envs,
                 temp_prefix: str = TEMP_PREFIX) -> dict[int, _TempInfo]:
     temps: dict[int, _TempInfo] = {}
-    evaluator = ProgramCostEvaluator(model)
     for option in chosen:
         first = min(option.occurrences,
                     key=lambda o: chains.site(o.site_id).stmt_index)
@@ -87,7 +85,7 @@ def _plan_temps(chains: ProgramChains, chosen: list[EliminationOption],
         if option.temp_reversed:
             operands = [op.flipped() for op in reversed(operands)]
         env = envs[first_site.stmt_index]
-        sketch = _chain_sketch(evaluator, operands, env)
+        sketch = _chain_sketch(model, operands, env)
         temps[option.option_id] = _TempInfo(
             option=option,
             name=f"{temp_prefix}{option.option_id}",
@@ -99,12 +97,11 @@ def _plan_temps(chains: ProgramChains, chosen: list[EliminationOption],
     return temps
 
 
-def _chain_sketch(evaluator: ProgramCostEvaluator, operands: list[Operand],
-                  env) -> Sketch:
-    sketches = [_operand_sketch(op, env, evaluator) for op in operands]
+def _chain_sketch(model: CostModel, operands: list[Operand], env) -> Sketch:
+    sketches = [_operand_sketch(op, env, model) for op in operands]
     result = sketches[0]
     for sketch in sketches[1:]:
-        result = evaluator.model.estimator.matmul(result, sketch)
+        result = model.estimator.matmul(result, sketch)
     return result
 
 
@@ -120,11 +117,10 @@ def _rewrite_sites(chains: ProgramChains, chosen: list[EliminationOption],
         for occ in option.occurrences:
             per_site.setdefault(occ.site_id, []).append((option, occ))
     site_exprs: dict[int, Expr] = {}
-    evaluator = ProgramCostEvaluator(model)
     for site in chains.sites:
         picks = _select_site_occurrences(per_site.get(site.site_id, []))
         operands, sketches = _substituted_operands(site, picks, temps,
-                                                   evaluator, envs)
+                                                   model, envs)
         site_exprs[site.site_id] = _parenthesize(site, operands, sketches, model,
                                                  chains)
     return site_exprs
@@ -149,7 +145,7 @@ def _select_site_occurrences(picks: list[tuple[EliminationOption, Occurrence]]):
 
 
 def _substituted_operands(site: ChainSite, picks, temps: dict[int, _TempInfo],
-                          evaluator: ProgramCostEvaluator, envs):
+                          model: CostModel, envs):
     env = envs[site.stmt_index]
     replacements = {occ.start: (option, occ) for option, occ in picks}
     operands: list[Operand] = []
@@ -167,13 +163,13 @@ def _substituted_operands(site: ChainSite, picks, temps: dict[int, _TempInfo],
                 loop_constant=option.is_lse))
             sketch = info.sketch
             if transposed:
-                sketch = evaluator.model.estimator.transpose(sketch)
+                sketch = model.estimator.transpose(sketch)
             sketches.append(sketch)
             position = occ.end + 1
         else:
             operand = site.operands[position]
             operands.append(operand)
-            sketches.append(_operand_sketch(operand, env, evaluator))
+            sketches.append(_operand_sketch(operand, env, model))
             position += 1
     return operands, sketches
 
@@ -195,7 +191,6 @@ def _temp_statements(chains: ProgramChains, temps: dict[int, _TempInfo],
                      model: CostModel, envs) -> dict[int, _TempInfo | Assign]:
     """Build each temp's defining assignment, reusing narrower temps."""
     statements: dict[int, Assign] = {}
-    evaluator = ProgramCostEvaluator(model)
     infos = sorted(temps.values(), key=lambda t: len(t.operands))
     for info in infos:
         operands = list(info.operands)
@@ -214,7 +209,7 @@ def _temp_statements(chains: ProgramChains, temps: dict[int, _TempInfo],
                     sketch = model.estimator.transpose(sketch)
                 sketches.append(sketch)
             else:
-                sketches.append(_operand_sketch(op, env, evaluator))
+                sketches.append(_operand_sketch(op, env, model))
         table = build_span_table(operands, model, sketches, 1.0)
         expr = build_chain_expr(operands, table.plain_split, 0, len(operands) - 1) \
             if len(operands) > 1 else operands[0].to_expr()

@@ -66,7 +66,7 @@ _SCALAR_META = MatrixMeta(1, 1)
 
 
 # ----------------------------------------------------------------------
-# Region detection (pure AST, shared by executor and cost evaluator)
+# Region detection (pure AST, read by the lowering: runtime/plan.py)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RegionNode:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
-import repro.runtime.executor as executor_module
+import repro.runtime.plan as plan_module
 from repro.config import ClusterConfig
 from repro.matrix import blocked
 from repro.matrix.meta import MatrixMeta
@@ -61,12 +61,12 @@ def compile_pool_submits(monkeypatch):
 
 #: One patch per perf-only layer, ``(owner, attribute, stand-in)``, that
 #: puts it back to what the runtime did before it. Enter a seam before the
-#: compile: a compiled plan keeps the lowering it made first.
+#: compile: a compiled plan keeps the lowering its compile made.
 SEAMS = {
     # A cell-wise result never writes over an operand that dies into it.
     "dying": (Executor, "_dying", lambda self, built, value: False),
     # A 1x1 cell-wise operator computes on grids, not on driver floats.
-    "driver_floats": (executor_module, "_on_driver", lambda *shapes: False),
+    "driver_floats": (plan_module, "_on_driver", lambda *metas: False),
     # Every operator is priced afresh: the price memo keeps nothing. What
     # ``__init__`` sets lands in the instance, for use after the seam.
     "price_replay": (Kernels, "_prices", property(

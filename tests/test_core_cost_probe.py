@@ -386,8 +386,7 @@ class TestCompileDerivesOnce:
         chains, _options, model, sketches = setup(thin_inputs, cluster)
         envs = statement_sketch_envs(chains, model, sketches)
         site = max(chains.sites, key=len)
-        evaluator = ProgramCostEvaluator(model)
-        operand_sketches = [_operand_sketch(op, envs[site.stmt_index], evaluator)
+        operand_sketches = [_operand_sketch(op, envs[site.stmt_index], model)
                             for op in site.operands]
         n = len(site)
         spans = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -61,6 +61,8 @@ def loop_programs(draw):
                 # Reductions over a chain.
                 "v = v / (sum(t(A) %*% (A %*% v)) + 1)",
                 "v = v + rowsums(t(A) %*% A) * 0.001",
+                # Literals that agree to six digits.
+                "v = ((1.0000002 * B) %*% v - (1.0000001 * B) %*% v) * 1e7",
             ]))
         else:
             update = "H = " + draw(st.sampled_from([
@@ -103,8 +105,7 @@ def test_optimized_program_is_semantically_identical(source, strategy, seed):
     compiled = optimizer.compile(program, meta, iterations=4)
 
     env_plain = Executor(CLUSTER).run(program, dict(data), symmetric={"H"})
-    env_opt = Executor(CLUSTER).run(compiled.program, dict(data),
-                                    symmetric={"H"})
+    env_opt = Executor(CLUSTER).run(compiled, dict(data), symmetric={"H"})
     for var in ("v", "H"):
         plain = env_plain[var].matrix.to_numpy()
         optimized = env_opt[var].matrix.to_numpy()
