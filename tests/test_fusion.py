@@ -86,6 +86,10 @@ class TestWholeProgramBitIdentity:
             assert region["kind"] in ("ewise", "mmchain")
             assert region["members"] >= 2
         assert unfused.notes["fusion"] is None
+        # It lists exactly the plan's fused operators, loop bodies included.
+        assert sorted(r["fused_seconds"] for r in report["regions"]) == sorted(
+            op.seconds for ops in fused.compiled.predicted_ops.values()
+            for op in ops if op.kind in ("fused_ewise", "mmchain"))
 
 
 class TestEwiseRegionFusion:
