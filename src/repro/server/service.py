@@ -33,6 +33,10 @@ entry point the TCP front end (:mod:`repro.server.net`) drives:
   the execute pool partitions a workload's inputs on its first ``run``
   and executes. A warm request therefore never enters the compile pool
   and is never queued behind slow cold compiles.
+* **Heap policy** — glibc's mmap and trim thresholds, fixed once per
+  process at start, so a warm request does not fault back in the arena
+  the previous one freed; each ``run`` reports its execute thread's minor
+  faults as ``execute_minor_faults``.
 
 Responses are bit-identical to a direct ``Engine.run`` of the same
 workload — the serving layer adds scheduling and accounting, never
@@ -42,6 +46,8 @@ arithmetic — pinned by SHA-256 digests in ``tests/test_server.py``.
 from __future__ import annotations
 
 import asyncio
+import ctypes
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -54,6 +60,59 @@ from ..engines import make_engine
 from ..matrix.blocked import BlockedMatrix
 from . import protocol
 from .protocol import ProtocolError, Request
+
+
+try:  # the calling thread's usage alone; without it no fault is reported
+    from resource import RUSAGE_THREAD as _RUSAGE_THREAD, getrusage
+except ImportError:
+    _RUSAGE_THREAD = None
+
+# glibc ``mallopt`` parameters (malloc.h), its default mmap threshold and
+# the largest one it accepts on a 64-bit build.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MIN = 128 << 10
+_MMAP_THRESHOLD_MAX = 32 << 20
+_heap_policy_tile = 0
+
+
+def _fix_heap_policy(block_size: int) -> None:
+    """Fix glibc's mmap and trim thresholds for a serving process.
+
+    A warm ``run`` executes on an execute-pool thread whose arena holds
+    little but the request's temporaries; with glibc's defaults, freeing
+    them trims the arena and the next request faults every page back in.
+    Blocks up to two of the largest dense tiles ``block_size`` makes
+    (8·b² bytes; never below glibc's default, never above its ceiling)
+    stay in the arenas, larger one-off buffers are mmapped and go back
+    to the OS, and up to 16 mmap thresholds of free arena top are kept
+    between requests. Setting either threshold turns off glibc's dynamic
+    mmap threshold, which is why both are set. The heap is the process's,
+    so later services in it only raise the thresholds, never lower them;
+    a no-op off glibc.
+    """
+    global _heap_policy_tile
+    tile = 8 * block_size * block_size
+    if tile <= _heap_policy_tile:
+        return
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError):
+        glibc = None
+    if not glibc:
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_threshold = min(max(2 * tile, _MMAP_THRESHOLD_MIN),
+                         _MMAP_THRESHOLD_MAX)
+    if mallopt(_M_MMAP_THRESHOLD, mmap_threshold) \
+            and mallopt(_M_TRIM_THRESHOLD, 16 * mmap_threshold):
+        _heap_policy_tile = tile
+
+
+def _thread_minor_faults() -> int:
+    return getrusage(_RUSAGE_THREAD).ru_minflt
 
 
 class _DeadlineExceeded(Exception):
@@ -130,6 +189,7 @@ class OptimizerService:
         self.config = config or ServerConfig()
         self.cluster = cluster or ClusterConfig()
         self.started_at = time.time()
+        _fix_heap_policy(self.cluster.block_size)
         #: Process-wide compiled-plan cache, shared by every engine.
         self.plan_cache = PlanCache(self.config.plan_cache_size)
         self._engines: dict[str, object] = {}
@@ -157,6 +217,8 @@ class OptimizerService:
                          "rejected_quota": 0, "rejected_rate": 0,
                          "rejected_draining": 0, "deadline_exceeded": 0,
                          "shed": 0}
+        if _RUSAGE_THREAD is not None:
+            self.counters["execute_minor_faults"] = 0
         self.closed = False
 
     @property
@@ -428,6 +490,9 @@ class OptimizerService:
             "execute_ms": round((finished - compiled_at) * 1e3, 3),
             "total_ms": round((finished - received) * 1e3, 3),
         })
+        if "execute_minor_faults" in packaged:
+            self.counters["execute_minor_faults"] += \
+                packaged["execute_minor_faults"]
         return packaged
 
     def _execute_and_package(self, session, workload, compiled, outputs,
@@ -438,7 +503,11 @@ class OptimizerService:
         Each output is canonicalised once; the digest is taken over, and
         ``entry["data"]`` is a view of, that one buffer (the front end
         sends it after the header line, see :mod:`repro.server.protocol`).
+        The thread's minor page faults over both, where the platform
+        counts them per thread, go out as ``execute_minor_faults``.
         """
+        if _RUSAGE_THREAD is not None:
+            faults_before = _thread_minor_faults()
         result = session.execute(compiled,
                                  workload.grids(self.cluster.block_size),
                                  symmetric=workload.algo.symmetric_inputs,
@@ -452,13 +521,17 @@ class OptimizerService:
             if return_values:
                 entry.update(protocol.encode_array(value))
             results[name] = entry
-        return {
+        packaged = {
             "results": results,
             "simulated_execution_s": result.execution_seconds,
             "simulated_total_s": result.total_seconds,
             "applied_options": len(result.compiled.applied_options)
             if result.compiled else 0,
         }
+        if _RUSAGE_THREAD is not None:
+            packaged["execute_minor_faults"] = \
+                _thread_minor_faults() - faults_before
+        return packaged
 
     # ------------------------------------------------------------------
     # Drain lifecycle

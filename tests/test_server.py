@@ -12,7 +12,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import socket
+import statistics
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -20,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.algorithms import get_algorithm
 from repro.config import ClusterConfig, ServerConfig
 from repro.data import load_dataset
@@ -29,6 +33,7 @@ from repro.engines.session import Session
 from repro.errors import ConfigError
 from repro.matrix.blocked import BlockedMatrix
 from repro.runtime.physical import Kernels
+from repro.server import service
 from repro.server import (ProtocolError, ServerClient, ServerHandle,
                           array_digest, decode_array, digest_result,
                           encode_array, parse_request)
@@ -396,6 +401,73 @@ class TestResidentInputs:
                 assert response["status"] == "ok"
         assert response["plan_cache"] == "hit"
         assert self._workload(wide, "gd", "cri2")._grids is None
+
+
+#: One cold and ten warm ``serve_payload``-shaped requests in a fresh
+#: interpreter; prints, per warm request, the process's minor faults
+#: around it and the ``execute_minor_faults`` it reports, then the
+#: cold request's count and the ``stats`` sum.
+_WARM_FAULTS_SCRIPT = """
+import json, resource
+from repro.config import ServerConfig
+from repro.server import ServerClient, ServerHandle
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+fields = dict(algorithm="dfp", dataset="cri3", scale=0.5, iterations=2,
+              outputs=["x", "H"], return_values=True)
+with ServerHandle(ServerConfig(port=0)) as handle, \\
+        ServerClient(handle.host, handle.port, timeout=60.0) as client:
+    cold = client.run(**fields).get("execute_minor_faults")
+    warm = []
+    for _ in range(10):
+        before = faults()
+        response = client.run(**fields)
+        warm.append((faults() - before, response["plan_cache"],
+                     response.get("execute_minor_faults")))
+        del response
+    total = client.stats()["counters"].get("execute_minor_faults")
+print(json.dumps({"warm": warm, "cold": cold, "total": total}))
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(service._RUSAGE_THREAD is None or not _glibc(),
+                    reason="the heap policy and the count are glibc/Linux")
+class TestServedHeap:
+    """A warm served request does not fault its heap back in: the service
+    fixes glibc's mmap and trim thresholds at start (docs §14)."""
+
+    def test_warm_request_takes_no_page_faults(self):
+        """Each fresh process settles its heap in a mode of its own; the
+        trimming default faults a median of ~500 a request in most modes
+        and few in some, so three processes are asked, not one."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).parents[1]),
+                          env.get("PYTHONPATH")]))
+        for _ in range(3):
+            done = subprocess.run(
+                [sys.executable, "-c", _WARM_FAULTS_SCRIPT], env=env,
+                capture_output=True, text=True, timeout=180, check=True)
+            report = json.loads(done.stdout.splitlines()[-1])
+            warm = report["warm"]
+            assert [outcome for _, outcome, _ in warm] == ["hit"] * 10
+            process = [count for count, _, _ in warm]
+            assert statistics.median(process) <= 100, process
+            # The execute thread's count is part of the process's.
+            assert all(0 <= reported <= count
+                       for count, _, reported in warm), warm
+            assert statistics.median(r for _, _, r in warm) <= 100
+            assert report["total"] \
+                == report["cold"] + sum(r for _, _, r in warm)
 
 
 class TestDecoupledStages:
