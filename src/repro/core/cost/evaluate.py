@@ -2,15 +2,20 @@
 
 Interprets a program's lowered records (:func:`repro.runtime.plan.lower`,
 the ones the executor runs) over estimator sketches, summing operator
-prices instead of computing values: each FUSED and MMCHAIN record is
-decided and priced here by the rules the runtime applies. Loop bodies are
-evaluated to a sparsity steady state (two passes) and the second pass's
-per-iteration cost is multiplied by the loop's iteration budget.
+prices instead of computing values. It is the one fusion decider: each
+FUSED and MMCHAIN record it prices is decided here and carries the
+decision (``Op.fuse``), which the executor runs without pricing. Loop
+bodies are evaluated to a sparsity steady state (two passes) and the
+second pass's per-iteration cost is multiplied by the loop's iteration
+budget.
 
 This is the arbiter every elimination strategy uses: the brute-force
 enumerator prices each rewritten candidate program with it, and the DP's
 chosen plan gets its final predicted cost, its predicted operators and its
-fusion report from it.
+fusion report from it. A run no compile decided (a bare program, a
+hand-built plan, a plan compiled under the other ``policy.fuse``) gets its
+decisions from :func:`decide_records`: one evaluation over the loaded
+inputs' metas.
 
 :func:`propagate` is the unpriced walk: the sketch of one expression for
 every caller that wants sketches only (sketch environments, operand
@@ -24,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...errors import OptimizerError
+from ...config import ClusterConfig
+from ...errors import OptimizerError, ShapeError
 from ...lang.ast import (
     CELLWISE_BUILTINS,
     Call,
@@ -38,16 +44,16 @@ from ...lang.ast import (
     Transpose,
 )
 from ...lang.program import Assign, Program, WhileLoop
-from ...matrix import ops as flops
 from ...matrix.meta import MatrixMeta
 from ...runtime.fusion import (ZIP_KINDS, Region, mmchain_beats_unfused,
-                               unwrap_transpose)
-from ...runtime.hybrid import LOCAL, value_distributed
+                               region_flops, unwrap_transpose)
+from ...runtime.hybrid import LOCAL, ExecutionPolicy, value_distributed
 from ...runtime.plan import (CALL, COMPARE, CONST, EWISE, FUSED, LOAD,
                              MATMUL, MMCHAIN, TRANSPOSE, Op, PredictedOp,
                              StatementPath, lower)
 from ...runtime.pricing import price_fused_ewise
 from ..sparsity.base import Sketch
+from ..sparsity.metadata import MetadataEstimator
 from .model import CostModel, Priced
 
 
@@ -210,38 +216,39 @@ class ProgramCostEvaluator:
         return seconds, model.scalar()
 
     def _fused(self, op: Op, env: dict[str, Sketch]) -> tuple[float, Sketch]:
-        """The executor's cost-gated element-wise region fusion, priced."""
+        """Decide and price a FUSED record: it fuses when the single pass
+        prices strictly below the sum of its members."""
         leaves = [self._run(code, env)[1] for code in op.sub[0]]
         estimate = price_fused_region(self.model, op.arg, leaves)
-        if estimate is None:
-            return self._run(op.sub[-1], env)
-        fused, unfused_seconds = estimate
-        # Strictly cheaper fused than unfused: the runtime's rule.
-        fuses = fused.seconds < unfused_seconds
-        if self._record is not None:
-            self._regions.append({
-                "kind": "ewise", "members": op.arg.member_count,
-                "fused_seconds": fused.seconds,
-                "unfused_seconds": unfused_seconds, "selected": fuses})
-        if not fuses:
-            return self._run(op.sub[-1], env)
-        return self._note("fused_ewise", fused, 0.0)
+        op.fuse = False
+        if estimate is not None:
+            fused, unfused_seconds = estimate
+            op.fuse = fused.seconds < unfused_seconds
+            if self._record is not None:
+                self._regions.append({
+                    "kind": "ewise", "members": op.arg.member_count,
+                    "fused_seconds": fused.seconds,
+                    "unfused_seconds": unfused_seconds, "selected": op.fuse})
+            if op.fuse:
+                return self._note("fused_ewise", fused, 0.0)
+        return self._run(op.sub[-1], env)
 
     def _mmchain(self, op: Op, env: dict[str, Sketch]) -> tuple[float, Sketch]:
-        """The executor's mmchain fusion (legacy and cost-gated), priced."""
+        """Decide and price an MMCHAIN record: the legacy column bound
+        fuses it; under ``policy.fuse`` a by-cost record fuses when
+        :func:`~repro.runtime.fusion.mmchain_beats_unfused`. A by-cost
+        ``X`` is a reference and ``v`` a leaf, so declining after running
+        their codes priced and recorded nothing of theirs."""
         x_code, v_code, plain = op.sub
+        by_cost, x_cols = op.arg
         model, policy = self.model, self.model.policy
-        sec_x, x = self._run(x_code, env)
-        x_meta = model.meta(x)
-        legacy = policy.mmchain_applicable_cols(x_meta.cols)
-        if not (legacy or policy.fuse and op.arg):
+        legacy = policy.mmchain_applicable_cols(x_cols)
+        op.fuse = False
+        if not (legacy or policy.fuse and by_cost):
             return self._run(plain, env)
-        sec_v, v = self._run(v_code, env)
-        v_meta = model.meta(v)
-        if v_meta.is_scalar_like or x_meta.is_scalar_like:
-            return self._run(plain, env)
-        fuses = legacy or mmchain_beats_unfused(
-            x_meta, v_meta, 1.0, 1.0, model.config, policy)
+        (sec_x, x), (sec_v, v) = self._run(x_code, env), self._run(v_code, env)
+        op.fuse = legacy or mmchain_beats_unfused(
+            model.meta(x), model.meta(v), 1.0, 1.0, model.config, policy)
         fused = model.mmchain(x, v, exact_inner=not legacy)
         if self._record is not None:
             inner = model.matmul(x, v)
@@ -249,8 +256,8 @@ class ProgramCostEvaluator:
             self._regions.append({
                 "kind": "mmchain", "members": 2, "fused_seconds": fused.seconds,
                 "unfused_seconds": inner.seconds + outer.seconds,
-                "selected": fuses})
-        if not fuses:
+                "selected": op.fuse})
+        if not op.fuse:
             return self._run(plain, env)
         return self._note("mmchain", fused, sec_x + sec_v)
 
@@ -302,63 +309,54 @@ def propagate(model: CostModel, expr: Expr, env: dict[str, Sketch]) -> Sketch:
 def price_fused_region(model: CostModel, region: Region,
                        leaf_sketches: list[Sketch]
                        ) -> tuple[Priced, float] | None:
-    """Price a fusable region both ways from estimator sketches: the fused
+    """Price a folded region both ways from estimator sketches: the fused
     operator and the summed seconds of its unfused members.
 
-    Mirrors :func:`repro.runtime.fusion.plan_fused_ewise` on the model
-    side: member sketches propagate through the memoized estimator exactly
-    as the unfused operators would (fusion changes pricing, never
-    sketches), the unfused cost is the summed member prices, and the fused
-    cost is one :func:`~repro.runtime.pricing.price_fused_ewise` over the
-    summed member FLOPs. Regions with no distributed member return None —
-    local regions never fuse.
+    Member sketches propagate through the memoized estimator exactly as
+    the unfused operators would (fusion changes pricing, never sketches),
+    the unfused cost is the summed member prices, and the fused cost is
+    one :func:`~repro.runtime.pricing.price_fused_ewise` over the
+    members' :func:`~repro.runtime.fusion.region_flops`, the count the
+    run charges from observed nnz. Regions with no distributed member
+    return None: local regions never fuse.
     """
-    scalar_meta = MatrixMeta(1, 1)
-    # Per region node: (is_scalar, sketch).
-    results: list[tuple[bool, Sketch]] = []
+    # Per folded node: its sketch.
+    sketches: list[Sketch] = []
     unfused_seconds = 0.0
-    fused_flops = 0.0
     matrix_leaves: list[Sketch] = []
     seen: set[int] = set()
     any_distributed = False
     for node in region.nodes:
         if node.op == "leaf":
             sketch = leaf_sketches[node.a]
-            is_scalar = model.meta(sketch).is_scalar_like
-            if not is_scalar and id(sketch) not in seen:
+            if id(sketch) not in seen:
                 seen.add(id(sketch))
                 matrix_leaves.append(sketch)
-            results.append((is_scalar, sketch))
+            sketches.append(sketch)
             continue
+        left = sketches[node.a]
         if node.op == "neg":
-            is_scalar, sketch = results[node.a]
-            if is_scalar:
-                return None  # scalar subtree: seed path arithmetic
-            # The unfused model prices negation as free; the fused pass
-            # still touches the support once, like the negate kernel.
-            fused_flops += flops.ewise_mul_flops(model.meta(sketch), scalar_meta)
-            results.append((False, sketch))
+            sketches.append(left)  # the unfused model prices it free
             continue
-        left_scalar, left = results[node.a]
-        right_scalar, right = results[node.b]
-        if left_scalar and right_scalar:
-            return None  # scalar-scalar member: seed path
+        right = sketches[node.b] if node.scalar < 0 \
+            else leaf_sketches[node.scalar]
+        if node.scalar_left:
+            left, right = right, left
         priced = model.ewise(node.op, left, right)
         unfused_seconds += priced.seconds
-        fused_flops += flops.ewise_flops(node.op, model.meta(left),
-                                         model.meta(right))
         if priced.price.impl != LOCAL:
             any_distributed = True
-        results.append((False, priced.sketch))
-    if not any_distributed or not matrix_leaves:
+        sketches.append(priced.sketch)
+    if not any_distributed:
         return None
     broadcast_metas = [model.meta(sketch) for sketch in matrix_leaves
                        if not value_distributed(model.meta(sketch),
                                                 model.config, model.policy)]
-    root_sketch = results[-1][1]
-    price = price_fused_ewise(fused_flops, broadcast_metas,
-                              model.meta(root_sketch), True,
-                              model.config, model.policy)
+    root_sketch = sketches[-1]
+    price = price_fused_ewise(
+        region_flops(region, lambda node: model.meta(sketches[node])),
+        broadcast_metas, model.meta(root_sketch), True, model.config,
+        model.policy)
     return Priced(price, root_sketch), unfused_seconds
 
 
@@ -370,6 +368,24 @@ def _assignments_with_paths(body, path: StatementPath):
             yield stmt_path, stmt
         else:
             yield from _assignments_with_paths(stmt.body, stmt_path)
+
+
+def decide_records(program: Program, lowered: dict[int, tuple[Op, ...]],
+                   metas: dict[str, MatrixMeta], config: ClusterConfig,
+                   policy: ExecutionPolicy) -> None:
+    """Decide the fusions of ``program``'s records, lowered from
+    ``metas``, by one evaluation over a :class:`~repro.core.sparsity.
+    metadata.MetadataEstimator` model of those metas. Records past a
+    statement the model cannot evaluate stay plain: the run raises its
+    own typed error there."""
+    if any(op.kind in (FUSED, MMCHAIN)
+           for code in lowered.values() for op in code):
+        model = CostModel(config, MetadataEstimator(), policy)
+        try:
+            ProgramCostEvaluator(model).evaluate(
+                program, sketch_inputs(model, metas), lowered=lowered)
+        except (OptimizerError, ShapeError):
+            pass
 
 
 def sketch_inputs(model: CostModel, input_meta: dict, input_data: dict | None = None) -> dict[str, Sketch]:

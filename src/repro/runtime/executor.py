@@ -4,8 +4,10 @@ Walks the (possibly rewritten) program statement by statement, running each
 expression's records (:func:`~repro.runtime.plan.lower`: a compiled plan
 carries them, a bare program is lowered per run) through
 :class:`~repro.runtime.physical.Kernels`, which computes real values and
-advances the simulated clock. ``while`` loops genuinely evaluate their
-scalar conditions, bounded by the loop's ``max_iterations``.
+advances the simulated clock. A FUSED or MMCHAIN record runs fused or plain
+as the cost evaluation that priced it decided; the executor prices nothing.
+``while`` loops genuinely evaluate their scalar conditions, bounded by the
+loop's ``max_iterations``.
 
 Transposes directly under a multiplication are *fused* (executed
 block-locally inside the multiply, SystemDS-style); only materialized
@@ -207,18 +209,22 @@ class Executor:
 
     def _records(self, plan: Program | CompiledProgram,
                  env: dict[str, Value]) -> dict[int, tuple[Op, ...]]:
-        """A compiled plan's records; a bare program's, a hand-built
-        plan's, or one compiled under the other ``policy.fuse`` (its
-        fusion report is set when the compile fused), lowered for this run
-        under ``env``'s shapes."""
+        """A compiled plan's records, which carry its compile's fusion
+        decisions. A bare program, a hand-built plan, or one compiled under
+        the other ``policy.fuse`` (its fusion report is set when the
+        compile fused) is lowered for this run under ``env``'s metas and
+        decided once, by :func:`~repro.core.cost.evaluate.decide_records`."""
         if isinstance(plan, CompiledProgram):
             fused = plan.notes.get("fusion") is not None
             if plan.lowered is not None and fused == self.kernels.policy.fuse:
                 return plan.lowered
             plan = plan.program
-        return lower(plan.statements,
-                     {name: value.meta for name, value in env.items()},
-                     self.kernels.policy.fuse)
+        from ..core.cost.evaluate import decide_records  # import-cycle guard
+        kernels = self.kernels
+        metas = {name: value.meta for name, value in env.items()}
+        lowered = lower(plan.statements, metas, kernels.policy.fuse)
+        decide_records(plan, lowered, metas, kernels.config, kernels.policy)
+        return lowered
 
     # ------------------------------------------------------------------
     # Expression evaluation
@@ -285,34 +291,26 @@ class Executor:
             and self.recovery is None
 
     def _try_fused_ewise(self, op: Op, env: dict[str, Value]) -> Value | None:
-        """Fuse an element-wise region when the cost model prices it
-        cheaper. Its leaves are references/literals, so a declined fusion
-        (None: run the plain code) re-reads them for free."""
-        leaf_values = [self._eval(code, env) for code in op.sub[0]]
-        plan = fusion.plan_fused_ewise(op.arg, leaf_values,
-                                       self.kernels.config, self.kernels.policy)
-        if plan is None or not plan.fuses:
+        """Run a FUSED record its evaluation selected through the
+        ``fused_ewise`` kernel; None runs the plain code (declined, or a
+        run-time bail of :func:`~repro.runtime.fusion.plan_fused_ewise`)."""
+        if not op.fuse:
             return None
-        return self.kernels.fused_ewise(plan)
+        plan = fusion.plan_fused_ewise(
+            op.arg, [self._eval(code, env) for code in op.sub[0]])
+        return None if plan is None else self.kernels.fused_ewise(plan)
 
     def _try_mmchain(self, op: Op, env: dict[str, Value]) -> Value | None:
-        """Fuse ``t(X) %*% (X %*% v)`` on the legacy column bound, or with
-        ``policy.fuse`` (reference operands only) when the fused pass prices
-        below the two unfused multiplies. None runs the plain code."""
+        """Run an MMCHAIN record its evaluation selected through the
+        ``mmchain`` kernel (priced on the legacy dense inner when the
+        column bound admitted it); None runs the plain code."""
+        if not op.fuse:
+            return None
         x_code, v_code, _plain = op.sub
-        policy = self.kernels.policy
-        x = self._eval(x_code, env)
-        legacy = policy.mmchain_applicable_cols(x.meta.cols)
-        if not (legacy or policy.fuse and op.arg):
-            return None
-        v = self._eval(v_code, env)
-        if v.is_scalar or x.is_scalar:
-            return None
-        if not legacy and not fusion.mmchain_beats_unfused(
-                x.meta, v.meta, x.imbalance, v.imbalance, self.kernels.config,
-                policy):
-            return None
-        return self.kernels.mmchain(x, v, exact_inner=not legacy)
+        return self.kernels.mmchain(
+            self._eval(x_code, env), self._eval(v_code, env),
+            exact_inner=not self.kernels.policy.mmchain_applicable_cols(
+                op.arg[1]))
 
     def _call(self, func: str, arg: Value) -> Value:
         kernels = self.kernels

@@ -314,12 +314,12 @@ class Kernels:
         """Fused ``t(X) %*% (X %*% v)`` (SystemDS's mmchain pattern).
 
         Computed in one distributed pass: the m-sized intermediate Xv stays
-        worker-local. Callers must have checked
-        :meth:`ExecutionPolicy.mmchain_applicable_cols` first — or, on the
-        cost-gated fusion path, :func:`~repro.runtime.fusion.
-        mmchain_beats_unfused`; that path passes ``exact_inner=True`` so
-        the charge prices the never-materialized intermediate with its
-        observed meta instead of the legacy dense assumption.
+        worker-local. The executor calls it for an MMCHAIN record its cost
+        evaluation selected; a record selected by cost rather than by
+        :meth:`ExecutionPolicy.mmchain_applicable_cols` passes
+        ``exact_inner=True`` so the charge prices the never-materialized
+        intermediate with its observed meta instead of the legacy dense
+        assumption.
         """
         inner = x.matrix.matmul(v.matrix)
         result = x.matrix.transpose().matmul(inner)
@@ -337,14 +337,14 @@ class Kernels:
         return out
 
     def fused_ewise(self, plan) -> Value:
-        """Execute a priced :class:`~repro.runtime.fusion.FusedEwisePlan`.
+        """Execute a lowered :class:`~repro.runtime.fusion.FusedEwisePlan`.
 
         One pass over the tile grid evaluates the whole region; no member
         intermediate is ever assembled into a ``BlockedMatrix``. The single
         pass reports every intermediate step's observed nnz, so the charge
-        re-prices the region from observed metadata like any other kernel.
-        The caller (the executor) has already established that the plan's
-        fused price beats its unfused member prices.
+        prices the region from observed metadata like any other kernel.
+        Whether to fuse was the record's cost evaluation's decision; this
+        kernel only runs and charges it.
         """
         from ..matrix.fused import evaluate_fused_ewise
         from .fusion import exact_fused_price

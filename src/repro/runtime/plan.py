@@ -113,9 +113,11 @@ class Op:
     """One operator of a lowered expression, over the stack the records
     before it left. ``arg``: a name, a literal's float, a ``Kernels``
     method's name (looked up at each call, so class wrappers see it), a
-    comparison, a builtin, a region, or whether mmchain may be admitted by
-    cost. ``dying``: per operand, kernel-built (empty when none is);
-    ``sub``: a fusion's codes, plain last."""
+    comparison, a builtin, a folded region, or an mmchain's (whether it
+    may be admitted by cost, ``X``'s column count). ``dying``: per operand, kernel-built (empty when none
+    is); ``sub``: a fusion's codes, plain last; ``fuse``: a fusion's
+    decision, set by the cost evaluation that priced the record (False:
+    the executor runs the plain code)."""
 
     kind: int
     arg: object = None
@@ -123,6 +125,7 @@ class Op:
     dying: tuple[bool, ...] = ()
     driver: bool = False
     sub: tuple = ()
+    fuse: bool = False
 
 
 def lower(statements: list[Statement] | tuple[Statement, ...],
@@ -130,11 +133,13 @@ def lower(statements: list[Statement] | tuple[Statement, ...],
           ) -> dict[int, tuple[Op, ...]]:
     """Each assignment's and loop condition's records, by ``id`` of
     statement, from the inputs' ``metas``; ``fuse``: element-wise regions
-    become FUSED records (``ExecutionPolicy.fuse``). An expression's records
-    are its operators in postfix order as the kernels run them: children
-    left to right, one record per operator, a gated fusion holding its
-    codes. Each node's meta is derived from its children's as it is
-    emitted (None: unknown)."""
+    become FUSED records (``ExecutionPolicy.fuse``), their scalar leaves
+    folded by meta (:meth:`~repro.runtime.fusion.Region.fold`). An
+    expression's records are its operators in postfix order as the kernels
+    run them: children left to right, one record per operator, a gated
+    fusion holding its codes, undecided until a cost evaluation prices it.
+    Each node's meta is derived from its children's as it is emitted
+    (None: unknown)."""
     metas = {**metas, "__always__": scalar_meta()}
     lowered: dict[int, tuple[Op, ...]] = {}
 
@@ -155,18 +160,24 @@ def lower(statements: list[Statement] | tuple[Statement, ...],
         region = fusion.find_ewise_region(node) \
             if gated and fuse and kind in ZIP_KINDS else None
         if region is not None:
+            leaves, leaf_metas = zip(*map(code_of, region.leaves))
+            region = None if None in leaf_metas else region.fold(
+                [meta.is_scalar_like for meta in leaf_metas])
+        if region is not None:
             plain, meta = code_of(node, False)
-            code.append(Op(FUSED, region, sub=(
-                tuple(code_of(leaf)[0] for leaf in region.leaves), plain)))
+            code.append(Op(FUSED, region, sub=(leaves, plain)))
             return meta
         match = fusion.mmchain_match(node) if gated and kind is MatMul \
             else None
         if match is not None:
             x, v, by_cost = match
-            plain, meta = code_of(node, False)
-            code.append(Op(MMCHAIN, by_cost,
-                           sub=(code_of(x)[0], code_of(v)[0], plain)))
-            return meta
+            (x_code, x_meta), (v_code, v_meta) = code_of(x), code_of(v)
+            if None not in (x_meta, v_meta) and not (
+                    x_meta.is_scalar_like or v_meta.is_scalar_like):
+                plain, meta = code_of(node, False)
+                code.append(Op(MMCHAIN, (by_cost, x_meta.cols),
+                               sub=(x_code, v_code, plain)))
+                return meta
         if kind is Neg or kind in ZIP_KINDS:
             children = (node.child,) if kind is Neg else (node.left, node.right)
             operands = [emit(child, code) for child in children]

@@ -21,6 +21,7 @@ from repro.errors import ConfigError, ExecutionError
 from repro.lang import parse
 from repro.runtime import (ExecutionPolicy, ExecutionTracer, Executor,
                            RecoveryConfig, fusion)
+from repro.runtime.plan import FUSED, MMCHAIN
 from repro.server.protocol import array_digest
 
 GD_SCRIPT = """
@@ -270,14 +271,34 @@ class TestReplayedPricesAcrossAShrink:
                 price._config is kernels.config
                 for price in kernels._prices.values())
 
-    def test_fusion_after_a_crash_is_decided_for_the_survivors(
-            self, cluster, program, inputs, monkeypatch):
-        seen, plan = [], fusion.plan_fused_ewise
-        monkeypatch.setattr(fusion, "plan_fused_ewise", lambda *args: (
-            seen.append(args[2].num_workers), plan(*args))[1])
-        run_program(cluster, program, inputs, policy=ExecutionPolicy(fuse=True),
-                    fault_plan=FaultPlan(crashes=(CrashEvent(0.0, 1),)))
-        assert seen == [cluster.num_workers - 1] * 5
+    def test_fusion_after_a_crash_is_charged_for_the_survivors(
+            self, cluster, monkeypatch):
+        """Fusion is decided once, when the run starts; a crash at t=0
+        prices each fused charge for the survivors and leaves every
+        decision as the crash-free run took it."""
+        # The crash is found after the first operator, ``A - S``.
+        program = parse("input A, S\nB = A - S\ni = 0\nwhile (i < 5) {\n"
+                        "  B = (A + S) * S - B\n  i = i + 1\n}",
+                        scalar_names={"i"}, max_iterations=10)
+        rng = np.random.default_rng(7)
+        inputs = {"A": rng.random((200, 40)),  # distributed
+                  "S": rng.random((200, 40)) * (rng.random((200, 40)) < 0.02)}
+        workers, price = [], fusion.exact_fused_price
+        monkeypatch.setattr(fusion, "exact_fused_price", lambda *args: (
+            workers.append(args[3].num_workers), price(*args))[1])
+        policy = ExecutionPolicy(fuse=True)
+        base, _env = run_program(cluster, program, inputs, policy=policy)
+        assert workers == [cluster.num_workers] * 5
+        workers.clear()
+        crashed, _env = run_program(
+            cluster, program, inputs, policy=policy,
+            fault_plan=FaultPlan(crashes=(CrashEvent(0.0, 1),)))
+        assert workers == [cluster.num_workers - 1] * 5
+
+        def decisions(executor):
+            return [op.fuse for code in executor._lowered.values()
+                    for op in code if op.kind in (FUSED, MMCHAIN)]
+        assert decisions(crashed) == decisions(base) == [True]
 
 
 class TestFailureModes:

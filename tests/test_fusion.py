@@ -18,13 +18,15 @@ import pytest
 
 from repro.algorithms import get_algorithm
 from repro.config import ClusterConfig, OptimizerConfig
+from repro.core.cost import evaluate
 from repro.core.plancache import plan_fingerprint, settings_text
 from repro.data import load_dataset
 from repro.engines import make_engine
-from repro.lang import parse_expression
+from repro.errors import ExecutionError
+from repro.lang import parse, parse_expression
 from repro.lang.program import single_expression_program
 from repro.matrix.meta import MatrixMeta
-from repro.runtime import ExecutionPolicy, ExecutionTracer, Executor
+from repro.runtime import ExecutionPolicy, ExecutionTracer, Executor, plan
 from repro.runtime.fusion import find_ewise_region, mmchain_beats_unfused
 from repro.server.protocol import digest_result
 
@@ -200,6 +202,64 @@ class TestFusionLosesWhenCostSaysSo:
         x = MatrixMeta(50_000, 100, 1.0)
         v = MatrixMeta(100, 1, 1.0)
         assert mmchain_beats_unfused(x, v, 1.0, 1.0, config, FUSED)
+
+
+class TestOneDecider:
+    """The cost evaluation decides each FUSED / MMCHAIN record and the
+    executor runs what it was told: a plan executes exactly the fused
+    sites it predicted, and every operator span pairs with a prediction."""
+
+    FUSED_OPS = ("fused_ewise", "mmchain")
+
+    @pytest.mark.parametrize("algorithm, dataset, engine", [
+        ("gd", "cri1", "pbdr"), ("dfp", "cri2", "scidb"),
+        ("gd", "cri2", "remac")])
+    def test_executed_sites_are_the_predicted_sites(self, algorithm, dataset,
+                                                    engine):
+        algo = get_algorithm(algorithm)
+        meta, inputs = algo.make_inputs(
+            load_dataset(dataset, scale=0.3).matrix)
+        tracer = ExecutionTracer()
+        run = make_engine(engine, ClusterConfig()).with_fusion(True).run(
+            algo.program(5), meta, inputs, symmetric=algo.symmetric_inputs,
+            iterations=5, tracer=tracer)
+        predicted = {".".join(map(str, path))
+                     for path, ops in run.compiled.predicted_ops.items()
+                     for op in ops if op.kind in self.FUSED_OPS}
+        spans = [span for span in tracer.operator_spans()
+                 if "cond" not in span["statement"]]
+        assert predicted
+        assert {span["statement"] for span in spans
+                if span["op"] in self.FUSED_OPS} == predicted
+        assert all(span["predicted"] is not None for span in spans)
+
+    def test_a_bare_program_is_decided_at_run_start(self, rng, monkeypatch):
+        decided, decide = [], evaluate.decide_records
+        monkeypatch.setattr(evaluate, "decide_records", lambda *args: (
+            decided.append(args[0]), decide(*args))[1])
+        operands = {"A": rng.random((400, 400)),
+                    "S": rng.random((400, 400)) * (rng.random((400, 400))
+                                                   < 0.02)}
+        program = single_expression_program(parse_expression(
+            "(A + S) * S - t(A) %*% (A %*% S)"))
+        tracer = ExecutionTracer()
+        executor = Executor(ClusterConfig(), FUSED, tracer=tracer)
+        executor.run(program, operands)
+        assert decided == [program]
+        records = [op for code in executor._lowered.values() for op in code
+                   if op.kind in (plan.FUSED, plan.MMCHAIN)]
+        executed = [span["op"] for span in tracer.operator_spans()
+                    if span["op"] in self.FUSED_OPS]
+        assert [(op.kind, op.fuse) for op in records] == [
+            (plan.FUSED, True), (plan.MMCHAIN, True)]
+        assert executed == ["fused_ewise", "mmchain"]
+
+    def test_an_undecidable_bare_program_fails_where_it_runs(self, rng):
+        operands = {"A": rng.random((400, 400)), "S": rng.random((400, 400))}
+        with pytest.raises(ExecutionError, match="undefined variable 'Z' "
+                                                 r"\[at statement 1"):
+            Executor(ClusterConfig(), FUSED).run(
+                parse("out = (A + S) * S\ny = Z + 1"), operands)
 
 
 class TestPlanCacheFingerprint:

@@ -1,5 +1,7 @@
 """mmchain fused operator tests (SystemDS's t(X)(Xv) fusion, §6.2.2)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,38 @@ class TestColumnConstraint:
         assert FUSED.mmchain_applicable_cols(512)
         assert not FUSED.mmchain_applicable_cols(513)
         assert not ExecutionPolicy.systemds().mmchain_applicable_cols(3)
+
+
+class TestDeclinedChain:
+    """A declined MMCHAIN record runs its plain code only, so an ``X``
+    that is not a reference is evaluated, and charged, once."""
+
+    SOURCE = "out = t(A %*% B) %*% ((A %*% B) %*% v)"
+
+    @pytest.fixture
+    def operands(self, rng):
+        return {"A": rng.random((3000, 40)), "B": rng.random((40, 100)),
+                "v": rng.random((100, 1))}
+
+    @pytest.mark.parametrize("policy", [
+        ExecutionPolicy.systemds(),
+        replace(ExecutionPolicy.systemds(), fuse=True),
+        ExecutionPolicy()], ids=["systemds", "systemds-fuse", "default"])
+    def test_x_is_charged_once(self, operands, policy):
+        config = ClusterConfig()
+        executor = Executor(config, policy)
+        out = executor.run(parse(self.SOURCE), operands)["out"]
+        product = operands["A"] @ operands["B"]
+        assert np.allclose(out.matrix.to_numpy(),
+                           product.T @ (product @ operands["v"]))
+        assert dict(executor.metrics.operator_counts) == {"bmm": 4}
+        model = CostModel(config, make_estimator("exact"), policy)
+        record = {}
+        ProgramCostEvaluator(model).evaluate(
+            parse(self.SOURCE), sketch_inputs(model, {
+                name: MatrixMeta(*value.shape) for name, value
+                in operands.items()}, operands), record=record)
+        assert [op.kind for op in record[(0,)]] == ["matmul"] * 4
 
 
 class TestPricing:
