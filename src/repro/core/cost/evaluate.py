@@ -50,7 +50,7 @@ from ...runtime.fusion import (ZIP_KINDS, Region, mmchain_beats_unfused,
 from ...runtime.hybrid import LOCAL, ExecutionPolicy, value_distributed
 from ...runtime.plan import (CALL, COMPARE, CONST, EWISE, FUSED, LOAD,
                              MATMUL, MMCHAIN, TRANSPOSE, Op, PredictedOp,
-                             StatementPath, lower)
+                             lower)
 from ...runtime.pricing import price_fused_ewise
 from ..sparsity.base import Sketch
 from ..sparsity.metadata import MetadataEstimator
@@ -78,26 +78,25 @@ class ProgramCostEvaluator:
 
     def __init__(self, model: CostModel):
         self.model = model
-        #: Recording sink: when set (final plan evaluation only), every
-        #: priced operator appends a PredictedOp under the current
-        #: statement path — the execution tracer's prediction source.
-        self._record: dict[StatementPath, list[PredictedOp]] | None = None
-        self._path: StatementPath | None = None
+        #: Whether this evaluation writes each priced operator's
+        #: PredictedOp onto its record (the compile's final one only).
+        self._record = False
         self._regions: list[dict] = []
 
     def evaluate(self, program: Program, input_sketches: dict[str, Sketch],
-                 iterations: int | None = None,
-                 record: dict[StatementPath, list[PredictedOp]] | None = None,
+                 iterations: int | None = None, record: bool = False,
                  lowered: dict[int, tuple[Op, ...]] | None = None,
                  ) -> ProgramCost:
         """Price one program run; optionally record per-operator predictions.
 
         ``lowered``: the program's records, lowered here from the input
-        sketches' metas when not given. ``record``, when given, is filled
-        with statement-path -> ordered predicted operator prices, and the
-        cost's :attr:`~ProgramCost.regions` with the fusion decisions.
-        Recording is pure observation: the returned cost is bit-identical
-        with or without it.
+        sketches' metas when not given. ``record``: write each priced
+        operator's :class:`~repro.runtime.plan.PredictedOp` onto its record
+        (``Op.predicted``, read by the execution tracer when the record
+        runs; each record is priced at most once) and fill the cost's
+        :attr:`~ProgramCost.regions` with the fusion decisions. Recording
+        is pure observation: the returned cost is bit-identical with or
+        without it.
         """
         model = self.model
         if lowered is None:
@@ -109,47 +108,45 @@ class ProgramCostEvaluator:
         self._record, self._regions = record, cost.regions
         env: dict[str, Sketch] = dict(input_sketches)
         env["__always__"] = model.scalar()
-        for index, stmt in enumerate(program.statements):
+        for stmt in program.statements:
             if isinstance(stmt, Assign):
-                self._path = (index,)
                 seconds, env[stmt.target] = self._run(lowered[id(stmt)], env)
                 cost.prologue_seconds += seconds
             elif isinstance(stmt, WhileLoop):
                 cost.iterations = iterations if iterations is not None \
                     else stmt.max_iterations
                 cost.per_iteration_seconds += self._price_loop(
-                    stmt, env, (index,), lowered)
+                    stmt, env, lowered)
             else:  # pragma: no cover - defensive
                 raise OptimizerError(f"unknown statement type {type(stmt).__name__}")
         return cost
 
     def _price_loop(self, loop: WhileLoop, env: dict[str, Sketch],
-                    path: StatementPath, lowered: dict) -> float:
-        # Same in-order DFS as WhileLoop.assignments(), with statement paths.
-        pairs = list(_assignments_with_paths(loop.body, path))
+                    lowered: dict) -> float:
+        assignments = list(loop.assignments())
         # First pass settles loop-carried sketches (unpriced); second pass
         # is priced (and recorded: the steady-state prices are the plan's
         # prediction).
-        for _stmt_path, stmt in pairs:
+        for stmt in assignments:
             env[stmt.target] = propagate(self.model, stmt.expr, env)
         total = 0.0
-        for stmt_path, stmt in pairs:
-            self._path = stmt_path
+        for stmt in assignments:
             seconds, env[stmt.target] = self._run(lowered[id(stmt)], env)
             total += seconds
         return total
 
-    def _note(self, kind: str, priced, seconds: float) -> tuple[float, Sketch]:
-        """``priced`` after operands that cost ``seconds``; recorded under
-        the current statement path when recording."""
-        if self._record is not None:
+    def _note(self, op: Op, kind: str, priced, seconds: float
+              ) -> tuple[float, Sketch]:
+        """``priced`` after operands that cost ``seconds``; written onto
+        ``op`` when recording."""
+        if self._record:
             meta = self.model.meta(priced.sketch)
             price = priced.price
-            self._record.setdefault(self._path, []).append(PredictedOp(
+            op.predicted = PredictedOp(
                 kind=kind, impl=price.impl, seconds=price.seconds,
                 compute_seconds=price.compute_seconds,
                 transmission_seconds=price.transmission_seconds,
-                out_rows=meta.rows, out_cols=meta.cols, out_nnz=meta.nnz))
+                out_rows=meta.rows, out_cols=meta.cols, out_nnz=meta.nnz)
         return seconds + priced.seconds, priced.sketch
 
     # ------------------------------------------------------------------
@@ -172,7 +169,7 @@ class ProgramCostEvaluator:
                 push((0.0, model.scalar()))
             elif kind == EWISE:
                 (sec_r, right), (sec_l, left) = pop(), pop()
-                push(self._note(op.arg, model.ewise(op.arg, left, right),
+                push(self._note(op, op.arg, model.ewise(op.arg, left, right),
                                 sec_l + sec_r))
             elif kind == MATMUL:
                 (sec_r, right), (sec_l, left) = pop(), pop()
@@ -180,18 +177,18 @@ class ProgramCostEvaluator:
                         and model.meta(right).is_scalar_like:
                     push((sec_l + sec_r, model.scalar()))
                 else:
-                    push(self._note("matmul", model.matmul(
+                    push(self._note(op, "matmul", model.matmul(
                         left, right, *op.transposed), sec_l + sec_r))
             elif kind == TRANSPOSE:
                 seconds, sketch = stack[-1]
                 if not model.meta(sketch).is_scalar_like:
-                    stack[-1] = self._note("transpose",
+                    stack[-1] = self._note(op, "transpose",
                                            model.transpose(sketch), seconds)
             elif kind == COMPARE:
                 (sec_r, _), (sec_l, _) = pop(), pop()
                 push((sec_l + sec_r, model.scalar()))
             elif kind == CALL:
-                push(self._call(op.arg, *pop()))
+                push(self._call(op, *pop()))
             elif kind == MMCHAIN:
                 push(self._mmchain(op, env))
             elif kind == FUSED:
@@ -199,38 +196,39 @@ class ProgramCostEvaluator:
             # A NEG is priced free: its operand's entry stands for it.
         return pop()
 
-    def _call(self, func: str, seconds: float, sketch: Sketch
+    def _call(self, op: Op, seconds: float, sketch: Sketch
               ) -> tuple[float, Sketch]:
-        model = self.model
+        model, func = self.model, op.arg
         if func in ("sum", "trace", "norm"):
-            return self._note("aggregate", model.aggregate(
+            return self._note(op, "aggregate", model.aggregate(
                 sketch, flop_multiplier=2.0 if func == "norm" else 1.0),
                 seconds)
         if func in ("rowsums", "colsums", "diag"):
-            return self._note("structural", model.structural(func, sketch),
-                              seconds)
+            return self._note(op, "structural",
+                              model.structural(func, sketch), seconds)
         if func in CELLWISE_BUILTINS and \
                 not model.meta(sketch).is_scalar_like:
-            return self._note("map", model.map_cells(func, sketch), seconds)
+            return self._note(op, "map", model.map_cells(func, sketch),
+                              seconds)
         # nrow/ncol and scalar math: metadata-only, free.
         return seconds, model.scalar()
 
     def _fused(self, op: Op, env: dict[str, Sketch]) -> tuple[float, Sketch]:
         """Decide and price a FUSED record: it fuses when the single pass
         prices strictly below the sum of its members."""
-        leaves = [self._run(code, env)[1] for code in op.sub[0]]
+        leaves = [self._run(code, env)[1] for code in op.sub[:-1]]
         estimate = price_fused_region(self.model, op.arg, leaves)
         op.fuse = False
         if estimate is not None:
             fused, unfused_seconds = estimate
             op.fuse = fused.seconds < unfused_seconds
-            if self._record is not None:
+            if self._record:
                 self._regions.append({
                     "kind": "ewise", "members": op.arg.member_count,
                     "fused_seconds": fused.seconds,
                     "unfused_seconds": unfused_seconds, "selected": op.fuse})
             if op.fuse:
-                return self._note("fused_ewise", fused, 0.0)
+                return self._note(op, "fused_ewise", fused, 0.0)
         return self._run(op.sub[-1], env)
 
     def _mmchain(self, op: Op, env: dict[str, Sketch]) -> tuple[float, Sketch]:
@@ -250,7 +248,7 @@ class ProgramCostEvaluator:
         op.fuse = legacy or mmchain_beats_unfused(
             model.meta(x), model.meta(v), 1.0, 1.0, model.config, policy)
         fused = model.mmchain(x, v, exact_inner=not legacy)
-        if self._record is not None:
+        if self._record:
             inner = model.matmul(x, v)
             outer = model.matmul(x, inner.sketch, left_fused_transpose=True)
             self._regions.append({
@@ -259,7 +257,7 @@ class ProgramCostEvaluator:
                 "selected": op.fuse})
         if not op.fuse:
             return self._run(plain, env)
-        return self._note("mmchain", fused, sec_x + sec_v)
+        return self._note(op, "mmchain", fused, sec_x + sec_v)
 
 
 def propagate(model: CostModel, expr: Expr, env: dict[str, Sketch]) -> Sketch:
@@ -358,16 +356,6 @@ def price_fused_region(model: CostModel, region: Region,
         broadcast_metas, model.meta(root_sketch), True, model.config,
         model.policy)
     return Priced(price, root_sketch), unfused_seconds
-
-
-def _assignments_with_paths(body, path: StatementPath):
-    """Yield (statement path, Assign) in WhileLoop.assignments() order."""
-    for index, stmt in enumerate(body):
-        stmt_path = path + (index,)
-        if isinstance(stmt, Assign):
-            yield stmt_path, stmt
-        else:
-            yield from _assignments_with_paths(stmt.body, stmt_path)
 
 
 def decide_records(program: Program, lowered: dict[int, tuple[Op, ...]],

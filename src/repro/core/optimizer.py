@@ -265,16 +265,15 @@ class ReMacOptimizer:
             chains = build_chains(rewritten, inputs, iterations)
 
         # The plan is lowered once, here: the final evaluation prices the
-        # records the executor will run. It also records per-operator
-        # predicted prices (keyed by statement path) so the execution tracer
-        # can report predicted-vs-observed drift, and each fusion decision.
-        # Recording is pure observation: the evaluated cost is identical
-        # with or without it.
+        # records the executor will run. It also writes each operator's
+        # predicted price onto its record, where the execution tracer
+        # reads it to report predicted-vs-observed drift, and reports each
+        # fusion decision. Recording is pure observation: the evaluated
+        # cost is identical with or without it.
         lowered = lower(rewritten.statements, inputs, self.policy.fuse)
-        predicted_ops: dict = {}
         cost = ProgramCostEvaluator(model).evaluate(
-            rewritten, sketches, iterations=chains.iterations,
-            record=predicted_ops, lowered=lowered)
+            rewritten, sketches, iterations=chains.iterations, record=True,
+            lowered=lowered)
         fusion_notes = None
         if self.policy.fuse:
             from .enumerate import enumerate_fusion_regions
@@ -283,8 +282,6 @@ class ReMacOptimizer:
         return CompiledProgram(
             program=rewritten,
             lowered=lowered,
-            predicted_ops={path: tuple(ops)
-                           for path, ops in predicted_ops.items()},
             applied_options=applied,
             rejected_options=rejected,
             estimated_cost=cost.total_seconds,

@@ -30,7 +30,7 @@ from ..lang.program import Assign, Program, Statement, WhileLoop
 from . import fusion
 from .hybrid import ExecutionPolicy
 from .physical import Kernels, Value
-from .plan import (CALL, COMPARE, CONST, EWISE, LOAD, MATMUL, MMCHAIN, NEG,
+from .plan import (CALL, COMPARE, CONST, EWISE, FUSED, LOAD, MATMUL, NEG,
                    TRANSPOSE, CompiledProgram, Op, lower)
 from .recovery import RecoveryConfig, RecoveryManager
 from .replan import PlanSwitch, Replanner
@@ -96,14 +96,8 @@ class Executor:
         Returns the final environment of all variables.
         """
         tracer = self.tracer
-        plan = program
-        if isinstance(program, CompiledProgram):
-            if tracer is not None:
-                tracer.begin_run(program.predicted_ops or {},
-                                 self.kernels.config.num_workers)
-            program = program.program
-        elif tracer is not None:
-            tracer.begin_run({}, self.kernels.config.num_workers)
+        if tracer is not None:
+            tracer.begin_run(self.kernels.config.num_workers)
         env: dict[str, Value] = {}
         for name, data in inputs.items():
             if isinstance(data, (int, float)):
@@ -113,8 +107,7 @@ class Executor:
                                               charge_partition=charge_partition)
         env["__always__"] = self.kernels.from_scalar(1.0)
         self.loop_iterations = []
-        self._lowered = self._records(plan, env)
-        statements = program.statements
+        statements, self._lowered = self._records(program, env)
         while True:
             self._top_statements = statements
             try:
@@ -124,11 +117,10 @@ class Executor:
                 # Resume the replanned remaining program in the same
                 # environment: loop counters and carried variables persist,
                 # so values are untouched — only pricing and plan change.
-                statements = switch.compiled.program.statements
-                self._lowered = self._records(switch.compiled, env)
+                statements, self._lowered = self._records(switch.compiled,
+                                                          env)
                 if tracer is not None:
-                    tracer.begin_run(switch.compiled.predicted_ops or {},
-                                     self.kernels.config.num_workers,
+                    tracer.begin_run(self.kernels.config.num_workers,
                                      generation=switch.generation)
         if tracer is not None:
             self.metrics.trace_summary = tracer.metrics_summary()
@@ -208,32 +200,37 @@ class Executor:
             tracer.end_loop(iterations)
 
     def _records(self, plan: Program | CompiledProgram,
-                 env: dict[str, Value]) -> dict[int, tuple[Op, ...]]:
-        """A compiled plan's records, which carry its compile's fusion
-        decisions. A bare program, a hand-built plan, or one compiled under
-        the other ``policy.fuse`` (its fusion report is set when the
-        compile fused) is lowered for this run under ``env``'s metas and
-        decided once, by :func:`~repro.core.cost.evaluate.decide_records`."""
+                 env: dict[str, Value]) -> tuple[tuple[Statement, ...],
+                                                 dict[int, tuple[Op, ...]]]:
+        """The plan's statements and records; a compiled plan's carry its
+        compile's fusion decisions and predictions. A bare program, a
+        hand-built plan, or one compiled under the other ``policy.fuse``
+        (its fusion report is set when the compile fused) is lowered for
+        this run under ``env``'s metas and decided once, predicting nothing,
+        by :func:`~repro.core.cost.evaluate.decide_records`."""
         if isinstance(plan, CompiledProgram):
             fused = plan.notes.get("fusion") is not None
             if plan.lowered is not None and fused == self.kernels.policy.fuse:
-                return plan.lowered
+                return plan.program.statements, plan.lowered
             plan = plan.program
         from ..core.cost.evaluate import decide_records  # import-cycle guard
         kernels = self.kernels
         metas = {name: value.meta for name, value in env.items()}
         lowered = lower(plan.statements, metas, kernels.policy.fuse)
         decide_records(plan, lowered, metas, kernels.config, kernels.policy)
-        return lowered
+        return plan.statements, lowered
 
     # ------------------------------------------------------------------
     # Expression evaluation
     # ------------------------------------------------------------------
     def _eval(self, code: tuple[Op, ...], env: dict[str, Value]) -> Value:
-        """Run one lowered expression to its :class:`Value`."""
-        kernels, stack = self.kernels, []
+        """Run one lowered expression to its :class:`Value`; a tracer is
+        told which record runs."""
+        kernels, tracer, stack = self.kernels, self.tracer, []
         push, pop = stack.append, stack.pop
         for op in code:
+            if tracer is not None:
+                tracer.running = op
             kind = op.kind
             if kind == LOAD:
                 try:
@@ -277,8 +274,7 @@ class Executor:
                 push(kernels.from_scalar(float(op.arg(left.scalar_value(),
                                                       right.scalar_value()))))
             else:
-                fused = self._try_mmchain(op, env) if kind == MMCHAIN \
-                    else self._try_fused_ewise(op, env)
+                fused = self._run_fused(op, env)
                 push(fused if fused is not None
                      else self._eval(op.sub[-1], env))
         return pop()
@@ -290,27 +286,24 @@ class Executor:
         return built and value.number is None and value.matrix.owns_tiles \
             and self.recovery is None
 
-    def _try_fused_ewise(self, op: Op, env: dict[str, Value]) -> Value | None:
-        """Run a FUSED record its evaluation selected through the
-        ``fused_ewise`` kernel; None runs the plain code (declined, or a
-        run-time bail of :func:`~repro.runtime.fusion.plan_fused_ewise`)."""
+    def _run_fused(self, op: Op, env: dict[str, Value]) -> Value | None:
+        """Run a FUSED or MMCHAIN record its evaluation selected through
+        the ``fused_ewise`` or ``mmchain`` kernel (an mmchain the column
+        bound admits is priced on the legacy dense inner); None runs the
+        plain code (declined, or a run-time bail of
+        :func:`~repro.runtime.fusion.plan_fused_ewise`)."""
         if not op.fuse:
             return None
-        plan = fusion.plan_fused_ewise(
-            op.arg, [self._eval(code, env) for code in op.sub[0]])
-        return None if plan is None else self.kernels.fused_ewise(plan)
-
-    def _try_mmchain(self, op: Op, env: dict[str, Value]) -> Value | None:
-        """Run an MMCHAIN record its evaluation selected through the
-        ``mmchain`` kernel (priced on the legacy dense inner when the
-        column bound admitted it); None runs the plain code."""
-        if not op.fuse:
-            return None
-        x_code, v_code, _plain = op.sub
-        return self.kernels.mmchain(
-            self._eval(x_code, env), self._eval(v_code, env),
-            exact_inner=not self.kernels.policy.mmchain_applicable_cols(
-                op.arg[1]))
+        kernels = self.kernels
+        operands = [self._eval(code, env) for code in op.sub[:-1]]
+        if self.tracer is not None:
+            self.tracer.running = op  # again, now its operands have run
+        if op.kind != FUSED:
+            return kernels.mmchain(
+                *operands, exact_inner=not
+                kernels.policy.mmchain_applicable_cols(op.arg[1]))
+        plan = fusion.plan_fused_ewise(op.arg, operands)
+        return None if plan is None else kernels.fused_ewise(plan)
 
     def _call(self, func: str, arg: Value) -> Value:
         kernels = self.kernels

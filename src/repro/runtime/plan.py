@@ -27,9 +27,9 @@ from .fusion import ZIP_KINDS, unwrap_transpose
 
 #: Statement path: indices into (possibly nested) statement lists. A
 #: top-level statement ``i`` is ``(i,)``; statement ``j`` inside the body of
-#: the loop at path ``p`` is ``p + (j,)``. The cost evaluator records
-#: predicted operator prices under these paths and the executor replays the
-#: same walk, so the two sides can be matched operator by operator.
+#: the loop at path ``p`` is ``p + (j,)``. The executor stamps each span
+#: with the path of the statement it ran; :attr:`CompiledProgram.
+#: predicted_ops` groups the records' predictions by the same paths.
 StatementPath = tuple
 
 
@@ -37,10 +37,10 @@ StatementPath = tuple
 class PredictedOp:
     """One operator's price as the optimizer's cost model predicted it.
 
-    Recorded while costing the final plan (same walk the executor performs)
-    so the execution tracer can attribute, per operator, the gap between
-    what the cost model believed (estimated nnz, Eqs. 3-6) and what the
-    runtime observed.
+    Written onto the record it priced (:attr:`Op.predicted`) by the
+    compile's final cost evaluation, so the execution tracer can attribute,
+    per operator, the gap between what the cost model believed (estimated
+    nnz, Eqs. 3-6) and what the runtime observed.
     """
 
     #: Logical operator kind: matmul, mmchain, add, subtract, multiply,
@@ -73,16 +73,30 @@ class CompiledProgram:
     compile_seconds: float = 0.0
     #: Free-form diagnostics (search statistics, estimator name, ...).
     notes: dict[str, Any] = field(default_factory=dict)
-    #: Per-operator predicted prices keyed by statement path, in the order
-    #: the operators execute within each statement (see :data:`StatementPath`).
-    #: None when the plan predates prediction recording.
-    predicted_ops: dict[StatementPath, tuple[PredictedOp, ...]] | None = None
     #: The program's records by ``id`` of statement (:func:`lower`), made
     #: once by the compile under its ``policy.fuse`` and shared by the plan
     #: cache's copies of this plan. None for a hand-built plan: the
     #: executor lowers it per run, as it does under the other ``fuse``.
     lowered: dict[int, tuple[Op, ...]] | None = field(
         default=None, repr=False, compare=False)
+
+    @property
+    def predicted_ops(self) -> dict[StatementPath, tuple[PredictedOp, ...]]:
+        """The records' predictions (:attr:`Op.predicted`) by statement
+        path, each record's sub-codes before it; empty without records.
+        A read-only view in the shape the identity pins hash."""
+        found: dict[StatementPath, tuple[PredictedOp, ...]] = {}
+
+        def block(statements, path: StatementPath) -> None:
+            for index, stmt in enumerate(statements):
+                if isinstance(stmt, WhileLoop):
+                    block(stmt.body, path + (index,))
+                elif ops := tuple(_predictions(self.lowered[id(stmt)])):
+                    found[path + (index,)] = ops
+
+        if self.lowered is not None:
+            block(self.program.statements, ())
+        return found
 
     @property
     def num_applied(self) -> int:
@@ -117,7 +131,8 @@ class Op:
     may be admitted by cost, ``X``'s column count). ``dying``: per operand, kernel-built (empty when none
     is); ``sub``: a fusion's codes, plain last; ``fuse``: a fusion's
     decision, set by the cost evaluation that priced the record (False:
-    the executor runs the plain code)."""
+    the executor runs the plain code); ``predicted``: its price, set by the
+    compile's final cost evaluation only (None: not priced there)."""
 
     kind: int
     arg: object = None
@@ -126,6 +141,7 @@ class Op:
     driver: bool = False
     sub: tuple = ()
     fuse: bool = False
+    predicted: PredictedOp | None = None
 
 
 def lower(statements: list[Statement] | tuple[Statement, ...],
@@ -165,7 +181,7 @@ def lower(statements: list[Statement] | tuple[Statement, ...],
                 [meta.is_scalar_like for meta in leaf_metas])
         if region is not None:
             plain, meta = code_of(node, False)
-            code.append(Op(FUSED, region, sub=(leaves, plain)))
+            code.append(Op(FUSED, region, sub=(*leaves, plain)))
             return meta
         match = fusion.mmchain_match(node) if gated and kind is MatMul \
             else None
@@ -221,6 +237,15 @@ def lower(statements: list[Statement] | tuple[Statement, ...],
 
     block(statements)
     return lowered
+
+
+def _predictions(code: tuple[Op, ...]):
+    """``code``'s predictions, each record's sub-codes before it."""
+    for op in code:
+        for sub in op.sub:
+            yield from _predictions(sub)
+        if op.predicted is not None:
+            yield op.predicted
 
 
 def _on_driver(*metas: MatrixMeta | None) -> bool:

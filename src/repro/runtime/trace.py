@@ -10,13 +10,13 @@ outputs. Statement, loop, and loop-iteration spans wrap the operator spans
 so LSE hoisting is visible in the trace (hoisted temporaries execute as
 statement spans before the loop span).
 
-Predictions come from the compiled plan: the optimizer's final cost
-evaluation walks the plan exactly the way the executor does and records a
-:class:`~repro.runtime.plan.PredictedOp` per priced operator (keyed by
-statement path, in execution order). At run time the tracer replays each
-statement's prediction queue in order, matching on operator kind; operators
-the cost model does not price (loop-condition expressions, runtime-only
-negations) simply carry no prediction.
+Predictions come from the compiled plan's records: the optimizer's final
+cost evaluation writes a :class:`~repro.runtime.plan.PredictedOp` onto each
+record it priced, and the executor tells the tracer which record is running
+(:attr:`ExecutionTracer.running`), so each operator span carries the
+prediction of the record that ran it. Operators the cost model does not
+price (loop conditions, runtime-only negations, a plan lowered again at run
+start under the other ``policy.fuse``) simply carry no prediction.
 
 Tracing is strictly opt-in and zero-cost when off: no tracer installed
 means no span objects are allocated, no placement scans run, and every
@@ -30,10 +30,11 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..matrix.meta import MatrixMeta
 from ..matrix.partitioner import worker_of_block
-from .plan import PredictedOp, StatementPath
+from .plan import StatementPath
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from .physical import Value
+    from .plan import Op
     from .pricing import OpPrice
 
 #: Observed seconds below this are treated as zero when forming drift
@@ -61,7 +62,9 @@ class ExecutionTracer:
         #: Flat list of span dicts in completion order (operator spans
         #: precede their enclosing statement/iteration/loop spans).
         self.spans: list[dict] = []
-        self._predictions: dict[StatementPath, tuple[PredictedOp, ...]] = {}
+        #: The record whose operator the kernels run next (set by the
+        #: executor); its prediction goes on that operator's span.
+        self.running: Op | None = None
         self._num_workers = 1
         self._seq = 0
         #: Plan generation: 0 = the original compile; each adopted replan
@@ -73,22 +76,18 @@ class ExecutionTracer:
         self._stmt_target: str | None = None
         self._stmt_ops = 0
         self._stmt_seconds = 0.0
-        self._pending: tuple[PredictedOp, ...] = ()
-        self._pending_index = 0
         # Loop nesting context: (path, current iteration index or None).
         self._loop_stack: list[list] = []
 
     # ------------------------------------------------------------------
     # Run / statement / loop lifecycle (called by the executor)
     # ------------------------------------------------------------------
-    def begin_run(self, predicted_ops: dict[StatementPath, tuple[PredictedOp, ...]],
-                  num_workers: int, generation: int = 0) -> None:
-        """Install one compiled plan's predictions for the next execution.
+    def begin_run(self, num_workers: int, generation: int = 0) -> None:
+        """Start one plan's execution on ``num_workers`` workers.
 
         ``generation`` tags spans recorded under a mid-run replan (adopted
         plan N stamps ``gen: N``); generation 0 — the original plan — stamps
         nothing, so traces without replanning stay byte-identical."""
-        self._predictions = predicted_ops
         self._num_workers = num_workers
         self._generation = generation
 
@@ -104,8 +103,6 @@ class ExecutionTracer:
         self._stmt_target = target
         self._stmt_ops = 0
         self._stmt_seconds = 0.0
-        self._pending = self._predictions.get(path, ())
-        self._pending_index = 0
 
     def end_statement(self) -> None:
         self._append_span({
@@ -118,8 +115,6 @@ class ExecutionTracer:
         })
         self._stmt_path = None
         self._stmt_target = None
-        self._pending = ()
-        self._pending_index = 0
 
     def begin_loop(self, path: StatementPath) -> None:
         # Frame: [path, current iteration index, loop seconds, iter seconds].
@@ -157,18 +152,14 @@ class ExecutionTracer:
     def record_operator(self, kind: str, price: "OpPrice",
                         operands: tuple[MatrixMeta, ...],
                         result: "Value") -> None:
-        """Record one executed operator with its charged price.
+        """Record one executed operator with its charged price and the
+        prediction of the record that ran it (:attr:`running`).
 
         ``operands`` are the *effective* (post-fused-transpose) metas the
         kernel priced; ``result`` is the produced value, whose actual block
         placement is scanned for the per-worker view.
         """
-        predicted = None
-        if self._pending_index < len(self._pending):
-            head = self._pending[self._pending_index]
-            if head.kind == kind:
-                predicted = head
-                self._pending_index += 1
+        predicted = None if self.running is None else self.running.predicted
         transmission_seconds = price.transmission_seconds
         observed_seconds = price.compute_seconds + transmission_seconds
         bytes_by_primitive: dict[str, float] = {}

@@ -24,8 +24,8 @@ from repro.errors import ConfigError, ExecutionError
 from repro.lang import parse
 from repro.matrix import MatrixMeta, scalar_meta
 from repro.runtime import ExecutionTracer, Executor, RecoveryConfig
-from repro.runtime.replan import (ReplanConfig, inline_equivalent,
-                                  inline_temporaries)
+from repro.runtime.replan import (Replanner, ReplanConfig,
+                                  inline_equivalent, inline_temporaries)
 
 GRAM_SOURCE = """
 i = 0
@@ -75,14 +75,27 @@ def drift_case():
     A = _concentrated_matrix(16384, 512, sparsity=0.02, hot_cols=16, seed=7)
     cluster = ClusterConfig(dfs_bytes_per_sec=5e5)
     tracer = ExecutionTracer()
+    adopted = []
+    consider = Replanner.consider
+
+    def keep_adopted(*args):
+        compiled = consider(*args)
+        if compiled is not None:
+            adopted.append(compiled)
+        return compiled
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Replanner, "consider", keep_adopted)
+        adaptive = _run_gram(A, cluster, "metadata", tracer=tracer,
+                             replan=ReplanConfig(drift_threshold=0.5))
     return {
         "A": A,
         "cluster": cluster,
         "oracle": _run_gram(A, cluster, "exact"),
         "stale": _run_gram(A, cluster, "metadata"),
-        "adaptive": _run_gram(A, cluster, "metadata", tracer=tracer,
-                              replan=ReplanConfig(drift_threshold=0.5)),
+        "adaptive": adaptive,
         "tracer": tracer,
+        "adopted": adopted,
     }
 
 
@@ -201,6 +214,22 @@ class TestDriftReplanning:
         assert replans[0]["adopted"] is True
         assert replans[0]["trigger"] == "drift"
         assert any(s.get("gen") == 1 for s in spans)
+        # Each operator the adopted plan runs carries its own record's
+        # prediction: the adopted plan's, not the original plan's.
+        adopted, = drift_case["adopted"]
+        predicted = adopted.predicted_ops
+        switched = [s for s in spans if s["span"] == "operator"
+                    and s.get("gen") == 1
+                    and not s["statement"].endswith("cond")]
+        assert switched
+        for span in switched:
+            path = tuple(int(part) for part in span["statement"].split("."))
+            op = predicted[path][span["op_index"]]
+            assert span["predicted"] == {
+                "impl": op.impl, "seconds": op.seconds,
+                "compute_seconds": op.compute_seconds,
+                "transmission_seconds": op.transmission_seconds,
+                "out_nnz": op.out_nnz}
 
     def test_plan_cache_keys_calibration_apart(self, drift_case):
         A = drift_case["A"]

@@ -183,15 +183,15 @@ class TestEvaluateDispatch:
         for name in ("from_scalar", "transpose", "matmul", "add", "subtract",
                      "multiply", "divide", "negate", "aggregate_sum"):
             spy(kernels, name)
-        spy(executor, "_try_fused_ewise")
+        spy(executor, "_run_fused")
         expr, kernel = self.CASES[node]
         statement = Assign("out", expr)
         lowered = lower([statement], {name: value.meta
                                       for name, value in env.items()}, fuse)
         value = executor._eval(lowered[id(statement)], env)
-        probes = [name for name in calls if name == "_try_fused_ewise"]
-        assert probes == ["_try_fused_ewise"] * (fuse and node in self.CELLWISE)
-        reached = [name for name in calls if name != "_try_fused_ewise"]
+        probes = [name for name in calls if name == "_run_fused"]
+        assert probes == ["_run_fused"] * (fuse and node in self.CELLWISE)
+        reached = [name for name in calls if name != "_run_fused"]
         if kernel is None:
             assert reached == [] and value is env[expr.name]
         else:

@@ -11,7 +11,8 @@ from repro.core.sparsity import make_estimator
 from repro.lang import parse, parse_expression
 from repro.lang.program import single_expression_program
 from repro.matrix import MatrixMeta
-from repro.runtime import ExecutionPolicy, Executor
+from repro.runtime import CompiledProgram, ExecutionPolicy, Executor
+from repro.runtime.plan import lower
 from repro.runtime.pricing import price_matmul, price_mmchain
 
 FUSED = ExecutionPolicy(mmchain_col_limit=512)
@@ -96,12 +97,15 @@ class TestDeclinedChain:
                            product.T @ (product @ operands["v"]))
         assert dict(executor.metrics.operator_counts) == {"bmm": 4}
         model = CostModel(config, make_estimator("exact"), policy)
-        record = {}
+        program = parse(self.SOURCE)
+        metas = {name: MatrixMeta(*value.shape)
+                 for name, value in operands.items()}
+        lowered = lower(program.statements, metas, policy.fuse)
         ProgramCostEvaluator(model).evaluate(
-            parse(self.SOURCE), sketch_inputs(model, {
-                name: MatrixMeta(*value.shape) for name, value
-                in operands.items()}, operands), record=record)
-        assert [op.kind for op in record[(0,)]] == ["matmul"] * 4
+            program, sketch_inputs(model, metas, operands), record=True,
+            lowered=lowered)
+        predicted = CompiledProgram(program, lowered=lowered).predicted_ops
+        assert [op.kind for op in predicted[(0,)]] == ["matmul"] * 4
 
 
 class TestPricing:

@@ -1,4 +1,4 @@
-"""Execution tracing: spans, prediction matching, drift, zero-cost-off."""
+"""Execution tracing: spans, prediction pairing, drift, zero-cost-off."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.core import ReMacOptimizer
 from repro.engines import make_engine
 from repro.lang import parse
 from repro.matrix.meta import MatrixMeta
-from repro.runtime import ExecutionTracer, Executor
+from repro.runtime import ExecutionPolicy, ExecutionTracer, Executor
 
 GD_SOURCE = """
 input A, b, x, alpha
@@ -112,6 +112,30 @@ class TestOperatorSpans:
         # Traced operators are a subset of what the phases charged.
         assert summary["trace_observed_seconds"] \
             <= executor.metrics.execution_seconds + 1e-9
+
+
+class TestPairingByRecord:
+    def test_plan_lowered_again_at_run_start_carries_no_prediction(
+            self, cluster, gd_workload):
+        """A plan compiled with fusion on and run under ``fuse=False`` is
+        lowered again at run start; the new records were never priced, so
+        no operator span carries a prediction, and the run computes what
+        the untraced one does."""
+        program, inputs, data = gd_workload
+        fused = ExecutionPolicy(fuse=True)
+        compiled = ReMacOptimizer(cluster, policy=fused).compile(
+            program, inputs, data, iterations=6)
+        assert compiled.notes["fusion"] is not None
+        assert compiled.predicted_ops
+        unfused = ExecutionPolicy()
+        tracer = ExecutionTracer()
+        traced = Executor(cluster, unfused, tracer=tracer).run(compiled, data)
+        untraced = Executor(cluster, unfused).run(compiled, data)
+        operators = list(tracer.operator_spans())
+        assert operators
+        assert all(span["predicted"] is None for span in operators)
+        assert np.array_equal(traced["x"].matrix.to_numpy(),
+                              untraced["x"].matrix.to_numpy())
 
 
 class TestLoopNesting:
