@@ -155,10 +155,6 @@ class Block:
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    def matmul(self, other: "Block") -> "Block":
-        return Block.of(self.data @ other.data,
-                        self.is_sparse and other.is_sparse)
-
     # The cell-wise kernels take ``dying``: whether each operand's payload
     # (``self``'s, ``other``'s) may be written over. Only a caller that
     # knows nobody else reads the block may say so. ``add`` and

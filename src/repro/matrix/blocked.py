@@ -623,6 +623,13 @@ def _zip_entry(key: tuple[int, int], left: Block | None,
     return block.normalized()
 
 
+def outer_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u @ v`` for an n x 1 and a 1 x m dense factor, byte for byte: one
+    product per cell added to a zeroed C-ordered result, as BLAS does
+    (a zero cell is +0.0), without BLAS's k = 1 GEMM around it."""
+    return np.einsum("i,j->ij", u.ravel(), v.ravel())
+
+
 def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
     """One output tile: sum of block products, accumulated sparse-aware.
 
@@ -632,6 +639,12 @@ def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
     fold runs left-to-right over ``pairs`` (the serial scan order), so the
     float results are bit-identical to pairwise ``Block.add``.
     """
+    left, right = pairs[0]
+    # A large rank-one product: one rounded product per cell, and its
+    # factors may settle its count.
+    rank_one = len(pairs) == 1 and left.data.shape[1] == 1 \
+        and not (left.is_sparse or right.is_sparse) \
+        and left.data.shape[0] * right.data.shape[1] >= COMPARE_COUNT_CELLS
     accumulator = None
     all_sparse = True  # layout of the accumulator: CSR until a dense product
     for left, right in pairs:
@@ -640,6 +653,8 @@ def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
             # What SciPy's ``dense @ csr`` computes, call for call, around
             # the tile's kept CSC view instead of a freshly built one.
             product = (right.transposed_view() @ left.data.T).T
+        elif rank_one:
+            product = outer_product(left.data, right.data)
         else:
             product = left.data @ right.data
         if accumulator is None:
@@ -653,12 +668,7 @@ def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
             # The accumulator is always a private array here (a fresh
             # product or a toarray() copy), so in-place add is safe.
             np.add(accumulator, dense, out=accumulator)
-    proved = None
-    if not all_sparse and accumulator.size >= COMPARE_COUNT_CELLS \
-            and len(pairs) == 1 and left.data.shape[1] == 1 \
-            and not (left.is_sparse or right.is_sparse):
-        # A large rank-one product: its factors may settle its count.
-        proved = rank_one_facts(left, right)
+    proved = rank_one_facts(left, right) if rank_one else None
     if proved is not None:
         count, floor = proved
     else:

@@ -74,6 +74,8 @@ SEAMS = {
         lambda self, value: self.__dict__.__setitem__("_prices", value))),
     # Every product tile is scanned for its count; none is proved.
     "proved_counts": (blocked, "rank_one_facts", lambda left, right: None),
+    # A large rank-one tile is a k = 1 GEMM, as every other product is.
+    "rank_one_kernel": (blocked, "outer_product", lambda u, v: u @ v),
 }
 
 

@@ -617,6 +617,34 @@ class _Scans:
         return sum(size >= COMPARE_COUNT_CELLS for size in self.sizes)
 
 
+class _RankOneTiles:
+    """Counts the tiles ``outer_product`` computes, and the single dense
+    pairs with inner dimension 1 and ``COMPARE_COUNT_CELLS`` cells or more
+    that ``_tile_product`` computed without it."""
+
+    def __init__(self, monkeypatch):
+        self.computed = self.left_to_gemm = 0
+        kernel, tile_product = blocked.outer_product, blocked._tile_product
+
+        def counted_kernel(u, v):
+            self.computed += 1
+            return kernel(u, v)
+
+        def counted_tile_product(pairs):
+            before = self.computed
+            tile = tile_product(pairs)
+            left, right = pairs[0]
+            if len(pairs) == 1 and left.shape[1] == 1 \
+                    and not (left.is_sparse or right.is_sparse) \
+                    and left.shape[0] * right.shape[1] >= COMPARE_COUNT_CELLS \
+                    and self.computed == before:
+                self.left_to_gemm += 1
+            return tile
+
+        monkeypatch.setattr(blocked, "outer_product", counted_kernel)
+        monkeypatch.setattr(blocked, "_tile_product", counted_tile_product)
+
+
 def _true_floor(cells):
     return np.abs(cells[(cells != 0.0) & ~np.isnan(cells)]).min(initial=np.inf)
 
@@ -762,7 +790,8 @@ class TestProvedCounts:
         assert tile._floor is not None
         for result in (tile.negate(), tile.transpose(), tile.add(tile),
                        tile.subtract(tile), tile.multiply(tile),
-                       tile.add_scalar(1.0), tile.matmul(tile),
+                       tile.add_scalar(1.0),
+                       blocked._tile_product([(tile, tile)]),
                        tile.normalized() if tile.normalized() is not tile
                        else tile.negate()):
             assert result._floor is None
@@ -776,7 +805,8 @@ class TestProvedCounts:
         """Exact, so it cannot flake: ``dfp`` on a 1024-column input keeps
         a 2x2-tile dense ``H``; of the 244 large dense tiles an execute
         used to count, 160 are outer products ``u %*% t(v)`` or a counted
-        tile times a scalar."""
+        tile times a scalar. The 80 outer products are ``outer_product``'s,
+        and no large rank-one tile is left to GEMM."""
         from repro import engines
         from repro.algorithms import get_algorithm
         from repro.data import load_dataset
@@ -787,9 +817,84 @@ class TestProvedCounts:
         meta, data = algo.make_inputs(matrix)
         engine = engines.make_engine("remac")
         compiled = engine.compile(algo.program(10), meta, data, iterations=10)
-        scans = _Scans(monkeypatch)
+        scans, rank_one = _Scans(monkeypatch), _RankOneTiles(monkeypatch)
         engine.execute(compiled, data, symmetric=algo.symmetric_inputs)
         assert scans.large() == 84
+        assert (rank_one.computed, rank_one.left_to_gemm) == (80, 0)
+
+
+class TestRankOneKernel:
+    """A single dense pair with inner dimension 1 and ``COMPARE_COUNT_CELLS``
+    cells or more is computed by ``outer_product``, byte for byte the GEMM
+    it replaces; every other tile keeps its path."""
+
+    @pytest.fixture
+    def tiles(self, monkeypatch):
+        return _RankOneTiles(monkeypatch)
+
+    @staticmethod
+    def _hostile(rng, shape):
+        cells = rng.standard_normal(shape)
+        flat = cells.reshape(-1)
+        for value in (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310,
+                      1e300, -1e300, 1e-300):
+            flat[rng.random(flat.size) < 0.04] = value
+        return cells
+
+    @staticmethod
+    def _check(tiles, u, v, kernel_calls):
+        before = tiles.computed
+        with np.errstate(all="ignore"):
+            truth = u @ v
+            tile = blocked._tile_product([(Block(u), Block(v))])
+        assert (tiles.computed - before, tiles.left_to_gemm) == \
+            (kernel_calls, 0)
+        data = tile.to_dense_array()
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        assert data.tobytes() == truth.tobytes()
+        assert tile.nnz == np.count_nonzero(truth)
+
+    @pytest.mark.parametrize("left, right", [
+        ((64, 1), (1, 64)), ((1, 1), (1, 4096)), ((4096, 1), (1, 1)),
+        ((130, 1), (1, 70))])
+    def test_hostile_factors_at_and_over_the_gate(self, rng, tiles,
+                                                  left, right):
+        for _ in range(5):
+            self._check(tiles, self._hostile(rng, left),
+                        self._hostile(rng, right), 1)
+
+    def test_just_under_the_gate_takes_gemm(self, rng, tiles):
+        assert 63 * 65 < COMPARE_COUNT_CELLS
+        self._check(tiles, self._hostile(rng, (63, 1)),
+                    self._hostile(rng, (1, 65)), 0)
+
+    def test_f_ordered_factors(self, rng, tiles):
+        # A transposed tile's payload is an F-ordered view of its source;
+        # a row or column of a wider one is strided as well.
+        column = Block(self._hostile(rng, (1, 64))).transpose().data
+        row = Block(self._hostile(rng, (80, 1))).transpose().data
+        wide = Block(self._hostile(rng, (3, 64))).transpose().data
+        tall = Block(self._hostile(rng, (80, 3))).transpose().data
+        assert wide.flags.f_contiguous and tall.flags.f_contiguous
+        for u in (column, wide[:, 1:2]):
+            for v in (row, tall[1:2, :]):
+                self._check(tiles, u, v, 1)
+
+    def test_a_fold_and_a_csr_factor_keep_their_path(self, rng, tiles):
+        u, v = rng.standard_normal((64, 1)), rng.standard_normal((1, 64))
+        csr_u = Block(sp.csr_matrix(u * (rng.random(u.shape) < 0.1)))
+        csr_v = Block(sp.csr_matrix(v * (rng.random(v.shape) < 0.1)))
+        for pairs in ([(Block(u), Block(v)), (Block(u), Block(v))],
+                      [(csr_u, Block(v))], [(Block(u), csr_v)],
+                      [(csr_u, csr_v)]):
+            truth = pairs[0][0].data @ pairs[0][1].data
+            for left, right in pairs[1:]:
+                truth = truth + left.data @ right.data
+            truth = truth.toarray() if sp.issparse(truth) else truth
+            tile = blocked._tile_product(pairs)
+            assert tile.to_dense_array().tobytes() == \
+                np.ascontiguousarray(truth).tobytes()
+        assert tiles.computed == 0
 
 
 def _old_from_scipy(matrix, block_size, symmetric=False):
