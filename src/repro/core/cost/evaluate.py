@@ -246,7 +246,7 @@ class ProgramCostEvaluator:
             return self._run(plain, env)
         (sec_x, x), (sec_v, v) = self._run(x_code, env), self._run(v_code, env)
         op.fuse = legacy or mmchain_beats_unfused(
-            model.meta(x), model.meta(v), 1.0, 1.0, model.config, policy)
+            model.meta(x), model.meta(v), model.config, policy)
         fused = model.mmchain(x, v, exact_inner=not legacy)
         if self._record:
             inner = model.matmul(x, v)

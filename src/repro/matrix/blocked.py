@@ -455,6 +455,25 @@ class BlockedMatrix:
             result.blocks[key] = block.negate(dying)
         return self._carrying_stats(result)
 
+    def with_scalar(self, kind: str, scalar: float, scalar_left: bool = False,
+                    dying: bool = False) -> "BlockedMatrix":
+        """Cell-wise ``kind`` (add/subtract/multiply/divide) of this grid
+        and a scalar, the scalar on the left when ``scalar_left``: ``s - M``
+        is ``-M + s``, ``M / s`` is ``M * (1 / s)``, and ``s / M`` is
+        refused (every zero cell would be an infinity). A zero divisor is
+        the caller's to refuse. ``dying`` gives this grid up to the call."""
+        if kind == "add":
+            return self.add_scalar(scalar, dying)
+        if kind == "subtract":
+            return self.negate(dying).add_scalar(scalar, dying) \
+                if scalar_left else self.add_scalar(-scalar, dying)
+        if kind == "multiply":
+            return self.scale(scalar, dying)
+        if scalar_left:
+            raise ExecutionError("scalar / matrix is not supported; "
+                                 "zero cells would produce infinities")
+        return self.scale(1.0 / scalar, dying)
+
     def sum(self) -> float:
         return sum(block.sum() for block in self.blocks.values())
 

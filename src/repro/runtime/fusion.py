@@ -3,7 +3,7 @@
 This module finds *fusable regions* in the AST — maximal element-wise
 subtrees (``+ - * /`` and negation) whose leaves are plain references or
 literals — folds their scalar operands, and lowers a folded region to the
-single-pass step program of :mod:`repro.matrix.fused`. It decides nothing:
+step program of :mod:`repro.matrix.fused`. It decides nothing:
 whether a region or a ``t(X) %*% (X %*% v)`` mmchain fuses is the cost
 evaluation's decision (:class:`~repro.core.cost.evaluate.
 ProgramCostEvaluator`), made once per FUSED / MMCHAIN record, and the
@@ -17,17 +17,19 @@ Design rules, in force everywhere below:
   the cost evaluator prices and what the run lowers to steps. The cases
   the kernels special-case or refuse (scalar-valued subtrees, ``s / M``)
   leave the expression without a FUSED record.
-* **Bit identity.** The fused evaluator replicates the unfused per-tile
-  semantics exactly (see :mod:`repro.matrix.fused`), and regions are
-  restricted to reference/literal leaves so that running a declined record
-  plain re-evaluates nothing — values, metrics, and traces on the plain
-  path are identical to a run with fusion disabled.
-* **Scalar values fold like the kernels.** Scalar operands become
-  ``scale`` / ``add_scalar`` / ``neg`` steps with exactly the semantics of
-  ``Kernels._scalar_ewise``; the run-time cases the kernels refuse
-  (division by a zero scalar, mismatched shapes or blocking) make
-  :func:`plan_fused_ewise` bail so the plain code raises the identical
-  error.
+* **Bit identity.** The fused evaluator runs each member through the
+  ``BlockedMatrix`` method its unfused kernel calls (see
+  :mod:`repro.matrix.fused`), so a fused result, and any error it raises,
+  is the unfused one. Regions are restricted to reference/literal leaves
+  so that running a declined record plain re-evaluates nothing — values,
+  metrics, and traces on the plain path are identical to a run with
+  fusion disabled.
+* **Scalar values fold like the kernels.** A member with a folded scalar
+  operand becomes one step that :meth:`~repro.matrix.blocked.BlockedMatrix.
+  with_scalar` runs, the method ``Kernels._scalar_ewise`` calls; the
+  run-time cases the kernels refuse before that call (division by a zero
+  scalar, mismatched shapes or blocking) make :func:`plan_fused_ewise`
+  bail so the plain code raises the identical error.
 """
 
 from __future__ import annotations
@@ -239,23 +241,12 @@ def plan_fused_ewise(region: Region, leaf_values: list
         elif node.scalar < 0:
             steps.append(Step(node.op, child, step_of[node.b]))
         else:
-            # One folded scalar side — mirror Kernels._scalar_ewise exactly.
+            # One folded scalar side (the fold refuses s / M).
             scalar = float(leaf_values[node.scalar].scalar_value())
-            if node.op == "add":
-                steps.append(Step("add_scalar", child, scalar=scalar))
-            elif node.op == "subtract":
-                if node.scalar_left:  # s - M == neg(M) + s
-                    steps.append(Step("neg", child))
-                    steps.append(Step("add_scalar", len(steps) - 1,
-                                      scalar=scalar))
-                else:
-                    steps.append(Step("add_scalar", child, scalar=-scalar))
-            elif node.op == "multiply":
-                steps.append(Step("scale", child, scalar=scalar))
-            else:  # divide: M / s (the fold refuses s / M)
-                if scalar == 0.0:
-                    return None
-                steps.append(Step("scale", child, scalar=1.0 / scalar))
+            if node.op == "divide" and scalar == 0.0:
+                return None
+            steps.append(Step(node.op, child, scalar=scalar,
+                              scalar_left=node.scalar_left))
         step_of.append(len(steps) - 1)
     reference = matrix_leaves[0].matrix
     for value in matrix_leaves[1:]:
@@ -290,7 +281,7 @@ def exact_fused_price(plan: FusedEwisePlan, root_meta: MatrixMeta,
                       policy: ExecutionPolicy) -> OpPrice:
     """Price a fused region from the observed per-step statistics.
 
-    The single pass reports every intermediate step's true nnz, so the
+    The evaluator reports every intermediate step's true nnz, so the
     charged price is built from *observed* metadata exactly like every
     other kernel — the decision used estimates, the clock never does.
     Each distinct local leaf broadcasts once.
@@ -313,7 +304,6 @@ def exact_fused_price(plan: FusedEwisePlan, root_meta: MatrixMeta,
 # Cost-gated mmchain (the unrestricted generalization of the 1K-col gate)
 # ----------------------------------------------------------------------
 def mmchain_beats_unfused(x_meta: MatrixMeta, v_meta: MatrixMeta,
-                          x_imbalance: float, v_imbalance: float,
                           config: ClusterConfig,
                           policy: ExecutionPolicy) -> bool:
     """Whether the fused ``t(X) %*% (X %*% v)`` pass beats two multiplies.
@@ -328,10 +318,8 @@ def mmchain_beats_unfused(x_meta: MatrixMeta, v_meta: MatrixMeta,
         return False
     inner = MatrixMeta(x_meta.rows, v_meta.cols, 1.0)
     out = MatrixMeta(x_meta.cols, v_meta.cols, 1.0)
-    fused = price_mmchain(x_meta, v_meta, out, config, policy,
-                          imbalance=x_imbalance)
-    first = price_matmul(x_meta, v_meta, inner, config, policy,
-                         imbalance=max(x_imbalance, v_imbalance))
+    fused = price_mmchain(x_meta, v_meta, out, config, policy)
+    first = price_matmul(x_meta, v_meta, inner, config, policy)
     second = price_matmul(x_meta.transposed(), inner, out, config, policy,
-                          left_fused_transpose=True, imbalance=x_imbalance)
+                          left_fused_transpose=True)
     return fused.seconds < first.seconds + second.seconds

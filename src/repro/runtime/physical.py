@@ -339,10 +339,10 @@ class Kernels:
     def fused_ewise(self, plan) -> Value:
         """Execute a lowered :class:`~repro.runtime.fusion.FusedEwisePlan`.
 
-        One pass over the tile grid evaluates the whole region; no member
-        intermediate is ever assembled into a ``BlockedMatrix``. The single
-        pass reports every intermediate step's observed nnz, so the charge
-        prices the region from observed metadata like any other kernel.
+        The region's members run one by one through the ``BlockedMatrix``
+        methods their unfused kernels call, each intermediate given up to
+        its one reader; the cluster is charged one fused operator, priced
+        from every intermediate's observed nnz like any other kernel.
         Whether to fuse was the record's cost evaluation's decision; this
         kernel only runs and charges it.
         """
@@ -431,22 +431,7 @@ class Kernels:
                       left_side: bool, dying: bool) -> Value:
         matrix = value.matrix
         meta = value.meta
-
-        def compute() -> BlockedMatrix:
-            if kind == "add":
-                return matrix.add_scalar(scalar, dying)
-            if kind == "subtract":
-                return matrix.negate(dying).add_scalar(scalar, dying) \
-                    if left_side else matrix.add_scalar(-scalar, dying)
-            if kind == "multiply":
-                return matrix.scale(scalar, dying)
-            if kind == "divide":
-                if left_side:
-                    raise ExecutionError("scalar / matrix is not supported; "
-                                         "zero cells would produce infinities")
-                return matrix.scale(1.0 / scalar, dying)
-
-        result = compute()
+        result = matrix.with_scalar(kind, scalar, left_side, dying)
         price = self._priced(
             price_ewise, (kind, meta, _CELL, result.meta()),
             (value.imbalance,))
@@ -455,7 +440,8 @@ class Kernels:
             operands = (_CELL, meta) if left_side else (meta, _CELL)
             self.tracer.record_operator(kind, price, operands, out)
         if self.recovery is not None:
-            self._finish_op(kind, price, result, compute)
+            self._finish_op(kind, price, result, lambda: matrix.with_scalar(
+                kind, scalar, left_side))
         return out
 
     def _cellwise(kind: str):

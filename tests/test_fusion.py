@@ -130,6 +130,40 @@ class TestEwiseRegionFusion:
         assert find_ewise_region(parse_expression("A + B %*% C")) is None
 
 
+class TestErrorParity:
+    """A fused region raises the error the plain operators raise."""
+
+    @staticmethod
+    def _inputs(seed):
+        """A 30 % dense ``A`` and a dense ``S`` on 64-cell tiles, with 6
+        and 4 tiles at random grid positions zeroed."""
+        rng = np.random.default_rng(seed)
+
+        def with_absent_tiles(matrix, count):
+            for _ in range(count):
+                bi, bj = rng.integers(0, 5, 2)
+                matrix[bi * 64:(bi + 1) * 64, bj * 64:(bj + 1) * 64] = 0.0
+            return matrix
+
+        a = with_absent_tiles(rng.random((320, 320))
+                              * (rng.random((320, 320)) < 0.3), 6)
+        return {"A": a, "S": with_absent_tiles(rng.random((320, 320)), 4)}
+
+    @pytest.mark.parametrize("seed", [11, 16, 19])
+    def test_divide_by_an_absent_tile_names_the_same_tile(self, cluster,
+                                                          seed):
+        messages, decided = [], []
+        for policy in (FUSED, UNFUSED):
+            executor = Executor(cluster, policy)
+            with pytest.raises(ExecutionError) as error:
+                executor.run(parse("B = A / S + A - S"), self._inputs(seed))
+            messages.append(str(error.value))
+            decided.append([op.fuse for code in executor._lowered.values()
+                            for op in code if op.kind == plan.FUSED])
+        assert messages[0] == messages[1]
+        assert decided == [[True], []]
+
+
 class TestMmchainByCost:
     def test_selected_by_cost_not_by_shape_gate(self, rng):
         """FUSED has mmchain_col_limit=None: the legacy gate can never fire,
@@ -195,13 +229,13 @@ class TestFusionLosesWhenCostSaysSo:
         config = ClusterConfig()
         x = MatrixMeta(100, 20, 1.0)  # 16 KB: local
         v = MatrixMeta(20, 1, 1.0)
-        assert not mmchain_beats_unfused(x, v, 1.0, 1.0, config, FUSED)
+        assert not mmchain_beats_unfused(x, v, config, FUSED)
 
     def test_distributed_mmchain_wins(self):
         config = ClusterConfig()
         x = MatrixMeta(50_000, 100, 1.0)
         v = MatrixMeta(100, 1, 1.0)
-        assert mmchain_beats_unfused(x, v, 1.0, 1.0, config, FUSED)
+        assert mmchain_beats_unfused(x, v, config, FUSED)
 
 
 class TestOneDecider:

@@ -261,16 +261,44 @@ HOSTILE_SCALARS = (0.0, float("inf"), float("-inf"), float("nan"), 1e-300,
 
 
 @st.composite
-def fused_programs(draw, leaves):
+def scalar_steps(draw, a, scalars):
+    """Step ``a`` combined with a scalar: ``s - M``, ``M / s``, ``s * M``
+    and the rest, never ``s / M`` or a zero divisor."""
+    op = draw(st.sampled_from(ZIP_OPS))
+    scalar_left = op != "divide" and draw(st.booleans())
+    scalar = draw(st.sampled_from(
+        [s for s in scalars if op != "divide" or s != 0.0]))
+    return Step(op, a, scalar=scalar, scalar_left=scalar_left)
+
+
+@st.composite
+def fused_programs(draw, leaves, scalars=(0.0, -1.0, 0.5, 2.0)):
     steps = [Step("leaf", index) for index in range(leaves)]
     for _ in range(draw(st.integers(1, 5))):
-        op = draw(st.sampled_from(ZIP_OPS[:3] + ("scale", "neg", "add_scalar")))
+        op = draw(st.sampled_from(ZIP_OPS[:3] + ("neg", "scalar")))
         a = draw(st.integers(0, len(steps) - 1))
         if op in ZIP_OPS:
             steps.append(Step(op, a, draw(st.integers(0, len(steps) - 1))))
+        elif op == "neg":
+            steps.append(Step("neg", a))
         else:
-            steps.append(Step(op, a, scalar=draw(st.sampled_from(
-                [0.0, -1.0, 0.5, 2.0]))))
+            steps.append(draw(scalar_steps(a, scalars)))
+    return steps
+
+
+@st.composite
+def shared_programs(draw, leaves):
+    """A fused program in which one non-leaf step is read twice: by a
+    step of its own, then by the root together with that step."""
+    steps = draw(fused_programs(leaves, HOSTILE_SCALARS))
+    shared = draw(st.sampled_from([index for index, step in enumerate(steps)
+                                   if step.op != "leaf"]))
+    steps.append(draw(st.one_of(st.just(Step("neg", shared)),
+                                scalar_steps(shared, HOSTILE_SCALARS))))
+    operands = [len(steps) - 1, shared]
+    if draw(st.booleans()):
+        operands.reverse()
+    steps.append(Step(draw(st.sampled_from(ZIP_OPS)), *operands))
     return steps
 
 
@@ -460,6 +488,93 @@ class TestCarriedStatistics:
         assert BlockedMatrix.scalar(0.0).blocks == {}
         assert BlockedMatrix.scalar(-0.0).blocks == {}
         assert BlockedMatrix.scalar(0.0).scalar_value() == 0.0
+
+
+def _payload(block):
+    """A tile's layout, memory order and payload bytes."""
+    data = block.data
+    if block.is_sparse:
+        return True, data.data.tobytes(), data.indices.tobytes(), \
+            data.indptr.tobytes()
+    return False, data.flags.c_contiguous, data.flags.f_contiguous, \
+        data.tobytes()
+
+
+def _payloads(matrix):
+    """Every tile's payload, in grid insertion order, and the flag."""
+    return [(key, _payload(block)) for key, block in matrix.blocks.items()], \
+        matrix.symmetric
+
+
+def _one_at_a_time(steps, leaves):
+    """A fused program run one operator at a time, every result fresh."""
+    grids, nnz = [], []
+    for step in steps:
+        if step.op == "leaf":
+            grid = leaves[step.a]
+        elif step.op == "neg":
+            grid = grids[step.a].negate()
+        elif step.scalar is not None:
+            grid = grids[step.a].with_scalar(step.op, step.scalar,
+                                             step.scalar_left)
+        else:
+            grid = getattr(grids[step.a], step.op)(grids[step.b])
+        grids.append(grid)
+        nnz.append(grid.nnz)
+    return grids[-1], nnz
+
+
+class TestFusedEvaluator:
+    """``evaluate_fused_ewise`` is its operators: giving a step result up
+    to its one reader leaves every result, count and leaf as running the
+    steps one by one on fresh results does."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_evaluation_equals_the_operators_one_by_one(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        rows = data.draw(st.sampled_from([64, 100, 128, 130]), label="rows")
+        cols = data.draw(st.sampled_from([64, 100, 128]), label="cols")
+        symmetric = data.draw(st.booleans(), label="symmetric")
+
+        def leaf():
+            kind = data.draw(st.sampled_from(
+                ["dense", "csr", "ragged", "transposed", "built"]),
+                label="kind")
+            shape = (cols, rows) if kind == "transposed" else (rows, cols)
+            values = rng.standard_normal(shape)
+            for value in data.draw(st.lists(st.sampled_from(HOSTILE_CELLS),
+                                            max_size=3)):
+                values[rng.random(shape) < rng.choice([0.02, 0.3])] = value
+            if kind == "csr":
+                values[rng.random(shape) < 0.85] = 0.0
+                return BlockedMatrix.from_scipy(sp.csr_matrix(values), 64,
+                                                symmetric=symmetric)
+            if kind == "ragged":  # whole tiles absent
+                for bi in range(0, rows, 64):
+                    for bj in range(0, cols, 64):
+                        if rng.random() < 0.4:
+                            values[bi:bi + 64, bj:bj + 64] = 0.0
+            grid = BlockedMatrix.from_numpy(values, 64, symmetric=symmetric)
+            if kind == "built":  # a kernel's result: it owns its tiles
+                return grid.negate()
+            return grid.transpose() if kind == "transposed" else grid
+
+        leaves = [leaf() for _ in range(data.draw(st.integers(1, 3)))]
+        steps = data.draw(shared_programs(len(leaves)), label="steps")
+        before = [_payloads(grid) for grid in leaves]
+        with np.errstate(all="ignore"):
+            try:
+                expected, expected_nnz = _one_at_a_time(steps, leaves)
+            except ExecutionError as error:  # divide by an absent tile
+                with pytest.raises(ExecutionError) as raised:
+                    evaluate_fused_ewise(steps, leaves)
+                assert str(raised.value) == str(error)
+            else:
+                result, nnz = evaluate_fused_ewise(steps, leaves)
+                assert nnz == expected_nnz
+                assert _payloads(result) == _payloads(expected)
+        assert [_payloads(grid) for grid in leaves] == before
 
 
 # ----------------------------------------------------------------------
