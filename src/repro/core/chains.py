@@ -114,10 +114,6 @@ class ChainSite:
         """Operands of the inclusive span [start, end]."""
         return self.operands[start:end + 1]
 
-    def span_loop_constant(self, start: int, end: int) -> bool:
-        return self.in_loop and all(op.loop_constant
-                                    for op in self.span_operands(start, end))
-
     def __repr__(self) -> str:
         chain = " ".join(self.tokens())
         return f"ChainSite({self.site_id}@stmt{self.stmt_index}: {chain})"

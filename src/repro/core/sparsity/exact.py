@@ -47,6 +47,17 @@ def _as_bool_csr(data) -> sp.csr_matrix:
     return matrix.astype(bool)
 
 
+def _spread(cell: ExactSketch, shape: tuple[int, int]) -> ExactSketch:
+    """The 1x1 support ``cell`` broadcast to ``shape``."""
+    if cell.support.count_nonzero():
+        return ExactSketch(sp.csr_matrix(np.ones(shape, dtype=bool)))
+    return _empty(shape)
+
+
+def _empty(shape: tuple[int, int]) -> ExactSketch:
+    return ExactSketch(sp.csr_matrix(shape, dtype=bool))
+
+
 class ExactEstimator(SparsityEstimator):
     """Oracle estimator over true supports."""
 
@@ -66,8 +77,12 @@ class ExactEstimator(SparsityEstimator):
         return ExactSketch(support.astype(bool))
 
     def matmul(self, left: ExactSketch, right: ExactSketch) -> ExactSketch:
-        product = (left.support.astype(np.int8) @ right.support.astype(np.int8))
-        return ExactSketch(product.astype(bool).tocsr())
+        # A boolean product ORs the products of a cell; a count would have
+        # to be wide enough for every inner dimension (an 8-bit count of
+        # 256 read as 0 and dropped the cell from the support).
+        product = (left.support.astype(bool, copy=False)
+                   @ right.support.astype(bool, copy=False))
+        return ExactSketch(product.tocsr())
 
     def transpose(self, operand: ExactSketch) -> ExactSketch:
         return ExactSketch(operand.support.T.tocsr())
@@ -77,11 +92,20 @@ class ExactEstimator(SparsityEstimator):
         return ExactSketch((left.support + right.support).astype(bool).tocsr())
 
     def multiply(self, left: ExactSketch, right: ExactSketch) -> ExactSketch:
+        # A 1x1 factor is a scalar: it keeps the other's support, or
+        # clears it if it is zero.
         if left.shape == (1, 1):
-            return right
+            return right if left.support.count_nonzero() else _empty(right.shape)
         if right.shape == (1, 1):
-            return left
+            return left if right.support.count_nonzero() else _empty(left.shape)
         return ExactSketch(left.support.multiply(right.support).astype(bool).tocsr())
+
+    def divide(self, left: ExactSketch, right: ExactSketch) -> ExactSketch:
+        """The numerator's support (denominators are dense), spread over
+        the denominator's shape when the numerator is a 1x1 scalar."""
+        if left.shape == (1, 1) and right.shape != (1, 1):
+            return _spread(left, right.shape)
+        return left
 
     def scalar_op(self, operand: ExactSketch, preserves_zero: bool) -> ExactSketch:
         if preserves_zero:
@@ -90,12 +114,12 @@ class ExactEstimator(SparsityEstimator):
         return ExactSketch(sp.csr_matrix(np.ones((rows, cols), dtype=bool)))
 
     def _broadcast(self, left: ExactSketch, right: ExactSketch) -> tuple[ExactSketch, ExactSketch]:
+        """A 1x1 operand beside a larger one is a scalar: spread over the
+        other's shape it covers every cell, or none if it is zero."""
         if left.shape == (1, 1) and right.shape != (1, 1):
-            rows, cols = right.shape
-            return ExactSketch(sp.csr_matrix(np.ones((rows, cols), dtype=bool))), right
+            return _spread(left, right.shape), right
         if right.shape == (1, 1) and left.shape != (1, 1):
-            rows, cols = left.shape
-            return left, ExactSketch(sp.csr_matrix(np.ones((rows, cols), dtype=bool)))
+            return left, _spread(right, left.shape)
         return left, right
 
     def meta(self, sketch: ExactSketch) -> MatrixMeta:

@@ -19,7 +19,7 @@ from ..lang.program import Program
 from ..lang.typecheck import Environment
 from ..runtime.executor import Executor
 from ..runtime.hybrid import ExecutionPolicy
-from ..runtime.physical import Value
+from ..runtime.physical import PartitionMemo, Value
 from ..runtime.plan import CompiledProgram
 
 
@@ -61,8 +61,11 @@ class Engine:
     """One configured system: optimizer settings + execution policy.
 
     An ``Engine`` is the *shared, warm* half of a run: the optimizer (with
-    its plan cache and sketch memo) and the cluster/policy configuration
-    persist across requests, while every :meth:`execute` builds a fresh
+    its plan cache and sketch memo), the cluster/policy configuration and
+    the grids it cut from raw inputs (a :class:`~repro.runtime.physical.
+    PartitionMemo`: each returned only while re-tiling the caller's array
+    would build exactly that grid, never under a recovery manager) persist
+    across requests, while every :meth:`execute` builds a fresh
     :class:`~repro.runtime.executor.Executor` whose metrics, volumes, and
     environment are private to that request. :meth:`session` hands out
     per-tenant :class:`~repro.engines.session.Session` views onto this
@@ -81,6 +84,7 @@ class Engine:
         self.optimize = optimize
         self._shared_plan_cache = None
         self._optimizer = ReMacOptimizer(cluster, self.optimizer_config, self.policy)
+        self._partitions = PartitionMemo()
 
     @property
     def optimizer(self) -> ReMacOptimizer:
@@ -192,6 +196,7 @@ class Engine:
         volumes is built for each call, so concurrent executions of shared
         compiled plans never interfere — the serving layer calls this
         directly with plans obtained from the shared (warm) compile stage.
+        A raw input executed again is not tiled again unless it changed.
         ``compile_wall_seconds`` charges the caller's real compile time to
         the simulated compilation phase, as :meth:`run` always did.
         """
@@ -200,7 +205,7 @@ class Engine:
         executor = Executor(self.cluster, self.policy, tracer=tracer,
                             fault_plan=fault_plan,
                             recovery_config=recovery_config,
-                            replanner=replanner)
+                            replanner=replanner, partitions=self._partitions)
         # Compilation happens on the driver in real time; fold the real wall
         # seconds plus any simulated statistics collection into the
         # simulated compilation phase so Fig. 12-style breakdowns add up.

@@ -160,12 +160,6 @@ class TypedProgram:
     assignments: list[Assign] = field(default_factory=list)
     final_env: Environment = field(default_factory=dict)
 
-    def meta_of_target(self, name: str) -> MatrixMeta:
-        try:
-            return self.final_env[name]
-        except KeyError:
-            raise TypeCheckError(f"variable {name!r} never defined") from None
-
 
 def check_program(program: Program, inputs: Environment) -> TypedProgram:
     """Type-check ``program`` against input metas.

@@ -132,7 +132,7 @@ class BlockedMatrix:
         result = cls(rows, cols, block_size, symmetric=symmetric)
         csr = type(matrix)  # csr_matrix, or csr_array if that came in
         indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-        whole_slabs = cols <= block_size and matrix.has_sorted_indices
+        whole_slabs = _whole_slabs(matrix, block_size)
         twins: dict[tuple[int, int], Block] = {}
         for bi in range(result.row_blocks):
             top = bi * block_size
@@ -563,6 +563,96 @@ class BlockedMatrix:
     def __repr__(self) -> str:
         return (f"BlockedMatrix({self.rows}x{self.cols}, block={self.block_size}, "
                 f"grid={self.row_blocks}x{self.col_blocks}, nnz={self.nnz})")
+
+
+def _whole_slabs(matrix: sparse.spmatrix, block_size: int) -> bool:
+    """Whether :meth:`BlockedMatrix.from_scipy` keeps each row slab of the
+    CSR ``matrix`` as its tile, with no conversion (and no twins)."""
+    return matrix.shape[1] <= block_size and matrix.has_sorted_indices
+
+
+def partitionable(data) -> bool:
+    """Whether :class:`Partition` can later tell if ``data`` still tiles
+    to the grid it was cut into: a 2-D float64 ndarray or a float64 CSR
+    matrix, what ``make_inputs`` hands out."""
+    if isinstance(data, np.ndarray):
+        return data.ndim == 2 and data.dtype == np.float64
+    return (sparse.issparse(data) and data.format == "csr"
+            and data.dtype == np.float64)
+
+
+class Partition:
+    """A grid :meth:`BlockedMatrix.from_any` cut from a caller's raw
+    (:func:`partitionable`) input, kept with what :meth:`rebuilds` needs to
+    tell whether tiling that input again would build exactly this grid.
+
+    * A dense input is checked against the grid's own tiles, never a copy
+      of it: an absent tile's cells must all count as zero; a stored dense
+      tile must hold the same bits (through ``uint64`` views, so ``-0.0``
+      and NaN payloads count), which settles its count too; a stored CSR
+      tile must have its count in the slice and its values, bit for bit,
+      at its positions, which leaves every other cell zero.
+    * A CSR input is checked against a private copy of its ``data`` bits,
+      ``indices`` and ``indptr`` (nnz-sized), its shape and whether
+      ``from_scipy`` would keep its slabs whole.
+    """
+
+    __slots__ = ("grid", "_arrays")
+
+    def __init__(self, data, block_size: int, symmetric: bool):
+        self.grid = BlockedMatrix.from_any(data, block_size=block_size,
+                                           symmetric=symmetric)
+        self._arrays = None
+        if sparse.issparse(data):
+            self._arrays = (data.shape, _whole_slabs(data, block_size),
+                            data.data.view(np.uint64).copy(),
+                            data.indices.copy(), data.indptr.copy())
+
+    def rebuilds(self, data) -> bool:
+        """Whether tiling ``data``, the object this was cut from and still
+        :func:`partitionable`, now builds a grid equal to :attr:`grid` in
+        every key, tile layout and bit."""
+        if self._arrays is None:
+            return data.shape == self.grid.shape \
+                and _tiles_hold(self.grid, data)
+        shape, whole, bits, indices, indptr = self._arrays
+        return (data.shape == shape
+                and _whole_slabs(data, self.grid.block_size) == whole
+                and _same(data.indptr, indptr) and _same(data.indices, indices)
+                and _same(data.data.view(np.uint64), bits))
+
+
+def _same(array: np.ndarray, kept: np.ndarray) -> bool:
+    return array.dtype == kept.dtype and np.array_equal(array, kept)
+
+
+def _tiles_hold(grid: BlockedMatrix, array: np.ndarray) -> bool:
+    """Whether every tile of ``grid`` is the one ``from_numpy`` cuts from
+    the same-shaped ``array`` (see :class:`Partition`)."""
+    size = grid.block_size
+    for bi in range(grid.row_blocks):
+        for bj in range(grid.col_blocks):
+            tile = array[bi * size:(bi + 1) * size,
+                         bj * size:(bj + 1) * size]
+            block = grid.blocks.get((bi, bj))
+            if block is None:
+                if count_nonzero(tile):
+                    return False
+            elif not block.is_sparse:
+                if not np.array_equal(tile.view(np.uint64),
+                                      block.data.view(np.uint64)):
+                    return False
+            else:
+                stored = block.data
+                if count_nonzero(tile) != stored.nnz:
+                    return False
+                rows = np.repeat(np.arange(stored.shape[0]),
+                                 np.diff(stored.indptr))
+                if not np.array_equal(
+                        tile[rows, stored.indices].view(np.uint64),
+                        stored.data.view(np.uint64)):
+                    return False
+    return True
 
 
 def _store_counted(result: BlockedMatrix, key: tuple[int, int],

@@ -56,11 +56,6 @@ class MatrixMeta:
         """Whether this is a 1x1 matrix, implicitly castable to a scalar."""
         return self.rows == 1 and self.cols == 1
 
-    @property
-    def is_vector(self) -> bool:
-        """Whether either dimension is 1 (row or column vector)."""
-        return self.rows == 1 or self.cols == 1
-
     def transposed(self) -> "MatrixMeta":
         """Meta of the transpose (symmetric matrices are self-transpose)."""
         if self.symmetric:

@@ -2,10 +2,7 @@
 
 ReMac "inherits the hash partition scheme of matrices exploited in SystemDS"
 (§4.2): a block at grid position (bi, bj) lands on a worker chosen by a hash
-of its indexes. The partitioner also answers the two aggregate questions the
-cost model asks about a layout (Eq. 6): how many blocks of a matrix a worker
-holds (B_U) and how many of those share a row-block index (P_U), which
-determines how much BMM can pre-aggregate before its shuffle.
+of its indexes.
 """
 
 from __future__ import annotations
@@ -41,17 +38,3 @@ class HashPartitioner:
         for key in matrix.blocks:
             assignment[worker_of_block(*key, self.num_workers)].append(key)
         return dict(assignment)
-
-    def bytes_per_worker(self, matrix: BlockedMatrix) -> list[float]:
-        """Serialized bytes of the blocks each worker hosts (Fig. 13 metric)."""
-        totals = [0.0] * self.num_workers
-        for key, block in matrix.iter_blocks():
-            totals[worker_of_block(*key, self.num_workers)] += block.serialized_bytes()
-        return totals
-
-    def blocks_per_worker(self, matrix: BlockedMatrix) -> list[int]:
-        """Number of materialized blocks per worker."""
-        counts = [0] * self.num_workers
-        for key in matrix.blocks:
-            counts[worker_of_block(*key, self.num_workers)] += 1
-        return counts

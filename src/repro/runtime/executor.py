@@ -29,7 +29,7 @@ from ..errors import ExecutionError
 from ..lang.program import Assign, Program, Statement, WhileLoop
 from . import fusion
 from .hybrid import ExecutionPolicy
-from .physical import Kernels, Value
+from .physical import Kernels, PartitionMemo, Value
 from .plan import (CALL, COMPARE, CONST, EWISE, FUSED, LOAD, MATMUL, NEG,
                    TRANSPOSE, CompiledProgram, Op, lower)
 from .recovery import RecoveryConfig, RecoveryManager
@@ -50,7 +50,8 @@ class Executor:
     def __init__(self, config: ClusterConfig, policy: ExecutionPolicy | None = None,
                  metrics: MetricsCollector | None = None, tracer=None,
                  fault_plan=None, recovery_config: RecoveryConfig | None = None,
-                 replanner: Replanner | None = None):
+                 replanner: Replanner | None = None,
+                 partitions: PartitionMemo | None = None):
         metrics = metrics or MetricsCollector()
         #: Optional :class:`~repro.runtime.recovery.RecoveryManager`; built
         #: only when a fault plan or recovery config is supplied, so the
@@ -60,8 +61,10 @@ class Executor:
             self.recovery = RecoveryManager(config, metrics, plan=fault_plan,
                                             recovery_config=recovery_config,
                                             tracer=tracer)
+        #: ``partitions`` (a :class:`~repro.runtime.physical.PartitionMemo`)
+        #: keeps raw inputs' grids across runs; without it every load tiles.
         self.kernels = Kernels(config, policy, metrics, tracer=tracer,
-                               recovery=self.recovery)
+                               recovery=self.recovery, partitions=partitions)
         self.metrics = self.kernels.metrics
         #: Optional :class:`~repro.runtime.trace.ExecutionTracer`; when None
         #: (the default) no spans are allocated and execution is unchanged.

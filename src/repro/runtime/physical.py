@@ -17,6 +17,8 @@ studies.
 from __future__ import annotations
 
 import operator
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,7 @@ from ..config import ClusterConfig
 from ..cluster.metrics import MetricsCollector
 from ..cluster.network import Network
 from ..errors import ExecutionError, ShapeError
-from ..matrix.blocked import BlockedMatrix
+from ..matrix.blocked import BlockedMatrix, Partition, partitionable
 from ..matrix.formats import DENSE_THRESHOLD
 from ..matrix.meta import DOUBLE_BYTES, MatrixMeta
 from ..matrix.partitioner import worker_of_block
@@ -126,12 +128,74 @@ def placement_imbalance(matrix: BlockedMatrix, num_workers: int) -> float:
     return max(totals) / mean
 
 
+class PartitionMemo:
+    """The grids an :class:`~repro.engines.base.Engine` cut from the raw
+    inputs it was handed, each returned again only while tiling the input
+    anew would build exactly that grid (:class:`~repro.matrix.blocked.
+    Partition` checks), and cut afresh on any other outcome.
+
+    Keyed by the input object's identity, block size and symmetry flag,
+    and guarded by a weak reference whose callback drops the entry (the
+    :class:`~repro.core.plancache.DataTokens` pattern: a recycled ``id`` is
+    never the old object), so an entry lives exactly as long as the
+    caller's object and the memo. Only :func:`~repro.matrix.blocked.
+    partitionable` inputs are kept; anything else is tiled on every load,
+    and a pre-tiled grid passes straight through.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple[int, int, bool],
+                            tuple[weakref.ref, Partition]] = {}
+        # Reentrant: a purge callback can fire from a GC triggered inside
+        # the locked region.
+        self._lock = threading.RLock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def grid(self, data, block_size: int, symmetric: bool) -> BlockedMatrix:
+        """``BlockedMatrix.from_any(data, block_size, symmetric)``, or the
+        grid it built last time if it would build that grid again."""
+        if not partitionable(data):
+            return BlockedMatrix.from_any(data, block_size=block_size,
+                                          symmetric=symmetric)
+        key = (id(data), block_size, symmetric)
+        with self._lock:
+            entry = self._entries.get(key)
+        if entry is not None and entry[0]() is data \
+                and entry[1].rebuilds(data):
+            return entry[1].grid
+        partition = Partition(data, block_size, symmetric)
+        with self._lock:
+            self._entries[key] = (weakref.ref(data, self._purger(key)),
+                                  partition)
+        return partition.grid
+
+    def _purger(self, key: tuple[int, int, bool]):
+        """Callback dropping ``key`` when its referent is collected, unless
+        another object with the recycled id owns the slot by then. It
+        holds the memo weakly: a strong hold would be a cycle through the
+        entry's weak reference, and the grids would outlive their engine
+        until a collector pass."""
+        owner = weakref.ref(self)
+
+        def purge(ref) -> None:
+            memo = owner()
+            if memo is None:
+                return
+            with memo._lock:
+                entry = memo._entries.get(key)
+                if entry is not None and entry[0] is ref:
+                    del memo._entries[key]
+        return purge
+
+
 class Kernels:
     """Stateful kernel set bound to one cluster config, policy, and metrics."""
 
     def __init__(self, config: ClusterConfig, policy: ExecutionPolicy | None = None,
                  metrics: MetricsCollector | None = None, tracer=None,
-                 recovery=None):
+                 recovery=None, partitions: PartitionMemo | None = None):
         self.config = config
         self.policy = policy or ExecutionPolicy.systemds()
         self.metrics = metrics or MetricsCollector()
@@ -141,6 +205,10 @@ class Kernels:
         #: injector; when None (the default) no closure is ever allocated
         #: and execution is byte-identical to the fault-free build.
         self.recovery = recovery
+        #: Optional :class:`PartitionMemo` :meth:`load` tiles raw inputs
+        #: through. Never under a recovery manager: ``RecoveryManager.
+        #: _heal`` edits source grids in place.
+        self.partitions = partitions if recovery is None else None
         self.network = Network(config, self.metrics, recovery=recovery)
         if recovery is not None:
             recovery.bind(self)
@@ -230,6 +298,8 @@ class Kernels:
              charge_partition: bool = False) -> Value:
         """Materialize an input dataset, optionally charging ingest time.
 
+        A raw input is tiled through :attr:`partitions` when there is one,
+        so an unchanged input keeps the grid an earlier run cut from it.
         ``charge_partition=True`` reproduces the Fig. 12 "input partition"
         phase: reading raw data and writing partitioned blocks to DFS.
         Always-distributed engines (pbdR/SciDB) pay a sequential ingest
@@ -237,8 +307,13 @@ class Kernels:
         partitioning a dataset in parallel" (§6.5).
         """
         try:
-            matrix = BlockedMatrix.from_any(
-                data, block_size=self.config.block_size, symmetric=symmetric)
+            if self.partitions is None:
+                matrix = BlockedMatrix.from_any(
+                    data, block_size=self.config.block_size,
+                    symmetric=symmetric)
+            else:
+                matrix = self.partitions.grid(data, self.config.block_size,
+                                              symmetric)
         except ShapeError as exc:
             raise ShapeError(f"input {name!r}: {exc}") from None
         meta = matrix.meta()

@@ -80,13 +80,3 @@ def transpose_shuffle_bytes(meta: MatrixMeta, force_dense: bool = False) -> floa
     return matrix_size(meta, force_dense)
 
 
-def ewise_zip_shuffle_bytes(left: MatrixMeta, right: MatrixMeta,
-                            force_dense: bool = False) -> float:
-    """Shuffle volume of a distributed cell-wise zip.
-
-    Same-shape matrices hash-partitioned by block index are co-partitioned,
-    so the zip is shuffle-free; this returns 0 and exists as the single
-    point to change if a different partitioner breaks co-partitioning.
-    """
-    del left, right, force_dense
-    return 0.0

@@ -16,7 +16,7 @@ from repro.config import ClusterConfig
 from repro.matrix import blocked
 from repro.matrix.meta import MatrixMeta
 from repro.runtime import Executor
-from repro.runtime.physical import Kernels
+from repro.runtime.physical import Kernels, PartitionMemo
 
 
 @pytest.fixture(autouse=True)
@@ -76,6 +76,10 @@ SEAMS = {
     "proved_counts": (blocked, "rank_one_facts", lambda left, right: None),
     # A large rank-one tile is a k = 1 GEMM, as every other product is.
     "rank_one_kernel": (blocked, "outer_product", lambda u, v: u @ v),
+    # Every load tiles its raw input afresh: the grid memo keeps nothing.
+    "partition_memo": (PartitionMemo, "grid", lambda self, data, block_size,
+                       symmetric: blocked.BlockedMatrix.from_any(
+                           data, block_size=block_size, symmetric=symmetric)),
 }
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse as sp
 
 from repro.core.sparsity import (
@@ -202,3 +204,84 @@ class TestOperatorAlgebra:
         sketch = dm.sketch_data(sp.csr_matrix(corner))
         assert sketch.grid[0, 0] == pytest.approx(1.0)
         assert sketch.grid[-1, -1] == pytest.approx(0.0)
+
+
+@st.composite
+def supports(draw, rows, cols):
+    """A boolean support: empty, full, or random cells at a drawn density."""
+    fill = draw(st.sampled_from(["empty", "full", "random"]))
+    if fill == "random":
+        seed = draw(st.integers(0, 2 ** 16))
+        density = draw(st.sampled_from([0.05, 0.5, 0.95]))
+        support = np.random.default_rng(seed).random((rows, cols)) < density
+    else:
+        support = np.full((rows, cols), fill == "full")
+    return support
+
+
+#: Inner dimensions at, just under and above multiples of 256: a product
+#: count that wraps a narrow integer reads zero there.
+INNER = [1, 2, 255, 256, 257, 512, 768]
+
+
+class TestExactOracle:
+    """Every :class:`ExactEstimator` primitive against the support NumPy
+    computes from dense boolean arrays."""
+
+    @staticmethod
+    def _sketch(exact, support, as_csr):
+        values = support.astype(np.float64)
+        return exact.sketch_data(sp.csr_matrix(values) if as_csr else values)
+
+    @staticmethod
+    def _check(exact, sketch, expected):
+        assert sketch.shape == expected.shape
+        assert np.array_equal(sketch.support.toarray().astype(bool), expected)
+        assert exact.meta(sketch).sparsity == expected.mean()
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_each_primitive_computes_the_true_support(self, data):
+        exact = ExactEstimator()
+        primitive = data.draw(st.sampled_from(
+            ["matmul", "transpose", "add", "subtract", "multiply", "divide",
+             "scalar_op"]))
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        as_csr = data.draw(st.booleans())
+        if primitive == "matmul":
+            inner = data.draw(st.sampled_from(INNER))
+            left = data.draw(supports(rows, inner))
+            right = data.draw(supports(inner, cols))
+            expected = (left.astype(np.int64) @ right.astype(np.int64)) > 0
+        elif primitive in ("transpose", "scalar_op"):
+            left, right = data.draw(supports(rows, cols)), None
+            keeps = data.draw(st.booleans())
+            expected = left.T if primitive == "transpose" else \
+                (left if keeps else np.ones_like(left))
+        else:
+            # Same shapes, or a 1x1 scalar on either side (or both).
+            scalar = data.draw(st.sampled_from(["none", "left", "right"]))
+            left = data.draw(supports(*((1, 1) if scalar == "left"
+                                        else (rows, cols))))
+            right = data.draw(supports(*((1, 1) if scalar == "right"
+                                         else (rows, cols))))
+            expected = {
+                "add": np.logical_or, "subtract": np.logical_or,
+                "multiply": np.logical_and,
+                # Denominators are dense: the numerator's support, spread.
+                "divide": lambda a, b: np.broadcast_to(
+                    a, np.broadcast_shapes(a.shape, b.shape)),
+            }[primitive](left, right)
+        sketches = [self._sketch(exact, operand, as_csr)
+                    for operand in (left, right) if operand is not None]
+        if primitive == "scalar_op":
+            out = exact.scalar_op(sketches[0], preserves_zero=keeps)
+        else:
+            out = getattr(exact, primitive)(*sketches)
+        self._check(exact, out, expected)
+
+    def test_a_count_of_256_is_a_cell(self):
+        exact = ExactEstimator()
+        ones = exact.sketch_data(np.ones((1, 256)))
+        product = exact.matmul(ones, exact.transpose(ones))
+        assert exact.meta(product).sparsity == 1.0

@@ -35,6 +35,7 @@ from repro.lang import ast, parse
 from repro.lang.program import Assign, Program, WhileLoop
 from repro.matrix import Block, BlockedMatrix, MatrixMeta
 from repro.runtime import ExecutionTracer, Executor
+from repro.runtime.physical import PartitionMemo
 from repro.server.protocol import array_digest
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "identity_golden.json"
@@ -451,22 +452,30 @@ class _Snapshotting(Executor):
 
 
 def _generated_run(engine, program, inputs, traced):
-    """A program's record, the payloads of its grids larger than a cell
-    (memory order included) and its spans, or the error it stopped with."""
-    tracer = ExecutionTracer() if traced else None
-    executor = _Snapshotting(CLUSTER, make_engine(engine).policy,
-                             tracer=tracer)
-    executor.inputs = inputs
-    try:
-        with np.errstate(all="ignore"):
-            env = executor.run(program, inputs)
-    except ExecutionError as error:
-        return str(error)
-    return (record(RunResult("executor", env, executor.metrics),
-                   variables(env)),
-            {name: _payload(value.matrix) for name, value in env.items()
-             if value.number is None and value.matrix.shape != (1, 1)},
-            tracer.spans if traced else None)
+    """Two runs of a program through one grid memo (the second loads what
+    the first tiled): each run's record, the payloads of its grids larger
+    than a cell (memory order included) and its spans, or the error it
+    stopped with."""
+    memo, runs = PartitionMemo(), []
+    for _ in range(2):
+        tracer = ExecutionTracer() if traced else None
+        executor = _Snapshotting(CLUSTER, make_engine(engine).policy,
+                                 tracer=tracer, partitions=memo)
+        executor.inputs = inputs
+        try:
+            with np.errstate(all="ignore"):
+                env = executor.run(program, inputs)
+        except ExecutionError as error:
+            runs.append(str(error))
+            continue
+        runs.append((record(RunResult("executor", env, executor.metrics),
+                            variables(env)),
+                     {name: _payload(value.matrix)
+                      for name, value in env.items()
+                      if value.number is None
+                      and value.matrix.shape != (1, 1)},
+                     tracer.spans if traced else None))
+    return runs
 
 
 #: Each grammar's programs and a fresh copy of the inputs they read.

@@ -112,7 +112,7 @@ class TestProgramChecking:
     def test_final_env_contains_all_targets(self, env):
         program = parse("u = A %*% v\nw = t(A) %*% u")
         typed = check_program(program, env)
-        assert typed.meta_of_target("w").rows == 20
+        assert typed.final_env["w"].rows == 20
 
     def test_loop_shape_fixpoint_ok(self, env):
         program = parse("""

@@ -1067,16 +1067,11 @@ class TestPartitioner:
         assigned = sum(len(keys) for keys in p.assign(blocked).values())
         assert assigned == len(blocked.blocks)
 
-    def test_bytes_per_worker_total(self, dense_matrix):
-        blocked = BlockedMatrix.from_numpy(dense_matrix, 32)
-        p = HashPartitioner(4)
-        assert sum(p.bytes_per_worker(blocked)) == pytest.approx(
-            blocked.serialized_bytes())
-
     def test_balance_roughly_uniform(self, rng):
         blocked = BlockedMatrix.from_numpy(rng.random((640, 640)), 64)
         p = HashPartitioner(5)
-        counts = p.blocks_per_worker(blocked)
+        assignment = p.assign(blocked)
+        counts = [len(assignment.get(worker, ())) for worker in range(5)]
         assert max(counts) <= 2 * (sum(counts) / len(counts))
 
     def test_worker_of_block_range(self):

@@ -21,11 +21,6 @@ class TestMatrixMeta:
         assert meta.cells == 5000
         assert meta.nnz == pytest.approx(1000)
         assert not meta.is_scalar_like
-        assert not meta.is_vector
-
-    def test_vector_detection(self):
-        assert MatrixMeta(100, 1).is_vector
-        assert MatrixMeta(1, 100).is_vector
         assert MatrixMeta(1, 1).is_scalar_like
 
     def test_invalid_dimensions(self):

@@ -54,10 +54,6 @@ class TestVolumes:
         assert volumes.transpose_shuffle_bytes(meta) == \
             pytest.approx(volumes.matrix_size(meta))
 
-    def test_ewise_zip_copartitioned_free(self):
-        meta = MatrixMeta(1000, 1000, 0.1)
-        assert volumes.ewise_zip_shuffle_bytes(meta, meta) == 0.0
-
 
 class TestFlopCounts:
     def test_matmul_3rccss(self):
