@@ -236,7 +236,7 @@ def _command_run(args) -> int:
                             tracer=tracer, fault_plan=fault_plan,
                             recovery_config=recovery_config,
                             replan=replan)
-        if repeat > 1 and result.compiled is not None:
+        if repeat > 1:
             outcome = result.notes.get("plan_cache", "off")
             print(f"run {index + 1}/{repeat}: compile "
                   f"{result.compile_wall_seconds * 1e3:.2f} ms "
@@ -245,10 +245,9 @@ def _command_run(args) -> int:
     print(f"workload:  {args.algorithm} on {args.dataset} "
           f"({dataset.shape[0]}x{dataset.shape[1]}, "
           f"sparsity {dataset.meta.sparsity:.4f})")
-    if result.compiled is not None:
-        print(f"compiled:  {result.compiled.describe()}")
-        for option in result.compiled.applied_options:
-            print(f"  applied {option}")
+    print(f"compiled:  {result.compiled.describe()}")
+    for option in result.compiled.applied_options:
+        print(f"  applied {option}")
     phases = result.metrics.seconds_by_phase
     for phase in ("input_partition", "compilation", "computation",
                   "transmission"):

@@ -90,8 +90,7 @@ def fig3_motivation(ctx: BenchContext, dataset: str = "cri3") -> list[dict]:
                 "variant": label,
                 "engine": engine,
                 "execution_seconds": result.execution_seconds,
-                "applied_options": len(result.compiled.applied_options)
-                if result.compiled else 0,
+                "applied_options": result.compiled.num_applied,
             })
         for label, keys in FIG3_FORCED:
             forced = run_forced_options(ctx, "dfp", dataset, keys=keys,

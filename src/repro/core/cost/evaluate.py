@@ -12,10 +12,10 @@ budget.
 This is the arbiter every elimination strategy uses: the brute-force
 enumerator prices each rewritten candidate program with it, and the DP's
 chosen plan gets its final predicted cost, its predicted operators and its
-fusion report from it. A run no compile decided (a bare program, a
-hand-built plan, a plan compiled under the other ``policy.fuse``) gets its
-decisions from :func:`decide_records`: one evaluation over the loaded
-inputs' metas.
+fusion report from it. :func:`prepare_records` makes every record the
+executor runs, lowering and then evaluating with recording: for a
+compile's final step, and for a run no compile prepared over a
+``MetadataEstimator`` model of the loaded values' metas.
 
 :func:`propagate` is the unpriced walk: the sketch of one expression for
 every caller that wants sketches only (sketch environments, operand
@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...config import ClusterConfig
-from ...errors import OptimizerError, ShapeError
+from ...errors import OptimizerError
 from ...lang.ast import (
     CELLWISE_BUILTINS,
     Call,
@@ -47,13 +46,12 @@ from ...lang.program import Assign, Program, WhileLoop
 from ...matrix.meta import MatrixMeta
 from ...runtime.fusion import (ZIP_KINDS, Region, mmchain_beats_unfused,
                                region_flops, unwrap_transpose)
-from ...runtime.hybrid import LOCAL, ExecutionPolicy, value_distributed
+from ...runtime.hybrid import LOCAL, value_distributed
 from ...runtime.plan import (CALL, COMPARE, CONST, EWISE, FUSED, LOAD,
                              MATMUL, MMCHAIN, TRANSPOSE, Op, PredictedOp,
                              lower)
 from ...runtime.pricing import price_fused_ewise
 from ..sparsity.base import Sketch
-from ..sparsity.metadata import MetadataEstimator
 from .model import CostModel, Priced
 
 
@@ -358,22 +356,22 @@ def price_fused_region(model: CostModel, region: Region,
     return Priced(price, root_sketch), unfused_seconds
 
 
-def decide_records(program: Program, lowered: dict[int, tuple[Op, ...]],
-                   metas: dict[str, MatrixMeta], config: ClusterConfig,
-                   policy: ExecutionPolicy) -> None:
-    """Decide the fusions of ``program``'s records, lowered from
-    ``metas``, by one evaluation over a :class:`~repro.core.sparsity.
-    metadata.MetadataEstimator` model of those metas. Records past a
-    statement the model cannot evaluate stay plain: the run raises its
-    own typed error there."""
-    if any(op.kind in (FUSED, MMCHAIN)
-           for code in lowered.values() for op in code):
-        model = CostModel(config, MetadataEstimator(), policy)
-        try:
-            ProgramCostEvaluator(model).evaluate(
-                program, sketch_inputs(model, metas), lowered=lowered)
-        except (OptimizerError, ShapeError):
-            pass
+def prepare_records(model: CostModel, program: Program,
+                    metas: dict[str, MatrixMeta],
+                    lowered: dict[int, tuple[Op, ...]],
+                    sketches: dict[str, Sketch] | None = None,
+                    iterations: int | None = None) -> ProgramCost:
+    """Lower ``program`` from ``metas`` under ``model.policy.fuse`` into
+    ``lowered`` (the caller's empty dict) and price it once over
+    ``sketches`` (the metas' own by default), deciding and predicting each
+    record. If the evaluation raises, ``lowered`` holds every record, those
+    before the unevaluable statement decided and predicted."""
+    lowered.update(lower(program.statements, metas, model.policy.fuse))
+    if sketches is None:
+        sketches = sketch_inputs(model, metas)
+    return ProgramCostEvaluator(model).evaluate(
+        program, sketches, iterations=iterations, record=True,
+        lowered=lowered)
 
 
 def sketch_inputs(model: CostModel, input_meta: dict, input_data: dict | None = None) -> dict[str, Sketch]:

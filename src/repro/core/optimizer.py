@@ -28,9 +28,9 @@ from ..errors import OptimizerError
 from ..lang.program import Program
 from ..lang.typecheck import Environment, check_program
 from ..runtime.hybrid import ExecutionPolicy
-from ..runtime.plan import CompiledProgram, lower
+from ..runtime.plan import CompiledProgram
 from .chains import build_chains
-from .cost.evaluate import ProgramCostEvaluator, sketch_inputs
+from .cost.evaluate import prepare_records, sketch_inputs
 from .cost.model import CostModel
 from .plancache import (DataTokens, InputSketchMemo, PlanCache,
                         plan_fingerprint, settings_text)
@@ -264,16 +264,15 @@ class ReMacOptimizer:
                 break
             chains = build_chains(rewritten, inputs, iterations)
 
-        # The plan is lowered once, here: the final evaluation prices the
-        # records the executor will run. It also writes each operator's
-        # predicted price onto its record, where the execution tracer
-        # reads it to report predicted-vs-observed drift, and reports each
-        # fusion decision. Recording is pure observation: the evaluated
-        # cost is identical with or without it.
-        lowered = lower(rewritten.statements, inputs, self.policy.fuse)
-        cost = ProgramCostEvaluator(model).evaluate(
-            rewritten, sketches, iterations=chains.iterations, record=True,
-            lowered=lowered)
+        # The plan's records are prepared once, here: the final evaluation
+        # prices the records the executor will run, decides each fusion,
+        # writes each operator's predicted price onto its record (the
+        # execution tracer reads it to report predicted-vs-observed drift)
+        # and reports each fusion decision. Recording is pure observation:
+        # the evaluated cost is identical with or without it.
+        lowered: dict = {}
+        cost = prepare_records(model, rewritten, inputs, lowered, sketches,
+                               iterations=chains.iterations)
         fusion_notes = None
         if self.policy.fuse:
             from .enumerate import enumerate_fusion_regions

@@ -74,8 +74,12 @@ class SparsityEstimator(ABC):
         return self.add(left, right)
 
     def divide(self, left: Sketch, right: Sketch) -> Sketch:
-        """Division keeps the numerator support (denominators are dense)."""
-        del right
+        """Division keeps the numerator support (denominators are dense);
+        a 1x1 numerator is a scalar, spread over the denominator's shape."""
+        numerator, denominator = self.meta(left), self.meta(right)
+        if numerator.is_scalar_like and not denominator.is_scalar_like:
+            return self.sketch_meta(MatrixMeta(
+                denominator.rows, denominator.cols, numerator.sparsity))
         return left
 
     @abstractmethod

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as sp
 
+from ...errors import ShapeError
 from ...matrix.blocked import BlockedMatrix
 from ...matrix.meta import MatrixMeta
 from .base import SparsityEstimator
@@ -91,7 +92,7 @@ class DensityMapEstimator(SparsityEstimator):
 
     def matmul(self, left: DensityMapSketch, right: DensityMapSketch) -> DensityMapSketch:
         if left.cols != right.rows:
-            raise ValueError(f"matmul shape mismatch: {left.cols} vs {right.rows}")
+            raise ShapeError(f"matmul shape mismatch: {left.cols} vs {right.rows}")
         a, b = self._align(left, right)
         g = a.shape[0]
         inner_per_bucket = left.cols / g

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as sp
 
+from ...errors import ShapeError
 from ...matrix.blocked import BlockedMatrix
 from ...matrix.meta import MatrixMeta
 from .base import SparsityEstimator
@@ -77,6 +78,9 @@ class ExactEstimator(SparsityEstimator):
         return ExactSketch(support.astype(bool))
 
     def matmul(self, left: ExactSketch, right: ExactSketch) -> ExactSketch:
+        if left.shape[1] != right.shape[0]:
+            raise ShapeError(
+                f"matmul shape mismatch: {left.shape[1]} vs {right.shape[0]}")
         # A boolean product ORs the products of a cell; a count would have
         # to be wide enough for every inner dimension (an 8-bit count of
         # 256 read as 0 and dropped the cell from the support).

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ...errors import ShapeError
 from ...matrix.meta import MatrixMeta
 from .base import SparsityEstimator, to_support_arrays
 
@@ -86,7 +87,7 @@ class MNCEstimator(SparsityEstimator):
     # ------------------------------------------------------------------
     def matmul(self, left: MNCSketch, right: MNCSketch) -> MNCSketch:
         if left.cols != right.rows:
-            raise ValueError(f"matmul shape mismatch: {left.cols} vs {right.rows}")
+            raise ShapeError(f"matmul shape mismatch: {left.cols} vs {right.rows}")
         # Candidate non-zero products per inner index j: every non-zero in
         # column j of the left meets every non-zero in row j of the right.
         candidates_per_inner = left.col_counts * right.row_counts

@@ -69,19 +69,19 @@ class Engine:
     :class:`~repro.runtime.executor.Executor` whose metrics, volumes, and
     environment are private to that request. :meth:`session` hands out
     per-tenant :class:`~repro.engines.session.Session` views onto this
-    shared state — the serving layer's unit of isolation.
+    shared state — the serving layer's unit of isolation. Every run
+    executes a compiled plan: :meth:`run` compiles one, :meth:`execute`
+    is handed one.
     """
 
     name = "engine"
 
     def __init__(self, cluster: ClusterConfig,
                  optimizer_config: OptimizerConfig | None = None,
-                 policy: ExecutionPolicy | None = None,
-                 optimize: bool = True):
+                 policy: ExecutionPolicy | None = None):
         self.cluster = cluster
         self.policy = policy or ExecutionPolicy.systemds()
         self.optimizer_config = optimizer_config or OptimizerConfig()
-        self.optimize = optimize
         self._shared_plan_cache = None
         self._optimizer = ReMacOptimizer(cluster, self.optimizer_config, self.policy)
         self._partitions = PartitionMemo()
@@ -136,8 +136,6 @@ class Engine:
                     input_data: dict | None = None,
                     iterations: int | None = None) -> CompiledProgram | None:
         """The already-cached plan for this compile, or None (no compile)."""
-        if not self.optimize:
-            return None
         return self._optimizer.cached_plan(program, inputs, input_data,
                                            iterations)
 
@@ -147,7 +145,7 @@ class Engine:
             charge_partition: bool = False,
             tracer=None, fault_plan=None, recovery_config=None,
             replan=None) -> RunResult:
-        """Compile (per the engine's policy) and execute a program.
+        """Compile and execute a program.
 
         ``tracer`` optionally installs an
         :class:`~repro.runtime.trace.ExecutionTracer` for the execution,
@@ -161,35 +159,29 @@ class Engine:
         when none was passed.
         """
         replanner = None
-        if replan is not None and getattr(replan, "enabled", False) \
-                and self.optimize:
+        if replan is not None and getattr(replan, "enabled", False):
             if tracer is None:
                 from ..runtime.trace import ExecutionTracer
                 tracer = ExecutionTracer()
             from ..runtime.replan import Replanner
             replanner = Replanner(self._optimizer, replan)
-        compiled = None
-        to_execute: Program | CompiledProgram = program
-        compile_wall = 0.0
-        if self.optimize:
-            started = time.perf_counter()
-            compiled = self.compile(program, inputs, input_data, iterations)
-            compile_wall = time.perf_counter() - started
-            to_execute = compiled
-        return self.execute(to_execute, input_data, symmetric=symmetric,
+        started = time.perf_counter()
+        compiled = self.compile(program, inputs, input_data, iterations)
+        compile_wall = time.perf_counter() - started
+        return self.execute(compiled, input_data, symmetric=symmetric,
                             charge_partition=charge_partition, tracer=tracer,
                             fault_plan=fault_plan,
                             recovery_config=recovery_config,
                             replanner=replanner,
                             compile_wall_seconds=compile_wall)
 
-    def execute(self, to_execute: Program | CompiledProgram, input_data: dict,
+    def execute(self, compiled: CompiledProgram, input_data: dict,
                 symmetric: set[str] | frozenset[str] = frozenset(),
                 charge_partition: bool = False,
                 tracer=None, fault_plan=None, recovery_config=None,
                 replanner=None,
                 compile_wall_seconds: float = 0.0) -> RunResult:
-        """Execute an already-compiled plan (or raw program) per request.
+        """Execute an already-compiled plan per request.
 
         The per-request half of :meth:`run`: a fresh
         :class:`~repro.runtime.executor.Executor` with private metrics and
@@ -198,10 +190,11 @@ class Engine:
         directly with plans obtained from the shared (warm) compile stage.
         A raw input executed again is not tiled again unless it changed.
         ``compile_wall_seconds`` charges the caller's real compile time to
-        the simulated compilation phase, as :meth:`run` always did.
+        the simulated compilation phase, as :meth:`run` always did. The
+        plan runs the records its compile prepared; one compiled under the
+        other ``policy.fuse`` is prepared again by the executor, the same
+        way (:func:`~repro.core.cost.evaluate.prepare_records`).
         """
-        compiled = to_execute if isinstance(to_execute, CompiledProgram) \
-            else None
         executor = Executor(self.cluster, self.policy, tracer=tracer,
                             fault_plan=fault_plan,
                             recovery_config=recovery_config,
@@ -210,12 +203,11 @@ class Engine:
         # seconds plus any simulated statistics collection into the
         # simulated compilation phase so Fig. 12-style breakdowns add up.
         executor.metrics.charge_compilation(compile_wall_seconds)
-        if compiled is not None:
-            executor.metrics.charge_compilation(
-                compiled.notes.get("stats_collection_seconds", 0.0))
-        env = executor.run(to_execute, input_data, symmetric=symmetric,
+        executor.metrics.charge_compilation(
+            compiled.notes.get("stats_collection_seconds", 0.0))
+        env = executor.run(compiled, input_data, symmetric=symmetric,
                            charge_partition=charge_partition)
-        notes = dict(compiled.notes) if compiled else {}
+        notes = dict(compiled.notes)
         operators = sum(executor.metrics.operator_counts.values())
         notes["pricing"] = {
             "operators": operators,

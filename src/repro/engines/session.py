@@ -78,14 +78,14 @@ class Session:
     # ------------------------------------------------------------------
     # Execute stage (fresh per-request executor)
     # ------------------------------------------------------------------
-    def execute(self, to_execute, input_data: dict,
+    def execute(self, compiled: CompiledProgram, input_data: dict,
                 symmetric: set[str] | frozenset[str] = frozenset(),
                 charge_partition: bool = False,
                 compile_wall_seconds: float = 0.0, **kwargs) -> RunResult:
         """Execute a compiled plan with a private executor/metrics."""
         started = time.perf_counter()
         result = self.engine.execute(
-            to_execute, input_data, symmetric=symmetric,
+            compiled, input_data, symmetric=symmetric,
             charge_partition=charge_partition,
             compile_wall_seconds=compile_wall_seconds, **kwargs)
         with self._lock:
@@ -106,15 +106,6 @@ class Session:
         """
         if any(kwargs.get(k) is not None
                for k in ("fault_plan", "recovery_config", "replan")):
-            result = self.engine.run(program, inputs, input_data,
-                                     symmetric=symmetric,
-                                     iterations=iterations,
-                                     charge_partition=charge_partition,
-                                     **kwargs)
-            with self._lock:
-                self._runs += 1
-            return result
-        if not self.engine.optimize:
             result = self.engine.run(program, inputs, input_data,
                                      symmetric=symmetric,
                                      iterations=iterations,

@@ -1,8 +1,8 @@
 """The executor: runs programs on the simulated cluster.
 
 Walks the (possibly rewritten) program statement by statement, running each
-expression's records (:func:`~repro.runtime.plan.lower`: a compiled plan
-carries them, a bare program is lowered per run) through
+expression's records (:func:`~repro.core.cost.evaluate.prepare_records`:
+a compiled plan carries them, any other plan is prepared per run) through
 :class:`~repro.runtime.physical.Kernels`, which computes real values and
 advances the simulated clock. A FUSED or MMCHAIN record runs fused or plain
 as the cost evaluation that priced it decided; the executor prices nothing.
@@ -25,13 +25,16 @@ import math
 
 from ..config import ClusterConfig
 from ..cluster.metrics import MetricsCollector
-from ..errors import ExecutionError
+from ..core.cost.evaluate import prepare_records
+from ..core.cost.model import CostModel
+from ..core.sparsity.metadata import MetadataEstimator
+from ..errors import ExecutionError, OptimizerError, ShapeError
 from ..lang.program import Assign, Program, Statement, WhileLoop
 from . import fusion
 from .hybrid import ExecutionPolicy
 from .physical import Kernels, PartitionMemo, Value
 from .plan import (CALL, COMPARE, CONST, EWISE, FUSED, LOAD, MATMUL, NEG,
-                   TRANSPOSE, CompiledProgram, Op, lower)
+                   TRANSPOSE, CompiledProgram, Op)
 from .recovery import RecoveryConfig, RecoveryManager
 from .replan import PlanSwitch, Replanner
 
@@ -205,22 +208,23 @@ class Executor:
     def _records(self, plan: Program | CompiledProgram,
                  env: dict[str, Value]) -> tuple[tuple[Statement, ...],
                                                  dict[int, tuple[Op, ...]]]:
-        """The plan's statements and records; a compiled plan's carry its
-        compile's fusion decisions and predictions. A bare program, a
-        hand-built plan, or one compiled under the other ``policy.fuse``
-        (its fusion report is set when the compile fused) is lowered for
-        this run under ``env``'s metas and decided once, predicting nothing,
-        by :func:`~repro.core.cost.evaluate.decide_records`."""
+        """The plan's statements and records: a compiled plan's, prepared
+        under its ``policy.fuse`` (its fusion report is set when it fused),
+        or this run's, prepared the same way over a ``MetadataEstimator``
+        model of ``env``'s metas. From a statement that model cannot
+        evaluate on, records run plain, and the run raises its own error."""
         if isinstance(plan, CompiledProgram):
             fused = plan.notes.get("fusion") is not None
             if plan.lowered is not None and fused == self.kernels.policy.fuse:
                 return plan.program.statements, plan.lowered
             plan = plan.program
-        from ..core.cost.evaluate import decide_records  # import-cycle guard
-        kernels = self.kernels
+        kernels, lowered = self.kernels, {}
+        model = CostModel(kernels.config, MetadataEstimator(), kernels.policy)
         metas = {name: value.meta for name, value in env.items()}
-        lowered = lower(plan.statements, metas, kernels.policy.fuse)
-        decide_records(plan, lowered, metas, kernels.config, kernels.policy)
+        try:
+            prepare_records(model, plan, metas, lowered)
+        except (OptimizerError, ShapeError):
+            pass
         return plan.statements, lowered
 
     # ------------------------------------------------------------------

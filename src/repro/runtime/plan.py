@@ -73,10 +73,11 @@ class CompiledProgram:
     compile_seconds: float = 0.0
     #: Free-form diagnostics (search statistics, estimator name, ...).
     notes: dict[str, Any] = field(default_factory=dict)
-    #: The program's records by ``id`` of statement (:func:`lower`), made
-    #: once by the compile under its ``policy.fuse`` and shared by the plan
-    #: cache's copies of this plan. None for a hand-built plan: the
-    #: executor lowers it per run, as it does under the other ``fuse``.
+    #: The program's records by ``id`` of statement, prepared once by the
+    #: compile under its ``policy.fuse`` (:func:`~repro.core.cost.evaluate.
+    #: prepare_records`) and shared by the plan cache's copies of this
+    #: plan. None for a hand-built plan: the executor prepares it per run,
+    #: as it does under the other ``fuse``.
     lowered: dict[int, tuple[Op, ...]] | None = field(
         default=None, repr=False, compare=False)
 

@@ -525,8 +525,7 @@ class OptimizerService:
             "results": results,
             "simulated_execution_s": result.execution_seconds,
             "simulated_total_s": result.total_seconds,
-            "applied_options": len(result.compiled.applied_options)
-            if result.compiled else 0,
+            "applied_options": result.compiled.num_applied,
         }
         if _RUSAGE_THREAD is not None:
             packaged["execute_minor_faults"] = \

@@ -14,6 +14,9 @@ from repro.core.sparsity import (
     SamplingEstimator,
     make_estimator,
 )
+from repro.engines import make_engine
+from repro.errors import ExecutionError, ShapeError
+from repro.lang import parse
 from repro.matrix.blocked import BlockedMatrix
 from repro.matrix.meta import MatrixMeta
 
@@ -105,6 +108,34 @@ class TestCommonContract:
         blocked = BlockedMatrix.from_scipy(uniform_pair[0], 64)
         sketch = estimator.sketch_data(blocked)
         assert estimator.meta(sketch).rows == 400
+
+    def test_a_scalar_numerator_spreads_over_its_denominator(
+            self, name, uniform_pair):
+        estimator = make_estimator(name)
+        matrix = estimator.sketch_data(uniform_pair[0])
+        for sparsity in (1.0, 0.0):
+            cell = estimator.sketch_meta(MatrixMeta(1, 1, sparsity))
+            meta = estimator.meta(estimator.divide(cell, matrix))
+            assert (meta.rows, meta.cols) == (400, 60)
+            assert meta.sparsity == pytest.approx(sparsity)
+
+    def test_a_product_of_mismatched_shapes_is_a_shape_error(self, name):
+        estimator = make_estimator(name)
+        left, right = (estimator.sketch_meta(MatrixMeta(rows, cols, 0.5))
+                       for rows, cols in ((4, 3), (5, 2)))
+        with pytest.raises(ShapeError, match="matmul shape mismatch"):
+            estimator.matmul(left, right)
+
+    def test_a_scalar_over_a_matrix_fails_typed_where_it_runs(self, name):
+        """The compile prices ``c / X`` as an X-shaped value, so the run,
+        not the compile, stops: at the statement the executor refuses."""
+        program = parse("y = c / X\nz = y %*% X")
+        meta = {"X": MatrixMeta(600, 600, 1.0), "c": MatrixMeta(1, 1, 1.0)}
+        data = {"X": np.ones((600, 600)), "c": 2.0}
+        with pytest.raises(ExecutionError,
+                           match=r"^scalar / matrix is not supported.*"
+                                 r"\[at statement 0, assigning 'y'\]$"):
+            make_engine("remac", estimator=name).run(program, meta, data)
 
 
 class TestSkewSensitivity:

@@ -12,13 +12,15 @@ unfused seed does, metric for metric.
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.core.optimizer as optimizer_module
+import repro.runtime.executor as executor_module
 from repro.algorithms import get_algorithm
 from repro.config import ClusterConfig, OptimizerConfig
-from repro.core.cost import evaluate
 from repro.core.plancache import plan_fingerprint, settings_text
 from repro.data import load_dataset
 from repro.engines import make_engine
@@ -268,9 +270,14 @@ class TestOneDecider:
         assert all(span["predicted"] is not None for span in spans)
 
     def test_a_bare_program_is_decided_at_run_start(self, rng, monkeypatch):
-        decided, decide = [], evaluate.decide_records
-        monkeypatch.setattr(evaluate, "decide_records", lambda *args: (
-            decided.append(args[0]), decide(*args))[1])
+        """A bare run and a compile prepare their records by one call each,
+        through the one helper; the bare run's records are decided and
+        carry predictions."""
+        run_start, compile_end = (
+            mock.Mock(wraps=module.prepare_records)
+            for module in (executor_module, optimizer_module))
+        monkeypatch.setattr(executor_module, "prepare_records", run_start)
+        monkeypatch.setattr(optimizer_module, "prepare_records", compile_end)
         operands = {"A": rng.random((400, 400)),
                     "S": rng.random((400, 400)) * (rng.random((400, 400))
                                                    < 0.02)}
@@ -279,14 +286,25 @@ class TestOneDecider:
         tracer = ExecutionTracer()
         executor = Executor(ClusterConfig(), FUSED, tracer=tracer)
         executor.run(program, operands)
-        assert decided == [program]
+        assert (run_start.call_count, compile_end.call_count) == (1, 0)
+        assert run_start.call_args.args[1] is program
         records = [op for code in executor._lowered.values() for op in code
                    if op.kind in (plan.FUSED, plan.MMCHAIN)]
-        executed = [span["op"] for span in tracer.operator_spans()
+        spans = list(tracer.operator_spans())
+        executed = [span["op"] for span in spans
                     if span["op"] in self.FUSED_OPS]
         assert [(op.kind, op.fuse) for op in records] == [
             (plan.FUSED, True), (plan.MMCHAIN, True)]
         assert executed == ["fused_ewise", "mmchain"]
+        assert all(span["predicted"] is not None for span in spans)
+        engine = make_engine("remac", ClusterConfig()).with_fusion(True)
+        compiled = engine.compile(program, {
+            name: MatrixMeta(*array.shape, np.count_nonzero(array)
+                             / array.size)
+            for name, array in operands.items()}, operands)
+        engine.execute(compiled, operands)
+        assert (run_start.call_count, compile_end.call_count) == (1, 1)
+        assert compile_end.call_args.args[1] is compiled.program
 
     def test_an_undecidable_bare_program_fails_where_it_runs(self, rng):
         operands = {"A": rng.random((400, 400)), "S": rng.random((400, 400))}

@@ -18,7 +18,7 @@ from repro.lang import ast, parse, parse_expression
 from repro.lang.program import Assign, single_expression_program
 from repro.matrix import Block, BlockedMatrix, MatrixMeta
 from repro.matrix.block import COMPARE_COUNT_CELLS
-import repro.runtime.executor as executor_module
+import repro.core.cost.evaluate as evaluate_module
 from repro.runtime import (CompiledProgram, ExecutionPolicy, ExecutionTracer,
                            Executor)
 from repro.runtime.plan import lower
@@ -547,8 +547,8 @@ class TestDriverScalars:
         cold = engine.compile(algo.program(3), meta, data, iterations=3)
         warm = engine.compile(algo.program(3), meta, data, iterations=3)
         assert warm is not cold and warm.notes["plan_cache"] == "hit"
-        with mock.patch.object(executor_module, "lower",
-                               wraps=executor_module.lower) as lowering:
+        with mock.patch.object(evaluate_module, "lower",
+                               wraps=evaluate_module.lower) as lowering:
             runs = [engine.execute(plan, data) for plan in (cold, warm, warm)]
             assert lowering.call_count == 0
             Executor(engine.cluster, ExecutionPolicy(fuse=True)).run(cold, data)
@@ -576,8 +576,8 @@ class TestDriverScalars:
 
         plan = CompiledProgram(parse("i = 0\n" + source,
                                      scalar_names={"i"}))
-        with mock.patch.object(executor_module, "lower",
-                               wraps=executor_module.lower) as lowering:
+        with mock.patch.object(evaluate_module, "lower",
+                               wraps=evaluate_module.lower) as lowering:
             env = Executor(cluster, tracer=ExecutionTracer(),
                            replanner=Switching()).run(
                 plan, {"x": np.ones((3, 1))})

@@ -7,7 +7,13 @@ import json
 import numpy as np
 import pytest
 
+from repro import runtime
+from repro.algorithms import get_algorithm
+from repro.bench.figures import FIG3_FORCED, run_forced_options
+from repro.bench.harness import BenchContext
+from repro.config import ClusterConfig
 from repro.core import ReMacOptimizer
+from repro.data import load_dataset
 from repro.engines import make_engine
 from repro.lang import parse
 from repro.matrix.meta import MatrixMeta
@@ -115,11 +121,12 @@ class TestOperatorSpans:
 
 
 class TestPairingByRecord:
-    def test_plan_lowered_again_at_run_start_carries_no_prediction(
+    def test_other_fuse_plan_is_prepared_with_predictions(
             self, cluster, gd_workload):
         """A plan compiled with fusion on and run under ``fuse=False`` is
-        lowered again at run start; the new records were never priced, so
-        no operator span carries a prediction, and the run computes what
+        prepared again at run start by the call its compile made; every
+        operator span outside a loop condition pairs with a prediction of
+        the new records (none of them a fusion), and the run computes what
         the untraced one does."""
         program, inputs, data = gd_workload
         fused = ExecutionPolicy(fuse=True)
@@ -129,13 +136,61 @@ class TestPairingByRecord:
         assert compiled.predicted_ops
         unfused = ExecutionPolicy()
         tracer = ExecutionTracer()
-        traced = Executor(cluster, unfused, tracer=tracer).run(compiled, data)
+        executor = Executor(cluster, unfused, tracer=tracer)
+        traced = executor.run(compiled, data)
         untraced = Executor(cluster, unfused).run(compiled, data)
-        operators = list(tracer.operator_spans())
-        assert operators
-        assert all(span["predicted"] is None for span in operators)
+        assert executor._lowered is not compiled.lowered
+        assert _unpaired(tracer) == 0
+        assert not any(span["op"] in ("fused_ewise", "mmchain")
+                       for span in tracer.operator_spans())
         assert np.array_equal(traced["x"].matrix.to_numpy(),
                               untraced["x"].matrix.to_numpy())
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("algorithm, dataset, engine", [
+        ("gd", "cri1", "remac"), ("dfp", "red1", "pbdr"),
+        ("gnmf", "cri3", "systemds")])
+    def test_every_span_of_a_bare_run_pairs_with_a_prediction(
+            self, algorithm, dataset, engine, fuse):
+        """A bare program's records are prepared as a compile's are, so
+        every operator span outside a loop condition carries a prediction,
+        fused or not."""
+        algo = get_algorithm(algorithm)
+        _, data = algo.make_inputs(load_dataset(dataset, scale=0.3).matrix)
+        policy = make_engine(engine).with_fusion(fuse).policy
+        tracer = ExecutionTracer()
+        Executor(ClusterConfig(), policy, tracer=tracer).run(
+            algo.program(3), data, symmetric=algo.symmetric_inputs)
+        assert _unpaired(tracer) == 0
+
+    def test_every_span_of_fig3s_forced_plans_pairs_with_a_prediction(
+            self, monkeypatch):
+        """Fig. 3's hand-picked plans run bare; traced through a local
+        executor that installs a tracer, none of their spans is unpaired."""
+        tracers = []
+
+        class Traced(Executor):
+            def __init__(self, *args, **kwargs):
+                tracers.append(ExecutionTracer())
+                super().__init__(*args, tracer=tracers[-1], **kwargs)
+
+        monkeypatch.setattr(runtime, "Executor", Traced)
+        ctx = BenchContext(scale=0.2, iterations=3)
+        for single_node in (False, True):
+            for _, keys in FIG3_FORCED:
+                run_forced_options(ctx, "dfp", "cri3", keys=keys,
+                                   single_node=single_node)
+        assert len(tracers) == 2 * len(FIG3_FORCED)
+        assert [_unpaired(tracer) for tracer in tracers] == [0] * len(tracers)
+
+
+def _unpaired(tracer) -> int:
+    """Operator spans outside loop conditions that carry no prediction,
+    after checking there are some."""
+    spans = [span for span in tracer.operator_spans()
+             if "cond" not in span["statement"]]
+    assert spans
+    return sum(span["predicted"] is None for span in spans)
 
 
 class TestLoopNesting:
