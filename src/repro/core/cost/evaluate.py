@@ -48,8 +48,8 @@ from ...runtime.fusion import (ZIP_KINDS, Region, mmchain_beats_unfused,
                                region_flops, unwrap_transpose)
 from ...runtime.hybrid import LOCAL, value_distributed
 from ...runtime.plan import (CALL, COMPARE, CONST, EWISE, FUSED, LOAD,
-                             MATMUL, MMCHAIN, TRANSPOSE, Op, PredictedOp,
-                             lower)
+                             MATMUL, MMCHAIN, NEG, TRANSPOSE, Op,
+                             PredictedOp, lower)
 from ...runtime.pricing import price_fused_ewise
 from ..sparsity.base import Sketch
 from .model import CostModel, Priced
@@ -177,6 +177,10 @@ class ProgramCostEvaluator:
                 else:
                     push(self._note(op, "matmul", model.matmul(
                         left, right, *op.transposed), sec_l + sec_r))
+            elif kind == NEG:
+                seconds, sketch = stack[-1]
+                stack[-1] = self._note(op, "negate", model.negate(sketch),
+                                       seconds)
             elif kind == TRANSPOSE:
                 seconds, sketch = stack[-1]
                 if not model.meta(sketch).is_scalar_like:
@@ -191,7 +195,6 @@ class ProgramCostEvaluator:
                 push(self._mmchain(op, env))
             elif kind == FUSED:
                 push(self._fused(op, env))
-            # A NEG is priced free: its operand's entry stands for it.
         return pop()
 
     def _call(self, op: Op, seconds: float, sketch: Sketch
@@ -332,13 +335,13 @@ def price_fused_region(model: CostModel, region: Region,
             continue
         left = sketches[node.a]
         if node.op == "neg":
-            sketches.append(left)  # the unfused model prices it free
-            continue
-        right = sketches[node.b] if node.scalar < 0 \
-            else leaf_sketches[node.scalar]
-        if node.scalar_left:
-            left, right = right, left
-        priced = model.ewise(node.op, left, right)
+            priced = model.negate(left)  # its sketch is the operand's
+        else:
+            right = sketches[node.b] if node.scalar < 0 \
+                else leaf_sketches[node.scalar]
+            if node.scalar_left:
+                left, right = right, left
+            priced = model.ewise(node.op, left, right)
         unfused_seconds += priced.seconds
         if priced.price.impl != LOCAL:
             any_distributed = True

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...config import ClusterConfig
-from ...matrix.meta import MatrixMeta
+from ...matrix.meta import MatrixMeta, scalar_meta
 from ...runtime.hybrid import ExecutionPolicy
 from ...runtime.pricing import (
     OpPrice,
@@ -224,6 +224,16 @@ class CostModel:
             return Priced(price, out)
         return self._memo(("ewise", kind, id(left), id(right)), (left, right),
                           compute)
+
+    def negate(self, operand: Sketch) -> Priced:
+        """Price a negation as its kernel charges it: a multiply by a 1x1
+        cell whose output is the operand (a negated grid keeps its meta)."""
+        def compute() -> Priced:
+            meta = self.meta(operand)
+            price = price_ewise("multiply", meta, scalar_meta(), meta,
+                                self.config, self.policy)
+            return Priced(price, operand)
+        return self._memo(("negate", id(operand)), (operand,), compute)
 
     def transpose(self, operand: Sketch) -> Priced:
         def compute() -> Priced:

@@ -34,6 +34,11 @@ bit-identical to the seed behaviour:
   ``meta()`` are summed once from the tiles and kept; callers that
   legitimately edit ``blocks`` afterwards must call
   :meth:`BlockedMatrix.invalidate_stats`.
+* **Product chains.** ``matmul(other, before=P)`` (``after=Q``) also
+  computes ``P @ (self @ other)`` (``(self @ other) @ Q``), folding each
+  tile of the first product into the second as soon as it is made, so a
+  tile of ``X`` shared by ``t(X) %*% (X %*% v)`` is read while in cache;
+  each grid is the one its own ``matmul`` call returns.
 * **Dying temporaries.** A grid that made every one of its tiles
   (``owns_tiles``) may be given up to the one operator that reads it
   (``dying``), which then writes its large dense result tiles over the
@@ -350,12 +355,20 @@ class BlockedMatrix:
         result._nnz = self.nnz  # a transpose moves cells, it makes none
         return result
 
-    def matmul(self, other: "BlockedMatrix") -> "BlockedMatrix":
-        if self.cols != other.rows:
-            raise ShapeError(
-                f"matmul shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self.block_size != other.block_size:
-            raise ShapeError("matmul requires operands with identical block sizes")
+    def matmul(self, other: "BlockedMatrix",
+               before: "BlockedMatrix | None" = None,
+               after: "BlockedMatrix | None" = None):
+        """``self @ other``; given ``before`` (or ``after``), the pair
+        ``(self @ other, before @ (self @ other))`` (or ``(self @ other,
+        (self @ other) @ after)``), both products computed in one pass:
+        each tile of the first is folded into the second as soon as it is
+        made (:func:`_product_chain`). Each grid of the pair is, tile for
+        tile and in insertion order, the one its own ``matmul`` call
+        returns."""
+        if self.cols != other.rows or self.block_size != other.block_size:
+            _check_product(self, other)
+        if before is not None or after is not None:
+            return _product_chain(self, other, before, after)
         # A x A of a symmetric A is provably symmetric: (AA)^T = A^T A^T = AA.
         result = BlockedMatrix(self.rows, other.cols, self.block_size,
                                symmetric=self is other and self.symmetric)
@@ -671,21 +684,35 @@ def _store(result: BlockedMatrix, key: tuple[int, int],
         result.blocks[key] = block
 
 
-def _join_products(left: BlockedMatrix, right: BlockedMatrix,
-                   result: BlockedMatrix) -> None:
-    """``left @ right`` into ``result``: a sparse-grid join on the inner
-    dimension, one :func:`_tile_product` per output tile. Grids of one
-    cell each are the case :meth:`BlockedMatrix.matmul` answers without
-    it, through the same tile function."""
-    # Group right-operand blocks by their row-block index so we only touch
-    # compatible pairs.
-    right_by_row: dict[int, list[tuple[int, Block]]] = {}
-    for (bk, bj), block in right.blocks.items():
-        right_by_row.setdefault(bk, []).append((bj, block))
-    # Per-output-tile contribution lists. Tiles are discovered in
-    # first-touch order and each tile's pairs in left-block scan order:
-    # that order is the per-tile partial-sum fold and the result grid's
-    # insertion order.
+def _check_product(left: BlockedMatrix, right: BlockedMatrix) -> None:
+    """Raise the error a product of ``left`` and ``right`` is refused with,
+    if it is."""
+    if left.cols != right.rows:
+        raise ShapeError(f"matmul shape mismatch: {left.rows}x{left.cols} @ "
+                         f"{right.rows}x{right.cols}")
+    if left.block_size != right.block_size:
+        raise ShapeError("matmul requires operands with identical block sizes")
+
+
+def _by_row(grid: BlockedMatrix) -> dict[int, list[tuple[int, Block]]]:
+    """``grid``'s tiles grouped by row-block index, each row in the grid's
+    insertion order."""
+    rows: dict[int, list[tuple[int, Block]]] = {}
+    for (bk, bj), block in grid.blocks.items():
+        rows.setdefault(bk, []).append((bj, block))
+    return rows
+
+
+def _contributions(left: BlockedMatrix, right: BlockedMatrix
+                   ) -> dict[tuple[int, int], list[tuple[Block, Block]]]:
+    """The pairs of ``left @ right``, a sparse-grid join on the inner
+    dimension that touches compatible pairs only. Output tiles are keyed in
+    first-touch order and each tile's pairs listed in left-block scan
+    order: that order is the per-tile partial-sum fold and the result
+    grid's insertion order. Grids of one cell each are the case
+    :meth:`BlockedMatrix.matmul` answers without a join, through the same
+    tile function."""
+    right_by_row = _by_row(right)
     contributions: dict[tuple[int, int], list[tuple[Block, Block]]] = {}
     for (bi, bk), left_block in left.blocks.items():
         for bj, right_block in right_by_row.get(bk, ()):
@@ -693,8 +720,87 @@ def _join_products(left: BlockedMatrix, right: BlockedMatrix,
             if pairs is None:
                 contributions[(bi, bj)] = pairs = []
             pairs.append((left_block, right_block))
-    for key, pairs in contributions.items():
+    return contributions
+
+
+def _join_products(left: BlockedMatrix, right: BlockedMatrix,
+                   result: BlockedMatrix) -> None:
+    """``left @ right`` into ``result``, one :func:`_tile_product` per
+    output tile of :func:`_contributions`."""
+    for key, pairs in _contributions(left, right).items():
         _store(result, key, _tile_product(pairs))
+
+
+def _product_chain(left: BlockedMatrix, right: BlockedMatrix,
+                   before: BlockedMatrix | None, after: BlockedMatrix | None
+                   ) -> tuple[BlockedMatrix, BlockedMatrix]:
+    """``inner = left @ right`` and ``before @ inner`` (``inner @ after``
+    when ``before`` is None) in one pass over ``inner``'s tiles.
+
+    Each inner tile is folded into the outer tiles it feeds as soon as it
+    is made, while its operands are still in cache: for ``t(X) %*% (X %*%
+    v)`` and ``(u %*% t(X)) %*% X`` a dense tile of ``X`` and the tile of
+    ``t(X)`` that reads it are one buffer. Folds run in the order a join
+    of the finished grids runs them (:func:`_contributions`): ``inner @
+    after`` scans ``inner``'s tiles, made in that order; ``before @
+    inner`` scans ``before``'s tiles, and makes the row of ``inner`` a tile
+    reads the first time one does. Inner tiles are stored in the join's
+    first-touch order whatever order they were made in, outer tiles in
+    the order they are first folded into, which is theirs.
+    """
+    inner = BlockedMatrix(left.rows, right.cols, left.block_size,
+                          symmetric=left is right and left.symmetric)
+    if before is not None:
+        _check_product(before, inner)
+    else:
+        _check_product(inner, after)
+    outer = BlockedMatrix(before.rows if after is None else left.rows,
+                          right.cols if after is None else after.cols,
+                          left.block_size)
+    inner.owns_tiles = outer.owns_tiles = True
+    products = _contributions(left, right)
+    folds: dict[tuple[int, int], _Fold] = {}
+    if after is not None:
+        after_by_row = _by_row(after)
+        for key, pairs in products.items():
+            block = _tile_product(pairs)
+            if block is None:
+                continue
+            inner.blocks[key] = block
+            bi, bk = key
+            for bj, right_block in after_by_row.get(bk, ()):
+                tile = folds.get((bi, bj))
+                if tile is None:
+                    tile = folds[bi, bj] = _Fold()
+                tile.add(block, right_block)
+    else:
+        # Each row of ``inner`` as its keys and pairs, in join order; once
+        # made, as its stored tiles.
+        rows: dict[int, list] = {}
+        for key, pairs in products.items():
+            rows.setdefault(key[0], []).append((key, pairs))
+        made: dict[tuple[int, int], Block | None] = {}
+        made_rows: dict[int, list[tuple[int, Block]]] = {}
+        for (bk, bi), left_block in before.blocks.items():
+            tiles = made_rows.get(bi)
+            if tiles is None:
+                tiles = made_rows[bi] = []
+                for key, pairs in rows.get(bi, ()):
+                    block = made[key] = _tile_product(pairs)
+                    if block is not None:
+                        tiles.append((key[1], block))
+            for bj, right_block in tiles:
+                tile = folds.get((bk, bj))
+                if tile is None:
+                    tile = folds[bk, bj] = _Fold()
+                tile.add(left_block, right_block)
+        for key, pairs in products.items():
+            block = made[key] if key in made else _tile_product(pairs)
+            if block is not None:
+                inner.blocks[key] = block
+    for key, tile in folds.items():
+        _store(outer, key, tile.block())
+    return inner, outer
 
 
 def _join_cells(left: BlockedMatrix, right: BlockedMatrix, op_name: str,
@@ -746,18 +852,29 @@ def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
     accumulator densifies at the first dense contribution and is then
     summed in place — no per-pair ``Block`` wrappers or re-allocation. The
     fold runs left-to-right over ``pairs`` (the serial scan order), so the
-    float results are bit-identical to pairwise ``Block.add``.
+    float results are bit-identical to pairwise ``Block.add``. Its steps
+    are :func:`_fold` and :func:`_folded`; :class:`_Fold` takes them one
+    pair at a time.
     """
     left, right = pairs[0]
-    # A large rank-one product: one rounded product per cell, and its
-    # factors may settle its count.
-    rank_one = len(pairs) == 1 and left.data.shape[1] == 1 \
-        and not (left.is_sparse or right.is_sparse) \
+    if len(pairs) == 1 and left.data.shape[1] == 1 and _rank_one(left, right):
+        return _folded(*_fold(None, True, pairs, True),
+                       rank_one_facts(left, right))
+    return _folded(*_fold(None, True, pairs), None)
+
+
+def _rank_one(left: Block, right: Block) -> bool:
+    """Whether ``left @ right``, a tile's only pair and ``left`` one column
+    wide, is a large rank-one product: one rounded product per cell, and
+    its factors may settle its count."""
+    return not (left.is_sparse or right.is_sparse) \
         and left.data.shape[0] * right.data.shape[1] >= COMPARE_COUNT_CELLS
-    accumulator = None
-    all_sparse = True  # layout of the accumulator: CSR until a dense product
+
+
+def _fold(accumulator, all_sparse: bool, pairs, rank_one: bool = False):
+    """``accumulator`` (None before the first pair) plus the product of
+    each of ``pairs`` in turn, and whether the sum is still CSR."""
     for left, right in pairs:
-        product_sparse = left.is_sparse and right.is_sparse
         if right.is_sparse and not left.is_sparse:
             # What SciPy's ``dense @ csr`` computes, call for call, around
             # the tile's kept CSC view instead of a freshly built one.
@@ -766,6 +883,7 @@ def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
             product = outer_product(left.data, right.data)
         else:
             product = left.data @ right.data
+        product_sparse = left.is_sparse and right.is_sparse
         if accumulator is None:
             accumulator, all_sparse = product, product_sparse
         elif all_sparse and product_sparse:
@@ -773,11 +891,18 @@ def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
         else:
             if all_sparse:
                 accumulator, all_sparse = accumulator.toarray(), False
-            dense = product.toarray() if product_sparse else product
             # The accumulator is always a private array here (a fresh
             # product or a toarray() copy), so in-place add is safe.
-            np.add(accumulator, dense, out=accumulator)
-    proved = rank_one_facts(left, right) if rank_one else None
+            np.add(accumulator,
+                   product.toarray() if product_sparse else product,
+                   out=accumulator)
+    return accumulator, all_sparse
+
+
+def _folded(accumulator, all_sparse: bool,
+            proved: tuple[int, float] | None) -> Block | None:
+    """The tile a finished fold makes (None when all-zero), its count
+    ``proved`` by a rank-one product's factors or else counted."""
     if proved is not None:
         count, floor = proved
     else:
@@ -787,3 +912,34 @@ def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
     if not count:
         return None
     return Block.of(accumulator, all_sparse, count, floor).normalized()
+
+
+class _Fold:
+    """One output tile folded as its pairs arrive, one :meth:`add` each in
+    the order :func:`_tile_product` would fold them, to the same block. A
+    first pair that may be a large rank-one product (:func:`_rank_one`)
+    waits: it is one only if no second pair follows."""
+
+    __slots__ = ("accumulator", "all_sparse", "first")
+
+    def __init__(self) -> None:
+        self.accumulator, self.all_sparse = None, True
+        self.first: tuple[Block, Block] | None = None
+
+    def add(self, left: Block, right: Block) -> None:
+        pairs = ((left, right),)
+        if self.first is not None:
+            pairs, self.first = (self.first, pairs[0]), None
+        elif self.accumulator is None and left.data.shape[1] == 1 \
+                and _rank_one(left, right):
+            self.first = pairs[0]
+            return
+        self.accumulator, self.all_sparse = _fold(
+            self.accumulator, self.all_sparse, pairs)
+
+    def block(self) -> Block | None:
+        if self.first is None:
+            return _folded(self.accumulator, self.all_sparse, None)
+        left, right = self.first
+        return _folded(*_fold(None, True, (self.first,), True),
+                       rank_one_facts(left, right))

@@ -13,6 +13,8 @@ Transposes directly under a multiplication are *fused* (executed
 block-locally inside the multiply, SystemDS-style); only materialized
 transposes pay the distributed re-key shuffle. A cell-wise operator over
 statically 1x1 operands computes on driver floats (docs/architecture.md §7).
+Two products marked as a chain over one reference (``Op.chain``) run in one
+pass over its tiles, charged as the two products they are (§10).
 
 Host wall-clock and the simulated clock are decoupled by design: the
 kernels compute real tiles on the host, serially, and charge the simulated
@@ -235,7 +237,8 @@ class Executor:
         told which record runs."""
         kernels, tracer, stack = self.kernels, self.tracer, []
         push, pop = stack.append, stack.pop
-        for op in code:
+        ops = iter(code)
+        for op in ops:
             if tracer is not None:
                 tracer.running = op
             kind = op.kind
@@ -263,8 +266,21 @@ class Executor:
                     # Degenerate 1x1 "matmul" behaves as scalar multiplication.
                     push(kernels.from_scalar(left.scalar_value()
                                              * right.scalar_value()))
-                else:
+                elif not op.chain or self.recovery is not None:
                     push(kernels.matmul(left, right, *op.transposed))
+                else:
+                    # Both products of a chain over one reference X, which
+                    # is already on the stack (t(X) %*% (X %*% v)) or this
+                    # product's right operand ((u %*% t(X)) %*% X); the
+                    # records up to the outer one (X's LOAD) are its.
+                    outer, other_left = op.chain
+                    push(kernels.matmul_chain(
+                        left, right, op.transposed,
+                        pop() if other_left else right, other_left,
+                        outer.transposed, outer))
+                    for skipped in ops:
+                        if skipped is outer:
+                            break
             elif kind == NEG:
                 right = pop()
                 push(kernels.negate(right, bool(op.dying)

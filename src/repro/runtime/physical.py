@@ -115,6 +115,15 @@ def _driver_cell(kind: str, left: float, right: float) -> float:
     return _DRIVER_EWISE[kind](left, right)
 
 
+def _multiplied(value: Value, transposed: bool
+                ) -> tuple[MatrixMeta, BlockedMatrix]:
+    """An operand's meta and grid as a product reads them: transposed
+    block-locally when the transpose is fused."""
+    if transposed:
+        return value.meta.transposed(), value.matrix.transpose()
+    return value.meta, value.matrix
+
+
 def placement_imbalance(matrix: BlockedMatrix, num_workers: int) -> float:
     """max/mean bytes across workers for this matrix's hash placement."""
     if num_workers <= 1 or not matrix.blocks:
@@ -361,14 +370,59 @@ class Kernels:
         blocks worker-locally: they cost FLOP touches but no re-keying
         shuffle, unlike :meth:`transpose`.
         """
-        left_meta = left.meta.transposed() if left_transposed else left.meta
-        right_meta = right.meta.transposed() if right_transposed else right.meta
-        left_mat = left.matrix.transpose() if left_transposed else left.matrix
-        right_mat = right.matrix.transpose() if right_transposed \
-            else right.matrix
+        left_meta, left_mat = _multiplied(left, left_transposed)
+        right_meta, right_mat = _multiplied(right, right_transposed)
         left_mat, right_mat = self._coerce_mixed(left_mat, right_mat)
+        return self._product(left_mat.matmul(right_mat), left, right,
+                             left_transposed, right_transposed, left_meta,
+                             right_meta, left_mat, right_mat)
 
-        result = left_mat.matmul(right_mat)
+    def matmul_chain(self, left: Value, right: Value,
+                     transposed: tuple[bool, bool], other: Value,
+                     other_left: bool, outer_transposed: tuple[bool, bool],
+                     outer_record=None) -> Value:
+        """``matmul(left, right, *transposed)`` and the product of its
+        result with ``other`` — on the left of it when ``other_left`` —
+        under ``outer_transposed``, computed in one pass over the first
+        product's tiles (``BlockedMatrix.matmul``'s ``before`` /
+        ``after``), then charged, wrapped and traced as those two
+        :meth:`matmul` calls would be, in their order; returns the second.
+        The executor calls it for ``t(X) %*% (X %*% v)`` and ``(u %*%
+        t(X)) %*% X``, ``X`` one reference, so that ``X`` is read once.
+        ``outer_record`` is the record the second span belongs to (the
+        tracer's ``running`` while it is charged)."""
+        left_meta, left_mat = _multiplied(left, transposed[0])
+        right_meta, right_mat = _multiplied(right, transposed[1])
+        left_mat, right_mat = self._coerce_mixed(left_mat, right_mat)
+        other_meta, other_mat = _multiplied(
+            other, outer_transposed[0 if other_left else 1])
+        inner, outer = left_mat.matmul(
+            right_mat, **{"before" if other_left else "after": other_mat})
+        value = self._product(inner, left, right, *transposed, left_meta,
+                              right_meta, left_mat, right_mat)
+        if self.tracer is not None:
+            self.tracer.running = outer_record
+        if other_left:
+            operands = (other, value, *outer_transposed, other_meta,
+                        value.meta)
+            plain = (other_mat, inner)
+        else:
+            operands = (value, other, *outer_transposed, value.meta,
+                        other_meta)
+            plain = (inner, other_mat)
+        grids = self._coerce_mixed(*plain)
+        if grids != plain:
+            # An engine without mixed products densified an operand, which
+            # only the first product's result could tell it to.
+            outer = grids[0].matmul(grids[1])
+        return self._product(outer, *operands, *grids)
+
+    def _product(self, result: BlockedMatrix, left: Value, right: Value,
+                 left_transposed: bool, right_transposed: bool,
+                 left_meta: MatrixMeta, right_meta: MatrixMeta,
+                 left_mat: BlockedMatrix, right_mat: BlockedMatrix) -> Value:
+        """Charge, wrap and trace ``result``, the product of ``left`` and
+        ``right`` as multiplied (metas and grids after fused transposes)."""
         # t(X) %*% X and X %*% t(X) are provably symmetric whatever X is
         # (the flag changes no pricing — metas price by shape and sparsity).
         if left.matrix is right.matrix and left_transposed != right_transposed:
@@ -379,7 +433,8 @@ class Kernels:
              max(left.imbalance, right.imbalance)))
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
-            self.tracer.record_operator("matmul", price, (left_meta, right_meta), out)
+            self.tracer.record_operator("matmul", price,
+                                        (left_meta, right_meta), out)
         if self.recovery is not None:
             self._finish_op("matmul", price, result,
                             lambda: left_mat.matmul(right_mat))
@@ -389,15 +444,18 @@ class Kernels:
         """Fused ``t(X) %*% (X %*% v)`` (SystemDS's mmchain pattern).
 
         Computed in one distributed pass: the m-sized intermediate Xv stays
-        worker-local. The executor calls it for an MMCHAIN record its cost
-        evaluation selected; a record selected by cost rather than by
+        worker-local, and on the host both products are one pass over
+        ``X``'s tiles (``BlockedMatrix.matmul``'s ``before``), the pass
+        :meth:`matmul_chain` makes for the chain left unfused. The executor
+        calls it for an MMCHAIN record its cost evaluation selected; a
+        record selected by cost rather than by
         :meth:`ExecutionPolicy.mmchain_applicable_cols` passes
         ``exact_inner=True`` so the charge prices the never-materialized
         intermediate with its observed meta instead of the legacy dense
         assumption.
         """
-        inner = x.matrix.matmul(v.matrix)
-        result = x.matrix.transpose().matmul(inner)
+        x_mat, v_mat = x.matrix, v.matrix
+        inner, result = x_mat.matmul(v_mat, before=x_mat.transpose())
         price = self._priced(
             price_mmchain, (x.meta, v.meta, result.meta()),
             (x.imbalance, inner.meta() if exact_inner else None))
@@ -405,10 +463,9 @@ class Kernels:
         if self.tracer is not None:
             self.tracer.record_operator("mmchain", price, (x.meta, v.meta), out)
         if self.recovery is not None:
-            x_mat, v_mat = x.matrix, v.matrix
             self._finish_op(
                 "mmchain", price, result,
-                lambda: x_mat.transpose().matmul(x_mat.matmul(v_mat)))
+                lambda: x_mat.matmul(v_mat, before=x_mat.transpose())[1])
         return out
 
     def fused_ewise(self, plan) -> Value:
@@ -535,7 +592,8 @@ class Kernels:
     def negate(self, value: Value, dying: bool = False,
                driver: bool = False) -> Value:
         meta = value.meta
-        # A negated grid carries its operand's statistics, meta included.
+        # A negated grid carries its operand's statistics, meta included;
+        # the cost model prices a NEG record under the same key.
         price = self._priced(price_ewise,
                              ("multiply", meta, _CELL, meta),
                              (value.imbalance,))
@@ -545,9 +603,6 @@ class Kernels:
         result = value.matrix.negate(dying)
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
-            # The cost model treats negation as free, so this span never
-            # carries a prediction — "negate" deliberately matches no
-            # recorded kind.
             self.tracer.record_operator("negate", price, (meta,), out)
         if self.recovery is not None:
             matrix = value.matrix

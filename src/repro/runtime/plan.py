@@ -133,7 +133,11 @@ class Op:
     is); ``sub``: a fusion's codes, plain last; ``fuse``: a fusion's
     decision, set by the cost evaluation that priced the record (False:
     the executor runs the plain code); ``predicted``: its price, set by the
-    compile's final cost evaluation only (None: not priced there)."""
+    compile's final cost evaluation only (None: not priced there);
+    ``chain``: on a product whose result the next product multiplies
+    with a reference both read (:func:`_chain_side`), ``(that outer
+    record, whether the reference is its left operand)``, set when no
+    operand of the two is 1x1; the cost evaluation ignores it."""
 
     kind: int
     arg: object = None
@@ -143,6 +147,7 @@ class Op:
     sub: tuple = ()
     fuse: bool = False
     predicted: PredictedOp | None = None
+    chain: tuple = field(default=(), repr=False)
 
 
 def lower(statements: list[Statement] | tuple[Statement, ...],
@@ -159,6 +164,8 @@ def lower(statements: list[Statement] | tuple[Statement, ...],
     (None: unknown)."""
     metas = {**metas, "__always__": scalar_meta()}
     lowered: dict[int, tuple[Op, ...]] = {}
+    #: Each MATMUL record's operand metas, as multiplied.
+    multiplied: dict[Op, list] = {}
 
     def code_of(node: Expr, gated: bool = True):
         code: list[Op] = []
@@ -208,8 +215,17 @@ def lower(statements: list[Statement] | tuple[Statement, ...],
                 unwrap_transpose, (node.left, node.right))
             left, right = emit(left, code), emit(right, code)
             op = Op(MATMUL, transposed=(left_t, right_t))
-            operands = [left.transposed() if left_t and left else left,
-                        right.transposed() if right_t and right else right]
+            operands = multiplied[op] = [
+                left.transposed() if left_t and left else left,
+                right.transposed() if right_t and right else right]
+            side = _chain_side(node)
+            # The inner record: the right child's last, or the left
+            # child's, before the shared reference's LOAD.
+            inner = None if side is None else code[-1 if side else -2]
+            if inner is not None and inner.kind == MATMUL and all(
+                    meta is not None and not meta.is_scalar_like
+                    for meta in (*operands, *multiplied[inner])):
+                inner.chain = (op, side)
         elif kind is Transpose:
             op, operands = Op(TRANSPOSE), [emit(node.child, code)]
         elif kind is Call:
@@ -238,6 +254,23 @@ def lower(statements: list[Statement] | tuple[Statement, ...],
 
     block(statements)
     return lowered
+
+
+def _chain_side(node: MatMul) -> bool | None:
+    """Whether ``node`` is the outer product of a chain over one reference
+    ``X``, and which operand of it ``X`` is: True (left) for ``t(X) %*%
+    (X %*% v)``, False (right) for ``(u %*% t(X)) %*% X``, None for any
+    other product. Its inner product reads ``X``, and ``X``'s code is one
+    LOAD, so running both in one pass computes and charges nothing
+    twice."""
+    left, right = node.left, node.right
+    if type(left) is Transpose and type(left.child) is MatrixRef \
+            and type(right) is MatMul and right.left == left.child:
+        return True
+    if type(right) is MatrixRef and type(left) is MatMul \
+            and type(left.right) is Transpose and left.right.child == right:
+        return False
+    return None
 
 
 def _predictions(code: tuple[Op, ...]):

@@ -14,9 +14,9 @@ Predictions come from the compiled plan's records: the optimizer's final
 cost evaluation writes a :class:`~repro.runtime.plan.PredictedOp` onto each
 record it priced, and the executor tells the tracer which record is running
 (:attr:`ExecutionTracer.running`), so each operator span carries the
-prediction of the record that ran it. Operators the cost model does not
-price (loop conditions, runtime-only negations, a plan lowered again at run
-start under the other ``policy.fuse``) simply carry no prediction.
+prediction of the record that ran it. A run no compile prepared has its
+records prepared the same way at run start, so its spans carry predictions
+too; loop conditions, which the cost model does not price, carry none.
 
 Tracing is strictly opt-in and zero-cost when off: no tracer installed
 means no span objects are allocated, no placement scans run, and every

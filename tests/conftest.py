@@ -76,6 +76,8 @@ SEAMS = {
     "proved_counts": (blocked, "rank_one_facts", lambda left, right: None),
     # A large rank-one tile is a k = 1 GEMM, as every other product is.
     "rank_one_kernel": (blocked, "outer_product", lambda u, v: u @ v),
+    # t(X) %*% (X %*% v) and (u %*% t(X)) %*% X run as two products.
+    "chain": (plan_module, "_chain_side", lambda node: None),
     # Every load tiles its raw input afresh: the grid memo keeps nothing.
     "partition_memo": (PartitionMemo, "grid", lambda self, data, block_size,
                        symmetric: blocked.BlockedMatrix.from_any(

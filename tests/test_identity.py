@@ -277,13 +277,31 @@ def _cellwise_inputs():
 
 
 @st.composite
+def chains(draw, names, column=False):
+    """``t(X) %*% (X %*% v)`` or ``(u %*% t(X)) %*% X`` over a reference
+    ``X`` of two row tiles, dense or CSR: both products run in one pass
+    over ``X``'s tiles, which the ``chain`` seam runs as two. ``v`` / ``u``
+    is square, or with ``column`` maybe ``c`` / ``t(c)``."""
+    x = ast.MatrixRef(draw(st.sampled_from(names)))
+    other = _leaf(draw(st.sampled_from(["D", "S", "G", "Z"]
+                                       + ["c"] * column)), False)
+    if draw(st.booleans()):
+        return ast.MatMul(ast.Transpose(x), ast.MatMul(
+            x, other if other.name == "c" else _leaf(other.name,
+                                                     draw(st.booleans()))))
+    other = _leaf(other.name, other.name == "c" or draw(st.booleans()))
+    return ast.MatMul(ast.MatMul(other, ast.Transpose(x)), x)
+
+
+@st.composite
 def cellwise_trees(draw, names, depth=3):
     """A cell-wise tree over refs, literals, transposes and temporaries
     (products, among them ``dense %*% CSR``'s F-ordered tiles and ``c %*%
     t(c)``, whose 64 x 64 tile has a count proved, not scanned; ``R * R``;
     ``X + 0``, which shares its operand's tiles), and whether its value is
     a scalar. A divisor is ``P`` (no zero cell) or a non-zero scalar."""
-    kinds = ["ref", "scalar", "transpose", "product", "outer", "square"]
+    kinds = ["ref", "scalar", "transpose", "product", "outer", "square",
+             "chain"]
     if depth:
         kinds += ["ewise", "ewise", "ewise", "neg", "plus_zero", "t_of", "div"]
     kind = draw(st.sampled_from(kinds))
@@ -305,6 +323,8 @@ def cellwise_trees(draw, names, depth=3):
     if kind == "square":
         ref = ast.MatrixRef(draw(st.sampled_from(names)))
         return ast.ElemMul(ref, ref), False
+    if kind == "chain":
+        return draw(chains(names)), False
     child, scalar = draw(cellwise_trees(names, depth - 1))
     if kind == "neg":
         return ast.Neg(child), scalar
@@ -347,6 +367,10 @@ def cellwise_programs(draw):
         Assign("Y", ast.Add(p, ast.MatMul(ast.MatrixRef("G"), s))),
         # A kernel-built variable read beside a literal: a ref never dies.
         Assign("Q", ast.ElemMul(ast.MatrixRef("X"), ast.Literal(0.5))),
+        # A chain over an input, dense (D, G: absent and CSR tiles, R: a
+        # stored all-zero tile) or CSR (S).
+        Assign("K", draw(chains(["D", "S", "G", "R"], column=True),
+                         label="K")),
         Assign("out", draw(cellwise_trees(names), label="out")[0])])
 
 
@@ -495,6 +519,35 @@ def test_a_generated_program_runs_as_with_every_seam_reverted(
     run = _generated_run(engine, program, inputs(), traced)
     with reverted():
         assert _generated_run(engine, program, inputs(), traced) == run
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_a_chain_on_an_engine_without_mixed_products_runs_as_two(
+        traced, reverted, monkeypatch):
+    """SciDB densifies the sparse side of a mixed product. ``v`` has 31
+    columns at 30 %, so the first product of ``t(X) %*% (X %*% v)``
+    densifies ``v`` (its tiles are CSR again) and its result, whose
+    stored tiles are F-ordered ``dense @ CSR`` products, is sparse by the
+    threshold: the second densifies that result into C-ordered tiles,
+    and the chain computes it again from those, as two products do."""
+    rng = np.random.default_rng(7)
+    v = np.zeros((100, 100))
+    v[:, :31] = rng.random((100, 31)) * (rng.random((100, 31)) < 0.3)
+    inputs = {"X": rng.random((100, 100)), "v": v}
+    program = Program(statements=[Assign("K", ast.MatMul(
+        ast.Transpose(ast.MatrixRef("X")),
+        ast.MatMul(ast.MatrixRef("X"), ast.MatrixRef("v"))))])
+    products = []
+    matmul = BlockedMatrix.matmul
+    monkeypatch.setattr(BlockedMatrix, "matmul",
+                        lambda self, other, **kwargs: products.append(
+                            sorted(kwargs)) or matmul(self, other, **kwargs))
+    run = _generated_run("scidb", program, inputs, traced)
+    assert products == [["before"], []] * 2
+    products.clear()
+    with reverted("chain"):
+        assert _generated_run("scidb", program, inputs, traced) == run
+    assert products == [[], []] * 2
 
 
 if __name__ == "__main__":

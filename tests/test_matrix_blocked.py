@@ -3,6 +3,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse as sp
 
 from repro.errors import ExecutionError, ShapeError
@@ -445,6 +447,109 @@ class TestOneCellGrids:
         joins.clear()
         wide.multiply(wide)
         assert joins == ["_join_cells"]
+
+
+def _same_products(got, expected):
+    """``got`` is ``expected`` as a grid, tile for tile, proved floors and
+    the kernel's ``owns_tiles`` included."""
+    _assert_same_grid(got, expected)
+    assert got.owns_tiles and expected.owns_tiles
+    for key, tile in got.blocks.items():
+        assert tile._floor == expected.blocks[key]._floor, key
+
+
+#: What a tile of a drawn grid holds: nothing, random cells (dense), a
+#: few cells (CSR after ``normalized``), one cell in the tile's first
+#: column, or random cells under an all-zero first row. A one-cell tile
+#: times a zero-first-row tile is a stored pair whose product is all zero.
+TILE_KINDS = ("absent", "dense", "sparse", "first_column", "zero_first_row")
+
+
+@st.composite
+def grids(draw, rows, cols, size, symmetric=False):
+    """A ``rows`` x ``cols`` grid of ``size`` tiles whose tiles are drawn
+    from :data:`TILE_KINDS`, cut dense-first (``from_numpy``: a mixed
+    grid) or as one CSR input (``from_scipy``: every tile CSR, born with
+    its twins), its tiles then stored in a drawn insertion order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    cells = np.zeros((rows, cols))
+    for top in range(0, rows, size):
+        for left in range(0, cols, size):
+            tile = cells[top:top + size, left:left + size]
+            kind = draw(st.sampled_from(TILE_KINDS))
+            if kind == "dense":
+                tile[:] = rng.random(tile.shape) - 0.5
+            elif kind == "sparse":
+                tile[:] = (rng.random(tile.shape) - 0.5) \
+                    * (rng.random(tile.shape) < 0.2)
+            elif kind == "first_column":
+                tile[-1, 0] = 1.5
+            elif kind == "zero_first_row":
+                tile[1:] = rng.random(tile[1:].shape) + 0.5
+    if symmetric:
+        cells = cells + cells.T
+    grid = BlockedMatrix.from_scipy(sp.csr_matrix(cells), size, symmetric) \
+        if draw(st.booleans()) else \
+        BlockedMatrix.from_numpy(cells, size, symmetric)
+    order = draw(st.permutations(list(grid.blocks)))
+    grid.blocks = {key: grid.blocks[key] for key in order}
+    return grid
+
+
+class TestProductChain:
+    """``matmul(other, before=P)`` / ``matmul(other, after=Q)`` compute two
+    products in one pass; each grid of the pair is the one its own
+    ``matmul`` call returns, in every tile, fold, layout, count, proved
+    floor, insertion order and flag."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_a_chain_is_its_two_products(self, data):
+        size = data.draw(st.integers(2, 4), label="size")
+        rows, cols, k = (data.draw(st.integers(1, 3 * size), label=name)
+                         for name in ("rows", "cols", "k"))
+        shared = rows == cols and data.draw(st.booleans(), label="shared")
+        x = data.draw(grids(rows, cols, size, symmetric=shared), label="X")
+        v = x if shared else data.draw(grids(cols, k, size), label="v")
+        inner, outer = x.matmul(v, before=x.transpose())
+        expected = x.matmul(v)
+        _same_products(inner, expected)
+        _same_products(outer, x.transpose().matmul(expected))
+        u = x.transpose() if shared else \
+            data.draw(grids(k, cols, size), label="u")
+        inner, outer = u.matmul(x.transpose(), after=x)
+        expected = u.matmul(x.transpose())
+        _same_products(inner, expected)
+        _same_products(outer, expected.matmul(x))
+
+    @pytest.mark.parametrize("zero_rows", [0, 64])
+    def test_a_large_rank_one_outer_tile_waits_for_its_pair_count(
+            self, rng, monkeypatch, zero_rows):
+        # t(X)'s tile of the one-row edge is 64 x 1: with no other row
+        # block stored it is the outer tile's only pair, a rank-one product.
+        computed = []
+        outer_product = blocked.outer_product
+        monkeypatch.setattr(blocked, "outer_product", lambda u, v: (
+            computed.append(1), outer_product(u, v))[1])
+        cells = rng.random((65, 64)) + 0.5
+        cells[:zero_rows] = 0.0
+        x = BlockedMatrix.from_numpy(cells, 64)
+        v = BlockedMatrix.from_numpy(rng.random((64, 80)) + 0.5, 64)
+        inner, outer = x.matmul(v, before=x.transpose())
+        assert len(computed) == (1 if zero_rows else 0)
+        expected = x.matmul(v)
+        _same_products(inner, expected)
+        _same_products(outer, x.transpose().matmul(expected))
+
+    def test_shapes_are_checked_for_both_products(self):
+        x = BlockedMatrix.from_numpy(np.ones((5, 3)), 2)
+        v = BlockedMatrix.from_numpy(np.ones((3, 2)), 2)
+        with pytest.raises(ShapeError, match="2x3 @ 5x2"):
+            x.matmul(v, before=BlockedMatrix.from_numpy(np.ones((2, 3)), 2))
+        with pytest.raises(ShapeError, match="5x2 @ 3x5"):
+            x.matmul(v, after=x.transpose())
+        with pytest.raises(ShapeError, match="block sizes"):
+            x.matmul(v, after=BlockedMatrix.from_numpy(np.ones((2, 2)), 3))
 
 
 class TestDenseTimesCsr:

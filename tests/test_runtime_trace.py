@@ -184,6 +184,33 @@ class TestPairingByRecord:
         assert [_unpaired(tracer) for tracer in tracers] == [0] * len(tracers)
 
 
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_a_negation_pairs_with_the_price_its_kernel_charges(
+            self, cluster, rng, compiled):
+        """A NEG record is priced as ``Kernels.negate`` charges it (a
+        multiply by a 1x1 cell, the operand's meta out), so its span is
+        paired; over a local input, whose meta the model knows exactly and
+        whose placement cannot be skewed, the prediction is the charge."""
+        program = parse("input A, B, C\nN = -C\nM = -(A %*% B)\n"
+                        "s = -sum(N)\n")
+        data = {"A": rng.random((600, 30)), "B": rng.random((30, 30)),
+                "C": rng.random((40, 30))}
+        if compiled:
+            program = ReMacOptimizer(cluster).compile(
+                program, {name: MatrixMeta(*value.shape, 1.0)
+                          for name, value in data.items()}, data)
+        tracer = ExecutionTracer()
+        Executor(cluster, tracer=tracer).run(program, data)
+        assert _unpaired(tracer) == 0
+        negations = [span for span in tracer.operator_spans()
+                     if span["op"] == "negate"]
+        assert [span["target"] for span in negations] == ["N", "M", "s"]
+        of_input = negations[0]
+        assert of_input["impl"] == of_input["predicted"]["impl"]
+        for part in ("seconds", "compute_seconds", "transmission_seconds"):
+            assert of_input["predicted"][part] == of_input["observed"][part]
+
+
 def _unpaired(tracer) -> int:
     """Operator spans outside loop conditions that carry no prediction,
     after checking there are some."""
