@@ -1,18 +1,11 @@
 """Adaptive replanning: simulated time of adaptive vs stale plans.
 
-Two scenarios where the originally compiled plan is wrong mid-run:
-
-* **drift** — a column-concentrated sparse matrix misleads the metadata
-  estimator: it predicts a dense Gram product ``t(A) %*% A`` and declines
-  the loop-constant hoist, while the true product is tiny. The adaptive
-  run notices the predicted-vs-observed gap, recompiles the remaining
-  loop under observed statistics, and hoists.
-
-* **crash** — a fault plan crashes four workers early. The original plan
-  (priced for six workers) correctly declined the hoist — per-iteration
-  compute is cheap at full width — but on the two survivors compute
-  dominates and the hoist pays. The adaptive run re-prices on shrink and
-  adopts it; the stale run grinds through the loop at full redundancy.
+The scenario (**crash**) where the originally compiled plan goes wrong
+mid-run: a fault plan crashes four workers early. The original plan
+(priced for six workers) correctly declined the hoist — per-iteration
+compute is cheap at full width — but on the two survivors compute
+dominates and the hoist pays. The adaptive run re-prices on shrink and
+adopts it; the stale run grinds through the loop at full redundancy.
 
 Before timing anything, every adaptive run is checked against the hard
 invariant: its final matrices must be bit-identical to the fault-free
@@ -45,7 +38,7 @@ from repro.matrix import MatrixMeta, scalar_meta
 from repro.runtime.replan import ReplanConfig
 
 #: A Gram-matrix power iteration: the product ``t(A) %*% A`` is
-#: loop-constant, so hoisting it is the plan decision both scenarios flip.
+#: loop-constant, so hoisting it is the plan decision a shrink flips.
 GRAM_SOURCE = """
 i = 0
 while (i < N) {
@@ -58,19 +51,6 @@ while (i < N) {
 ITERATIONS = 10
 
 
-def _concentrated_matrix(m: int, k: int, sparsity: float, hot_cols: int,
-                         seed: int) -> sp.csr_matrix:
-    """Sparse matrix whose nnz pile into ``hot_cols`` columns, so the
-    metadata estimator's uniform-collision assumption wildly over-predicts
-    the Gram product's density."""
-    rng = np.random.default_rng(seed)
-    nnz = int(m * k * sparsity)
-    rows = rng.integers(0, m, size=nnz)
-    cols = rng.integers(0, hot_cols, size=nnz)
-    vals = rng.standard_normal(nnz)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(m, k)).tocsr()
-
-
 def _uniform_matrix(m: int, k: int, density: float) -> sp.csr_matrix:
     rng = np.random.default_rng(7)
     return sp.random(m, k, density=density,
@@ -78,8 +58,8 @@ def _uniform_matrix(m: int, k: int, density: float) -> sp.csr_matrix:
                      data_rvs=rng.standard_normal).tocsr()
 
 
-def _run(A, cluster: ClusterConfig, estimator: str,
-         replan: ReplanConfig | None = None, fault_plan: FaultPlan | None = None):
+def _run(A, cluster: ClusterConfig, replan: ReplanConfig | None = None,
+         fault_plan: FaultPlan | None = None):
     m, k = A.shape
     meta = {
         "A": MatrixMeta(m, k, A.nnz / (m * k)),
@@ -90,7 +70,7 @@ def _run(A, cluster: ClusterConfig, estimator: str,
     data = {"A": A, "x": np.ones((k, 1)), "i": 0.0, "N": float(ITERATIONS)}
     program = parse(GRAM_SOURCE, scalar_names={"i", "N"},
                     max_iterations=ITERATIONS)
-    engine = Engine(cluster, OptimizerConfig(estimator=estimator))
+    engine = Engine(cluster, OptimizerConfig(estimator="exact"))
     return engine.run(program, meta, data, iterations=ITERATIONS,
                       replan=replan, fault_plan=fault_plan)
 
@@ -112,52 +92,31 @@ def _row(scenario: str, variant: str, result, baseline_exec: float,
 
 
 def replan_adaptivity(smoke: bool = False) -> list[dict]:
-    rows: list[dict] = []
-
-    # -- drift: mis-estimated skew, fault-free ------------------------------
-    A = _concentrated_matrix(16384, 512, sparsity=0.02, hot_cols=16, seed=7)
-    cluster = ClusterConfig(dfs_bytes_per_sec=5e5)
-    oracle = _run(A, cluster, "exact")  # fault-free reference values
-    x_ref = oracle.value("x")
-    stale = _run(A, cluster, "metadata")
-    adaptive = _run(A, cluster, "metadata",
-                    replan=ReplanConfig(drift_threshold=0.5))
-    rows.append(_row("drift", "stale", stale, stale.execution_seconds, x_ref))
-    rows.append(_row("drift", "adaptive", adaptive,
-                     stale.execution_seconds, x_ref))
-
-    # -- crash: mid-run cluster shrink 6 -> 2 workers -----------------------
-    A2 = _uniform_matrix(4096, 512, density=0.4)
-    cluster2 = ClusterConfig(num_workers=6, flops_per_core=1e7,
-                             dfs_bytes_per_sec=1.3e5)
+    # Mid-run cluster shrink 6 -> 2 workers.
+    A = _uniform_matrix(4096, 512, density=0.4)
+    cluster = ClusterConfig(num_workers=6, flops_per_core=1e7,
+                            dfs_bytes_per_sec=1.3e5)
     plan = FaultPlan(crashes=tuple(CrashEvent(time=0.4 * (n + 1), worker=0)
                                    for n in range(4)), seed=0)
-    fault_free = _run(A2, cluster2, "exact")
-    x2_ref = fault_free.value("x")
-    stale2 = _run(A2, cluster2, "exact", fault_plan=plan)
-    adaptive2 = _run(A2, cluster2, "exact", fault_plan=plan,
-                     replan=ReplanConfig(on_shrink=True))
-    rows.append(_row("crash", "stale", stale2,
-                     stale2.execution_seconds, x2_ref))
-    rows.append(_row("crash", "adaptive", adaptive2,
-                     stale2.execution_seconds, x2_ref))
-    return rows
+    x_ref = _run(A, cluster).value("x")  # fault-free reference
+    stale = _run(A, cluster, fault_plan=plan)
+    adaptive = _run(A, cluster, fault_plan=plan,
+                    replan=ReplanConfig(on_shrink=True))
+    return [_row("crash", "stale", stale, stale.execution_seconds, x_ref),
+            _row("crash", "adaptive", adaptive, stale.execution_seconds,
+                 x_ref)]
 
 
 def _assert_acceptance(rows: list[dict]) -> None:
-    by_key = {(row["scenario"], row["variant"]): row for row in rows}
-    for scenario in ("drift", "crash"):
-        stale = by_key[(scenario, "stale")]
-        adaptive = by_key[(scenario, "adaptive")]
-        assert adaptive["bit_identical"], \
-            f"{scenario}: adaptive results differ from the fault-free run"
-        assert stale["bit_identical"], \
-            f"{scenario}: stale results differ from the fault-free run"
-        assert adaptive["replans_adopted"] > 0, \
-            f"{scenario}: the adaptive run never replanned"
-        assert adaptive["simulated_exec_s"] < stale["simulated_exec_s"], \
-            (f"{scenario}: adaptive ({adaptive['simulated_exec_s']}s) not "
-             f"strictly below stale ({stale['simulated_exec_s']}s)")
+    stale, adaptive = rows
+    assert adaptive["bit_identical"], \
+        "adaptive results differ from the fault-free run"
+    assert stale["bit_identical"], \
+        "stale results differ from the fault-free run"
+    assert adaptive["replans_adopted"] > 0, "the adaptive run never replanned"
+    assert adaptive["simulated_exec_s"] < stale["simulated_exec_s"], \
+        (f"adaptive ({adaptive['simulated_exec_s']}s) not strictly below "
+         f"stale ({stale['simulated_exec_s']}s)")
 
 
 def _write_report(rows: list[dict], smoke: bool) -> None:

@@ -108,17 +108,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint-every", type=int, default=None, metavar="K",
                      help="snapshot loop-carried variables every K "
                           "iterations and truncate lineage (0 = off)")
-    run.add_argument("--replan-drift-threshold", type=float, default=None,
-                     metavar="R",
-                     help="recompile the remaining program mid-run when an "
-                          "operator site's cumulative |predicted - observed| "
-                          "exceeds R times its observed seconds; the final "
-                          "matrices stay bit-identical, only simulated time "
-                          "and replan_* metrics change")
     run.add_argument("--replan-on-shrink", action="store_true",
                      help="after a crash shrinks the cluster, re-price the "
                           "remaining program for the surviving workers and "
-                          "adopt the new plan when it is value-equivalent")
+                          "adopt the new plan when it is value-equivalent; "
+                          "the final matrices stay bit-identical, only "
+                          "simulated time and replan_* metrics change")
 
     optimize = sub.add_parser("optimize", help="compile a script, print plan")
     optimize.add_argument("script", help="path to a DML-like script file")
@@ -222,10 +217,9 @@ def _command_run(args) -> int:
             kwargs["checkpoint_every"] = args.checkpoint_every
         recovery_config = RecoveryConfig(**kwargs)
     replan = None
-    if args.replan_drift_threshold is not None or args.replan_on_shrink:
+    if args.replan_on_shrink:
         from .runtime.replan import ReplanConfig
-        replan = ReplanConfig(drift_threshold=args.replan_drift_threshold,
-                              on_shrink=args.replan_on_shrink)
+        replan = ReplanConfig(on_shrink=True)
     repeat = max(1, args.repeat)
     result = None
     for index in range(repeat):

@@ -132,12 +132,6 @@ class OptimizerConfig:
     enum_option_limit: int = 20
     #: Assumed loop iteration count when a loop does not specify one.
     default_iterations: int = 100
-    #: Observation-derived :class:`~repro.core.sparsity.calibrate.
-    #: CalibrationState` applied on top of the configured estimator (used by
-    #: mid-run replanning). None — the default — compiles uncalibrated.
-    #: Semantic: the state enters the plan-cache fingerprint, so calibrated
-    #: replans never collide with the original plan.
-    calibration: object | None = None
     #: Prefix for rewriter-generated temporaries. Replanning compiles the
     #: remaining program with a generation-specific prefix so fresh temps
     #: can never collide with live hoisted temporaries from an earlier plan.

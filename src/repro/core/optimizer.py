@@ -30,7 +30,7 @@ from ..lang.typecheck import Environment, check_program
 from ..runtime.hybrid import ExecutionPolicy
 from ..runtime.plan import CompiledProgram
 from .chains import build_chains
-from .cost.evaluate import prepare_records, sketch_inputs
+from .cost.evaluate import prepare_records
 from .cost.model import CostModel
 from .plancache import (DataTokens, InputSketchMemo, PlanCache,
                         plan_fingerprint, settings_text)
@@ -86,8 +86,8 @@ class ReMacOptimizer:
         self.config = config or OptimizerConfig()
         self.policy = policy or ExecutionPolicy.systemds()
         # The three above are frozen and fixed for this optimizer's life (a
-        # new policy or calibration means a new optimizer), so their part
-        # of every fingerprint is rendered here, once.
+        # new policy means a new optimizer), so their part of every
+        # fingerprint is rendered here, once.
         self._settings_text = settings_text(self.config, self.cluster,
                                             self.policy)
         #: Compiled-plan LRU (None when disabled via config.plan_cache).
@@ -215,11 +215,6 @@ class ReMacOptimizer:
         """The full optimization pipeline (no plan-cache shortcut)."""
         check_program(program, inputs)  # fail fast on shape errors
         estimator = make_estimator(self.config.estimator)
-        if self.config.calibration is not None:
-            # Calibrated re-entry (mid-run replanning): observed product
-            # metas override the estimator's propagations where they match.
-            from .sparsity.calibrate import CalibratedEstimator
-            estimator = CalibratedEstimator(estimator, self.config.calibration)
         model = CostModel(self.cluster, estimator, self.policy,
                           memoize=self.config.cost_memo)
         sketches = self._sketch_inputs(model, inputs, input_data)
@@ -308,12 +303,8 @@ class ReMacOptimizer:
         identity token, metadata, symmetric flag — so a memo hit is exactly
         a re-sketch of data the optimizer has already sketched. Memo hits
         skip statistics collection (the model never sees the input), the
-        same accounting a plan-cache hit reports. Calibrated compiles
-        (mid-run replanning) bypass the memo: calibration overrides
-        propagation from observations, so their sketches must be rebuilt.
+        same accounting a plan-cache hit reports.
         """
-        if self.config.calibration is not None:
-            return sketch_inputs(model, inputs, input_data)
         data = input_data or {}
         tokens = self._data_tokens
         sketches: dict = {}

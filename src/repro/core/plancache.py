@@ -18,7 +18,7 @@ on:
   survives as long as the cache);
 * the semantic fields of :class:`~repro.config.OptimizerConfig` (estimator,
   strategy, search, combiner, budgets, and — for mid-run replanning — the
-  ``calibration`` state and ``temp_prefix``; the performance-only knobs
+  ``temp_prefix``; the performance-only knobs
   like worker counts are excluded so they never fragment the cache);
 * the full :class:`~repro.config.ClusterConfig` and
   :class:`~repro.runtime.hybrid.ExecutionPolicy` (pricing inputs) — the
@@ -294,9 +294,8 @@ class InputSketchMemo:
     token, metadata, symmetric flag)``. Sketches are immutable value
     objects and sketching is pure, so sharing the object is perf-only; a
     memo hit genuinely skips statistics collection, mirroring how a plan
-    cache hit reports ``stats_collection_seconds == 0``. Calibrated
-    (replanning) compiles bypass the memo entirely — calibration rewrites
-    sketches from observations. Bounded LRU, lock-guarded.
+    cache hit reports ``stats_collection_seconds == 0``. Bounded LRU,
+    lock-guarded.
     """
 
     def __init__(self, maxsize: int = 256):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .base import Sketch, SparsityEstimator, observed_meta, to_support_arrays
-from .calibrate import CalibratedEstimator, CalibrationState
 from .densitymap import DensityMapEstimator, DensityMapSketch
 from .exact import ExactEstimator, ExactSketch
 from .memo import MemoizedEstimator
@@ -35,5 +34,4 @@ __all__ = [
     "DensityMapEstimator", "DensityMapSketch",
     "SamplingEstimator", "ExactEstimator", "ExactSketch",
     "MemoizedEstimator", "make_estimator",
-    "CalibratedEstimator", "CalibrationState",
 ]

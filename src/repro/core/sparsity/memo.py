@@ -56,16 +56,6 @@ class MemoizedEstimator(SparsityEstimator):
         return self.inner.stats_collection_flops
 
     @property
-    def calibration(self):
-        """The wrapped estimator's :class:`~repro.core.sparsity.calibrate.
-        CalibrationState`, or None when the inner estimator is uncalibrated.
-        Memoization composes with calibrated re-entry: cache keys are sketch
-        identities, and a calibrated estimator returns *different* sketch
-        objects for corrected products, so corrected and uncorrected
-        propagations can never share a memo entry."""
-        return getattr(self.inner, "calibration", None)
-
-    @property
     def stats(self) -> dict[str, int]:
         """Hit/miss counters for compile-stats reporting."""
         return {"hits": self.hits, "misses": self.misses,

@@ -54,7 +54,7 @@ class DatasetSpec:
 
 #: Mini counterparts of Table 2 (names and roles match the paper).
 #:
-#: Shapes/sparsities are calibrated so two regime ratios keep the paper's
+#: Shapes/sparsities are chosen so two regime ratios keep the paper's
 #: ordering: nnz(A)/n² (how matvec-plan FLOPs compare to AᵀA-plan FLOPs:
 #: cri1/red1 huge, cri3/red3 small) and size(A)/size(AᵀA) (how hoisting
 #: costs compare to per-iteration savings). In particular AᵀA fits on the

@@ -154,15 +154,11 @@ class Engine:
         recovery layer (:mod:`repro.cluster.faults`,
         :mod:`repro.runtime.recovery`) for the execution only — compilation
         is never subject to faults. ``replan`` (a :class:`~repro.runtime.
-        replan.ReplanConfig`) arms mid-run adaptive replanning; it needs a
-        tracer for observations, so an enabled config auto-installs one
-        when none was passed.
+        replan.ReplanConfig`) arms mid-run replanning after a cluster
+        shrink; a ``tracer``, when passed, records its ``replan`` events.
         """
         replanner = None
         if replan is not None and getattr(replan, "enabled", False):
-            if tracer is None:
-                from ..runtime.trace import ExecutionTracer
-                tracer = ExecutionTracer()
             from ..runtime.replan import Replanner
             replanner = Replanner(self._optimizer, replan)
         started = time.perf_counter()

@@ -100,7 +100,7 @@ class Session:
         """Compile-and-execute convenience, same contract as Engine.run.
 
         Fault/recovery/replanning runs need the wiring Engine.run builds
-        (injector, replanner, auto-tracer), so those delegate wholesale;
+        (injector, replanner), so those delegate wholesale;
         the plain serving path stays on the decoupled compile/execute
         stages.
         """

@@ -192,8 +192,8 @@ class Executor:
                     and iterations % recovery.config.checkpoint_every == 0):
                 recovery.checkpoint(env.values(), iterations, _path_str(path))
             replanner = self.replanner
-            if (replanner is not None and tracer is not None
-                    and len(path) == 1 and iterations < loop.max_iterations):
+            if (replanner is not None and len(path) == 1
+                    and iterations < loop.max_iterations):
                 switched = replanner.consider(
                     self, loop, env, path, iterations,
                     tuple(self._top_statements[path[0] + 1:]))
@@ -201,7 +201,8 @@ class Executor:
                     # Close this loop's spans before handing control back:
                     # the remaining iterations run as the new program's loop.
                     self.loop_iterations.append(iterations)
-                    tracer.end_loop(iterations)
+                    if tracer is not None:
+                        tracer.end_loop(iterations)
                     raise PlanSwitch(switched, replanner.generation)
         self.loop_iterations.append(iterations)
         if tracer is not None:

@@ -1,25 +1,15 @@
-"""Drift- and fault-driven adaptive replanning (graceful degradation).
+"""Shrink-driven adaptive replanning (graceful degradation).
 
-A compiled plan is only as good as what the optimizer believed at compile
-time: the sparsity estimator's nnz claims and the cluster topology it
-priced against. Both can be wrong mid-run — skewed data makes estimates
-drift from observation, and a worker crash shrinks the cluster the plan
-was priced for. This module closes the loop:
-
-* **Drift watch.** The :class:`Replanner` incrementally folds the
-  execution tracer's operator spans into per-site accumulators of
-  predicted vs observed seconds. When one site's cumulative gap exceeds
-  ``drift_threshold`` (a ratio against observed time), the remaining
-  program is recompiled under a :class:`~repro.core.sparsity.calibrate.
-  CalibrationState` distilled from the observed operand/output metas, so
-  the re-priced plan sees the truth the estimator missed.
+A compiled plan is priced for the cluster it was compiled against. A
+worker crash shrinks that cluster mid-run, and eliminations that only pay
+off on fewer workers (compute scales with 1/W, a hoisted temporary's
+one-off persist does not) were declined at full width. This module
+re-prices the remaining program after a shrink:
 
 * **Shrink watch.** With ``on_shrink`` set, the recovery manager's
   ``on_shrink`` callback marks the cluster as re-priceable; the next loop
   boundary recompiles the remaining program against the *current*
-  (smaller) cluster config, so eliminations that only pay off on fewer
-  workers (compute scales with 1/W, a hoisted temporary's one-off persist
-  does not) get adopted mid-run.
+  (smaller) cluster config.
 
 * **Safety gate.** A candidate plan is adopted only when it is
   *inline-equivalent* to the stale remaining program: with every
@@ -37,8 +27,8 @@ the *same* environment (loop counters and carried variables persist, so
 the loop condition picks up where it left off). Each replan compile runs
 with a generation-specific temporary prefix (``tREPLAN<gen>R``) so fresh
 temps cannot collide with live hoisted temporaries from earlier plans,
-and with the calibration state and shrunken cluster in the plan-cache
-fingerprint, so repeated identical replans are warm hits.
+and with the shrunken cluster in the plan-cache fingerprint, so repeated
+identical replans are warm hits.
 """
 
 from __future__ import annotations
@@ -46,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from ..core.sparsity.calibrate import CalibrationState
-from ..errors import ConfigError
 from ..lang.ast import (
     Add,
     Call,
@@ -73,47 +61,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 #: replan generation). The inline-equivalence gate substitutes these back.
 TEMP_PREFIXES = ("tREMAC", "tREPLAN")
 
-#: Observed seconds below this count as zero when forming drift ratios.
-_EPSILON_SECONDS = 1e-12
+#: Maximum plan switches per execution (a runaway guard; each adopted
+#: replan increments the plan generation).
+MAX_REPLANS = 4
 
 
 @dataclass(frozen=True)
 class ReplanConfig:
-    """Knobs of the adaptation layer (``--replan-drift-threshold``,
-    ``--replan-on-shrink`` on the CLI). The all-defaults config is
-    disabled: no replanner is built and execution is byte-identical to
-    the replanning-unaware build."""
+    """Knobs of the adaptation layer (``--replan-on-shrink`` on the CLI).
+    The all-defaults config is disabled: no replanner is built and
+    execution is byte-identical to the replanning-unaware build."""
 
-    #: Recompile when some operator site's cumulative |predicted −
-    #: observed| exceeds this fraction of its observed seconds. None (the
-    #: default) disables drift-driven replanning.
-    drift_threshold: float | None = None
-    #: Ignore drift whose absolute cumulative gap is below this many
-    #: simulated seconds — keeps free operators from triggering on noise.
-    min_drift_seconds: float = 1e-9
     #: Recompile (re-price for the smaller cluster) after a crash-driven
     #: cluster shrink.
     on_shrink: bool = False
-    #: Maximum plan switches per execution (a runaway guard; each adopted
-    #: replan increments the plan generation).
-    max_replans: int = 4
-
-    def __post_init__(self) -> None:
-        if self.drift_threshold is not None and not self.drift_threshold > 0.0:
-            raise ConfigError(
-                f"drift_threshold must be positive or None, "
-                f"got {self.drift_threshold}")
-        if self.min_drift_seconds < 0.0:
-            raise ConfigError(
-                f"min_drift_seconds must be >= 0, got {self.min_drift_seconds}")
-        if self.max_replans < 0:
-            raise ConfigError(
-                f"max_replans must be >= 0, got {self.max_replans}")
 
     @property
     def enabled(self) -> bool:
         """Whether any trigger is armed."""
-        return self.drift_threshold is not None or self.on_shrink
+        return self.on_shrink
 
 
 class PlanSwitch(Exception):
@@ -211,8 +177,8 @@ class Replanner:
 
     Owned by one :class:`~repro.runtime.executor.Executor` run; holds the
     engine optimizer for its config/policy baseline and its plan cache
-    (replan compiles share the cache, keyed apart by calibration state,
-    temp prefix, and the post-shrink cluster in the fingerprint).
+    (replan compiles share the cache, keyed apart by temp prefix and the
+    post-shrink cluster in the fingerprint).
     """
 
     def __init__(self, optimizer, config: ReplanConfig):
@@ -220,14 +186,7 @@ class Replanner:
         self.config = config
         #: Current plan generation: 0 until a replan is adopted.
         self.generation = 0
-        self._watermark = 0  # tracer spans consumed so far
-        #: (statement, op_index, op) -> [predicted seconds, observed seconds].
-        self._sites: dict[tuple, list[float]] = {}
         self._pending_shrink = False
-        #: Loops whose drift trigger is muted after a rejected candidate
-        #: (un-muted by shrinks and adoptions), so systematic drift cannot
-        #: burn a compile every iteration for a plan that never changes.
-        self._muted_loops: set[tuple] = set()
         self._counters: dict[str, float] = {key: 0.0 for key in (
             "replan_checks",
             "replan_triggers",
@@ -245,7 +204,6 @@ class Replanner:
         """Recovery-manager callback: the cluster just shrank."""
         self._counters["replan_shrink_events"] += 1.0
         self._pending_shrink = True
-        self._muted_loops.clear()
 
     def metrics_summary(self) -> dict[str, float]:
         """Additive ``replan_*`` aggregates for
@@ -264,84 +222,51 @@ class Replanner:
 
         Returns the adopted compiled remaining-program, or None to keep
         executing the current plan. ``trailing`` holds the top-level
-        statements after the loop, which ride along into the new program.
+        statements after the loop (at ``path``), which ride along into
+        the new program. The decision is recorded as a ``replan`` event
+        when the executor has a tracer.
         """
-        tracer = executor.tracer
-        if tracer is None or self.generation >= self.config.max_replans:
+        if self.generation >= MAX_REPLANS:
             return None
-        self._ingest(tracer)
         self._counters["replan_checks"] += 1.0
         remaining = loop.max_iterations - iterations_done
         if remaining <= 1:
             return None  # too little left for a one-off hoist to amortize
-        trigger = self._trigger(path)
-        if trigger is None:
+        if not self._pending_shrink:
             return None
         self._counters["replan_triggers"] += 1.0
-        compiled, reason = self._recompile(executor, tracer, loop, env,
-                                           remaining, trailing)
-        # One decision per trigger: re-arm only on fresh drift/shrink.
+        compiled, reason = self._recompile(executor, loop, env, remaining,
+                                           trailing)
+        # One decision per shrink: re-arm only on the next one.
         self._pending_shrink = False
-        self._sites.clear()
+        tracer = executor.tracer
         workers = executor.kernels.config.num_workers
         if compiled is None:
             self._counters["replan_rejected"] += 1.0
-            if trigger == "drift":
-                self._muted_loops.add(path)
-            tracer.record_event("replan", adopted=False, trigger=trigger,
-                                reason=reason, generation=self.generation,
-                                workers=workers)
+            if tracer is not None:
+                tracer.record_event("replan", adopted=False, trigger="shrink",
+                                    reason=reason, generation=self.generation,
+                                    workers=workers)
             return None
         self.generation += 1
         self._counters["replan_adopted"] += 1.0
-        # Statement paths restart in the new program; stale mutes with them.
-        self._muted_loops.clear()
-        tracer.record_event("replan", adopted=True, trigger=trigger,
-                            reason=reason, generation=self.generation,
-                            workers=workers,
-                            remaining_iterations=remaining,
-                            applied_options=compiled.num_applied,
-                            estimated_cost=compiled.estimated_cost)
+        if tracer is not None:
+            tracer.record_event("replan", adopted=True, trigger="shrink",
+                                reason=reason, generation=self.generation,
+                                workers=workers,
+                                remaining_iterations=remaining,
+                                applied_options=compiled.num_applied,
+                                estimated_cost=compiled.estimated_cost)
         return compiled
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _ingest(self, tracer) -> None:
-        """Fold spans recorded since the last check into the site table."""
-        spans = tracer.spans
-        for span in spans[self._watermark:]:
-            if span.get("span") != "operator":
-                continue
-            predicted = span.get("predicted")
-            if predicted is None:
-                continue
-            site = self._sites.setdefault(
-                (span["statement"], span["op_index"], span["op"]), [0.0, 0.0])
-            site[0] += predicted["seconds"]
-            site[1] += span["observed"]["seconds"]
-        self._watermark = len(spans)
-
-    def _trigger(self, path: tuple) -> str | None:
-        if self._pending_shrink and self.config.on_shrink:
-            return "shrink"
-        threshold = self.config.drift_threshold
-        if threshold is None or path in self._muted_loops:
-            return None
-        for predicted, observed in self._sites.values():
-            gap = abs(predicted - observed)
-            if gap < self.config.min_drift_seconds:
-                continue
-            if gap / max(observed, _EPSILON_SECONDS) > threshold:
-                return "drift"
-        return None
-
-    def _recompile(self, executor: "Executor", tracer, loop: WhileLoop,
-                   env: dict, remaining: int,
+    def _recompile(self, executor: "Executor", loop: WhileLoop, env: dict,
+                   remaining: int,
                    trailing: tuple) -> tuple[CompiledProgram | None, str]:
-        """Compile the remaining program under observed truth; gate it."""
+        """Compile the remaining program for the current cluster; gate it."""
         from ..core.optimizer import ReMacOptimizer  # import-cycle guard
-        calibration = CalibrationState.from_spans(tracer.spans)
         inputs = {}
         input_data = {}
         for name, value in env.items():
@@ -354,7 +279,7 @@ class Replanner:
             statements=[WhileLoop(condition=loop.condition, body=loop.body,
                                   max_iterations=remaining), *trailing],
             inputs=sorted(inputs))
-        config = replace(self.optimizer.config, calibration=calibration,
+        config = replace(self.optimizer.config,
                          temp_prefix=f"tREPLAN{self.generation + 1}R")
         # Price against the *current* kernels config: a crash-shrunk
         # cluster re-prices for the survivors, and the worker count in the

@@ -112,33 +112,23 @@ class TestCompile:
         assert compiled.estimated_cost > 0
 
 
-class TestCalibratedReentry:
-    def test_shared_tables_leave_a_replan_as_it_was(self, cluster):
-        """A mid-run replan re-enters the pipeline under observed metadata
-        (``runtime/replan.py``). Compiled with prices, span tables and
-        environments kept and shared, it is the plan — program, applied
-        options, estimated cost, every round's figures — that an
-        unmemoized compile, which shares nothing, arrives at."""
+class TestSharedTables:
+    def test_shared_tables_leave_a_plan_as_it_was(self, cluster):
+        """Compiled with prices, span tables and environments kept and
+        shared, a plan — program, applied options, estimated cost, every
+        round's figures — is the one an unmemoized compile, which shares
+        nothing, arrives at."""
         from repro.algorithms import get_algorithm
-        from repro.core.sparsity.calibrate import CalibrationState
         from repro.data import load_dataset
-        from repro.engines import make_engine
-        from repro.runtime import ExecutionTracer
         algo = get_algorithm("dfp")
         meta, data = algo.make_inputs(load_dataset("cri1", scale=0.3).matrix)
-        tracer = ExecutionTracer()
-        make_engine("remac").run(algo.program(5), meta, data, iterations=5,
-                                 symmetric=algo.symmetric_inputs, tracer=tracer)
-        calibration = CalibrationState.from_spans(tracer.spans)
-        assert len(calibration) > 0
 
-        def replan(**knobs):
-            config = OptimizerConfig(calibration=calibration, plan_cache=False,
-                                     **knobs)
+        def compile_dfp(**knobs):
+            config = OptimizerConfig(plan_cache=False, **knobs)
             return ReMacOptimizer(cluster, config).compile(
                 algo.program(5), meta, data, iterations=5)
 
-        shared, unshared = replan(), replan(cost_memo=False)
+        shared, unshared = compile_dfp(), compile_dfp(cost_memo=False)
         memo = shared.notes["cost_memo"]
         assert memo["tables_built"] < memo["tables_asked"]
         assert unshared.notes["cost_memo"] is None

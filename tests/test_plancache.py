@@ -295,19 +295,21 @@ class TestFingerprint:
             != self.fingerprint(gd_setup, cluster, data=other, tokens=tokens)
 
 
-#: Recorded from the parent of the PR that made ``Program`` keep its text
-#: (``ReMacOptimizer._fingerprint(algo.program(7), metas, None, 7)``): per
+#: ``ReMacOptimizer._fingerprint(algo.program(7), metas, None, 7)``: per
 #: algorithm, SHA-256 over the digests of every engine preset in name order.
-#: Loop-flat programs whose literals survive ``%g`` keep their digests.
+#: Recorded before ``Program`` kept its text (loop-flat programs whose
+#: literals survive ``%g`` keep their digests); re-pinned once since, when
+#: ``OptimizerConfig`` lost its ``calibration`` field: re-inserting that
+#: field's ``calibration=None;`` into the settings text gives the old pins.
 PARENT_DIGESTS = {
-    "bfgs": "94eb0de8c29c0b1e122a37a6f98dbd7783f2e4a33c20f1d88b084fcc78a9986d",
-    "dfp": "3be2bd99eafd9d1e60f6b29607cd91b30c8db7e62aa9c92a9ba2369b9df7aafd",
-    "gd": "8df7686e8ddcc1a494053d91e974913fa723fc600586d3557f617041c7f9f862",
-    "gnmf": "05db40774a9a6a619c55c0311ff43cc838e3606152e61efff018b043e9293b8b",
-    "logistic": "eafd5417a2c45206c67385b58c56f1c73674941f0d37ab3a27c62edca078873a",
-    "partial_dfp": "9e03e8740fcd14bd9784bd863b23ecaa8656dd82cdaa7b24d3530ef17b11398f",
-    "power_iteration": "34ba0cd9b89afcdac4fdc61a1cdb7edb2cd35683efac07361cec7936ca1c858e",
-    "ridge": "66002096a4e28da8348720652f5bdc59ea2ee4017b6252e12a08669cc724951f",
+    "bfgs": "c87b22ab62bcd8db30280dd0be118e546fb3561640601e681dd13508993cfc12",
+    "dfp": "9d48dc7f9f102d1fb2af94a74bcb30575c7b0ef10c72b0185eb06483c207d4de",
+    "gd": "9990ed96c4d443ded7422cb7ac2405aed2a04520d622986d9fae72b14aa55d1f",
+    "gnmf": "7c6e5aaea3ffb8731965a81772bdc4d3c8cd9c0aa2ee5a07acabd466be70dad7",
+    "logistic": "9da791b0b19be2af9f118e9106eed46b833da93e95231dede52e41025338cbc4",
+    "partial_dfp": "ae05205c007c51f47b686d94ce8948116c9b90392645f08e343c534aab5814b8",
+    "power_iteration": "6b1370d0df01a7737ee92b64e89f188cca83d66780d6d0d68234bfeaa6280bf4",
+    "ridge": "6a1144eff8b20168a37fe726b2a1fce321fcd9629e6ca24e9d21123ed23b6f64",
 }
 
 

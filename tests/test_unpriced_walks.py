@@ -111,19 +111,18 @@ def test_unpriced_walks_return_the_priced_sketch(workloads, checked_walks,
     assert checked_walks["calls"] > 0
 
 
-def test_a_calibrated_replan_walks_unpriced_too(checked_walks):
-    """A mid-run replan compiles over observed metas and tiled grids."""
+def test_a_shrink_replan_walks_unpriced_too(checked_walks):
+    """A mid-run replan compiles over the environment's tiled grids."""
+    from repro.cluster.faults import CrashEvent, FaultPlan
     from repro.engines.base import Engine
     from repro.lang import parse
     from repro.matrix import scalar_meta
-    from repro.runtime import ExecutionTracer
     from repro.runtime.replan import ReplanConfig
 
     rng = np.random.default_rng(7)
-    m, k, nnz = 4096, 256, 4096 * 256 // 50
-    A = sp.coo_matrix((rng.standard_normal(nnz),
-                       (rng.integers(0, m, nnz), rng.integers(0, 16, nnz))),
-                      shape=(m, k)).tocsr()
+    A = sp.random(1024, 512, density=0.4,
+                  random_state=np.random.RandomState(11),
+                  data_rvs=rng.standard_normal).tocsr()
     source = """
 i = 0
 while (i < N) {
@@ -132,15 +131,19 @@ while (i < N) {
   i = i + 1
 }
 """
+    m, k = A.shape
     meta = {"A": MatrixMeta(m, k, A.nnz / (m * k)), "x": MatrixMeta(k, 1, 1.0),
             "i": scalar_meta(), "N": scalar_meta()}
     data = {"A": A, "x": np.ones((k, 1)), "i": 0.0, "N": 10.0}
     program = parse(source, scalar_names={"i", "N"}, max_iterations=10)
-    engine = Engine(ClusterConfig(dfs_bytes_per_sec=5e5),
-                    OptimizerConfig(estimator="metadata"))
+    engine = Engine(ClusterConfig(num_workers=6, flops_per_core=2.5e6,
+                                  dfs_bytes_per_sec=1.3e5),
+                    OptimizerConfig(estimator="mnc"))
+    crashes = FaultPlan(crashes=tuple(CrashEvent(time=0.4 * (n + 1), worker=0)
+                                      for n in range(4)), seed=0)
     result = engine.run(program, meta, data, iterations=10,
-                        tracer=ExecutionTracer(),
-                        replan=ReplanConfig(drift_threshold=0.5))
+                        fault_plan=crashes,
+                        replan=ReplanConfig(on_shrink=True))
     assert result.metrics.replan_summary["replan_compiles"] >= 1
     assert not checked_walks["mismatches"]
 
