@@ -148,6 +148,19 @@ class TestFaultFlags:
         assert code == 0
         assert "faults" in capsys.readouterr().out
 
+    def test_run_with_replan_on_shrink(self, capsys):
+        code = main(["run", "--engine", "remac", "--algorithm", "gd",
+                     "--dataset", "cri1", "--iterations", "3",
+                     "--scale", "0.05", "--fault-seed", "17",
+                     "--max-retries", "100", "--replan-on-shrink"])
+        assert code == 0
+        assert "replanning" in capsys.readouterr().out
+        # Shrink is the only replan trigger the CLI arms.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--algorithm", "gd", "--dataset", "cri1",
+                  "--replan-drift-threshold", "0.25"])
+        assert excinfo.value.code == 2
+
     def test_run_without_fault_flags_prints_no_fault_line(self, capsys):
         code = main(["run", "--engine", "remac", "--algorithm", "gd",
                      "--dataset", "cri1", "--iterations", "2",
