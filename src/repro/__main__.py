@@ -295,6 +295,7 @@ def _command_run(args) -> int:
         print(f"{'replanning':>15}: "
               f"{int(replans.get('replan_triggers', 0))} triggers, "
               f"{int(replans.get('replan_adopted', 0))} adopted, "
+              f"{int(replans.get('replan_no_change', 0))} unchanged, "
               f"{int(replans.get('replan_rejected', 0))} rejected "
               f"(generation {int(replans.get('replan_generation', 0))}, "
               f"{replans.get('replan_compile_seconds', 0.0):.4f} s "

@@ -64,8 +64,8 @@ class Engine:
     its plan cache and sketch memo), the cluster/policy configuration and
     the grids it cut from raw inputs (a :class:`~repro.runtime.physical.
     PartitionMemo`: each returned only while re-tiling the caller's array
-    would build exactly that grid, never under a recovery manager) persist
-    across requests, while every :meth:`execute` builds a fresh
+    would build exactly that grid) persist across requests, while every
+    :meth:`execute` builds a fresh
     :class:`~repro.runtime.executor.Executor` whose metrics, volumes, and
     environment are private to that request. :meth:`session` hands out
     per-tenant :class:`~repro.engines.session.Session` views onto this

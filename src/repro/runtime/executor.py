@@ -33,7 +33,7 @@ from ..core.sparsity.metadata import MetadataEstimator
 from ..errors import ExecutionError, OptimizerError, ShapeError
 from ..lang.program import Assign, Program, Statement, WhileLoop
 from . import fusion
-from .hybrid import ExecutionPolicy
+from .hybrid import ExecutionPolicy, value_distributed
 from .physical import Kernels, PartitionMemo, Value
 from .plan import (CALL, COMPARE, CONST, EWISE, FUSED, LOAD, MATMUL, NEG,
                    TRANSPOSE, CompiledProgram, Op)
@@ -251,8 +251,8 @@ class Executor:
                         f"undefined variable {op.arg!r}") from None
             elif kind == EWISE:
                 right, left = pop(), pop()
-                dying = op.dying and (self._dying(op.dying[0], left),
-                                      self._dying(op.dying[1], right))
+                dying = op.dying and (self._dying(op.dying[0], left, right),
+                                      self._dying(op.dying[1], right, left))
                 push(getattr(kernels, op.arg)(left, right,
                                               dying or (False, False),
                                               op.driver))
@@ -267,7 +267,7 @@ class Executor:
                     # Degenerate 1x1 "matmul" behaves as scalar multiplication.
                     push(kernels.from_scalar(left.scalar_value()
                                              * right.scalar_value()))
-                elif not op.chain or self.recovery is not None:
+                elif not op.chain:
                     push(kernels.matmul(left, right, *op.transposed))
                 else:
                     # Both products of a chain over one reference X, which
@@ -303,12 +303,17 @@ class Executor:
                      else self._eval(op.sub[-1], env))
         return pop()
 
-    def _dying(self, built: bool, value: Value) -> bool:
-        """Whether ``value`` dies into the operator reading it: it is
-        kernel-built, a grid (not a float) whose every tile a kernel made,
-        and no recovery manager's thunks read operands again."""
+    def _dying(self, built: bool, value: Value, *others: Value) -> bool:
+        """Whether ``value`` dies into the cell-wise operator reading it
+        beside ``others``: it is ``built``, a grid (not a float) whose every
+        tile a kernel made, and not, under a recovery manager, a local value
+        read by a reader priced distributed (``price_ewise``'s rule on the
+        operand metas), whose lineage thunk would re-read it written over
+        with nothing to heal it first (docs/architecture.md §11)."""
         return built and value.number is None and value.matrix.owns_tiles \
-            and self.recovery is None
+            and (self.recovery is None or value.distributed or not any(
+                value_distributed(v.meta, self.kernels.config,
+                                  self.kernels.policy) for v in (value, *others)))
 
     def _run_fused(self, op: Op, env: dict[str, Value]) -> Value | None:
         """Run a FUSED or MMCHAIN record its evaluation selected through

@@ -215,9 +215,8 @@ class Kernels:
         #: and execution is byte-identical to the fault-free build.
         self.recovery = recovery
         #: Optional :class:`PartitionMemo` :meth:`load` tiles raw inputs
-        #: through. Never under a recovery manager: ``RecoveryManager.
-        #: _heal`` edits source grids in place.
-        self.partitions = partitions if recovery is None else None
+        #: through (a crash heals a kept grid back to its load-time tiles).
+        self.partitions = partitions
         self.network = Network(config, self.metrics, recovery=recovery)
         if recovery is not None:
             recovery.bind(self)
@@ -517,9 +516,8 @@ class Kernels:
     # ------------------------------------------------------------------
     # Cell-wise operators
     # ------------------------------------------------------------------
-    # ``dying`` gives an operand up: nothing reads it after this operator
-    # (``Executor._dying``; never under a recovery manager), so the result
-    # may be written over its payloads. Operand metas are read first.
+    # ``dying`` gives an operand up (``Executor._dying``): the result may be
+    # written over its payloads. Operand metas are read first.
     # ``driver``: both operands are 1x1; a result its price keeps local is
     # computed as a driver float.
     def _ewise(self, left: Value, right: Value, kind: str,

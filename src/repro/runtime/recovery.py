@@ -333,42 +333,36 @@ class RecoveryManager:
 
     def _heal(self, record: _LineageRecord, matrix: BlockedMatrix,
               slot: int, old_workers: int, remaining: int) -> None:
-        lost = [key for key in matrix.blocks
+        blocks = matrix.blocks
+        lost = [key for key in blocks
                 if worker_of_block(*key, old_workers) == slot]
         if not lost:
             return
         total_bytes = matrix.serialized_bytes()
-        lost_bytes = sum(matrix.blocks[key].serialized_bytes() for key in lost)
-        # Block-wise float accumulation follows dict insertion order, so the
-        # healed grid must keep the original order or downstream sums drift
-        # by an ulp and break bit-identity with the fault-free run.
-        order = list(matrix.blocks)
-        for key in lost:
-            del matrix.blocks[key]
-        matrix.invalidate_stats()
+        lost_bytes = sum(blocks[key].serialized_bytes() for key in lost)
         if record.snapshot is not None:
-            for key in lost:
-                block = record.snapshot.get(key)
-                if block is not None:
-                    matrix.blocks[key] = block
+            found = record.snapshot
             reread = transmission_seconds(self.cluster_config, DFS, lost_bytes)
             if reread > 0.0:
                 self.metrics.charge_transmission(DFS, lost_bytes, reread)
             self._counters["recovery_source_reread_seconds"] += reread
         else:
-            fresh = record.recompute()
-            for key in lost:
-                block = fresh.blocks.get(key)
-                if block is not None:
-                    matrix.blocks[key] = block
+            found = record.recompute().blocks
             fraction = lost_bytes / total_bytes if total_bytes else 0.0
             # Fewer machines re-run the lost partitions' share of the work.
             seconds = fraction * record.compute_seconds * old_workers / remaining
             if seconds > 0.0:
                 self.metrics.charge_compute(seconds)
             self._counters["recovery_recompute_seconds"] += seconds
-        matrix.blocks = {key: matrix.blocks[key] for key in order
-                         if key in matrix.blocks}
+        # Block-wise float accumulation follows dict insertion order, so the
+        # healed grid keeps the original order or downstream sums drift by
+        # an ulp. Built in one pass and assigned once: no reader ever sees
+        # a grid half healed.
+        gone = set(lost)
+        healed = ((key, found.get(key) if key in gone else block)
+                  for key, block in blocks.items())
+        matrix.blocks = {key: block for key, block in healed
+                         if block is not None}
         matrix.invalidate_stats()
         # Re-hash-partition the recovered blocks across the survivors.
         repartition = transmission_seconds(self.cluster_config, SHUFFLE,

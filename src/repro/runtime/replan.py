@@ -193,6 +193,7 @@ class Replanner:
             "replan_compiles",
             "replan_compile_seconds",
             "replan_adopted",
+            "replan_no_change",
             "replan_rejected",
             "replan_shrink_events",
         )}
@@ -242,7 +243,8 @@ class Replanner:
         tracer = executor.tracer
         workers = executor.kernels.config.num_workers
         if compiled is None:
-            self._counters["replan_rejected"] += 1.0
+            self._counters["replan_no_change" if reason == "no-change"
+                           else "replan_rejected"] += 1.0
             if tracer is not None:
                 tracer.record_event("replan", adopted=False, trigger="shrink",
                                     reason=reason, generation=self.generation,

@@ -64,7 +64,7 @@ def compile_pool_submits(monkeypatch):
 #: compile: a compiled plan keeps the lowering its compile made.
 SEAMS = {
     # A cell-wise result never writes over an operand that dies into it.
-    "dying": (Executor, "_dying", lambda self, built, value: False),
+    "dying": (Executor, "_dying", lambda self, built, *values: False),
     # A 1x1 cell-wise operator computes on grids, not on driver floats.
     "driver_floats": (plan_module, "_on_driver", lambda *metas: False),
     # Every operator is priced afresh: the price memo keeps nothing. What

@@ -36,6 +36,7 @@ from repro.lang.program import Assign, Program, WhileLoop
 from repro.matrix import Block, BlockedMatrix, MatrixMeta
 from repro.runtime import ExecutionTracer, Executor
 from repro.runtime.physical import PartitionMemo
+from repro.runtime.recovery import RecoveryConfig
 from repro.server.protocol import array_digest
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "identity_golden.json"
@@ -475,16 +476,17 @@ class _Snapshotting(Executor):
             assert changed <= mine, (stmt, changed)
 
 
-def _generated_run(engine, program, inputs, traced):
+def _generated_run(engine, program, inputs, traced, faults=None):
     """Two runs of a program through one grid memo (the second loads what
-    the first tiled): each run's record, the payloads of its grids larger
-    than a cell (memory order included) and its spans, or the error it
-    stopped with."""
+    the first tiled), under ``faults`` (an executor's keyword arguments):
+    each run's record, the payloads of its grids larger than a cell
+    (memory order included) and its spans, or the error it stopped with."""
     memo, runs = PartitionMemo(), []
     for _ in range(2):
         tracer = ExecutionTracer() if traced else None
         executor = _Snapshotting(CLUSTER, make_engine(engine).policy,
-                                 tracer=tracer, partitions=memo)
+                                 tracer=tracer, partitions=memo,
+                                 **(faults or {}))
         executor.inputs = inputs
         try:
             with np.errstate(all="ignore"):
@@ -507,6 +509,28 @@ GRAMMARS = {"cellwise": (cellwise_programs, _cellwise_inputs),
             "scalar": (scalar_programs, lambda: DRIVER_INPUTS)}
 
 
+def _faults(data, engine, program, inputs):
+    """Drawn: no recovery manager, one with no fault plan, or one crash of
+    a drawn worker at a drawn twentieth of the fault-free horizon."""
+    mode = data.draw(st.sampled_from(["none", "armed", "crash"]), label="mode")
+    if mode == "none":
+        return None
+    if mode == "armed":
+        return {"recovery_config": RecoveryConfig()}
+    twentieth = data.draw(st.integers(1, 19), label="twentieth")
+    worker = data.draw(st.integers(0, CLUSTER.num_workers - 1),
+                       label="worker")
+    executor = Executor(CLUSTER, make_engine(engine).policy)
+    try:
+        with np.errstate(all="ignore"):
+            executor.run(program, inputs)
+    except ExecutionError:
+        return None
+    horizon = executor.metrics.execution_seconds
+    return {"fault_plan": FaultPlan(crashes=(
+        CrashEvent(twentieth / 20 * horizon, worker),))}
+
+
 @pytest.mark.parametrize("traced", [False, True])
 @pytest.mark.parametrize("engine", ["remac", "systemds", "pbdr"])
 @pytest.mark.parametrize("grammar", list(GRAMMARS))
@@ -516,9 +540,11 @@ def test_a_generated_program_runs_as_with_every_seam_reverted(
         grammar, engine, traced, reverted, data):
     programs, inputs = GRAMMARS[grammar]
     program = data.draw(programs())
-    run = _generated_run(engine, program, inputs(), traced)
+    faults = _faults(data, engine, program, inputs())
+    run = _generated_run(engine, program, inputs(), traced, faults)
     with reverted():
-        assert _generated_run(engine, program, inputs(), traced) == run
+        assert _generated_run(engine, program, inputs(), traced,
+                              faults) == run
 
 
 @pytest.mark.parametrize("traced", [False, True])

@@ -307,10 +307,12 @@ class TestFaultedRun:
         faults = faulted.metrics.fault_summary
         assert faults["fault_worker_crashes"] == 2.0
         assert faults["recovery_recomputed_blocks"] > 0
-        # Under a recovery manager every input is tiled afresh.
-        assert partitions.taken() == 5
-        plain = _record(engine.execute(compiled, data))
+        # A recovery manager loads the kept grids too: a crash heals them
+        # back to their load-time tiles, so every later execute keeps them.
         assert partitions.taken() == 0
-        assert _record(faulted) == _fresh(cluster, compiled, data,
-                                          fault_plan=plan)
+        plain = _record(engine.execute(compiled, data))
+        again = _record(engine.execute(compiled, data, fault_plan=plan))
+        assert partitions.taken() == 0
+        assert _record(faulted) == again == _fresh(cluster, compiled, data,
+                                                   fault_plan=plan)
         assert plain == _fresh(cluster, compiled, data)

@@ -12,6 +12,8 @@ The hard invariants under test:
    time is strictly below the stale plan's.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -117,6 +119,23 @@ class TestReplanConfig:
         assert summary["replan_shrink_events"] == 1
         assert summary["replan_checks"] == 0
         assert summary["replan_triggers"] == 0
+
+    @pytest.mark.parametrize("reason, counted", [
+        ("no-change", "replan_no_change"),
+        ("not-inline-equivalent", "replan_rejected")])
+    def test_a_refused_candidate_is_counted_by_its_reason(
+            self, monkeypatch, reason, counted):
+        replanner = Replanner(None, ReplanConfig(on_shrink=True))
+        monkeypatch.setattr(replanner, "_recompile",
+                            lambda *args: (None, reason))
+        executor = SimpleNamespace(tracer=None, kernels=SimpleNamespace(
+            config=ClusterConfig(num_workers=5)))
+        replanner.note_shrink(5)
+        assert replanner.consider(executor, self._loop(), {}, (1,), 0,
+                                  ()) is None
+        summary = replanner.metrics_summary()
+        assert summary["replan_triggers"] == summary[counted] == 1
+        assert summary["replan_no_change"] + summary["replan_rejected"] == 1
 
 
 class TestInlineEquivalence:
