@@ -35,7 +35,6 @@ from repro.config import ClusterConfig, OptimizerConfig
 from repro.engines.base import Engine
 from repro.lang import parse
 from repro.matrix import MatrixMeta, scalar_meta
-from repro.runtime.replan import ReplanConfig
 
 #: A Gram-matrix power iteration: the product ``t(A) %*% A`` is
 #: loop-constant, so hoisting it is the plan decision a shrink flips.
@@ -58,7 +57,7 @@ def _uniform_matrix(m: int, k: int, density: float) -> sp.csr_matrix:
                      data_rvs=rng.standard_normal).tocsr()
 
 
-def _run(A, cluster: ClusterConfig, replan: ReplanConfig | None = None,
+def _run(A, cluster: ClusterConfig, replan: bool = False,
          fault_plan: FaultPlan | None = None):
     m, k = A.shape
     meta = {
@@ -100,8 +99,7 @@ def replan_adaptivity(smoke: bool = False) -> list[dict]:
                                    for n in range(4)), seed=0)
     x_ref = _run(A, cluster).value("x")  # fault-free reference
     stale = _run(A, cluster, fault_plan=plan)
-    adaptive = _run(A, cluster, fault_plan=plan,
-                    replan=ReplanConfig(on_shrink=True))
+    adaptive = _run(A, cluster, fault_plan=plan, replan=True)
     return [_row("crash", "stale", stale, stale.execution_seconds, x_ref),
             _row("crash", "adaptive", adaptive, stale.execution_seconds,
                  x_ref)]

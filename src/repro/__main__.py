@@ -33,6 +33,7 @@ from .config import ClusterConfig, OptimizerConfig
 from .core import ReMacOptimizer
 from .data import ALL_DATASET_NAMES, load_dataset
 from .engines import ENGINES, make_engine
+from .errors import ReproError
 from .lang import format_program, parse
 from .matrix import MatrixMeta
 
@@ -216,10 +217,6 @@ def _command_run(args) -> int:
         if args.checkpoint_every is not None:
             kwargs["checkpoint_every"] = args.checkpoint_every
         recovery_config = RecoveryConfig(**kwargs)
-    replan = None
-    if args.replan_on_shrink:
-        from .runtime.replan import ReplanConfig
-        replan = ReplanConfig(on_shrink=True)
     repeat = max(1, args.repeat)
     result = None
     for index in range(repeat):
@@ -229,7 +226,7 @@ def _command_run(args) -> int:
                             charge_partition=args.charge_partition,
                             tracer=tracer, fault_plan=fault_plan,
                             recovery_config=recovery_config,
-                            replan=replan)
+                            replan=args.replan_on_shrink)
         if repeat > 1:
             outcome = result.notes.get("plan_cache", "off")
             print(f"run {index + 1}/{repeat}: compile "
@@ -384,15 +381,17 @@ def _command_datasets() -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "optimize":
-        return _command_optimize(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "datasets":
+    try:
+        if args.command == "run":
+            return _command_run(args)
+        if args.command == "optimize":
+            return _command_optimize(args)
+        if args.command == "serve":
+            return _command_serve(args)
         return _command_datasets()
-    return 2  # pragma: no cover
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

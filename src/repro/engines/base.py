@@ -144,7 +144,7 @@ class Engine:
             iterations: int | None = None,
             charge_partition: bool = False,
             tracer=None, fault_plan=None, recovery_config=None,
-            replan=None) -> RunResult:
+            replan: bool = False) -> RunResult:
         """Compile and execute a program.
 
         ``tracer`` optionally installs an
@@ -153,14 +153,14 @@ class Engine:
         ``fault_plan`` / ``recovery_config`` install the fault injector and
         recovery layer (:mod:`repro.cluster.faults`,
         :mod:`repro.runtime.recovery`) for the execution only — compilation
-        is never subject to faults. ``replan`` (a :class:`~repro.runtime.
-        replan.ReplanConfig`) arms mid-run replanning after a cluster
-        shrink; a ``tracer``, when passed, records its ``replan`` events.
+        is never subject to faults. ``replan`` arms mid-run replanning
+        after a cluster shrink; a ``tracer``, when passed, records its
+        ``replan`` events.
         """
         replanner = None
-        if replan is not None and getattr(replan, "enabled", False):
+        if replan:
             from ..runtime.replan import Replanner
-            replanner = Replanner(self._optimizer, replan)
+            replanner = Replanner(self._optimizer)
         started = time.perf_counter()
         compiled = self.compile(program, inputs, input_data, iterations)
         compile_wall = time.perf_counter() - started

@@ -104,8 +104,9 @@ class Session:
         the plain serving path stays on the decoupled compile/execute
         stages.
         """
-        if any(kwargs.get(k) is not None
-               for k in ("fault_plan", "recovery_config", "replan")):
+        if kwargs.get("replan") or any(
+                kwargs.get(k) is not None
+                for k in ("fault_plan", "recovery_config")):
             result = self.engine.run(program, inputs, input_data,
                                      symmetric=symmetric,
                                      iterations=iterations,

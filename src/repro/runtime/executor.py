@@ -77,8 +77,7 @@ class Executor:
         #: Optional :class:`~repro.runtime.replan.Replanner`; when None (the
         #: default) no adaptation hooks run and execution is unchanged.
         self.replanner = replanner
-        if (self.replanner is not None and self.recovery is not None
-                and self.replanner.config.on_shrink):
+        if self.replanner is not None and self.recovery is not None:
             self.recovery.on_shrink = self.replanner.note_shrink
         #: Iterations executed per loop on the last run, for reporting.
         self.loop_iterations: list[int] = []

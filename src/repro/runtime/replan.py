@@ -6,7 +6,8 @@ off on fewer workers (compute scales with 1/W, a hoisted temporary's
 one-off persist does not) were declined at full width. This module
 re-prices the remaining program after a shrink:
 
-* **Shrink watch.** With ``on_shrink`` set, the recovery manager's
+* **Shrink watch.** A replanner exists only when replanning is asked
+  for (``Engine.run(replan=True)``); the recovery manager's
   ``on_shrink`` callback marks the cluster as re-priceable; the next loop
   boundary recompiles the remaining program against the *current*
   (smaller) cluster config.
@@ -33,7 +34,7 @@ identical replans are warm hits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from ..lang.ast import (
@@ -64,22 +65,6 @@ TEMP_PREFIXES = ("tREMAC", "tREPLAN")
 #: Maximum plan switches per execution (a runaway guard; each adopted
 #: replan increments the plan generation).
 MAX_REPLANS = 4
-
-
-@dataclass(frozen=True)
-class ReplanConfig:
-    """Knobs of the adaptation layer (``--replan-on-shrink`` on the CLI).
-    The all-defaults config is disabled: no replanner is built and
-    execution is byte-identical to the replanning-unaware build."""
-
-    #: Recompile (re-price for the smaller cluster) after a crash-driven
-    #: cluster shrink.
-    on_shrink: bool = False
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any trigger is armed."""
-        return self.on_shrink
 
 
 class PlanSwitch(Exception):
@@ -181,9 +166,8 @@ class Replanner:
     post-shrink cluster in the fingerprint).
     """
 
-    def __init__(self, optimizer, config: ReplanConfig):
+    def __init__(self, optimizer):
         self.optimizer = optimizer
-        self.config = config
         #: Current plan generation: 0 until a replan is adopted.
         self.generation = 0
         self._pending_shrink = False

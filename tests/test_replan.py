@@ -2,9 +2,8 @@
 
 The hard invariants under test:
 
-1. With replanning disabled (or a disabled config), runs are bit-identical
-   to a build that never heard of replanning — same simulated times, no
-   ``replan_*`` metric keys.
+1. With replanning off (the default), a run carries no ``replan_*``
+   metric keys.
 2. With replanning enabled, under crashes, the final matrices are
    bit-identical to the fault-free non-adaptive run — replanning may only
    change simulated time and metrics, never answers.
@@ -27,8 +26,8 @@ from repro.lang import parse
 from repro.lang.program import WhileLoop
 from repro.matrix import MatrixMeta, scalar_meta
 from repro.runtime import ExecutionTracer, Executor, RecoveryConfig
-from repro.runtime.replan import (MAX_REPLANS, Replanner, ReplanConfig,
-                                  inline_equivalent, inline_temporaries)
+from repro.runtime.replan import (MAX_REPLANS, Replanner, inline_equivalent,
+                                  inline_temporaries)
 
 GRAM_SOURCE = """
 i = 0
@@ -57,7 +56,7 @@ def _gram_inputs(A):
     return program, meta, data
 
 
-def _run_gram(A, cluster, estimator, *, replan=None, fault_plan=None,
+def _run_gram(A, cluster, estimator, *, replan=False, fault_plan=None,
               recovery_config=None, tracer=None):
     program, meta, data = _gram_inputs(A)
     engine = Engine(cluster, OptimizerConfig(estimator=estimator))
@@ -86,15 +85,11 @@ def crash_case():
         "fault_free": _run_gram(A, cluster, "exact"),
         "stale": _run_gram(A, cluster, "exact", fault_plan=plan),
         "adaptive": _run_gram(A, cluster, "exact", fault_plan=plan,
-                              replan=ReplanConfig(on_shrink=True)),
+                              replan=True),
     }
 
 
-class TestReplanConfig:
-    def test_enabled(self):
-        assert not ReplanConfig().enabled
-        assert ReplanConfig(on_shrink=True).enabled
-
+class TestReplannerGuards:
     @staticmethod
     def _loop():
         program, _, _ = _gram_inputs(sp.eye(4, format="csr"))
@@ -104,14 +99,14 @@ class TestReplanConfig:
 
     def test_no_trigger_without_a_shrink(self):
         # Both guards return before the executor is touched.
-        replanner = Replanner(None, ReplanConfig(on_shrink=True))
+        replanner = Replanner(None)
         assert replanner.consider(None, self._loop(), {}, (1,), 0, ()) is None
         summary = replanner.metrics_summary()
         assert summary["replan_checks"] == 1
         assert summary["replan_triggers"] == 0
 
     def test_max_replans_caps_switches(self):
-        replanner = Replanner(None, ReplanConfig(on_shrink=True))
+        replanner = Replanner(None)
         replanner.generation = MAX_REPLANS
         replanner.note_shrink(2)
         assert replanner.consider(None, self._loop(), {}, (1,), 0, ()) is None
@@ -125,7 +120,7 @@ class TestReplanConfig:
         ("not-inline-equivalent", "replan_rejected")])
     def test_a_refused_candidate_is_counted_by_its_reason(
             self, monkeypatch, reason, counted):
-        replanner = Replanner(None, ReplanConfig(on_shrink=True))
+        replanner = Replanner(None)
         monkeypatch.setattr(replanner, "_recompile",
                             lambda *args: (None, reason))
         executor = SimpleNamespace(tracer=None, kernels=SimpleNamespace(
@@ -170,18 +165,8 @@ class TestInlineEquivalence:
 
 
 class TestDisabledInvariant:
-    def test_disabled_config_changes_nothing(self, crash_case):
-        stale = crash_case["stale"]
-        disabled = _run_gram(crash_case["A"], crash_case["cluster"], "exact",
-                             fault_plan=crash_case["plan"],
-                             replan=ReplanConfig())
-        assert np.array_equal(stale.value("x"), disabled.value("x"))
-        assert disabled.execution_seconds == stale.execution_seconds
-        assert disabled.metrics.replan_summary is None
-        assert not any(key.startswith("replan_")
-                       for key in disabled.metrics.summary())
-
     def test_no_replan_keys_without_config(self, crash_case):
+        assert crash_case["stale"].metrics.replan_summary is None
         summary = crash_case["stale"].metrics.summary()
         assert not any(key.startswith("replan_") for key in summary)
 
@@ -212,7 +197,7 @@ class TestShrinkReplanning:
             crash_case["A"], crash_case["cluster"], "exact",
             fault_plan=crash_case["plan"],
             recovery_config=RecoveryConfig(checkpoint_every=2),
-            replan=ReplanConfig(on_shrink=True))
+            replan=True)
         assert np.array_equal(crash_case["fault_free"].value("x"),
                               result.value("x"))
         assert result.metrics.replan_summary["replan_adopted"] == 1
@@ -254,7 +239,7 @@ class TestShrinkObservability:
             patch.setattr(Replanner, "consider", keep_adopted)
             traced = _run_gram(crash_case["A"], crash_case["cluster"],
                                "exact", fault_plan=crash_case["plan"],
-                               replan=ReplanConfig(on_shrink=True),
+                               replan=True,
                                tracer=tracer)
         untraced = crash_case["adaptive"]
         assert traced.execution_seconds == untraced.execution_seconds
@@ -290,7 +275,7 @@ class TestShrinkObservability:
         def armed():
             return engine.run(program, meta, data, iterations=ITERATIONS,
                               fault_plan=crash_case["plan"],
-                              replan=ReplanConfig(on_shrink=True))
+                              replan=True)
 
         first = armed()
         stats = engine.optimizer.plan_cache.stats

@@ -117,7 +117,6 @@ def test_a_shrink_replan_walks_unpriced_too(checked_walks):
     from repro.engines.base import Engine
     from repro.lang import parse
     from repro.matrix import scalar_meta
-    from repro.runtime.replan import ReplanConfig
 
     rng = np.random.default_rng(7)
     A = sp.random(1024, 512, density=0.4,
@@ -142,8 +141,7 @@ while (i < N) {
     crashes = FaultPlan(crashes=tuple(CrashEvent(time=0.4 * (n + 1), worker=0)
                                       for n in range(4)), seed=0)
     result = engine.run(program, meta, data, iterations=10,
-                        fault_plan=crashes,
-                        replan=ReplanConfig(on_shrink=True))
+                        fault_plan=crashes, replan=True)
     assert result.metrics.replan_summary["replan_compiles"] >= 1
     assert not checked_walks["mismatches"]
 
