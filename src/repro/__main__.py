@@ -389,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "serve":
             return _command_serve(args)
         return _command_datasets()
-    except ReproError as error:
+    except (ReproError, OSError) as error:  # OSError: a file not opened
         print(f"error: {error}", file=sys.stderr)
         return 1
 

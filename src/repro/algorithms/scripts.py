@@ -24,6 +24,7 @@ from ..matrix.meta import MatrixMeta
 
 GD_SCRIPT = """
 input A, b, x, alpha
+output x
 i = 0
 while (i < 1000000) {
   g = t(A) %*% (A %*% x - b)
@@ -34,6 +35,7 @@ while (i < 1000000) {
 
 DFP_SCRIPT = """
 input A, b, x, H
+output x, H
 i = 0
 g = 2 * (t(A) %*% (A %*% x) - t(A) %*% b)
 while (i < 1000000) {
@@ -48,6 +50,7 @@ while (i < 1000000) {
 
 BFGS_SCRIPT = """
 input A, b, x, H
+output x, H
 i = 0
 g = 2 * (t(A) %*% (A %*% x) - t(A) %*% b)
 while (i < 1000000) {
@@ -64,6 +67,7 @@ while (i < 1000000) {
 
 GNMF_SCRIPT = """
 input V, W, Hm
+output W, Hm
 i = 0
 while (i < 1000000) {
   R = V - W %*% Hm
@@ -76,11 +80,13 @@ while (i < 1000000) {
 
 PARTIAL_DFP_SCRIPT = """
 input A, d, H
+output out
 out = t(d) %*% t(A) %*% A %*% H %*% t(A) %*% A %*% d
 """
 
 RIDGE_SCRIPT = """
 input A, b, x, alpha, lambda_
+output x
 i = 0
 while (i < 1000000) {
   g = t(A) %*% (A %*% x - b) + lambda_ * x
@@ -91,6 +97,7 @@ while (i < 1000000) {
 
 POWER_ITERATION_SCRIPT = """
 input A, v
+output v
 i = 0
 while (i < 1000000) {
   w = t(A) %*% (A %*% v)
@@ -101,6 +108,7 @@ while (i < 1000000) {
 
 LOGISTIC_SCRIPT = """
 input A, y, x, alpha
+output x
 i = 0
 while (i < 1000000) {
   g = t(A) %*% (sigmoid(A %*% x) - y)
@@ -118,10 +126,14 @@ class Algorithm:
     script: str
     scalar_names: frozenset[str]
     symmetric_inputs: frozenset[str] = frozenset()
-    #: Variables worth checking against the NumPy reference.
-    outputs: tuple[str, ...] = ()
     description: str = ""
     _program_cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def outputs(self) -> tuple[str, ...]:
+        """What a run returns, as the script's ``output`` line declares:
+        the variables worth checking against the NumPy reference."""
+        return self.program().outputs
 
     def program(self, iterations: int = 10) -> Program:
         cached = self._program_cache.get(iterations)
@@ -234,42 +246,36 @@ def _columnwise_sq_norm(matrix) -> np.ndarray:
 ALGORITHMS = {
     "gd": Algorithm(
         name="gd", script=GD_SCRIPT, scalar_names=frozenset({"i", "alpha"}),
-        outputs=("x",),
         description="Gradient descent for least squares (loop-constant AᵀA, Aᵀb)"),
     "dfp": Algorithm(
         name="dfp", script=DFP_SCRIPT, scalar_names=frozenset({"i", "alpha"}),
-        symmetric_inputs=frozenset({"H"}), outputs=("x", "H"),
+        symmetric_inputs=frozenset({"H"}),
         description="Davidon-Fletcher-Powell with the paper's Eq. 2 update"),
     "bfgs": Algorithm(
         name="bfgs", script=BFGS_SCRIPT,
         scalar_names=frozenset({"i", "alpha", "sy", "yHy"}),
-        symmetric_inputs=frozenset({"H"}), outputs=("x", "H"),
+        symmetric_inputs=frozenset({"H"}),
         description="BFGS inverse-Hessian update, expanded to chains"),
     "gnmf": Algorithm(
         name="gnmf", script=GNMF_SCRIPT,
         scalar_names=frozenset({"i", "obj"}),
-        outputs=("W", "Hm"),
         description="Gaussian non-negative matrix factorization"),
     "partial_dfp": Algorithm(
         name="partial_dfp", script=PARTIAL_DFP_SCRIPT,
         scalar_names=frozenset(), symmetric_inputs=frozenset({"H"}),
-        outputs=("out",),
         description="dᵀAᵀAHAᵀAd — the longest chain SPORES supports"),
     "ridge": Algorithm(
         name="ridge", script=RIDGE_SCRIPT,
         scalar_names=frozenset({"i", "alpha", "lambda_"}),
-        outputs=("x",),
         description="L2-regularized gradient descent (GD's LSE profile)"),
     "power_iteration": Algorithm(
         name="power_iteration", script=POWER_ITERATION_SCRIPT,
         scalar_names=frozenset({"i"}),
-        outputs=("v",),
         description="leading right singular vector via AᵀA power steps "
                     "(mmchain vs LSE trade-off)"),
     "logistic": Algorithm(
         name="logistic", script=LOGISTIC_SCRIPT,
         scalar_names=frozenset({"i", "alpha"}),
-        outputs=("x",),
         description="logistic regression GD (non-linear sigmoid blocks the "
                     "gradient's expansion; only Aᵀ-side redundancy remains)"),
 }

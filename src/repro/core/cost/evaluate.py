@@ -365,11 +365,13 @@ def prepare_records(model: CostModel, program: Program,
                     sketches: dict[str, Sketch] | None = None,
                     iterations: int | None = None) -> ProgramCost:
     """Lower ``program`` from ``metas`` under ``model.policy.fuse`` into
-    ``lowered`` (the caller's empty dict) and price it once over
+    ``lowered`` (the caller's empty dict; each code carries what dies
+    after it, from the program's outputs) and price it once over
     ``sketches`` (the metas' own by default), deciding and predicting each
     record. If the evaluation raises, ``lowered`` holds every record, those
     before the unevaluable statement decided and predicted."""
-    lowered.update(lower(program.statements, metas, model.policy.fuse))
+    lowered.update(lower(program.statements, metas, model.policy.fuse,
+                         program.outputs, program.inputs))
     if sketches is None:
         sketches = sketch_inputs(model, metas)
     return ProgramCostEvaluator(model).evaluate(

@@ -293,7 +293,8 @@ def apply_cross_block(chains: ProgramChains, option: CrossBlockOption,
                                                 body=tuple(body),
                                                 max_iterations=stmt.max_iterations))
     return Program(statements=rebuilt_statements,
-                   inputs=chains.program.inputs)
+                   inputs=chains.program.inputs,
+                   outputs=chains.program.outputs)
 
 
 def _ordered_rest_tokens(chains: ProgramChains,

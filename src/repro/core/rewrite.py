@@ -285,7 +285,8 @@ def _reassemble(chains: ProgramChains, site_exprs: dict[int, Expr],
         else:  # pragma: no cover - defensive
             raise OptimizerError(f"unknown statement type {type(stmt).__name__}")
     rebuilt = _drop_dead_temps(rebuilt, {info.name for info, _ in temp_stmts.values()})
-    return Program(statements=rebuilt, inputs=chains.program.inputs)
+    return Program(statements=rebuilt, inputs=chains.program.inputs,
+                   outputs=chains.program.outputs)
 
 
 def _drop_dead_temps(statements: list[Statement],

@@ -5,7 +5,8 @@ The grammar follows R/DML conventions, in particular matrix multiplication
 precedence), which in turn bind tighter than ``+``/``-``::
 
     program    := statement*
-    statement  := 'input' ID (',' ID)* | ID '=' expr | while_loop
+    statement  := ('input' | 'output') ID (',' ID)* | ID '=' expr
+                | while_loop
     while_loop := 'while' '(' expr ')' '{' statement* '}'
     expr       := additive (COMPARE additive)?
     additive   := multiplicative (('+'|'-') multiplicative)*
@@ -55,7 +56,7 @@ _TOKEN_SPEC = [
 ]
 _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC))
 
-_KEYWORDS = frozenset({"while", "input"})
+_KEYWORDS = frozenset({"while", "input", "output"})
 
 
 @dataclass(frozen=True)
@@ -134,23 +135,27 @@ class _Parser:
     # ------------------------------------------------------------------
     def parse_program(self) -> Program:
         statements: list[Statement] = []
-        inputs: list[str] = []
+        declared: dict[str, list[str]] = {"input": [], "output": []}
         while self._peek().kind != "EOF":
             if self._match("OP", ";"):
                 continue
-            statement = self._parse_statement(inputs)
+            statement = self._parse_statement(declared)
             if statement is not None:
                 statements.append(statement)
-        return Program(statements=statements, inputs=inputs)
+        return Program(statements=statements, inputs=declared["input"],
+                       outputs=declared["output"])
 
-    def _parse_statement(self, inputs: list[str]) -> Statement | None:
-        """One statement; an ``input`` declaration extends ``inputs``."""
+    def _parse_statement(self, declared: dict[str, list[str]]
+                         ) -> Statement | None:
+        """One statement; an ``input`` / ``output`` declaration extends
+        ``declared``'s list of that name."""
         token = self._peek()
-        if token.kind == "KEYWORD" and token.text == "input":
+        if token.kind == "KEYWORD" and token.text in ("input", "output"):
             self._advance()
-            inputs.append(self._expect("ID").text)
+            names = declared[token.text]
+            names.append(self._expect("ID").text)
             while self._match("OP", ","):
-                inputs.append(self._expect("ID").text)
+                names.append(self._expect("ID").text)
             return None
         if token.kind == "KEYWORD" and token.text == "while":
             return self._parse_while()
@@ -169,7 +174,8 @@ class _Parser:
         self._expect("OP", ")")
         self._expect("OP", "{")
         body: list[Statement] = []
-        ignored: list[str] = []  # an ``input`` inside a loop declares nothing
+        # An ``input`` or ``output`` inside a loop declares nothing.
+        ignored: dict[str, list[str]] = {"input": [], "output": []}
         while not self._match("OP", "}"):
             if self._peek().kind == "EOF":
                 token = self._peek()

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+from ..errors import TypeCheckError
 from .ast import Expr, MatrixRef, ScalarRef
 
 
@@ -68,11 +69,15 @@ Statement = Assign | WhileLoop
 
 @dataclass(frozen=True)
 class Program:
-    """A parsed script: declared inputs plus an ordered statement list.
+    """A parsed script: declared inputs and outputs plus an ordered
+    statement list.
 
     ``inputs`` names the free variables (datasets and initial values) that
     must be bound before execution. Anything assigned before first use is a
     temporary; anything read but never assigned must appear in ``inputs``.
+    ``outputs`` names what a run returns: each is assigned or an input.
+    Every other name dies at its last read (:func:`~repro.runtime.plan.
+    live_after`); a program that declares none keeps every name to its end.
 
     A program is immutable — built in one go, shared freely between tenants
     and engines — so the texts that identify it are rendered at most once.
@@ -80,17 +85,29 @@ class Program:
 
     statements: tuple[Statement, ...] = ()
     inputs: tuple[str, ...] = ()
+    outputs: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         # Callers may pass lists; what is kept can no longer change.
         object.__setattr__(self, "statements", tuple(self.statements))
         object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "outputs", tuple(self.outputs))
+        if self.outputs:
+            known = {*self.inputs,
+                     *(stmt.target for stmt in self.assignments())}
+            unknown = [name for name in self.outputs if name not in known]
+            if unknown:
+                raise TypeCheckError(
+                    f"output {', '.join(map(repr, unknown))} is never "
+                    f"assigned and is not an input")
 
     @cached_property
     def text(self) -> str:
         """The script text :func:`~repro.lang.printer.format_program` returns."""
         from .printer import format_statement  # the printer imports this module
         lines = ["input " + ", ".join(self.inputs)] if self.inputs else []
+        if self.outputs:
+            lines.append("output " + ", ".join(self.outputs))
         lines.extend(format_statement(stmt) for stmt in self.statements)
         return "\n".join(lines)
 

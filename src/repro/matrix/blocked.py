@@ -39,10 +39,11 @@ bit-identical to the seed behaviour:
   tile of the first product into the second as soon as it is made, so a
   tile of ``X`` shared by ``t(X) %*% (X %*% v)`` is read while in cache;
   each grid is the one its own ``matmul`` call returns.
-* **Dying temporaries.** A grid that made every one of its tiles
-  (``owns_tiles``) may be given up to the one operator that reads it
-  (``dying``), which then writes its large dense result tiles over the
-  grid's C-ordered payloads, bit for bit the fresh result.
+* **Dying operands.** A grid that made every one of its tiles and lent
+  none to another grid (``owns_tiles``) may be given up to the operator
+  that reads it last (``dying``), which then writes its large dense
+  result tiles over the grid's C-ordered payloads, bit for bit the fresh
+  result.
 * **Transposed twins.** For the same reason ``t(A)`` is a loop constant of
   the grid ``A`` itself: :meth:`BlockedMatrix.transpose` transposes the
   tiles once and keeps them with their source, so a fused ``t(A) %*% v``
@@ -98,6 +99,7 @@ class BlockedMatrix:
         #: Set by the kernels that allocate every tile they store
         #: (``matmul``, ``_zip``, non-zero ``scale`` / ``add_scalar``,
         #: ``negate``): only such a grid's payloads can be nobody else's.
+        #: Cleared when it lends them (``transpose``, ``add_scalar(0)``).
         self.owns_tiles = False
 
     # ------------------------------------------------------------------
@@ -346,10 +348,12 @@ class BlockedMatrix:
         if tiles is None:
             # Dense tiles transpose as views of the source payload, never
             # as copies: a multiply of a payload by its own transposed view
-            # is not summed in the order a multiply by a copy is.
+            # is not summed in the order a multiply by a copy is. So the
+            # payloads are no longer this grid's alone.
             tiles = self._transposed = {
                 (bj, bi): block.transpose()
                 for (bi, bj), block in self.blocks.items()}
+            self.owns_tiles = False
         result = BlockedMatrix(self.cols, self.rows, self.block_size,
                                blocks=dict(tiles), symmetric=self.symmetric)
         result._nnz = self.nnz  # a transpose moves cells, it makes none
@@ -445,7 +449,8 @@ class BlockedMatrix:
         if scalar == 0.0:
             # Value-identical to self, but with a fresh grid dict: callers
             # may edit the result's grid without aliasing this matrix
-            # (blocks themselves are shared, so it owns none of them).
+            # (blocks themselves are shared, so neither owns them now).
+            self.owns_tiles = False
             return self._carrying_stats(BlockedMatrix(
                 self.rows, self.cols, self.block_size,
                 blocks=dict(self.blocks), symmetric=self.symmetric))

@@ -35,8 +35,8 @@ from ..lang.program import Assign, Program, Statement, WhileLoop
 from . import fusion
 from .hybrid import ExecutionPolicy, value_distributed
 from .physical import Kernels, PartitionMemo, Value
-from .plan import (CALL, COMPARE, CONST, EWISE, FUSED, LOAD, MATMUL, NEG,
-                   TRANSPOSE, CompiledProgram, Op)
+from .plan import (CALL, COMPARE, CONST, EWISE, FUSED, LAST_READ, LOAD,
+                   MATMUL, NEG, TRANSPOSE, CompiledProgram, Op)
 from .recovery import RecoveryConfig, RecoveryManager
 from .replan import PlanSwitch, Replanner
 
@@ -81,9 +81,11 @@ class Executor:
             self.recovery.on_shrink = self.replanner.note_shrink
         #: Iterations executed per loop on the last run, for reporting.
         self.loop_iterations: list[int] = []
-        #: Top-level statements of the currently executing plan (the
-        #: replanner carries the statements after a loop into a switch).
+        #: Top-level statements and declared outputs of the currently
+        #: executing plan (the replanner carries the statements after a
+        #: loop, and the outputs, into a switch).
         self._top_statements: list | tuple = ()
+        self._outputs: tuple[str, ...] = ()
         #: Lowered records of the executing plan, by ``id`` of statement.
         self._lowered: dict[int, tuple[Op, ...]] = {}
         #: Each literal record's value, made on its first run here.
@@ -100,7 +102,9 @@ class Executor:
         ``inputs`` values may be NumPy arrays, SciPy sparse matrices,
         :class:`~repro.matrix.blocked.BlockedMatrix`, or plain floats
         (scalars). ``symmetric`` names inputs known to be symmetric.
-        Returns the final environment of all variables.
+        Returns the final environment: the inputs and the program's
+        outputs, or every variable when the program declares none (a name
+        is dropped once it is dead, :func:`~repro.runtime.plan.live_after`).
         """
         tracer = self.tracer
         if tracer is not None:
@@ -145,12 +149,15 @@ class Executor:
             if isinstance(stmt, Assign):
                 if tracer is not None:
                     tracer.begin_statement(path + (index,), stmt.target)
+                code = lowered[id(stmt)]
                 try:
-                    env[stmt.target] = self._eval(lowered[id(stmt)], env)
+                    env[stmt.target] = self._eval(code, env)
                 except ExecutionError as error:
                     error.annotate_statement(_path_str(path + (index,)),
                                              stmt.target)
                     raise
+                for name in code.dead:
+                    del env[name]
                 if tracer is not None:
                     tracer.end_statement()
             elif isinstance(stmt, WhileLoop):
@@ -163,14 +170,14 @@ class Executor:
         tracer = self.tracer
         if tracer is not None:
             tracer.begin_loop(path)
-        iterations = 0
+        iterations, code = 0, self._lowered[id(loop)]
         while iterations < loop.max_iterations:
             if tracer is not None:
                 # Conditions are not priced by the cost model, so their
                 # operator spans never carry predictions.
                 tracer.begin_statement(path + ("cond",), None, kind="condition")
             try:
-                condition = self._eval(self._lowered[id(loop)], env)
+                condition = self._eval(code, env)
             except ExecutionError as error:
                 error.annotate_statement(_path_str(path + ("cond",)), None)
                 raise
@@ -204,6 +211,8 @@ class Executor:
                         tracer.end_loop(iterations)
                     raise PlanSwitch(switched, replanner.generation)
         self.loop_iterations.append(iterations)
+        for name in code.dead:  # some died in the body, or were never set
+            env.pop(name, None)
         if tracer is not None:
             tracer.end_loop(iterations)
 
@@ -217,9 +226,11 @@ class Executor:
         evaluate on, records run plain, and the run raises its own error."""
         if isinstance(plan, CompiledProgram):
             fused = plan.notes.get("fusion") is not None
+            self._outputs = plan.program.outputs
             if plan.lowered is not None and fused == self.kernels.policy.fuse:
                 return plan.program.statements, plan.lowered
             plan = plan.program
+        self._outputs = plan.outputs
         kernels, lowered = self.kernels, {}
         model = CostModel(kernels.config, MetadataEstimator(), kernels.policy)
         metas = {name: value.meta for name, value in env.items()}
@@ -284,7 +295,8 @@ class Executor:
             elif kind == NEG:
                 right = pop()
                 push(kernels.negate(right, bool(op.dying)
-                                    and self._dying(True, right), op.driver))
+                                    and self._dying(op.dying[0], right),
+                                    op.driver))
             elif kind == TRANSPOSE:
                 right = pop()
                 push(right if right.is_scalar else kernels.transpose(right))
@@ -302,17 +314,24 @@ class Executor:
                      else self._eval(op.sub[-1], env))
         return pop()
 
-    def _dying(self, built: bool, value: Value, *others: Value) -> bool:
+    def _dying(self, given_up: int, value: Value, *others: Value) -> bool:
         """Whether ``value`` dies into the cell-wise operator reading it
-        beside ``others``: it is ``built``, a grid (not a float) whose every
-        tile a kernel made, and not, under a recovery manager, a local value
-        read by a reader priced distributed (``price_ewise``'s rule on the
-        operand metas), whose lineage thunk would re-read it written over
-        with nothing to heal it first (docs/architecture.md §11)."""
-        return built and value.number is None and value.matrix.owns_tiles \
-            and (self.recovery is None or value.distributed or not any(
-                value_distributed(v.meta, self.kernels.config,
-                                  self.kernels.policy) for v in (value, *others)))
+        beside ``others``: it is ``given_up`` (:attr:`Op.dying`), a grid
+        (not a float) whose every tile a kernel made and lent to no other
+        grid, and, under a recovery manager, not a local value read by a
+        reader priced distributed (``price_ewise``'s rule on the operand
+        metas), whose lineage thunk would re-read it written over with
+        nothing to heal it first. A variable's value dies only unarmed
+        (earlier readers' thunks may re-read it) and only if no input
+        binding holds it (docs/architecture.md §10 item 7, §11)."""
+        if not (given_up and value.number is None
+                and value.matrix.owns_tiles):
+            return False
+        if given_up == LAST_READ:
+            return self.recovery is None and value.name is None
+        return self.recovery is None or value.distributed or not any(
+            value_distributed(v.meta, self.kernels.config,
+                              self.kernels.policy) for v in (value, *others))
 
     def _run_fused(self, op: Op, env: dict[str, Value]) -> Value | None:
         """Run a FUSED or MMCHAIN record its evaluation selected through

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from ..errors import ExecutionError, ShapeError, TypeCheckError
 from ..lang.ast import (Call, Compare, Expr, Literal, MatMul, MatrixRef, Neg,
                         ScalarRef, Transpose)
-from ..lang.program import Program, Statement, WhileLoop
+from ..lang.program import Assign, Program, Statement, WhileLoop
 from ..lang.typecheck import node_meta
 from ..matrix.meta import MatrixMeta, scalar_meta
 from . import fusion
@@ -118,9 +118,18 @@ LOAD, CONST, EWISE, NEG, MATMUL, TRANSPOSE, COMPARE, CALL, MMCHAIN, \
 _COMPARISONS = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
                 ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
-#: Expressions whose value others may hold: a variable's, and a transpose
-#: (a view of its child's tiles, or a scalar child passed through as is).
-_SHARED = frozenset({MatrixRef, ScalarRef, Transpose})
+#: What an operand of a cell-wise record gives up (:attr:`Op.dying`):
+#: nothing, a temporary a kernel built for it, or a variable's value at
+#: its last read (:func:`live_after`).
+KEPT, BUILT, LAST_READ = range(3)
+
+
+class Code(tuple):
+    """One statement's records: an assignment's expression or a loop's
+    condition. ``dead``: the names the executor drops once the assignment
+    is stored, or when the loop exits (:func:`live_after`)."""
+
+    dead: tuple[str, ...] = ()
 
 
 @dataclass(slots=True, eq=False)
@@ -129,8 +138,10 @@ class Op:
     before it left. ``arg``: a name, a literal's float, a ``Kernels``
     method's name (looked up at each call, so class wrappers see it), a
     comparison, a builtin, a folded region, or an mmchain's (whether it
-    may be admitted by cost, ``X``'s column count). ``dying``: per operand, kernel-built (empty when none
-    is); ``sub``: a fusion's codes, plain last; ``fuse``: a fusion's
+    may be admitted by cost, ``X``'s column count). ``dying``: per
+    operand of a cell-wise record, what it gives up (``BUILT`` /
+    ``LAST_READ``; empty when none does); ``sub``: a fusion's codes, plain
+    last; ``fuse``: a fusion's
     decision, set by the cost evaluation that priced the record (False:
     the executor runs the plain code); ``predicted``: its price, set by the
     compile's final cost evaluation only (None: not priced there);
@@ -142,7 +153,7 @@ class Op:
     kind: int
     arg: object = None
     transposed: tuple[bool, bool] = (False, False)
-    dying: tuple[bool, ...] = ()
+    dying: tuple[int, ...] = ()
     driver: bool = False
     sub: tuple = ()
     fuse: bool = False
@@ -151,8 +162,9 @@ class Op:
 
 
 def lower(statements: list[Statement] | tuple[Statement, ...],
-          metas: dict[str, MatrixMeta], fuse: bool
-          ) -> dict[int, tuple[Op, ...]]:
+          metas: dict[str, MatrixMeta], fuse: bool,
+          outputs: tuple[str, ...] = (), inputs: tuple[str, ...] = ()
+          ) -> dict[int, Code]:
     """Each assignment's and loop condition's records, by ``id`` of
     statement, from the inputs' ``metas``; ``fuse``: element-wise regions
     become FUSED records (``ExecutionPolicy.fuse``), their scalar leaves
@@ -161,9 +173,13 @@ def lower(statements: list[Statement] | tuple[Statement, ...],
     run them: children left to right, one record per operator, a gated
     fusion holding its codes, undecided until a cost evaluation prices it.
     Each node's meta is derived from its children's as it is emitted
-    (None: unknown)."""
+    (None: unknown). Given ``outputs``, each code carries the names dead
+    after it and each variable read gives up its value where
+    :func:`last_reads` allows; ``inputs`` are never dropped."""
     metas = {**metas, "__always__": scalar_meta()}
-    lowered: dict[int, tuple[Op, ...]] = {}
+    lowered: dict[int, Code] = {}
+    live = live_after(statements, outputs)
+    given_up: frozenset[str] = frozenset()
     #: Each MATMUL record's operand metas, as multiplied.
     multiplied: dict[Op, list] = {}
 
@@ -206,10 +222,9 @@ def lower(statements: list[Statement] | tuple[Statement, ...],
             children = (node.child,) if kind is Neg else (node.left, node.right)
             operands = [emit(child, code) for child in children]
             driver = _on_driver(*operands)
-            built = tuple(not driver and type(child) not in _SHARED
-                          for child in children)
+            dying = () if driver else tuple(map(gives_up, children))
             op = Op(NEG if kind is Neg else EWISE, ZIP_KINDS.get(kind),
-                    dying=built if any(built) else (), driver=driver)
+                    dying=dying if any(dying) else (), driver=driver)
         elif kind is MatMul:
             (left, left_t), (right, right_t) = map(
                 unwrap_transpose, (node.left, node.right))
@@ -244,16 +259,126 @@ def lower(statements: list[Statement] | tuple[Statement, ...],
         except (ShapeError, TypeCheckError):
             return None
 
+    def gives_up(child: Expr) -> int:
+        """What a cell-wise operand gives up: a temporary, itself; a
+        variable, its value where this read is its last; a transpose (a
+        view of its child's tiles) or a scalar, nothing."""
+        kind = type(child)
+        if kind is MatrixRef:
+            return LAST_READ if child.name in given_up else KEPT
+        return KEPT if kind is ScalarRef or kind is Transpose else BUILT
+
+    if live is not None:
+        aliases = _ref_aliases(statements)
+        droppable = {stmt.target for stmt in _assignments(statements)
+                     }.difference(inputs)
+
     def block(statements) -> None:
+        nonlocal given_up
         for stmt in statements:
             if isinstance(stmt, WhileLoop):
-                lowered[id(stmt)] = code_of(stmt.condition)[0]
+                given_up = frozenset()
+                code = lowered[id(stmt)] = Code(code_of(stmt.condition)[0])
                 block(stmt.body)
             else:
-                lowered[id(stmt)], metas[stmt.target] = code_of(stmt.expr)
+                if live is not None:
+                    given_up = last_reads(stmt, live[id(stmt)], aliases)
+                ops, metas[stmt.target] = code_of(stmt.expr)
+                code = lowered[id(stmt)] = Code(ops)
+            if live is not None:
+                # Anything else dead here died where it was last mentioned.
+                code.dead = tuple(sorted(droppable.intersection(
+                    _mentioned([stmt])) - live[id(stmt)]))
 
     block(statements)
     return lowered
+
+
+def live_after(statements: list[Statement] | tuple[Statement, ...],
+               outputs: tuple[str, ...]) -> dict[int, frozenset[str]] | None:
+    """The names live after each assignment, and after each loop exits, by
+    ``id`` of statement: backward dataflow from ``outputs``, the names live
+    at the end, each ``while`` body iterated to a fixpoint, its condition
+    read on every pass. None without ``outputs``: a program that declares
+    none keeps every name to its end."""
+    if not outputs:
+        return None
+    after: dict[int, frozenset[str]] = {}
+
+    def live_before(statements, live: frozenset[str]) -> frozenset[str]:
+        for stmt in reversed(statements):
+            after[id(stmt)] = live
+            if isinstance(stmt, WhileLoop):
+                # Live at the head: read by the condition, after the loop,
+                # or by the body before the body assigns it.
+                exit_or_test = live | stmt.condition.variables()
+                head = exit_or_test
+                while (entry := exit_or_test | live_before(stmt.body, head)
+                       ) != head:
+                    head = entry
+                live = head
+            else:
+                live = live - {stmt.target} | stmt.expr.variables()
+        return live
+
+    live_before(statements, frozenset(outputs))
+    return after
+
+
+def last_reads(stmt, live: frozenset[str],
+               aliases: dict[str, set[str]]) -> frozenset[str]:
+    """The variables whose value ``stmt`` (an assignment) may give up to a
+    cell-wise operator reading it: the value is dead once the statement is
+    stored (the name is not ``live`` after it, or the statement assigns
+    it), no name a reference assignment made an alias of it is live, and
+    the statement reads it once, or twice as both operands of one operator
+    (``R * R``), so no earlier read of it is still waiting on the stack."""
+    reads: dict[str, int] = {}
+    pairs: set[str] = set()
+    for node in stmt.expr.walk():
+        if type(node) in (MatrixRef, ScalarRef):
+            reads[node.name] = reads.get(node.name, 0) + 1
+        elif type(node) in ZIP_KINDS and type(node.left) is MatrixRef \
+                and node.left == node.right:
+            pairs.add(node.left.name)
+    return frozenset(
+        name for name, count in reads.items()
+        if (count == 1 or (count == 2 and name in pairs))
+        and (name == stmt.target or name not in live)
+        and not (live.intersection(aliases.get(name, ()))
+                 - {name, stmt.target}))
+
+
+def _assignments(statements) -> Iterator[Assign]:
+    for stmt in statements:
+        if isinstance(stmt, WhileLoop):
+            yield from stmt.assignments()
+        else:
+            yield stmt
+
+
+def _mentioned(statements) -> set[str]:
+    """The names ``statements`` read or assign, loops' insides included."""
+    names: set[str] = set()
+    for stmt in statements:
+        if isinstance(stmt, WhileLoop):
+            names |= stmt.condition.variables() | _mentioned(stmt.body)
+        else:
+            names |= {stmt.target} | stmt.expr.variables()
+    return names
+
+
+def _ref_aliases(statements) -> dict[str, set[str]]:
+    """Each name a reference assignment ``a = b`` links to another, with
+    every name linked to it, transitively: those may hold one value."""
+    groups: dict[str, set[str]] = {}
+    for stmt in _assignments(statements):
+        if type(stmt.expr) in (MatrixRef, ScalarRef):
+            group = groups.get(stmt.target, {stmt.target}) | groups.get(
+                stmt.expr.name, {stmt.expr.name})
+            for name in group:
+                groups[name] = group
+    return groups
 
 
 def _chain_side(node: MatMul) -> bool | None:

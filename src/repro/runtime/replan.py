@@ -264,7 +264,7 @@ class Replanner:
         stale = Program(
             statements=[WhileLoop(condition=loop.condition, body=loop.body,
                                   max_iterations=remaining), *trailing],
-            inputs=sorted(inputs))
+            inputs=sorted(inputs), outputs=executor._outputs)
         config = replace(self.optimizer.config,
                          temp_prefix=f"tREPLAN{self.generation + 1}R")
         # Price against the *current* kernels config: a crash-shrunk

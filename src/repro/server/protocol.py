@@ -5,7 +5,10 @@ One request per line, one response per line, UTF-8 JSON. Requests carry an
 ``health``, ``ready``, ``drain``, or ``shutdown``), a ``tenant`` label for
 admission accounting, a workload named the same way the CLI names one
 (``algorithm`` + ``dataset`` + ``scale``, ``iterations``), and an optional
-``deadline_seconds`` budget. Responses echo the request ``id`` and carry a
+``deadline_seconds`` budget. A ``run`` may name ``outputs``, a subset of
+what the algorithm's script declares it returns (its ``output`` line;
+all of them by default): any other name is refused before anything runs,
+since a run keeps nothing else. Responses echo the request ``id`` and carry a
 ``status``: ``ok``, ``rejected`` (admission control; the ``error`` field
 names one of :data:`REJECTION_REASONS` and ``retry_after`` is computed
 from actual bucket/queue state), or ``error`` (bad request, failed
@@ -111,6 +114,12 @@ def parse_request(payload: object) -> Request:
     if not isinstance(outputs, (list, tuple)) \
             or not all(isinstance(o, str) for o in outputs):
         raise ProtocolError(f"outputs must be a list of names, got {outputs!r}")
+    declared = ALGORITHMS[request.algorithm].outputs
+    undeclared = [name for name in outputs if name not in declared]
+    if undeclared:
+        raise ProtocolError(
+            f"outputs {', '.join(undeclared)} not declared by "
+            f"{request.algorithm}, whose outputs are {', '.join(declared)}")
     request.outputs = tuple(outputs)
     request.return_values = values = payload.get("return_values", False)
     if not isinstance(values, bool):

@@ -65,6 +65,9 @@ def compile_pool_submits(monkeypatch):
 SEAMS = {
     # A cell-wise result never writes over an operand that dies into it.
     "dying": (Executor, "_dying", lambda self, built, *values: False),
+    # Every name is live to the end: none is dropped, and a variable's
+    # value is never given up (temporaries still are).
+    "liveness": (plan_module, "live_after", lambda statements, outputs: None),
     # A 1x1 cell-wise operator computes on grids, not on driver floats.
     "driver_floats": (plan_module, "_on_driver", lambda *metas: False),
     # Every operator is priced afresh: the price memo keeps nothing. What

@@ -27,6 +27,17 @@ class TestAlgorithms:
         with pytest.raises(ValueError, match="unknown algorithm"):
             get_algorithm("adam")
 
+    def test_outputs_are_the_scripts_output_lines(self):
+        declared = {name: algo.outputs for name, algo in ALGORITHMS.items()}
+        assert declared == {
+            "gd": ("x",), "dfp": ("x", "H"), "bfgs": ("x", "H"),
+            "gnmf": ("W", "Hm"), "partial_dfp": ("out",), "ridge": ("x",),
+            "power_iteration": ("v",), "logistic": ("x",)}
+        for name, outputs in declared.items():
+            line = next(line for line in ALGORITHMS[name].script.splitlines()
+                        if line.startswith("output "))
+            assert line == "output " + ", ".join(outputs)
+
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_scripts_type_check(self, name):
         algo = get_algorithm(name)

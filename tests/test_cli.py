@@ -185,3 +185,17 @@ class TestTypedErrors:
         code = main([arg.format(path=path) for arg in argv])
         assert (code, capsys.readouterr().err) \
             == (1, f"error: {message.format(path=path)}\n")  # no traceback
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "{path}"],
+        ["run", "--algorithm", "gd", "--dataset", "cri1", "--iterations",
+         "2", "--scale", "0.05", "--fault-plan", "{path}"]],
+        ids=["script", "fault-plan"])
+    def test_a_file_that_cannot_be_opened_is_an_error_line(self, capsys,
+                                                           tmp_path, argv):
+        path = tmp_path / "missing"
+        code = main([arg.format(path=path) for arg in argv])
+        err = capsys.readouterr().err
+        assert (code, err) == (
+            1, f"error: [Errno 2] No such file or directory: '{path}'\n")
+        assert "Traceback" not in err

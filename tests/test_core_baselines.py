@@ -183,6 +183,7 @@ class TestCrossBlockApplication:
         from repro.core.cost import CostModel, sketch_inputs
         from repro.core.sparsity import make_estimator
         program = parse("""
+            output R
             i = 0
             while (i < 4) {
               R = P %*% X %*% Y + P %*% Y %*% Z + X %*% Y %*% Q + Y %*% Z %*% Q
@@ -209,6 +210,9 @@ class TestCrossBlockApplication:
         rewritten = apply_cross_block(chains, option, model, sketches)
         env0 = Executor(cluster).run(program, dict(data))
         env1 = Executor(cluster).run(rewritten, dict(data))
+        assert rewritten.outputs == ("R",)
+        assert sorted(env1) == sorted(env0) == ["P", "Q", "R", "X", "Y",
+                                                "Z", "__always__"]
         assert np.allclose(env0["R"].matrix.to_numpy(),
                            env1["R"].matrix.to_numpy())
 

@@ -3,11 +3,12 @@ what it reports (:func:`record`). Every case in :data:`CASES` reproduces
 its entry in ``tests/data/identity_golden.json``. Oracle one, the run with
 every seam of ``tests/conftest.py::SEAMS`` reverted: covering cases match
 their entry so, traced, pre-tiled, as a warm plan-cache hit and served;
-generated programs (no recovery manager, an idle one, a crash) match it
-statement by statement. Oracle two, for fusion and faults, which change
-simulated time by design, the plain run: generated programs, fused or
-not, crashed or under a seeded fault plan, compute its outputs or stop
-with its error. A new perf-only layer adds one seam and, at most, one
+generated programs (no recovery manager, an idle one, a crash), declaring
+a drawn subset of their names as outputs (a crashed one, none), match it
+statement by statement on what they return. Oracle two, for fusion and
+faults, which change simulated time by design, the plain run: generated
+programs, fused or not, crashed or under a seeded fault plan, compute its
+outputs or stop with its error. A new perf-only layer adds one seam and, at most, one
 case. Re-record cases, by name or ``fnmatch`` pattern, only at a commit
 whose figures are the reference:
 ``PYTHONPATH=src python tests/test_identity.py 'sweep/*' ...``.
@@ -118,13 +119,16 @@ def execute_case(algorithm, dataset, engine, scale=SCALE,
 @functools.lru_cache(maxsize=None)
 def _crash_setup():
     """gd/cri3 (scale 0.3, 5 iterations, remac, six workers), whose ``A``
-    is a CSR input two tiles wide, compiled once; the fault-free horizon."""
+    is a CSR input two tiles wide, compiled once; the fault-free horizon.
+    The cases record every variable, so the script's ``output`` line is
+    left out: every name lives to the end."""
     algo, meta, data = _workload("gd", "cri3", 0.3)
     engine = make_engine("remac")
     assert data["A"].format == "csr"
     assert engine.cluster.block_size < data["A"].shape[1] \
         <= 2 * engine.cluster.block_size
-    compiled = engine.compile(algo.program(5), meta, data, iterations=5)
+    program = replace(algo.program(5), outputs=())
+    compiled = engine.compile(program, meta, data, iterations=5)
     horizon = engine.execute(compiled, data).metrics.execution_seconds
     return engine, compiled, data, horizon
 
@@ -376,10 +380,17 @@ def cellwise_trees(draw, names, depth=3):
     return op(*pair), scalar and other_scalar
 
 
+def declared(targets):
+    """A program's ``output`` line: a subset of its ``targets``, maybe
+    none (every name lives to the end)."""
+    return st.lists(st.sampled_from(targets), unique=True).map(tuple)
+
+
 @st.composite
 def cellwise_programs(draw):
     """Every variable is a temporary's value, then a ref held by the
-    environment: ``t(T) - T`` and ``T * T`` read it on both sides."""
+    environment: ``t(T) - T`` and ``T * T`` read it on both sides. What
+    the program declares it returns decides what dies where."""
     names = ["D", "S", "P", "G", "Z", "R"]
     tree, scalar = draw(cellwise_trees(names), label="T")
     assume(not scalar)
@@ -405,7 +416,12 @@ def cellwise_programs(draw):
         # stored all-zero tile) or CSR (S).
         Assign("K", draw(chains(["D", "S", "G", "R"], column=True),
                          label="K")),
-        Assign("out", draw(cellwise_trees(names), label="out")[0])])
+        Assign("out", draw(cellwise_trees(names), label="out")[0]),
+        # U's last read, twice by two operators: the first read still
+        # waits on the stack when the second would give its value up.
+        Assign("N", ast.Sub(ast.MatrixRef("U"), ast.ElemMul(
+            ast.MatrixRef("U"), ast.Literal(3.0))))],
+        outputs=draw(declared([*"TUVWOXYQKN", "out"])))
 
 
 #: Edge values of a double: both zeros, NaN, both infinities, the smallest
@@ -468,7 +484,7 @@ def scalar_programs(draw):
             Assign("a", ast.Add(ast.ElemMul(a, b), trees["c"])),
             Assign("i", ast.Add(i, ast.Literal(1.0)))), max_iterations=2),
         Assign("M", ast.ElemMul(a, ast.MatrixRef("w"))),
-        Assign("c", trees["c"])])
+        Assign("c", trees["c"])], outputs=draw(declared([*"abiMc"])))
 
 
 def _region_inputs(seed=11):
@@ -500,7 +516,8 @@ def region_programs(draw):
     return Program(statements=[
         Assign("F", op(*pair)),
         Assign("Q", ast.ElemDiv(inner[1], draw(st.sampled_from(
-            [ast.Literal(-0.5), e, h, l]))))])
+            [ast.Literal(-0.5), e, h, l]))))],
+        outputs=draw(declared(["F", "Q"])))
 
 
 def _payload(data):
@@ -519,7 +536,15 @@ def _payload(data):
 class _Snapshotting(Executor):
     """Runs statement by statement, and checks that an assignment changed
     the payloads of no input, no resident grid and no variable but its
-    own (a loop, of no input)."""
+    own (a loop, of no input), that every name it dropped is dead after
+    it (:func:`~repro.runtime.plan.live_after`), and that a run returns
+    its inputs and declared outputs and nothing else."""
+
+    def run(self, program, inputs, **kwargs):
+        env = super().run(program, inputs, **kwargs)
+        if plan.live_after(program.statements, program.outputs) is not None:
+            assert variables(env) == sorted({*inputs, *program.outputs})
+        return env
 
     def _snapshot(self, env):
         held = {("input", name): _payload(data)
@@ -530,12 +555,18 @@ class _Snapshotting(Executor):
         return held
 
     def _run_block(self, statements, env, path=()):
+        live = plan.live_after(self._top_statements, self._outputs)
         for stmt in statements:
             before = self._snapshot(env)
             super()._run_block([stmt], env, path)
             after = self._snapshot(env)
+            gone = {name for kind, name in before.keys() - after.keys()}
+            if isinstance(stmt, Assign) and stmt.target not in env:
+                gone.add(stmt.target)
+            assert not gone if live is None \
+                else gone.isdisjoint(live[id(stmt)]), (stmt, gone)
             changed = {key for key, held in before.items()
-                       if after[key] != held}
+                       if key in after and after[key] != held}
             mine = {("variable", stmt.target)} if isinstance(stmt, Assign) \
                 else {key for key in changed if key[0] == "variable"}
             assert changed <= mine, (stmt, changed)
@@ -570,11 +601,15 @@ def _generated_run(engine, program, inputs, traced, faults=None):
     each run's record, the payloads of its grids larger than a cell
     (memory order included) and its spans, or the error it stopped with."""
     memo, runs = PartitionMemo(), []
+    kept = {*inputs, *program.outputs} if program.outputs else None
     for _ in range(2):
         tracer = ExecutionTracer() if traced else None
         env, executor = _run(engine, program, inputs, kind=_Snapshotting,
                              tracer=tracer, partitions=memo,
                              **(faults or {}))
+        if not isinstance(env, str):  # what a run that drops returns
+            env = {name: value for name, value in env.items()
+                   if kept is None or name in kept}
         runs.append(env if isinstance(env, str) else (
             record(RunResult("executor", env, executor.metrics),
                    variables(env)),
@@ -620,10 +655,16 @@ def _faults(data, modes, horizon):
 @settings(max_examples=15, deadline=None)
 def test_a_generated_program_runs_as_with_every_seam_reverted(
         grammar, engine, traced, reverted, data):
+    """A crash heals only the grids a run still holds, so a crashed run
+    keeps every name: what a program drops moves recovery charges by
+    design, and the plain-run property below holds crashed runs that
+    drop to their values."""
     programs, inputs = GRAMMARS[grammar]
     program = data.draw(programs())
     faults = _faults(data, ["none", "armed", "crash"], lambda: _run(
         engine, program, inputs())[1].metrics.execution_seconds)
+    if faults is not None and "fault_plan" in faults:
+        program = replace(program, outputs=())
     run = _generated_run(engine, program, inputs(), traced, faults)
     with reverted():
         assert _generated_run(engine, program, inputs(), traced,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import ParseError, TypeCheckError
 from repro.lang import (
     Add,
     Assign,
@@ -143,6 +143,23 @@ class TestProgramParsing:
     def test_input_declaration(self):
         program = parse("input A, b, x\ny = A %*% x")
         assert program.inputs == ("A", "b", "x")
+
+    def test_output_declaration_is_kept_in_the_text(self):
+        source = "input A, x\noutput y, x\ny = A %*% x"
+        program = parse(source)
+        assert program.outputs == ("y", "x")
+        assert program.text == source
+        assert parse(program.text) == program
+        # Without one, the text is what it was before outputs existed.
+        assert parse("input A, x\ny = A %*% x").text \
+            == "input A, x\ny = A %*% x"
+
+    @pytest.mark.parametrize("source", [
+        "input A\noutput z\ny = A", "output A\ny = A"])
+    def test_an_output_never_assigned_and_not_an_input_is_refused(
+            self, source):
+        with pytest.raises(TypeCheckError, match="output 'z'|output 'A'"):
+            parse(source)
 
     def test_while_loop(self):
         program = parse("while (i < 10) { x = A %*% x \n i = i + 1 }",

@@ -291,18 +291,20 @@ class TestFingerprint:
 #: ``ReMacOptimizer._fingerprint(algo.program(7), metas, None, 7)``: per
 #: algorithm, SHA-256 over the digests of every engine preset in name order.
 #: Recorded before ``Program`` kept its text (loop-flat programs whose
-#: literals survive ``%g`` keep their digests); re-pinned once since, when
-#: ``OptimizerConfig`` lost its ``calibration`` field: re-inserting that
-#: field's ``calibration=None;`` into the settings text gives the old pins.
+#: literals survive ``%g`` keep their digests); re-pinned twice since: when
+#: ``OptimizerConfig`` lost its ``calibration`` field (re-inserting that
+#: field's ``calibration=None;`` into the settings text gives the pins
+#: before it), and when the scripts declared their outputs (deleting the
+#: ``output`` line from ``Program.text`` gives the pins before that).
 PARENT_DIGESTS = {
-    "bfgs": "c87b22ab62bcd8db30280dd0be118e546fb3561640601e681dd13508993cfc12",
-    "dfp": "9d48dc7f9f102d1fb2af94a74bcb30575c7b0ef10c72b0185eb06483c207d4de",
-    "gd": "9990ed96c4d443ded7422cb7ac2405aed2a04520d622986d9fae72b14aa55d1f",
-    "gnmf": "7c6e5aaea3ffb8731965a81772bdc4d3c8cd9c0aa2ee5a07acabd466be70dad7",
-    "logistic": "9da791b0b19be2af9f118e9106eed46b833da93e95231dede52e41025338cbc4",
-    "partial_dfp": "ae05205c007c51f47b686d94ce8948116c9b90392645f08e343c534aab5814b8",
-    "power_iteration": "6b1370d0df01a7737ee92b64e89f188cca83d66780d6d0d68234bfeaa6280bf4",
-    "ridge": "6a1144eff8b20168a37fe726b2a1fce321fcd9629e6ca24e9d21123ed23b6f64",
+    "bfgs": "d38174132c7a66ebc87144500429f413e1a8bd0604cfab357116d53084549bb5",
+    "dfp": "ae329716241d1a6cefc7893f7c6c52227528d181d8abf258dec5b67dbb0343e7",
+    "gd": "900f6572743da2f69d377c69fa3fc79a597fdc8ff57636a142b301b4c977f255",
+    "gnmf": "0a106de932b856f064646e0b130b2af335356c8787748ef3ed8d0d1d67d08c29",
+    "logistic": "cb4b95fea68ee5eb59e82ba2505a487e008329b30f8c864d9d22609c20d3f43c",
+    "partial_dfp": "9f3ff803701a16e3d19e655a77bd91039d5017055949a5ee0d5053c19b625335",
+    "power_iteration": "b3bb71ed65b2a56971074f8d2cc432e94c7805bac2a628b55932a373e4df0d4a",
+    "ridge": "4007809ede2c8eaacd733ec159be1d24876854f41a00eb3a0baf3762330c7d34",
 }
 
 

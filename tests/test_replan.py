@@ -11,6 +11,7 @@ The hard invariants under test:
    time is strictly below the stale plan's.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -202,6 +203,28 @@ class TestShrinkReplanning:
                               result.value("x"))
         assert result.metrics.replan_summary["replan_adopted"] == 1
         assert result.metrics.fault_summary["recovery_checkpoints"] > 0
+
+
+class TestDeclaredOutputs:
+    def test_outputs_survive_the_switch(self, crash_case, monkeypatch):
+        """The replanned program returns what the plan declared, bit for
+        bit; a name that died before the switch stays dropped, and what
+        was live at it is an input of the new program, so it is kept."""
+        adopted, consider = [], Replanner.consider
+        monkeypatch.setattr(Replanner, "consider", lambda *args: (
+            lambda plan: adopted.append(plan) or plan)(consider(*args)))
+        program, meta, data = _gram_inputs(crash_case["A"])
+        engine = Engine(crash_case["cluster"],
+                        OptimizerConfig(estimator="exact"))
+        result = engine.run(replace(program, outputs=("x",)), meta, data,
+                            iterations=ITERATIONS, replan=True,
+                            fault_plan=crash_case["plan"])
+        switched = [plan for plan in adopted if plan is not None]
+        assert [plan.program.outputs for plan in switched] == [("x",)]
+        assert result.compiled.program.outputs == ("x",)
+        assert np.array_equal(crash_case["fault_free"].value("x"),
+                              result.value("x"))
+        assert sorted(result.env) == ["A", "N", "__always__", "i", "x"]
 
 
 class TestShrinkObservability:

@@ -2,6 +2,7 @@
 
 import weakref
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,8 +23,9 @@ from repro.matrix.block import COMPARE_COUNT_CELLS
 import repro.core.cost.evaluate as evaluate_module
 from repro.runtime import (CompiledProgram, ExecutionPolicy, ExecutionTracer,
                            Executor)
-from repro.runtime.plan import lower
+from repro.runtime.plan import BUILT, KEPT, LAST_READ, live_after, lower
 from repro.runtime.physical import Value
+from repro.runtime.recovery import RecoveryConfig
 from repro.server.protocol import digest_result
 
 
@@ -370,23 +372,39 @@ class _Consumption:
     A result tile that is a new block over an operand's dense payload was
     written over that operand: it is counted by kernel, its size kept, and
     the operand grid held weakly — it must be dead once its statement has
-    been evaluated (nobody, the tracer included, kept it), unless
-    ``lineage`` (the reader's recovery thunk keeps it). No result tile may
-    share memory with a variable or a ``held`` array.
+    run (nobody, the tracer included, kept it), unless ``lineage`` (the
+    reader's recovery thunk keeps it). An operand that is a variable's
+    value, and every name a statement dropped, must be dead after the
+    statement by :func:`~repro.runtime.plan.live_after` (its value: the
+    statement may assign the name anew); ``written_names`` counts those
+    variables. No result tile may share memory with a ``held`` array or a
+    variable live after its statement or bound by a caller.
     """
 
     def __init__(self, monkeypatch, held=(), lineage=False):
         self.written = Counter()
+        self.written_names = Counter()
         self.sizes = []
         self.held = list(held)
         self.lineage = lineage
         self._spent = []
         self._env = {}
+        self._live = None
+        self._stmt = None
         for name, kind in _CELLWISE.items():
             monkeypatch.setattr(BlockedMatrix, name,
                                 self._kernel(getattr(BlockedMatrix, name), kind))
-        monkeypatch.setattr(Executor, "_eval",
-                            self._statement(Executor._eval))
+        monkeypatch.setattr(Executor, "_run_block",
+                            self._statements(Executor._run_block))
+
+    def _kept(self, name):
+        """Whether the running statement leaves ``name``'s value live."""
+        stmt = self._stmt
+        if not isinstance(stmt, Assign):
+            return True  # a loop condition gives nothing up
+        if self._live is None:
+            return True
+        return name != stmt.target and name in self._live[id(stmt)]
 
     def _kernel(self, kernel, kind):
         def watched(grid, *args, **kwargs):
@@ -397,7 +415,8 @@ class _Consumption:
             payloads = [(operand, block.data) for operand in operands
                         for block in operand.blocks.values()
                         if not block.is_sparse]
-            held = self.held + [block.data for value in self._env.values()
+            held = self.held + [block.data for name, value in self._env.items()
+                                if self._kept(name) or value.name is not None
                                 for block in value.matrix.blocks.values()
                                 if not block.is_sparse]
             result = kernel(grid, *args, **kwargs)
@@ -410,25 +429,33 @@ class _Consumption:
                     self.written[kind] += 1
                     self.sizes.append(block.data.size)
                     self._spent += [weakref.ref(operand) for operand in spent]
+                    names = [name for name, value in self._env.items()
+                             if value.number is None and any(
+                                 value.matrix is grid for grid in spent)]
+                    assert not any(map(self._kept, names)), names
+                    self.written_names.update(names)
                 assert not any(np.shares_memory(block.data, data)
                                for data in held)
             return result
         return watched
 
-    def _statement(self, evaluate):
-        depth = 0
-
-        def watched(executor, code, env):
-            nonlocal depth
+    def _statements(self, run_block):
+        def watched(executor, statements, env, path=()):
             self._env = env
-            depth += 1
-            value = evaluate(executor, code, env)
-            depth -= 1
-            if not depth:
+            self._live = live_after(executor._top_statements,
+                                    executor._outputs)
+            for stmt in statements:
+                before, outer, self._stmt = set(env), self._stmt, stmt
+                run_block(executor, [stmt], env, path)
+                self._stmt = outer
+                if isinstance(stmt, Assign):
+                    before.add(stmt.target)
+                gone = before - set(env)
+                assert not gone if self._live is None else \
+                    gone.isdisjoint(self._live[id(stmt)]), (stmt, gone)
                 assert self.lineage or all(ref() is None
-                                           for ref in self._spent), code
+                                           for ref in self._spent), stmt
                 self._spent.clear()
-            return value
         return watched
 
 
@@ -453,15 +480,20 @@ class TestDyingTemporaries:
         compiled = engine.compile(algo.program(10), meta, data, iterations=10)
         return algo, engine, compiled, data
 
-    @pytest.mark.parametrize("algorithm, dataset, scale, written", [
+    @pytest.mark.parametrize("algorithm, dataset, scale, written, names", [
         # H's update: two scaled rank-one products of 2 x 2 tiles, and the
-        # difference and sum over them, ten times.
-        ("dfp", "red3", 0.1, {"scaled": 80, "zipped": 78}),
-        # R = V - W %*% Hm, both multiplicative updates, their + 1e-6.
-        ("gnmf", "red2", 0.5, {"zipped": 320, "shifted": 160}),
+        # difference and sum over them, ten times; the difference writes
+        # over the old H, dead there, from the second iteration on (the
+        # first reads the input's).
+        ("dfp", "red3", 0.1, {"scaled": 80, "zipped": 78}, {"H": 36}),
+        # R = V - W %*% Hm, both multiplicative updates, their + 1e-6, and
+        # R * R over R itself, dead at that read (320 zipped while every
+        # name lived to the end).
+        ("gnmf", "red2", 0.5, {"zipped": 480, "shifted": 160}, {"R": 160}),
     ])
     def test_an_execute_writes_over_what_dies_and_nothing_else(
-            self, monkeypatch, reverted, algorithm, dataset, scale, written):
+            self, monkeypatch, reverted, algorithm, dataset, scale, written,
+            names):
         algo, engine, compiled, data = self._workload(algorithm, dataset,
                                                       scale)
         symmetric = algo.symmetric_inputs
@@ -480,8 +512,10 @@ class TestDyingTemporaries:
         assert not watch.written
         for inputs in (data, {**data, **grids}):
             watch.written.clear()
+            watch.written_names.clear()
             run = engine.execute(compiled, inputs, symmetric=symmetric)
             assert dict(watch.written) == written
+            assert dict(watch.written_names) == names
             assert min(watch.sizes) >= COMPARE_COUNT_CELLS
             assert digest_result(run, algo.outputs) \
                 == digest_result(reference, algo.outputs)
@@ -543,6 +577,115 @@ class TestDyingTemporaries:
         [(_function, charged, _flags)] = kernels._prices
         assert charged[1] == BlockedMatrix.from_numpy(cells, 64).meta()
         assert charged[1].sparsity < 0.6 and out.meta.sparsity == 1.0
+
+
+class TestLiveness:
+    """What a program declares it returns decides what dies where: a dead
+    name leaves the environment, a cell-wise last read may write over it,
+    and nothing else moves — the run computes and is charged what a run
+    that keeps every name does. 128 x 128 operands on 64-cell tiles: every
+    tile is past the size gate."""
+
+    LOOP = ("input A, B, x\noutput y\ni = 0\nwhile (i < 3) {\n"
+            "  R = A - B\n  obj = sum(R * R)\n  i = i + 1\n}\n"
+            "y = A * obj\n")
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(8)
+        return {"A": rng.random((128, 128)), "B": rng.random((128, 128)),
+                "x": rng.random((128, 1))}
+
+    @staticmethod
+    def _run(cluster, program, inputs, **executor_args):
+        """The environment, and what the run was charged."""
+        executor = Executor(cluster, **executor_args)
+        env = executor.run(program, inputs)
+        return env, (executor.metrics.summary(),
+                     executor.metrics.operator_counts)
+
+    def test_a_dead_value_is_dropped_and_its_last_read_written_over(
+            self, cluster, monkeypatch, reverted):
+        program = parse(self.LOOP, scalar_names={"i", "obj"})
+        with reverted("liveness"):
+            kept, charged = self._run(cluster, program, self._inputs())
+        watch = _Consumption(monkeypatch)
+        env, summary = self._run(cluster, program, self._inputs())
+        # The input x is dead throughout, but a caller holds it.
+        assert sorted(env) == ["A", "B", "__always__", "x", "y"]
+        assert sorted(kept) == ["A", "B", "R", "__always__", "i", "obj",
+                                "x", "y"]
+        assert dict(watch.written_names) == {"R": 12}  # 4 tiles, 3 times
+        assert summary == charged
+        assert _tile_bytes(env["y"].matrix) == _tile_bytes(kept["y"].matrix)
+
+    def test_the_analysis_is_kept_with_the_records(self, cluster):
+        program = parse(self.LOOP, scalar_names={"i", "obj"})
+        loop = program.statements[1]
+        r, obj, i = loop.body
+        live = live_after(program.statements, program.outputs)
+        assert live[id(obj)] == {"A", "B", "obj", "i"}
+        assert live[id(loop)] == {"A", "obj"}
+        lowered = lower(program.statements, {}, False, program.outputs,
+                        program.inputs)
+        assert [lowered[id(stmt)].dead for stmt in (r, obj, i, loop)] \
+            == [(), ("R",), (), ("R", "i")]
+        assert [op.dying for op in lowered[id(obj)] if op.dying] \
+            == [(LAST_READ, LAST_READ)]
+        # Without an output line, nothing dies and no name is given up.
+        bare = replace(program, outputs=())
+        lowered = lower(bare.statements, {}, False, (), bare.inputs)
+        assert not any(code.dead for code in lowered.values())
+        assert not any(LAST_READ in op.dying
+                       for code in lowered.values() for op in code)
+
+    def test_a_dead_assignment_still_runs_and_is_charged(self, cluster,
+                                                         reverted):
+        program = parse("input A, B\noutput y\nz = A %*% B\ny = A * 2\n")
+        with reverted("liveness"):
+            kept, charged = self._run(cluster, program, self._inputs())
+        env, summary = self._run(cluster, program, self._inputs())
+        assert "z" in kept and "z" not in env
+        assert summary == charged and sum(summary[1].values()) == 2
+
+    @pytest.mark.parametrize("source, given_up", [
+        # a's value is b's too: live after a's last read.
+        ("b = a\ny = a * 3", KEPT),
+        # b's tiles are views of a's payloads: a lent them.
+        ("b = t(a)\ny = a * 3", LAST_READ),
+        # The first read of a still waits on the stack for the last one.
+        ("b = a * 0.5\ny = a - a * 3", KEPT)])
+    def test_a_value_another_name_or_read_holds_is_not_written_over(
+            self, cluster, monkeypatch, reverted, source, given_up):
+        program = parse(f"input A\noutput y, b\na = A * 2\n{source}\n")
+        with reverted("liveness"):
+            kept, _ = self._run(cluster, program, self._inputs())
+        watch = _Consumption(monkeypatch)
+        env, _ = self._run(cluster, program, self._inputs())
+        y = program.statements[-1]
+        lowered = lower(program.statements, {}, False, program.outputs,
+                        program.inputs)
+        assert {given for op in lowered[id(y)] for given in op.dying
+                if given != BUILT} == {given_up}
+        assert not watch.written_names
+        for name in "by":
+            assert _tile_bytes(env[name].matrix) \
+                == _tile_bytes(kept[name].matrix)
+
+    def test_armed_or_bound_by_a_caller_a_value_is_not_written_over(
+            self, cluster, monkeypatch):
+        program = parse(self.LOOP, scalar_names={"i", "obj"})
+        watch = _Consumption(monkeypatch, lineage=True)
+        env, _ = self._run(cluster, program, self._inputs(),
+                           recovery_config=RecoveryConfig())
+        assert not watch.written_names and "R" not in env
+        # A grid a kernel built, handed in as an input, is the caller's.
+        built = env["y"].matrix
+        assert built.owns_tiles
+        before = _tile_bytes(built)
+        env, _ = self._run(cluster, parse("input A\noutput z\nz = A * 2\n"),
+                           {"A": built})
+        assert not watch.written_names and _tile_bytes(built) == before
 
 
 class TestDriverScalars:

@@ -599,6 +599,21 @@ class TestProtocol:
         assert request.engine is None
         assert parse_request({"op": "run"}).return_values is False
 
+    @pytest.mark.parametrize("outputs, named", [
+        (["g"], "g"),  # an intermediate gd computes, then drops
+        (["x", "nonexistent"], "nonexistent")])
+    def test_an_undeclared_output_is_refused_before_anything_runs(
+            self, client, compile_pool_submits, server, outputs, named):
+        submitted = compile_pool_submits(server.service)
+        response = client.request({"op": "run", "id": 3, "algorithm": "gd",
+                                   "dataset": DATASET, "scale": SCALE,
+                                   "iterations": 2, "outputs": outputs})
+        assert response == {
+            "id": 3, "status": "error",
+            "error": f"outputs {named} not declared by gd, whose outputs "
+                     f"are x"}
+        assert submitted == [] and client.connected
+
     @pytest.mark.parametrize("make", [
         lambda rng: np.asfortranarray(rng.random((6, 4))),
         lambda rng: rng.random((5, 3)).astype(">f8"),
